@@ -17,8 +17,8 @@ from .assembly import (assemble_load, assemble_stiffness, assemble_trace_mass,
                        control_load_matrix, omega_quadrature, weight_integrals)
 from .evolution import (AdjointTrajectory, CaputoWeights, CylinderSystem,
                         StateTrajectory, UseDelta1Error, apply_discrete_caputo,
-                        caputo_weights, initialize_state, lambda_diagnostic,
-                        solve_adjoint, solve_state)
+                        caputo_weights, lambda_diagnostic, solve_adjoint,
+                        solve_state)
 from .control import (ControlField, OptimizeResult, ReducedProblem, clamp,
                       l2_project, projected_bfgs, reduced_cost,
                       reduced_gradient, solve_control_problem, vi_residual)

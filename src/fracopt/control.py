@@ -84,7 +84,7 @@ class ReducedProblem:
 
     Assembles the forcing and desired-state step averages once; every cost
     or gradient evaluation then costs one state (plus one adjoint) march
-    with the cached factorization.
+    through the system's modal step solve.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -102,12 +102,15 @@ class ReducedProblem:
         self.weight = grid.tau * self.cell_volume
 
         self.b_f = forcing_loads(data.forcing, grid, mesh, sysm.quad, sysm.interior)
-        self.b_ud = forcing_loads(data.desired_state, grid, mesh, sysm.quad, sysm.interior)
-        # constant term int (u_d^k)^2 with the same quadrature
+        # loads <u_d^k, phi_i> and the constant term int (u_d^k)^2 from one
+        # evaluation of u_d per step, with the quadrature of forcing_loads
         K, tau = grid.K, grid.tau
+        scatter = sysm.quad.scatter
+        self.b_ud = np.empty((K, sysm.n_interior))
         self.c_ud = np.empty(K)
         for k in range(K):
             vals = time_average(data.desired_state, sysm.quad.points, k * tau, (k + 1) * tau)
+            self.b_ud[k] = (scatter @ vals)[sysm.interior]
             self.c_ud[k] = float(sysm.quad.weights @ np.square(vals))
         self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
 
@@ -306,17 +309,20 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
     if z0 is None:
         z0 = np.zeros((grid.K, mesh.omega.n_cells))
 
-    cache = {}
+    last = {}
 
     def fun_and_grad(z):
         f, g, state, adj = prob.cost_and_gradient(z)
-        cache["state"], cache["adjoint"] = state, adj
+        last.update(z=z, f=f, state=state, adjoint=adj)
         return f, g
 
     raw = projected_bfgs(fun_and_grad, z0, data.bounds, prob.weight,
                          tol=tol, max_iter=max_iter, seed=data.bounds.mu)
-    # refresh state/adjoint at the final iterate
-    f_final, g_final, state, adj = prob.cost_and_gradient(raw["z"])
+    if last["z"] is raw["z"]:
+        f_final, state, adj = last["f"], last["state"], last["adjoint"]
+    else:
+        # the last evaluation was a rejected line-search trial
+        f_final, _, state, adj = prob.cost_and_gradient(raw["z"])
     zopt = prob.new_control(raw["z"])
     return OptimizeResult(control=zopt, cost=f_final, pg_history=raw["pg_history"],
                           iterations=raw["iterations"], converged=raw["converged"],

@@ -2,11 +2,32 @@
 
 For gamma = 1 the step operator is backward Euler; for gamma in (0, 1) it is
 the L1 scheme with weights a_j = (j+1)^{1-gamma} - j^{1-gamma}. Only trace
-values enter the fractional memory, so the marches keep the full cylinder
-field of the current step only. The backward (adjoint) march applies the
-same scheme to the time-reversed sequence; algebraically this is the exact
-transpose of the forward march, which is what makes the discrete duality
-identity hold to machine precision.
+values enter the fractional memory, so the marches keep trace histories
+and form cylinder fields only on request. The backward (adjoint) march
+applies the same scheme to the time-reversed sequence; algebraically this
+is the exact transpose of the forward march, which is what makes the
+discrete duality identity hold to machine precision.
+
+Every step solves the same cylinder system, and the marches solve it by
+fast diagonalization (Lynch-Rice-Thomas) in the M_Omega-orthonormal
+eigenbasis of the interior Omega lattice. On the uniform partition of
+(0, 1) with m cells, h = 1/m and theta_k = k pi/m, k = 1..m-1, the P1
+eigenpairs are closed-form:
+
+    phi_k(j)  = sqrt(2/(m mu_k)) sin(j k pi/m),     mu_k = h (2 + cos theta_k)/3,
+    lambda_k  = 6 (1 - cos theta_k) / (h^2 (2 + cos theta_k)),
+
+and for n = 2 the Q1 modes are products phi_k x phi_l with eigenvalue
+lambda_k + lambda_l, applied one axis at a time. In this basis the step
+matrix splits into one tridiagonal axis problem per mode i,
+
+    T_i = ((lambda_i + c) M_y + S_y)/d_s  on axis nodes 0..M-1,  plus c_new at (0, 0),
+
+and eliminating the axis nodes above y = 0 leaves the scalar recurrence
+w_i^{k+1} = (c_new hist_i^k + l_i^k)/(c_new + delta_i), with delta_i the
+Schur complement of T_i onto y = 0. This holds only for the supported
+case: the unit interval or square, the uniform lattice, A = I and a
+constant reaction c >= 0.
 """
 from __future__ import annotations
 
@@ -14,12 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (OmegaQuadrature, assemble_stiffness, control_load_matrix,
-                       omega_matrices, omega_quadrature, time_average)
-from .mesh import CylinderMesh
+                       omega_matrices, omega_quadrature, time_average,
+                       weight_integrals)
+from .mesh import CylinderMesh, GradedAxis
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
 
 
@@ -77,12 +97,67 @@ def apply_discrete_caputo(weights: CaputoWeights, history: np.ndarray):
     return weights.scale, weights.scale * acc
 
 
+def lattice_modes(m: int):
+    """M-orthonormal eigenpairs of the interior P1 lattice on (0, 1), h = 1/m.
+
+    Returns (phi, lam): column k-1 of ``phi`` holds phi_k at the interior
+    nodes j = 1..m-1, so phi.T @ M1 @ phi = I and phi.T @ S1 @ phi =
+    diag(lam) for the interior mass M1 and stiffness S1.
+    """
+    h = 1.0 / m
+    k = np.arange(1, m)
+    theta = k * math.pi / m
+    mu = h * (2.0 + np.cos(theta)) / 3.0
+    # 1 - cos(theta) written as 2 sin^2(theta/2) to avoid cancellation
+    lam = 12.0 * np.sin(0.5 * theta) ** 2 / (h * h * (2.0 + np.cos(theta)))
+    phi = np.sin(np.outer(k, k) * (math.pi / m)) * np.sqrt(2.0 / (m * mu))
+    return phi, lam
+
+
+def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float):
+    """Schur complements onto y = 0 and harmonic profiles of the axis blocks.
+
+    For every rate r the block (r M_y + S_y)/d_s on axis nodes 0..M-1 (the
+    top node is Dirichlet) is eliminated from the top down, one interval
+    at a time. Interval j has local mass (m_ll, m_lr, m_rr) and stiffness
+    s; with p = r m_ll, t = r m_lr and q = r m_rr + G_{j+1}, the Schur
+    complement of the intervals j..M-1 onto node j is
+
+        G_j = r m_ll + s - (s - t)^2/(s + q) = (s (p + q + 2t) + p q - t^2)/(s + q),
+
+    starting from G_{M-1} = r m_ll + s. The expanded form never subtracts
+    the large stiffness entries of the graded intervals near y = 0, so
+    delta = G_0/d_s keeps full relative precision, which the same sweep over
+    the assembled tridiagonal would lose. Returns (delta, psi), psi[:, j]
+    being the discrete harmonic profile with psi[:, 0] = 1 and
+    psi_{j+1}/psi_j = (s - t)/(s + q).
+    """
+    M = axis.M
+    mll, mlr, mrr, s = np.array([weight_integrals(axis.nodes[j], axis.nodes[j + 1], alpha)
+                                 for j in range(M)]).T
+    r = np.asarray(rates, dtype=float)
+    G = r * mll[-1] + s[-1]
+    ratio = np.empty((r.size, M - 1))
+    for j in range(M - 2, -1, -1):
+        p, t = r * mll[j], r * mlr[j]
+        q = r * mrr[j] + G
+        ratio[:, j] = (s[j] - t) / (s[j] + q)
+        G = (s[j] * (p + q + 2.0 * t) + p * q - t * t) / (s[j] + q)
+    psi = np.ones((r.size, M))
+    psi[:, 1:] = np.cumprod(ratio, axis=1)
+    return G / d_s, psi
+
+
 class CylinderSystem:
-    """Assembled operators and factorizations for one (mesh, params, grid).
+    """Operators of one (mesh, params, grid) and their modal step solve.
 
     The per-step matrix c_new*M_tr + A is constant because the time step is
-    uniform, so it is factorized once and reused across steps, both marches
-    and every optimizer iteration.
+    uniform. In the M_Omega-orthonormal lattice basis (see the module
+    docstring) it is diagonal after the axis elimination: ``delta[i]`` is
+    the Schur complement of mode i onto y = 0 and ``psi[i]`` its axis
+    profile, so a step costs one division per mode. ``A_free``, the
+    assembled free-node stiffness, is kept for :meth:`energy`.
+    Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
     def __init__(self, mesh: CylinderMesh, params: FractionalParams,
@@ -109,67 +184,57 @@ class CylinderSystem:
             self.weights = caputo_weights(params.gamma, grid.K, grid.tau)
             self.c_new = self.weights.scale
 
-        nf = mesh.n_free
-        n_int = interior.size
-        embed = sp.csr_matrix((np.ones(n_int), (self.tpos, np.arange(n_int))),
-                              shape=(nf, n_int))
-        self._embed = embed
-        M_emb = (embed @ self.M_int @ embed.T).tocsc()
-        self._step_solve = spla.factorized((self.A_free + self.c_new * M_emb).tocsc())
-        self._init_solve = None
+        self.phi, lam = lattice_modes(mesh.omega.cells_per_dim)
+        if mesh.omega.n == 2:
+            lam = np.add.outer(lam, lam).ravel()
+        self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
+                                          params.d_s)
 
     @property
     def n_interior(self) -> int:
         return self.interior.size
 
-    def _solve_with_trace_rhs(self, rhs_int: np.ndarray) -> np.ndarray:
-        rhs = np.zeros(self.mesh.n_free)
-        rhs[self.tpos] = rhs_int
-        return self._step_solve(rhs)
+    def to_modal(self, loads: np.ndarray) -> np.ndarray:
+        """Modal coefficients phi_i . l of interior loads along the last axis."""
+        phi = self.phi
+        if self.mesh.omega.n == 1:
+            return loads @ phi
+        m1 = phi.shape[0]
+        grid = loads.reshape(loads.shape[:-1] + (m1, m1))
+        return (phi.T @ grid @ phi).reshape(loads.shape)
+
+    def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
+        """Interior nodal values sum_i coeffs_i phi_i along the last axis."""
+        phi = self.phi
+        if self.mesh.omega.n == 1:
+            return coeffs @ phi.T
+        m1 = phi.shape[0]
+        grid = coeffs.reshape(coeffs.shape[:-1] + (m1, m1))
+        return (phi @ grid @ phi.T).reshape(coeffs.shape)
+
+    def field(self, coeffs: np.ndarray) -> np.ndarray:
+        """Free-node fields sum_i coeffs_i phi_i x psi_i of trace coefficients.
+
+        ``coeffs`` has the modes on its last axis; the result replaces it
+        by the free-node vector (interior vertex major, axis node minor).
+        """
+        nodal = self.from_modal(coeffs[..., None, :] * self.psi.T)  # (..., M, n_int)
+        return np.swapaxes(nodal, -1, -2).reshape(coeffs.shape[:-1] + (-1,))
 
     def initial_field(self, u0) -> np.ndarray:
         """Discrete weighted-harmonic extension of u0, as a free-node vector.
 
-        Trace nodes carry the nodal values of u0; the remaining free nodes
-        solve a_Y(V0, W) = 0 against all test functions vanishing at y = 0.
+        The trace is the M_Omega-projection of the nodal values of u0 onto
+        the lattice modes (the nodal values themselves, up to roundoff); the
+        remaining free nodes solve a_Y(V0, W) = 0 against all test functions
+        vanishing at y = 0, which per mode is the axis profile psi_i.
         """
-        mesh = self.mesh
-        u0v = np.asarray(u0(mesh.omega.vertices[self.interior]), dtype=float)
-        nf = mesh.n_free
-        upos = np.setdiff1d(np.arange(nf), self.tpos)
-        if self._init_solve is None:
-            A_uu = self.A_free[upos][:, upos].tocsc()
-            self._init_solve = (upos, self.A_free[upos][:, self.tpos].tocsr(),
-                                spla.factorized(A_uu))
-        upos, A_ut, solve = self._init_solve
-        v = np.zeros(nf)
-        v[self.tpos] = u0v
-        v[upos] = solve(-(A_ut @ u0v))
-        return v
+        u0v = np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
+        return self.field(self.to_modal(self.M_int @ u0v))
 
     def energy(self, v_free: np.ndarray) -> float:
         """a_Y(v, v) of a free-node coefficient vector."""
         return float(v_free @ (self.A_free @ v_free))
-
-
-def initialize_state(u0, mesh: CylinderMesh, stiffness: sp.spmatrix) -> np.ndarray:
-    """Discrete extension of u0 as a full-node coefficient vector.
-
-    Solves the interior block of the given free-node stiffness with the
-    nodal values of u0 as trace data; Dirichlet nodes are zero.
-    """
-    interior = mesh.omega.interior_idx
-    u0v = np.asarray(u0(mesh.omega.vertices[interior]), dtype=float)
-    nf = mesh.n_free
-    tpos = mesh.trace_free_pos
-    upos = np.setdiff1d(np.arange(nf), tpos)
-    A = stiffness.tocsr()
-    vfree = np.zeros(nf)
-    vfree[tpos] = u0v
-    vfree[upos] = spla.spsolve(A[upos][:, upos].tocsc(), -(A[upos][:, tpos] @ u0v))
-    full = np.zeros(mesh.n_nodes)
-    full[mesh.free_idx] = vfree
-    return full
 
 
 @dataclass
@@ -200,29 +265,43 @@ class AdjointTrajectory:
     grid: TimeGrid
 
 
+def _check_loads(system: CylinderSystem, loads: np.ndarray) -> None:
+    shape = (system.grid.K, system.n_interior)
+    if loads.shape != shape:
+        raise ParameterError(f"loads must have shape {shape}, got {loads.shape}")
+
+
 def state_march(system: CylinderSystem, trace0: np.ndarray,
                 loads: np.ndarray, keep_fields: bool = False) -> StateTrajectory:
-    """Forward march: loads[k] is the trace-interior load of step k+1."""
+    """Forward march: loads[k] is the trace-interior load of step k+1.
+
+    The loads are transformed to modal coordinates once, every mode runs
+    the scalar L1 (or backward Euler) recurrence, and the traces (and, with
+    ``keep_fields``, the cylinder fields) are transformed back once.
+    """
+    _check_loads(system, loads)
     K = system.grid.K
-    n_int = system.n_interior
-    if loads.shape != (K, n_int):
-        raise ParameterError(f"loads must have shape {(K, n_int)}, got {loads.shape}")
-    traces = np.empty((K + 1, n_int))
-    traces[0] = trace0
-    fields = np.zeros((K + 1, system.mesh.n_free)) if keep_fields else None
-    w = system.weights
+    c_new, w = system.c_new, system.weights
+    rate = c_new + system.delta
+    rhs = system.to_modal(loads)
+    modal = np.empty((K + 1, system.n_interior))
+    modal[0] = system.to_modal(system.M_int @ trace0)
+    if w is not None:
+        # sum_j d_j w^{k-j} pairs d_{k-1}..d_0, the tail of this, with w^1..w^k
+        rdiffs = np.ascontiguousarray(w.diffs[::-1])
     for k in range(K):
         if w is None:
-            hist = system.c_new * (system.M_int @ traces[k])
+            acc = modal[k]
         else:
-            acc = w.a[k] * traces[0]
-            if k >= 1:
-                acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
-            hist = system.c_new * (system.M_int @ acc)
-        v = system._solve_with_trace_rhs(hist + loads[k])
-        traces[k + 1] = v[system.tpos]
-        if keep_fields:
-            fields[k + 1] = v
+            acc = w.a[k] * modal[0] + rdiffs[K - 1 - k:] @ modal[1:k + 1]
+        modal[k + 1] = (c_new * acc + rhs[k]) / rate
+    traces = np.empty_like(modal)
+    traces[0] = trace0
+    traces[1:] = system.from_modal(modal[1:])
+    fields = None
+    if keep_fields:
+        fields = np.zeros((K + 1, system.mesh.n_free))
+        fields[1:] = system.field(modal[1:])
     return StateTrajectory(traces=traces, grid=system.grid, fields=fields)
 
 
@@ -230,26 +309,23 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajector
     """Backward march with terminal value zero; loads[j] drives step j.
 
     This is the L1 (or backward Euler) scheme applied to the time-reversed
-    sequence, i.e. the exact transpose of :func:`state_march`.
+    sequence, i.e. the exact transpose of :func:`state_march`, run per mode
+    in the same modal coordinates.
     """
+    _check_loads(system, loads)
     K = system.grid.K
-    n_int = system.n_interior
-    if loads.shape != (K, n_int):
-        raise ParameterError(f"loads must have shape {(K, n_int)}, got {loads.shape}")
-    traces = np.zeros((K + 1, n_int))
-    w = system.weights
+    c_new, w = system.c_new, system.weights
+    rate = c_new + system.delta
+    rhs = system.to_modal(loads)
+    modal = np.zeros((K + 1, system.n_interior))
     for j in range(K - 1, -1, -1):
         if w is None:
-            hist = system.c_new * (system.M_int @ traces[j + 1])
+            acc = modal[j + 1]
         else:
-            nmem = K - 1 - j
-            if nmem >= 1:
-                acc = np.tensordot(w.diffs[:nmem], traces[j + 1:K], axes=(0, 0))
-                hist = system.c_new * (system.M_int @ acc)
-            else:
-                hist = np.zeros(n_int)
-        v = system._solve_with_trace_rhs(hist + loads[j])
-        traces[j] = v[system.tpos]
+            acc = w.diffs[:K - 1 - j] @ modal[j + 1:K]
+        modal[j] = (c_new * acc + rhs[j]) / rate
+    traces = np.zeros_like(modal)
+    traces[:K] = system.from_modal(modal[:K])
     return AdjointTrajectory(traces=traces, grid=system.grid)
 
 

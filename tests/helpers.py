@@ -2,6 +2,8 @@
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fracopt import (build_cylinder, build_omega, caputo_weights, graded_axis,
                      make_params, weight_integrals)
@@ -89,3 +91,81 @@ def check_telescoping(gamma, K):
     for k in range(K):
         total = float(np.sum(a[:k] - a[1:k + 1]) + a[k])
         assert abs(total - 1.0) <= 1e-12, f"telescoping off at k={k}: {total}"
+
+
+# -- assembled sparse path: the reference for the modal step solve -----------
+
+def sparse_step_solver(system):
+    """LU of the assembled step matrix A + c_new M_tr on the free nodes.
+
+    Returns solve(rhs_int) -> free-node vector for a load that lives on the
+    interior trace nodes only.
+    """
+    mesh = system.mesh
+    nf, n_int = mesh.n_free, system.n_interior
+    embed = sp.csr_matrix((np.ones(n_int), (system.tpos, np.arange(n_int))),
+                          shape=(nf, n_int))
+    step = system.A_free + system.c_new * (embed @ system.M_int @ embed.T)
+    solve = spla.factorized(step.tocsc())
+
+    def solve_trace(rhs_int):
+        rhs = np.zeros(nf)
+        rhs[system.tpos] = rhs_int
+        return solve(rhs)
+    return solve_trace
+
+
+def sparse_state_march(system, trace0, loads):
+    """Forward L1/backward Euler march by sparse LU; returns (traces, fields)."""
+    K = system.grid.K
+    solve = sparse_step_solver(system)
+    traces = np.empty((K + 1, system.n_interior))
+    traces[0] = trace0
+    fields = np.zeros((K + 1, system.mesh.n_free))
+    w = system.weights
+    for k in range(K):
+        if w is None:
+            acc = traces[k]
+        else:
+            acc = w.a[k] * traces[0]
+            if k >= 1:
+                acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
+        fields[k + 1] = solve(system.c_new * (system.M_int @ acc) + loads[k])
+        traces[k + 1] = fields[k + 1][system.tpos]
+    return traces, fields
+
+
+def sparse_adjoint_march(system, loads):
+    """Backward march with terminal value zero by sparse LU; returns the traces."""
+    K = system.grid.K
+    solve = sparse_step_solver(system)
+    traces = np.zeros((K + 1, system.n_interior))
+    w = system.weights
+    for j in range(K - 1, -1, -1):
+        if w is None:
+            acc = traces[j + 1]
+        else:
+            acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
+        traces[j] = solve(system.c_new * (system.M_int @ acc) + loads[j])[system.tpos]
+    return traces
+
+
+def sparse_initial_field(system, u0):
+    """Harmonic extension by sparse LU: nodal u0 on the trace, a_Y(V0, W) = 0 above."""
+    mesh = system.mesh
+    u0v = np.asarray(u0(mesh.omega.vertices[system.interior]), dtype=float)
+    upos = np.setdiff1d(np.arange(mesh.n_free), system.tpos)
+    A = system.A_free
+    v = np.zeros(mesh.n_free)
+    v[system.tpos] = u0v
+    v[upos] = spla.spsolve(A[upos][:, upos].tocsc(), -(A[upos][:, system.tpos] @ u0v))
+    return v
+
+
+def sparse_trace_schur(system):
+    """Dense Schur complement of the assembled stiffness onto the trace nodes."""
+    A = system.A_free.tocsr()
+    t = system.tpos
+    upos = np.setdiff1d(np.arange(system.mesh.n_free), t)
+    A_ut = A[upos][:, t].toarray()
+    return A[t][:, t].toarray() - A_ut.T @ spla.spsolve(A[upos][:, upos].tocsc(), A_ut)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
-                     UseDelta1Error, apply_discrete_caputo, assemble_stiffness,
-                     caputo_weights, initialize_state, lambda_diagnostic,
-                     solve_adjoint, solve_state)
+                     UseDelta1Error, apply_discrete_caputo, caputo_weights,
+                     lambda_diagnostic, solve_adjoint, solve_state)
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import mode
 from fracopt.problem import ParameterError, make_params
@@ -96,18 +95,24 @@ def test_discrete_caputo_empty_history():
         apply_discrete_caputo(w, np.empty((0,)))
 
 
+def full_initial_field(u0, mesh, params):
+    """CylinderSystem.initial_field embedded in all nodes (zero on Dirichlet ones)."""
+    system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=1))
+    v = np.zeros(mesh.n_nodes)
+    v[mesh.free_idx] = system.initial_field(u0)
+    return v
+
+
 def test_initialize_state_zero():
     mesh, params = build_test_mesh(n=1, M=4, s=0.4)
-    A = assemble_stiffness(mesh, params)
-    v = initialize_state(zero_u0, mesh, A)
+    v = full_initial_field(zero_u0, mesh, params)
     assert np.all(v == 0.0)
 
 
 def test_initialize_state_trace_and_decay():
     mesh, params = build_test_mesh(n=2, M=6, s=0.5)
-    A = assemble_stiffness(mesh, params)
     md = mode(1, 1)
-    v = initialize_state(lambda x: md(x), mesh, A)
+    v = full_initial_field(lambda x: md(x), mesh, params)
     interior = mesh.omega.interior_idx
     got = v[mesh.trace_global[interior]]
     assert np.allclose(got, md(mesh.omega.vertices[interior]), atol=1e-13)
