@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import ExperimentConfig, load_config, run_experiment
+from .harness import ExperimentConfig, _parse_list, load_config, run_experiment
 
 _SUBCOMMANDS = ["solve-state", "solve-control", "conv-space", "conv-time",
                 "truncation", "oracle-check"]
@@ -34,29 +34,21 @@ def _add_common_flags(sp):
                     help="number of trailing levels for slope fits")
 
 
-def _parse_ints(text):
-    return tuple(int(t) for t in str(text).replace(" ", "").split(",") if t)
-
-
-def _parse_floats(text):
-    return tuple(float(t) for t in str(text).replace(" ", "").split(",") if t)
-
-
 def build_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     updates = {"kind": args.kind}
     if args.s is not None:
-        updates["s_list"] = _parse_floats(args.s)
+        updates["s_list"] = _parse_list(args.s)
     if args.K is not None:
-        ks = _parse_ints(args.K)
+        ks = _parse_list(args.K, int)
         updates["K_list"] = ks
         updates["K"] = ks[0]
     if args.M is not None:
-        ms = _parse_ints(args.M)
+        ms = _parse_list(args.M, int)
         updates["M_list"] = ms
         updates["M"] = ms[0]
     if args.Y is not None:
-        ys = _parse_floats(args.Y)
+        ys = _parse_list(args.Y)
         updates["Y_list"] = ys
         if len(ys) == 1:
             updates["Y"] = ys[0]

@@ -3,10 +3,7 @@
 For gamma = 1 the step operator is backward Euler; for gamma in (0, 1) it is
 the L1 scheme with weights a_j = (j+1)^{1-gamma} - j^{1-gamma}. Only trace
 values enter the fractional memory, so the marches keep trace histories
-and form cylinder fields only on request. The backward (adjoint) march
-applies the same scheme to the time-reversed sequence; algebraically this
-is the exact transpose of the forward march, which is what makes the
-discrete duality identity hold to machine precision.
+and form cylinder fields only on request.
 
 Every step solves the same cylinder system, and the marches solve it by
 fast diagonalization (Lynch-Rice-Thomas) in the M_Omega-orthonormal
@@ -28,6 +25,23 @@ w_i^{k+1} = (c_new hist_i^k + l_i^k)/(c_new + delta_i), with delta_i the
 Schur complement of T_i onto y = 0. This holds only for the supported
 case: the unit interval or square, the uniform lattice, A = I and a
 constant reaction c >= 0.
+
+Per mode the whole march is one lower-triangular Toeplitz solve in time
+(see :class:`ModalMarch`): with x_k = w_i^{k+1} and d_j = a_j - a_{j+1},
+
+    (c_new + delta_i) x_k - c_new sum_{j<k} d_j x_{k-1-j} = l_i^k + c_new a_k w_i^0,
+
+and backward Euler is the case a = (1, 0, ..., 0). The inverse of a
+lower-triangular Toeplitz matrix is again lower-triangular Toeplitz, so
+x = h_i * g is the causal convolution of the load with the first column
+h_i of the inverse, the mode's impulse response, truncated to K steps. For
+L1 the impulse responses are computed once per system, by the scalar
+recurrence itself (O(K^2 n)), and every march is then one FFT product
+(O(n K log K)); backward Euler keeps its one-step recurrence (O(n K)).
+The adjoint march solves with the transpose T_i^T = J T_i J (J reverses
+time), i.e. the same convolution applied to the time-reversed loads, so it
+is the exact transpose of the forward march and the discrete duality
+identity holds to machine precision.
 """
 from __future__ import annotations
 
@@ -97,6 +111,68 @@ def apply_discrete_caputo(weights: CaputoWeights, history: np.ndarray):
     return weights.scale, weights.scale * acc
 
 
+class ModalMarch:
+    """Per-mode time-stepping solves T_i x_i = g_i for all modes at once.
+
+    Mode i of rate r_i runs x_k = (c_new (sum_{j<k} d_j x_{k-1-j}) + g_k)/
+    (c_new + r_i), k = 0..K-1, i.e. it solves the lower-triangular Toeplitz
+    system with diagonal c_new + r_i and sub-diagonals -c_new d_j, where
+    d_j = a_j - a_{j+1}: the L1 weights and scale for gamma < 1, and for
+    backward Euler (gamma = 1) c_new = 1/tau and a = (1, 0, ..., 0). An
+    initial value x^0 enters as the extra load c_new a_k x^0. Loads and
+    solutions are (K, n_modes) arrays, step k in row k.
+
+    For L1 the impulse responses h_i (first columns of T_i^{-1}) come from
+    the recurrence run once on a unit impulse, and only their real FFTs,
+    zero-padded to 2K and stored mode-major, are kept; a solve is then the
+    causal convolution h_i * g_i truncated to K steps. Backward Euler has a
+    one-step memory and keeps its recurrence.
+    """
+
+    def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
+        self.K = K
+        self.weights = caputo_weights(gamma, K, tau) if gamma < 1.0 else None
+        self.c_new = 1.0 / tau if self.weights is None else self.weights.scale
+        self.rate = self.c_new + np.asarray(rates, dtype=float)
+        self.h_hat = None
+        if self.weights is not None:
+            h = self._impulse_response(self.weights.diffs)
+            self.h_hat = np.fft.rfft(np.ascontiguousarray(h.T), n=2 * K)
+            # reused by every solve: a fresh spectrum per call costs page faults
+            self._spec = np.empty_like(self.h_hat)
+
+    def _impulse_response(self, diffs: np.ndarray) -> np.ndarray:
+        """h[m] = c_new sum_{j<m} d_j h[m-1-j]/rate from h[0] = 1/rate."""
+        K = self.K
+        h = np.empty((K, self.rate.size))
+        h[0] = 1.0 / self.rate
+        # d_{m-1}..d_0, the tail of the reversed diffs, pair with h[0]..h[m-1]
+        rdiffs = np.ascontiguousarray(diffs[::-1])
+        for m in range(1, K):
+            h[m] = self.c_new * (rdiffs[K - 1 - m:] @ h[:m]) / self.rate
+        return h
+
+    def solve(self, g: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes)."""
+        if self.h_hat is None:
+            x = np.empty_like(g)
+            prev = 0.0 if x0 is None else x0
+            for k in range(self.K):
+                prev = x[k] = (self.c_new * prev + g[k]) / self.rate
+            return x
+        loads = np.array(g.T, order="C")
+        if x0 is not None:
+            loads += np.outer(self.c_new * x0, self.weights.a)
+        n_fft = 2 * self.K
+        spec = np.fft.rfft(loads, n=n_fft, out=self._spec)
+        spec *= self.h_hat
+        return np.fft.irfft(spec, n=n_fft)[:, :self.K].T
+
+    def solve_transposed(self, g: np.ndarray) -> np.ndarray:
+        """x_i = T_i^{-T} g_i: the Toeplitz solve on time-reversed loads, reversed."""
+        return self.solve(g[::-1])[::-1]
+
+
 def lattice_modes(m: int):
     """M-orthonormal eigenpairs of the interior P1 lattice on (0, 1), h = 1/m.
 
@@ -155,8 +231,11 @@ class CylinderSystem:
     uniform. In the M_Omega-orthonormal lattice basis (see the module
     docstring) it is diagonal after the axis elimination: ``delta[i]`` is
     the Schur complement of mode i onto y = 0 and ``psi[i]`` its axis
-    profile, so a step costs one division per mode. ``A_free``, the
-    assembled free-node stiffness, is kept for :meth:`energy`.
+    profile. ``march`` holds the per-mode time solves with rates delta:
+    for L1 it computes every mode's impulse response here, once (O(K^2 n)
+    work), so each state or adjoint march is one FFT convolution (O(n K log
+    K)); for backward Euler a step costs one division per mode. ``A_free``,
+    the assembled free-node stiffness, is kept for :meth:`energy`.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -177,18 +256,12 @@ class CylinderSystem:
         self.interior = interior
         self.tpos = mesh.trace_free_pos
 
-        if params.gamma >= 1.0:
-            self.weights = None
-            self.c_new = 1.0 / grid.tau
-        else:
-            self.weights = caputo_weights(params.gamma, grid.K, grid.tau)
-            self.c_new = self.weights.scale
-
         self.phi, lam = lattice_modes(mesh.omega.cells_per_dim)
         if mesh.omega.n == 2:
             lam = np.add.outer(lam, lam).ravel()
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
                                           params.d_s)
+        self.march = ModalMarch(self.delta, params.gamma, grid.K, grid.tau)
 
     @property
     def n_interior(self) -> int:
@@ -275,57 +348,34 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
                 loads: np.ndarray, keep_fields: bool = False) -> StateTrajectory:
     """Forward march: loads[k] is the trace-interior load of step k+1.
 
-    The loads are transformed to modal coordinates once, every mode runs
-    the scalar L1 (or backward Euler) recurrence, and the traces (and, with
-    ``keep_fields``, the cylinder fields) are transformed back once.
+    The loads are transformed to modal coordinates once, every mode solves
+    its Toeplitz system in time (:class:`ModalMarch`), and the traces (and,
+    with ``keep_fields``, the cylinder fields) are transformed back once.
     """
     _check_loads(system, loads)
-    K = system.grid.K
-    c_new, w = system.c_new, system.weights
-    rate = c_new + system.delta
-    rhs = system.to_modal(loads)
-    modal = np.empty((K + 1, system.n_interior))
-    modal[0] = system.to_modal(system.M_int @ trace0)
-    if w is not None:
-        # sum_j d_j w^{k-j} pairs d_{k-1}..d_0, the tail of this, with w^1..w^k
-        rdiffs = np.ascontiguousarray(w.diffs[::-1])
-    for k in range(K):
-        if w is None:
-            acc = modal[k]
-        else:
-            acc = w.a[k] * modal[0] + rdiffs[K - 1 - k:] @ modal[1:k + 1]
-        modal[k + 1] = (c_new * acc + rhs[k]) / rate
-    traces = np.empty_like(modal)
+    w0 = system.to_modal(system.M_int @ trace0)
+    modal = system.march.solve(system.to_modal(loads), w0)
+    traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[0] = trace0
-    traces[1:] = system.from_modal(modal[1:])
+    traces[1:] = system.from_modal(modal)
     fields = None
     if keep_fields:
-        fields = np.zeros((K + 1, system.mesh.n_free))
-        fields[1:] = system.field(modal[1:])
+        fields = np.zeros((system.grid.K + 1, system.mesh.n_free))
+        fields[1:] = system.field(modal)
     return StateTrajectory(traces=traces, grid=system.grid, fields=fields)
 
 
 def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajectory:
     """Backward march with terminal value zero; loads[j] drives step j.
 
-    This is the L1 (or backward Euler) scheme applied to the time-reversed
-    sequence, i.e. the exact transpose of :func:`state_march`, run per mode
-    in the same modal coordinates.
+    Per mode this solves with the transpose of the forward Toeplitz matrix
+    (the forward solve on time-reversed loads), so it is the exact
+    transpose of :func:`state_march`, in the same modal coordinates.
     """
     _check_loads(system, loads)
-    K = system.grid.K
-    c_new, w = system.c_new, system.weights
-    rate = c_new + system.delta
-    rhs = system.to_modal(loads)
-    modal = np.zeros((K + 1, system.n_interior))
-    for j in range(K - 1, -1, -1):
-        if w is None:
-            acc = modal[j + 1]
-        else:
-            acc = w.diffs[:K - 1 - j] @ modal[j + 1:K]
-        modal[j] = (c_new * acc + rhs[j]) / rate
-    traces = np.zeros_like(modal)
-    traces[:K] = system.from_modal(modal[:K])
+    modal = system.march.solve_transposed(system.to_modal(loads))
+    traces = np.zeros((system.grid.K + 1, system.n_interior))
+    traces[:-1] = system.from_modal(modal)
     return AdjointTrajectory(traces=traces, grid=system.grid)
 
 

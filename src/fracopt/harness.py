@@ -20,14 +20,16 @@ from .assembly import omega_quadrature
 from .control import ReducedProblem, l2_project, solve_control_problem, vi_residual, project_trace
 from .evolution import CylinderSystem, solve_state
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
-from .oracle import (fractional_ibp_check, manufactured_problem, mode,
-                     spectral_solve_state)
+from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
+                     manufactured_problem, mode, spectral_solve_state)
 from .problem import (ControlBounds, ParameterError, ProblemData, TimeGrid,
                       make_params, select_truncation)
 
 REPORT_COLUMNS = ["case", "s", "gamma", "M", "K", "N", "zeta", "Y",
                   "err_control", "err_state", "cost", "iters", "pg_norm"]
 RATE_COLUMNS = ["case", "s", "gamma", "quantity", "slope", "levels_used"]
+# conv-time measures every K against one solve with REF_FACTOR * max(K_list) steps
+REF_FACTOR = 8
 
 
 @dataclass
@@ -54,6 +56,17 @@ class ExperimentConfig:
         for name in ("s_list", "K_list", "M_list", "Y_list"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must be nonempty")
+        if self.kind == "conv-time":
+            _check_time_levels(self.K_list, REF_FACTOR)
+
+
+def _check_time_levels(K_list, ref_factor: int) -> None:
+    """Every K must divide the reference step count ref_factor * max(K_list)."""
+    K_ref = ref_factor * max(K_list)
+    bad = [K for K in K_list if K < 1 or K_ref % K]
+    if bad:
+        raise ParameterError(f"step counts {bad} do not divide the reference "
+                             f"{ref_factor} * max(K_list) = {K_ref}")
 
 
 def _parse_list(text, cast=float):
@@ -284,7 +297,8 @@ def run_convergence_space(config: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
-def run_convergence_time(config: ExperimentConfig, ref_factor: int = 8) -> ConvergenceReport:
+def run_convergence_time(config: ExperimentConfig,
+                         ref_factor: int = REF_FACTOR) -> ConvergenceReport:
     """Control error against K at fixed M on the manufactured problem.
 
     At desk-scale M the spatial part of the error against the exact control
@@ -294,6 +308,7 @@ def run_convergence_time(config: ExperimentConfig, ref_factor: int = 8) -> Conve
     ``ref_factor * max(K_list)`` steps on the same mesh. The exact-solution
     errors are still recorded (err_state column) for reference.
     """
+    _check_time_levels(config.K_list, ref_factor)
     report = ConvergenceReport(case="conv-time")
     for s in config.s_list:
         K_ref = ref_factor * max(config.K_list)
@@ -418,7 +433,6 @@ def run_oracle_check(config: ExperimentConfig) -> ConvergenceReport:
                 du = math.exp(t)
                 dp = (1.0 - (man.T - t)) * math.exp(t) * (-man.mu)
             else:
-                from .oracle import caputo_left, caputo_right
                 du = float(caputo_left(np.exp, config.gamma, t))
                 dp = -man.mu * float(caputo_right(
                     lambda r: (man.T - r - 1.0) * np.exp(r), config.gamma, t, man.T))

@@ -8,6 +8,8 @@ solver is tested against.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .evolution import caputo_weights
+from .assembly import omega_quadrature
+from .evolution import ModalMarch, caputo_weights
+from .mesh import build_omega
 from .problem import ParameterError
 
 
@@ -64,13 +68,10 @@ def modal_decompose(func: Callable, n: int, kmax: int = 32, tol: float = 1e-12,
     per dimension (composite 3-point Gauss on ``cells`` cells per
     dimension) and keeps modes whose coefficient exceeds ``tol``.
     """
-    from .assembly import omega_quadrature
-    from .mesh import build_omega
     quad = omega_quadrature(build_omega(n, cells))
     vals = np.asarray(func(quad.points), dtype=float)
     modes, coeffs = [], []
     ranges = [range(1, kmax + 1)] * n
-    import itertools
     for idx in itertools.product(*ranges):
         md = mode(*idx)
         c = float(quad.weights @ (vals * md(quad.points)))
@@ -82,11 +83,14 @@ def modal_decompose(func: Callable, n: int, kmax: int = 32, tol: float = 1e-12,
 
 # -- Caputo derivatives of smooth profiles via Gauss-Jacobi quadrature -------
 
+@functools.lru_cache(maxsize=32)
 def _jacobi_rule(gamma: float, nquad: int = 24):
-    # weight (1+x)^{-gamma} on [-1,1]; mapped to u^{-gamma} on [0,1]
+    # weight (1+x)^{-gamma} on [-1,1]; mapped to u^{-gamma} on [0,1]. Cached
+    # because every Caputo evaluation needs it; read-only since it is shared.
     x, w = roots_jacobi(nquad, 0.0, -gamma)
     u = 0.5 * (x + 1.0)
     w = w * 0.5 ** (1.0 - gamma)
+    u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
@@ -155,7 +159,8 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
         u_k(t) = (u0_k - g/(1+lam^s)) e^{-lam^s t} + g/(1+lam^s) e^t
 
     is returned exactly; otherwise the scalar L1 (or backward Euler)
-    recurrence runs on the fine grid.
+    scheme runs on the fine grid, through the same per-mode solve
+    (:class:`fracopt.evolution.ModalMarch`) as the finite element marches.
     """
     modes = list(modes)
     nm = len(modes)
@@ -192,22 +197,13 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
 
     tau = T / K_fine
     if exp_amps is not None:
-        gvals = exp_amps[None, :] * np.exp(times)[:, None]
+        gvals = exp_amps[None, :] * np.exp(times[1:])[:, None]
     else:
-        gvals = np.stack([np.array([f(t) for t in times]) for f in fns], axis=1)
+        gvals = np.stack([np.array([f(t) for t in times[1:]]) for f in fns], axis=1)
+    march = ModalMarch(lam_s, gamma, K_fine, tau)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
-    if gamma >= 1.0:
-        for k in range(K_fine):
-            coeffs[k + 1] = (coeffs[k] / tau + gvals[k + 1]) / (1.0 / tau + lam_s)
-    else:
-        w = caputo_weights(gamma, K_fine, tau)
-        d = w.diffs
-        for k in range(K_fine):
-            acc = w.a[k] * coeffs[0]
-            if k >= 1:
-                acc = acc + d[:k] @ coeffs[k:0:-1]
-            coeffs[k + 1] = (w.scale * acc + gvals[k + 1]) / (w.scale + lam_s)
+    coeffs[1:] = march.solve(gvals, u0)
     return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
 
 

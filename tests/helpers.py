@@ -105,7 +105,7 @@ def sparse_step_solver(system):
     nf, n_int = mesh.n_free, system.n_interior
     embed = sp.csr_matrix((np.ones(n_int), (system.tpos, np.arange(n_int))),
                           shape=(nf, n_int))
-    step = system.A_free + system.c_new * (embed @ system.M_int @ embed.T)
+    step = system.A_free + system.march.c_new * (embed @ system.M_int @ embed.T)
     solve = spla.factorized(step.tocsc())
 
     def solve_trace(rhs_int):
@@ -122,7 +122,7 @@ def sparse_state_march(system, trace0, loads):
     traces = np.empty((K + 1, system.n_interior))
     traces[0] = trace0
     fields = np.zeros((K + 1, system.mesh.n_free))
-    w = system.weights
+    w = system.march.weights
     for k in range(K):
         if w is None:
             acc = traces[k]
@@ -130,7 +130,7 @@ def sparse_state_march(system, trace0, loads):
             acc = w.a[k] * traces[0]
             if k >= 1:
                 acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
-        fields[k + 1] = solve(system.c_new * (system.M_int @ acc) + loads[k])
+        fields[k + 1] = solve(system.march.c_new * (system.M_int @ acc) + loads[k])
         traces[k + 1] = fields[k + 1][system.tpos]
     return traces, fields
 
@@ -140,13 +140,13 @@ def sparse_adjoint_march(system, loads):
     K = system.grid.K
     solve = sparse_step_solver(system)
     traces = np.zeros((K + 1, system.n_interior))
-    w = system.weights
+    w = system.march.weights
     for j in range(K - 1, -1, -1):
         if w is None:
             acc = traces[j + 1]
         else:
             acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
-        traces[j] = solve(system.c_new * (system.M_int @ acc) + loads[j])[system.tpos]
+        traces[j] = solve(system.march.c_new * (system.M_int @ acc) + loads[j])[system.tpos]
     return traces
 
 

@@ -125,6 +125,20 @@ out = study
     assert cfg.out == "study"
 
 
+def test_conv_time_step_counts_checked_up_front():
+    # 3 does not divide the reference 8 * 8 = 64: rejected before any solve
+    with pytest.raises(ParameterError, match="do not divide"):
+        ExperimentConfig(kind="conv-time", K_list=(3, 8))
+    with pytest.raises(ParameterError):
+        cli_main(["conv-time", "--K", "3,8"])
+    with pytest.raises(ParameterError):
+        run_convergence_time(ExperimentConfig(kind="conv-time", K_list=(2, 4)),
+                             ref_factor=3)
+    # other kinds do not use K_list as time levels
+    assert ExperimentConfig(kind="conv-space", K_list=(3, 8)).K_list == (3, 8)
+    assert ExperimentConfig(kind="conv-time", K_list=(2, 5, 10)).K_list == (2, 5, 10)
+
+
 def test_run_experiment_writes_reports(tmp_path):
     out = tmp_path / "run"
     cfg = ExperimentConfig(kind="conv-space", s_list=(0.5,), K=4,

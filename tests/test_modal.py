@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from fracopt import CylinderSystem, TimeGrid
-from fracopt.evolution import adjoint_march, state_march
+from fracopt import CylinderSystem, TimeGrid, apply_discrete_caputo
+from fracopt.evolution import ModalMarch, adjoint_march, state_march
 from fracopt.problem import make_params
 
 from helpers import (build_test_mesh, sparse_adjoint_march, sparse_initial_field,
@@ -30,8 +30,8 @@ def u0(x):
 @pytest.mark.parametrize("c", [0.0, 0.7, 2.0])
 @pytest.mark.parametrize("gamma", [1.0, 0.6, 0.3])
 @pytest.mark.parametrize("n", [1, 2])
-def test_modal_matches_sparse(n, gamma, c):
-    system = make_system(n, gamma, c)
+def test_modal_matches_sparse(n, gamma, c, K=6):
+    system = make_system(n, gamma, c, K=K)
     rng = np.random.default_rng(7)
     shape = (system.grid.K, system.n_interior)
 
@@ -57,12 +57,44 @@ def test_modal_matches_sparse(n, gamma, c):
     assert rel_gap(adj.traces, sparse_adjoint_march(system, loads)) <= TOL
 
 
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_duality_identity_1d_reaction(gamma):
-    system = make_system(1, gamma, 0.7)
+# single step, odd length and a long march (FFT convolution for gamma < 1)
+@pytest.mark.parametrize("c", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("gamma", [1.0, 0.6, 0.3])
+@pytest.mark.parametrize("n,K", [(1, 1), (2, 1), (1, 37), (2, 37), (1, 320)])
+def test_modal_matches_sparse_step_counts(n, K, gamma, c):
+    test_modal_matches_sparse(n, gamma, c, K=K)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7, 0.3])
+@pytest.mark.parametrize("K", [1, 2, 37, 300])
+def test_modal_march_matches_step_recurrence(gamma, K):
+    """Convolution solves vs the L1/backward Euler steps taken one by one."""
+    rng = np.random.default_rng(K)
+    rates = np.array([0.0, 0.3, 5.0, 400.0])
+    march = ModalMarch(rates, gamma, K, 1.0 / K)
+    x0 = rng.standard_normal(rates.size)
+    loads = rng.standard_normal((K, rates.size))
+    hist = [x0]
+    for k in range(K):
+        if march.weights is None:
+            c_new, known = march.c_new, march.c_new * hist[-1]
+        else:
+            c_new, known = apply_discrete_caputo(march.weights, np.array(hist))
+        hist.append((known + loads[k]) / (c_new + rates))
+    ref = np.array(hist[1:])
+    got = march.solve(loads, x0)
+    assert rel_gap(got, ref) <= 1e-13
+    # the transposed solve is the adjoint of the forward one
+    other = rng.standard_normal((K, rates.size))
+    lhs = np.sum(other * march.solve(loads))
+    rhs = np.sum(march.solve_transposed(other) * loads)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(other * march.solve(loads)))
+
+
+def check_duality(system, trials):
     grid, B = system.grid, system.B_int
     rng = np.random.default_rng(41)
-    for _ in range(5):
+    for _ in range(trials):
         zeta = rng.standard_normal((grid.K, system.mesh.omega.n_cells))
         eta = rng.standard_normal((grid.K, system.mesh.omega.n_cells))
         V = state_march(system, np.zeros(system.n_interior), (B @ zeta.T).T)
@@ -70,3 +102,12 @@ def test_duality_identity_1d_reaction(gamma):
         lhs = grid.tau * float(np.sum((B @ eta.T).T * V.traces[1:]))
         rhs = grid.tau * float(np.sum(zeta * (B.T @ P.traces[:-1].T).T))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_duality_identity_1d_reaction(gamma):
+    check_duality(make_system(1, gamma, 0.7), trials=5)
+
+
+def test_duality_identity_long_l1_march():
+    check_duality(make_system(2, 0.3, 0.7, K=512), trials=2)
