@@ -5,8 +5,6 @@ eigenfunction as initial datum, using the graded tensor-product mesh on
 the truncated cylinder, and compares the trace against the known spectral
 decay exp(-lambda^s t).
 """
-import math
-
 import numpy as np
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
@@ -38,7 +36,7 @@ for M in (4, 8, 16):
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(data, params, mesh, grid, system=system)
 
-    exact = lambda x, t: math.exp(-lam_s * t) * md(x)
+    exact = lambda x, t: np.exp(-lam_s * t) * md(x)
     err = l2Q_error(traj.traces, exact, grid, mesh.omega, quad=system.quad)
     print(f"{M:>4} {mesh.n_free:>6} {Y:>6.2f} {err:>14.6e}")
 

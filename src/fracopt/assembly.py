@@ -13,6 +13,7 @@ exact) for data terms; mass and stiffness factors are assembled exactly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,9 @@ class OmegaQuadrature:
     cell_of: np.ndarray     # (nq,) cell index of each point
     basis: sp.csr_matrix    # (nq, n_vertices)
 
-    @property
+    @functools.cached_property
     def scatter(self) -> sp.csr_matrix:
+        """Weighted transposed basis (n_vertices, nq), built on first use."""
         return self.basis.T.multiply(self.weights).tocsr()
 
 
@@ -194,12 +196,60 @@ def omega_quadrature(omega: OmegaMesh) -> OmegaQuadrature:
 
 _GAUSS2_P = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
+# One data evaluation covers a block of steps holding about this many values
+# (Gauss times x points), so its temporaries stay near 1 MB.
+_BLOCK_VALUES = 2 ** 16
 
-def time_average(f, points: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """Average of f(points, .) over [t0, t1] by the 2-point Gauss rule."""
-    ta = t0 + (t1 - t0) * _GAUSS2_P[0]
-    tb = t0 + (t1 - t0) * _GAUSS2_P[1]
-    return 0.5 * (np.asarray(f(points, ta)) + np.asarray(f(points, tb)))
+
+def step_blocks(grid: TimeGrid, n_points: int):
+    """Blocks of consecutive steps for batched data evaluation.
+
+    Yields (steps, t0, t1): a slice of step indices k and the arrays of
+    their ends t_k = k tau and t_{k+1} = (k+1) tau. A block holds at most
+    2**16 / (2 n_points) steps, and at least one.
+    """
+    size = max(1, _BLOCK_VALUES // (2 * n_points))
+    for start in range(0, grid.K, size):
+        stop = min(start + size, grid.K)
+        k = np.arange(start, stop)
+        yield slice(start, stop), k * grid.tau, (k + 1) * grid.tau
+
+
+def evaluate_data(f, points: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """f(points, t) for a (q, 1) column of times, as a checked (q, n_points) array.
+
+    Raises ParameterError naming ``what`` when the result does not
+    broadcast to (q, n_points) or holds a non-finite value; errors raised
+    by f itself propagate unchanged.
+    """
+    shape = (t.shape[0], points.shape[0])
+    vals = np.asarray(f(points, t), dtype=float)
+    try:
+        vals = np.broadcast_to(vals, shape)
+    except ValueError:
+        raise ParameterError(f"{what} returned shape {vals.shape}, which does not "
+                             f"broadcast to (times, points) = {shape}") from None
+    if not np.isfinite(vals).all():
+        raise ParameterError(f"{what} returned non-finite values")
+    return vals
+
+
+def time_average(f, points: np.ndarray, t0, t1, what: str = "data") -> np.ndarray:
+    """Averages of f(points, .) over the steps [t0, t1] by the 2-point Gauss rule.
+
+    ``t0`` and ``t1`` are arrays of shape (m,) or scalars. f is called once,
+    with the (2m, 1) column of all Gauss times; the result has shape
+    (m, n_points), or (n_points,) for scalar ends.
+    """
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    span = t1 - t0
+    times = np.concatenate([np.atleast_1d(t0 + span * _GAUSS2_P[0]),
+                            np.atleast_1d(t0 + span * _GAUSS2_P[1])])
+    vals = evaluate_data(f, points, times[:, None], what)
+    m = times.size // 2
+    avg = 0.5 * (vals[:m] + vals[m:])
+    return avg if t0.ndim else avg[0]
 
 
 @dataclass(frozen=True)

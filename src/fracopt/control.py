@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import omega_quadrature, time_average
+from .assembly import omega_quadrature, step_blocks, time_average
 from .evolution import (AdjointTrajectory, CylinderSystem, StateTrajectory,
                         adjoint_march, forcing_loads, state_march)
 from .mesh import OmegaMesh, CylinderMesh
@@ -56,20 +57,19 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh, bounds: ControlBounds | None
     """L2(Q)-orthogonal projection of an evaluable onto piecewise constants.
 
     Values are the exact means over each space-time cell, computed with the
-    3-point tensor Gauss rule per cell and the 2-point rule per step.
+    3-point tensor Gauss rule per cell and the 2-point rule per step; r is
+    evaluated once per block of steps.
     """
     if quad is None:
         quad = omega_quadrature(omega)
-    K = grid.K
-    tau = grid.tau
-    ncells = omega.n_cells
-    vol = omega.cell_volume
-    out = np.empty((K, ncells))
-    for k in range(K):
-        vals = time_average(r, quad.points, k * tau, (k + 1) * tau)
-        cellsums = np.bincount(quad.cell_of, weights=quad.weights * vals,
-                               minlength=ncells)
-        out[k] = cellsums / vol
+    n_points = quad.points.shape[0]
+    # (n_points, n_cells): quadrature weight of each point in its cell's sum
+    cell_sum = sp.csr_matrix((quad.weights, (np.arange(n_points), quad.cell_of)),
+                             shape=(n_points, omega.n_cells))
+    out = np.empty((grid.K, omega.n_cells))
+    for steps, t0, t1 in step_blocks(grid, n_points):
+        vals = time_average(r, quad.points, t0, t1, "exact solution")
+        out[steps] = (vals @ cell_sum) / omega.cell_volume
     return out
 
 
@@ -103,15 +103,15 @@ class ReducedProblem:
 
         self.b_f = forcing_loads(data.forcing, grid, mesh, sysm.quad, sysm.interior)
         # loads <u_d^k, phi_i> and the constant term int (u_d^k)^2 from one
-        # evaluation of u_d per step, with the quadrature of forcing_loads
-        K, tau = grid.K, grid.tau
-        scatter = sysm.quad.scatter
-        self.b_ud = np.empty((K, sysm.n_interior))
-        self.c_ud = np.empty(K)
-        for k in range(K):
-            vals = time_average(data.desired_state, sysm.quad.points, k * tau, (k + 1) * tau)
-            self.b_ud[k] = (scatter @ vals)[sysm.interior]
-            self.c_ud[k] = float(sysm.quad.weights @ np.square(vals))
+        # evaluation of u_d per block of steps, with the quadrature of forcing_loads
+        quad = sysm.quad
+        scatter_t = quad.scatter[sysm.interior].T
+        self.b_ud = np.empty((grid.K, sysm.n_interior))
+        self.c_ud = np.empty(grid.K)
+        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+            vals = time_average(data.desired_state, quad.points, t0, t1, "desired state")
+            self.b_ud[steps] = vals @ scatter_t
+            self.c_ud[steps] = np.square(vals) @ quad.weights
         self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
 
     def new_control(self, values=None) -> ControlField:
@@ -213,19 +213,28 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
     the steepest-descent direction while the quasi-Newton model acts on the
     rest. Terminates when ||z - clamp(z - g)|| <= tol. The inverse Hessian
     seed is 1/seed (seed defaults to the regularization weight mu, the exact
-    Hessian of the penalty term).
+    Hessian of the penalty term). The model works on the free coordinates
+    only: stored pairs are restricted to the free set and curvature-tested
+    once per free set, not once per iteration.
     """
     if isinstance(z0, ControlField):
         z0 = z0.values
     a, b = bounds.a, bounds.b
     if seed is None:
         seed = bounds.mu
-    dot = lambda u, v: weight * float(np.sum(u * v))
+    dot = lambda u, v: weight * float(np.vdot(u, v))
     nrm = lambda u: math.sqrt(max(dot(u, u), 0.0))
+
+    def free_pair(s, y, free):
+        """(s[free], y[free]), or None if it fails the curvature test."""
+        s, y = s[free], y[free]
+        return (s, y) if dot(y, s) > 1e-14 * nrm(y) * nrm(s) else None
 
     z = clamp(z0, a, b)
     f, g = fun_and_grad(z)
+    # (s, y, free_pair(s, y, mask_free)) for each stored pair
     pairs: list = []
+    mask_free = None
     pg_history = []
     cost_history = [f]
     n_iter = 0
@@ -244,19 +253,22 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
 
         active = ((z <= a) & (g > 0.0)) | ((z >= b) & (g < 0.0))
         free = ~active
-        gf = np.where(free, g, 0.0)
-        masked = [(np.where(free, s, 0.0), np.where(free, y, 0.0)) for s, y in pairs]
-        masked = [(s, y) for s, y in masked if dot(y, s) > 1e-14 * nrm(y) * nrm(s)]
-        if masked:
+        if mask_free is None or not np.array_equal(free, mask_free):
+            mask_free = free
+            pairs = [(s, y, free_pair(s, y, free)) for s, y, _ in pairs]
+        model = [m for _, _, m in pairs if m is not None]
+        gf = g[free]
+        if model:
             # curvature-scaled seed once pairs exist; mu-seed bootstraps
-            s_l, y_l = masked[-1]
+            s_l, y_l = model[-1]
             inv_seed = dot(s_l, y_l) / dot(y_l, y_l)
-            d = -_two_loop(gf, masked, inv_seed, dot)
+            df = -_two_loop(gf, model, inv_seed, dot)
         else:
-            d = -gf / seed
-        if dot(d, gf) > 0.0:
-            d = -gf / seed
-        d = np.where(free, d, -g / seed)
+            df = -gf / seed
+        if dot(df, gf) > 0.0:
+            df = -gf / seed
+        d = -g / seed
+        d[free] = df
 
         # Armijo backtracking on the projected path, with a roundoff
         # allowance so decrease can be certified near the noise floor of f.
@@ -281,7 +293,7 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         s_vec = z_trial - z
         y_vec = g_trial - g
         if dot(y_vec, s_vec) > 1e-14 * nrm(y_vec) * nrm(s_vec):
-            pairs.append((s_vec, y_vec))
+            pairs.append((s_vec, y_vec, free_pair(s_vec, y_vec, mask_free)))
             if len(pairs) > memory:
                 pairs.pop(0)
         z, f, g = z_trial, f_trial, g_trial

@@ -45,13 +45,14 @@ identity holds to machine precision.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import (OmegaQuadrature, assemble_stiffness, control_load_matrix,
-                       omega_matrices, omega_quadrature, time_average,
+                       omega_matrices, omega_quadrature, step_blocks, time_average,
                        weight_integrals)
 from .mesh import CylinderMesh, GradedAxis
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
@@ -234,8 +235,9 @@ class CylinderSystem:
     profile. ``march`` holds the per-mode time solves with rates delta:
     for L1 it computes every mode's impulse response here, once (O(K^2 n)
     work), so each state or adjoint march is one FFT convolution (O(n K log
-    K)); for backward Euler a step costs one division per mode. ``A_free``,
-    the assembled free-node stiffness, is kept for :meth:`energy`.
+    K)); for backward Euler a step costs one division per mode. No march
+    reads the assembled free-node stiffness ``A_free``: it is assembled on
+    first access, by :meth:`energy` or a test, and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -246,7 +248,6 @@ class CylinderSystem:
         self.grid = grid
         self.reaction = reaction
 
-        self.A_free = assemble_stiffness(mesh, params, c=reaction)
         m_w, _ = omega_matrices(mesh.omega)
         interior = mesh.omega.interior_idx
         self.M_int = m_w[interior][:, interior].tocsr()
@@ -262,6 +263,11 @@ class CylinderSystem:
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
                                           params.d_s)
         self.march = ModalMarch(self.delta, params.gamma, grid.K, grid.tau)
+
+    @functools.cached_property
+    def A_free(self):
+        """Assembled weighted stiffness on the free nodes (sparse CSR)."""
+        return assemble_stiffness(self.mesh, self.params, c=self.reaction)
 
     @property
     def n_interior(self) -> int:
@@ -380,15 +386,17 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajector
 
 
 def forcing_loads(f, grid: TimeGrid, mesh: CylinderMesh,
-                  quad: OmegaQuadrature, interior: np.ndarray) -> np.ndarray:
-    """Interior-node loads of the step averages f^{k+1}, k = 0..K-1."""
-    K = grid.K
-    tau = grid.tau
-    out = np.empty((K, interior.size))
-    scatter = quad.scatter
-    for k in range(K):
-        fbar = time_average(f, quad.points, k * tau, (k + 1) * tau)
-        out[k] = (scatter @ fbar)[interior]
+                  quad: OmegaQuadrature, interior: np.ndarray,
+                  what: str = "forcing") -> np.ndarray:
+    """Interior-node loads of the step averages f^{k+1}, k = 0..K-1.
+
+    f is evaluated once per block of steps (:func:`step_blocks`); ``what``
+    names it in data errors.
+    """
+    out = np.empty((grid.K, interior.size))
+    scatter_t = quad.scatter[interior].T
+    for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+        out[steps] = time_average(f, quad.points, t0, t1, what) @ scatter_t
     return out
 
 
@@ -419,7 +427,8 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
 def tracking_loads(state: StateTrajectory, u_d, grid: TimeGrid,
                    system: CylinderSystem) -> np.ndarray:
     """Adjoint loads M tr V^{k+1} - <u_d^{k+1}, phi_i> for k = 0..K-1."""
-    b_ud = forcing_loads(u_d, grid, system.mesh, system.quad, system.interior)
+    b_ud = forcing_loads(u_d, grid, system.mesh, system.quad, system.interior,
+                         what="desired state")
     return (system.M_int @ state.traces[1:].T).T - b_ud
 
 

@@ -251,39 +251,39 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
     def shape(x):
         return md(x, normalized=False)
 
+    # t is a scalar or a (q, 1) column of times; results broadcast to (q, m)
     def u_exact(x, t):
-        return math.exp(t) * shape(x)
+        return np.exp(t) * shape(x)
 
     def p_exact(x, t):
-        return -mu * (T - t) * math.exp(t) * shape(x)
+        return -mu * (T - t) * np.exp(t) * shape(x)
 
     def z_exact(x, t):
-        return np.minimum(b, np.maximum(a, (T - t) * math.exp(t) * shape(x)))
+        return np.minimum(b, np.maximum(a, (T - t) * np.exp(t) * shape(x)))
 
     def u0(x):
         return shape(x)
 
     if gamma >= 1.0:
         def state_time(t):            # d_t e^t
-            return math.exp(t)
+            return np.exp(t)
 
         def adjoint_time(t):          # right derivative of (T-t) e^t
-            return (1.0 - (T - t)) * math.exp(t)
+            return (1.0 - (T - t)) * np.exp(t)
     else:
         def state_time(t):
-            return float(caputo_left(np.exp, gamma, t))
+            return caputo_left(np.exp, gamma, t)
 
         def adjoint_time(t):
-            return float(caputo_right(lambda r: (T - r - 1.0) * np.exp(r),
-                                      gamma, t, T))
+            return caputo_right(lambda r: (T - r - 1.0) * np.exp(r), gamma, t, T)
 
     def forcing(x, t):
-        return (state_time(t) + lam_s * math.exp(t)) * shape(x) - z_exact(x, t)
+        return (state_time(t) + lam_s * np.exp(t)) * shape(x) - z_exact(x, t)
 
     def desired_state(x, t):
         # u_d = u - (d^gamma_{T-t} p + L^s p)
-        return (math.exp(t) + mu * adjoint_time(t)
-                + mu * lam_s * (T - t) * math.exp(t)) * shape(x)
+        return (np.exp(t) + mu * adjoint_time(t)
+                + mu * lam_s * (T - t) * np.exp(t)) * shape(x)
 
     return ManufacturedSolution(s=s, mu=mu, T=T, gamma=gamma, n=n, lam=md.lam,
                                 a=a, b=b, state=u_exact, adjoint=p_exact,

@@ -125,8 +125,13 @@ class ProblemData:
     """Data functions of the control problem on Omega = (0,1)^n.
 
     ``forcing`` and ``desired_state`` take (points, t) with ``points`` of
-    shape (m, n) and scalar t, returning shape (m,); ``initial`` takes only
-    the points. ``reaction`` is the constant c >= 0 of the elliptic operator.
+    shape (m, n) and ``t`` a (q, 1) column of times, and return an array
+    that broadcasts to (q, m): row j holds the values at time t[j, 0]. The
+    solver evaluates them once per block of time steps, so they should be
+    written with numpy operations (``np.exp(t)``, not ``math.exp(t)``); a
+    result of the wrong shape or with non-finite values raises
+    ParameterError. ``initial`` takes only the points. ``reaction`` is the
+    constant c >= 0 of the elliptic operator.
     """
 
     n: int

@@ -169,3 +169,58 @@ def sparse_trace_schur(system):
     upos = np.setdiff1d(np.arange(system.mesh.n_free), t)
     A_ut = A[upos][:, t].toarray()
     return A[t][:, t].toarray() - A_ut.T @ spla.spsolve(A[upos][:, upos].tocsc(), A_ut)
+
+
+# -- per-step data loops: the reference for the batched step-block path ------
+
+_GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+
+
+def step_average(f, points, k, tau):
+    """2-point Gauss average of f over [k tau, (k+1) tau], one scalar time per call."""
+    t0, t1 = k * tau, (k + 1) * tau
+    ta, tb = (t0 + (t1 - t0) * p for p in _GAUSS2)
+    return 0.5 * (np.asarray(f(points, ta)) + np.asarray(f(points, tb)))
+
+
+def loop_forcing_loads(f, grid, quad, interior):
+    """Interior loads of the step averages, one step at a time."""
+    out = np.empty((grid.K, interior.size))
+    for k in range(grid.K):
+        out[k] = (quad.scatter @ step_average(f, quad.points, k, grid.tau))[interior]
+    return out
+
+
+def loop_desired_state_data(u_d, grid, quad, interior):
+    """(b_ud, c_ud) of ReducedProblem, one step at a time."""
+    b_ud = np.empty((grid.K, interior.size))
+    c_ud = np.empty(grid.K)
+    for k in range(grid.K):
+        vals = step_average(u_d, quad.points, k, grid.tau)
+        b_ud[k] = (quad.scatter @ vals)[interior]
+        c_ud[k] = float(quad.weights @ np.square(vals))
+    return b_ud, c_ud
+
+
+def loop_l2_project(r, grid, omega, quad):
+    """Space-time cell means of r, one step at a time."""
+    out = np.empty((grid.K, omega.n_cells))
+    for k in range(grid.K):
+        vals = step_average(r, quad.points, k, grid.tau)
+        out[k] = np.bincount(quad.cell_of, weights=quad.weights * vals,
+                             minlength=omega.n_cells) / omega.cell_volume
+    return out
+
+
+def loop_l2Q_error(discrete, exact, grid, omega, kind, quad):
+    """l2(L2) distance to exact(., t_k), one step at a time."""
+    acc = 0.0
+    basis_int = quad.basis[:, omega.interior_idx].tocsr()
+    for k in range(1, grid.K + 1):
+        if kind == "state":
+            vals = basis_int @ discrete[k]
+        else:
+            vals = discrete[k - 1][quad.cell_of]
+        diff = vals - np.asarray(exact(quad.points, k * grid.tau))
+        acc += grid.tau * float(quad.weights @ np.square(diff))
+    return math.sqrt(acc)

@@ -43,7 +43,7 @@ def test_l2_project_idempotent():
 
     def as_function(x, t):
         pts = np.atleast_2d(x)
-        k = min(int(math.ceil(t / grid.tau - 1e-12)), grid.K) - 1
+        k = np.minimum(np.ceil(t / grid.tau - 1e-12).astype(int), grid.K) - 1
         ix = np.clip((pts[:, 0] * m).astype(int), 0, m - 1)
         iy = np.clip((pts[:, 1] * m).astype(int), 0, m - 1)
         return vals[k, ix * m + iy]
@@ -130,8 +130,8 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
     basis_int = prob.system.quad.basis[:, mesh.omega.interior_idx].tocsr()
 
     def u_d(x, t):
-        k = min(int(math.ceil(t / grid.tau - 1e-12)), grid.K)
-        return basis_int @ traj.traces[k]
+        k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
+        return traj.traces[k] @ basis_int.T
 
     matched = ProblemData(n=2, forcing=data.forcing, desired_state=u_d,
                           initial=data.initial, bounds=data.bounds)

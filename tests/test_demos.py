@@ -1,0 +1,20 @@
+"""Every demo script runs to completion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    # An empty working directory receives the demos' relative outputs, so the
+    # committed out/ files are never rewritten.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr[-4000:]

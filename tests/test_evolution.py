@@ -6,6 +6,8 @@ import pytest
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
                      UseDelta1Error, apply_discrete_caputo, caputo_weights,
                      lambda_diagnostic, solve_adjoint, solve_state)
+from fracopt import evolution
+from fracopt.assembly import assemble_stiffness
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import mode
 from fracopt.problem import ParameterError, make_params
@@ -139,6 +141,28 @@ def test_initialize_state_energy_bounded_across_refinements():
     assert np.max(np.abs(resid[mask])) <= 1e-12 * np.max(np.abs(resid))
 
 
+def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch):
+    mesh, params = build_test_mesh(n=2, M=5, s=0.4)
+    params = make_params(params.s, 0.5, params.truncation_Y)
+    grid = TimeGrid(T=1.0, K=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modal march does not need the assembled stiffness")
+
+    monkeypatch.setattr(evolution, "assemble_stiffness", refuse)
+    system = CylinderSystem(mesh, params, grid, reaction=0.7)
+    md = mode(1, 2)
+    v0 = system.initial_field(lambda x: md(x))
+    loads = np.ones((grid.K, system.n_interior))
+    state_march(system, v0[system.tpos], loads, keep_fields=True)
+    adjoint_march(system, loads)
+    monkeypatch.undo()
+    # energy() assembles the stiffness on first use and matches the assembled form
+    A = assemble_stiffness(mesh, params, c=0.7)
+    assert math.isclose(system.energy(v0), float(v0 @ (A @ v0)), rel_tol=1e-14)
+    assert system.A_free is system.A_free
+
+
 def test_zero_data_zero_trajectories():
     for gamma in (1.0, 0.5):
         mesh, params = build_test_mesh(n=1, M=4, s=0.5)
@@ -174,7 +198,7 @@ def test_state_matches_spectral_oracle_under_refinement():
         system = CylinderSystem(mesh, params, grid)
         traj = solve_state(data, params, mesh, grid, system=system)
         lam_s = md.lam ** params.s
-        exact = lambda x, t: math.exp(-lam_s * t) * md(x)
+        exact = lambda x, t: np.exp(-lam_s * t) * md(x)
         errs.append(l2Q_error(traj.traces, exact, grid, mesh.omega, quad=system.quad))
     assert errs[1] < errs[0]
 
@@ -183,7 +207,7 @@ def test_adjoint_zero_when_state_matches_desired():
     mesh, params = build_test_mesh(n=2, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=4)
     md = mode(2, 2)
-    data = ProblemData(n=2, forcing=lambda x, t: md(x) * math.cos(t),
+    data = ProblemData(n=2, forcing=lambda x, t: md(x) * np.cos(t),
                        desired_state=zero_f, initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(data, params, mesh, grid, system=system)
@@ -193,8 +217,8 @@ def test_adjoint_zero_when_state_matches_desired():
 
     def u_d(x, t):
         # piecewise-constant-in-time interpolant of the discrete trace
-        k = min(int(math.ceil(t / grid.tau - 1e-12)), grid.K)
-        return basis_int @ traj.traces[k]
+        k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
+        return traj.traces[k] @ basis_int.T
 
     adj = solve_adjoint(traj, u_d, params, mesh, grid, system=system)
     assert np.max(np.abs(adj.traces)) <= 1e-12 * max(1.0, np.max(np.abs(traj.traces)))

@@ -44,7 +44,7 @@ def test_l2Q_error_reproduces_fe_functions():
 def test_l2Q_error_zero_discrete_closed_form():
     om = build_omega(2, 8)
     exact = lambda x, t: np.sin(2 * np.pi * np.atleast_2d(x)[:, 0]) \
-        * np.sin(2 * np.pi * np.atleast_2d(x)[:, 1]) * math.exp(t)
+        * np.sin(2 * np.pi * np.atleast_2d(x)[:, 1]) * np.exp(t)
     limit = 0.25 * (math.exp(2.0) - 1.0) / 2.0
     gaps = []
     for K in (16, 64, 256):
