@@ -5,6 +5,21 @@ The reduced gradient is derived from the discrete adjoint, so cost and
 gradient are consistent to machine precision: the representative of the
 tracking derivative on step k is the cell average of the adjoint trace at
 index k-1 (the adjoint sequence read in reversed time).
+
+The optimizer runs in modal trace coefficients. With Phi the
+M_Omega-orthonormal lattice modes (Phi^T M_int Phi = I, see
+:mod:`fracopt.evolution`), a trace tr = Phi w_hat, and b_hat = Phi^T b for
+any interior load b, Parseval gives the tracking cost
+
+    tau/2 sum_k (|w_hat^k|^2 - 2 <w_hat^k, b_ud_hat^k> + c_ud^k),
+
+and the adjoint load M_int tr V - b_ud becomes w_hat - b_ud_hat. The control
+loads B_int z enter as Phi^T B_int z = c1 Z c1^T per axis, where B_int is the
+Kronecker power of the (m-1) x m hat-over-cell matrix B1 (entries h/2) and
+c1 = phi^T B1; the gradient's B_int^T Phi p_hat is c1^T P_hat c1. So a
+cost-and-gradient evaluation does one state and one adjoint march and no
+nodal transform; :meth:`ReducedProblem.trajectories` forms the nodal traces
+once, for the result.
 """
 from __future__ import annotations
 
@@ -74,17 +89,33 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh, bounds: ControlBounds | None
 
 
 def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
-    """Cell means of the piecewise-linear trace function, integrated exactly."""
+    """Cell means of the piecewise-linear trace function, integrated exactly.
+
+    ``trace_int`` holds interior values along its first axis; a (n_interior,
+    K) array gives the means of K traces in one product.
+    """
     vol = system.mesh.omega.cell_volume
-    return (system.B_int.T @ trace_int) / vol
+    return (system.B_int_T @ trace_int) / vol
 
 
 class ReducedProblem:
     """Reduced cost of the discrete control problem with precomputed data.
 
-    Assembles the forcing and desired-state step averages once; every cost
-    or gradient evaluation then costs one state (plus one adjoint) march
-    through the system's modal step solve.
+    Assembles the forcing and desired-state step averages (``b_f``, ``b_ud``,
+    ``c_ud``) once, and their modal data b_f_hat = Phi^T b_f, b_ud_hat =
+    Phi^T b_ud, w0_hat = Phi^T M_int tr V^0 and sum_k c_ud^k.
+    :meth:`cost_and_gradient` stays in modal trace coefficients:
+
+    1. w_hat = T^{-1}(b_f_hat + c1 Z c1^T; w0_hat), one state march;
+    2. J = tau/2 (|w_hat|^2 - 2 <w_hat, b_ud_hat> + sum_k c_ud^k)
+       + mu tau |cell|/2 |z|^2, by Parseval (Phi^T M_int Phi = I);
+    3. p_hat = T^{-T}(w_hat - b_ud_hat), one adjoint march;
+    4. grad = mu z + c1^T P_hat c1/|cell|,
+
+    and returns (J, grad, w_hat, p_hat); c1 = phi^T B1 is the modal factor
+    of the control loads (:meth:`CylinderSystem.control_to_modal`). Nodal
+    traces are formed by :meth:`trajectories`, and by :meth:`state` and
+    :meth:`adjoint`, which run the nodal marches.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -114,6 +145,11 @@ class ReducedProblem:
             self.c_ud[steps] = np.square(vals) @ quad.weights
         self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
 
+        self.b_f_hat = sysm.to_modal(self.b_f)
+        self.b_ud_hat = sysm.to_modal(self.b_ud)
+        self.w0_hat = sysm.to_modal(sysm.M_int @ self.trace0)
+        self.c_ud_sum = float(np.sum(self.c_ud))
+
     def new_control(self, values=None) -> ControlField:
         if values is None:
             values = np.zeros((self.grid.K, self.mesh.omega.n_cells))
@@ -128,22 +164,52 @@ class ReducedProblem:
         loads = (self.system.M_int @ state.traces[1:].T).T - self.b_ud
         return adjoint_march(self.system, loads)
 
-    def cost_of_state(self, state: StateTrajectory, zvals: np.ndarray) -> float:
-        tr = state.traces[1:]
-        track = float(np.einsum("ki,ki->", tr, (self.system.M_int @ tr.T).T)
-                      - 2.0 * np.einsum("ki,ki->", tr, self.b_ud) + np.sum(self.c_ud))
-        reg = self.cell_volume * float(np.sum(np.square(zvals)))
-        return 0.5 * self.grid.tau * track + 0.5 * self.mu * self.grid.tau * reg
+    def _modal_state(self, zvals: np.ndarray) -> np.ndarray:
+        shape = (self.grid.K, self.mesh.omega.n_cells)
+        if np.shape(zvals) != shape:
+            raise ParameterError(f"control must have shape {shape}, got {np.shape(zvals)}")
+        loads = self.system.control_to_modal(zvals)
+        loads += self.b_f_hat
+        return self.system.march.solve(loads, self.w0_hat)
+
+    def _cost(self, w_hat: np.ndarray, zvals: np.ndarray) -> float:
+        track = (float(np.vdot(w_hat, w_hat)) - 2.0 * float(np.vdot(w_hat, self.b_ud_hat))
+                 + self.c_ud_sum)
+        reg = self.cell_volume * float(np.vdot(zvals, zvals))
+        cost = 0.5 * self.grid.tau * track + 0.5 * self.mu * self.grid.tau * reg
+        if not math.isfinite(cost):
+            # NaN or inf anywhere in the control or the state reaches the cost
+            raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
+        return cost
 
     def cost(self, zvals: np.ndarray) -> float:
-        return self.cost_of_state(self.state(zvals), zvals)
+        return self._cost(self._modal_state(zvals), zvals)
 
     def cost_and_gradient(self, zvals: np.ndarray):
-        state = self.state(zvals)
-        cost = self.cost_of_state(state, zvals)
-        adj = self.adjoint(state)
-        grad = self.mu * zvals + (self.system.B_int.T @ adj.traces[:-1].T).T / self.cell_volume
-        return cost, grad, state, adj
+        """(cost, gradient, w_hat, p_hat) at the control values ``zvals``.
+
+        w_hat and p_hat are the (K, n_interior) modal trace coefficients of
+        the state at steps 1..K and of the adjoint at steps 0..K-1; hand them
+        to :meth:`trajectories` for nodal traces.
+        """
+        w_hat = self._modal_state(zvals)
+        cost = self._cost(w_hat, zvals)
+        p_hat = self.system.march.solve_transposed(w_hat - self.b_ud_hat)
+        grad = self.system.modal_to_control(p_hat)
+        grad /= self.cell_volume
+        grad += self.mu * zvals
+        return cost, grad, w_hat, p_hat
+
+    def trajectories(self, w_hat: np.ndarray, p_hat: np.ndarray):
+        """Nodal state and adjoint trajectories of modal trace coefficients."""
+        sysm = self.system
+        traces = np.empty((self.grid.K + 1, sysm.n_interior))
+        traces[0] = self.trace0
+        traces[1:] = sysm.from_modal(w_hat)
+        adj = np.zeros((self.grid.K + 1, sysm.n_interior))
+        adj[:-1] = sysm.from_modal(p_hat)
+        return (StateTrajectory(traces=traces, grid=self.grid),
+                AdjointTrajectory(traces=adj, grid=self.grid))
 
 
 def reduced_cost(control: ControlField, prob: ReducedProblem) -> float:
@@ -320,22 +386,23 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
         prob = ReducedProblem(data, params, mesh, grid)
     if z0 is None:
         z0 = np.zeros((grid.K, mesh.omega.n_cells))
+    elif not np.all(np.isfinite(z0)):
+        raise ParameterError("start control z0 has non-finite entries")
 
     last = {}
 
     def fun_and_grad(z):
-        f, g, state, adj = prob.cost_and_gradient(z)
-        last.update(z=z, f=f, state=state, adjoint=adj)
+        f, g, w_hat, p_hat = prob.cost_and_gradient(z)
+        last.update(z=z, f=f, w_hat=w_hat, p_hat=p_hat)
         return f, g
 
     raw = projected_bfgs(fun_and_grad, z0, data.bounds, prob.weight,
                          tol=tol, max_iter=max_iter, seed=data.bounds.mu)
-    if last["z"] is raw["z"]:
-        f_final, state, adj = last["f"], last["state"], last["adjoint"]
-    else:
+    if last["z"] is not raw["z"]:
         # the last evaluation was a rejected line-search trial
-        f_final, _, state, adj = prob.cost_and_gradient(raw["z"])
+        fun_and_grad(raw["z"])
+    state, adj = prob.trajectories(last["w_hat"], last["p_hat"])
     zopt = prob.new_control(raw["z"])
-    return OptimizeResult(control=zopt, cost=f_final, pg_history=raw["pg_history"],
+    return OptimizeResult(control=zopt, cost=last["f"], pg_history=raw["pg_history"],
                           iterations=raw["iterations"], converged=raw["converged"],
                           state=state, adjoint=adj, cost_history=raw["cost_history"])

@@ -154,7 +154,10 @@ class ModalMarch:
         return h
 
     def solve(self, g: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes)."""
+        """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes).
+
+        Returns a new (K, n_modes) array, not a view of a work buffer.
+        """
         if self.h_hat is None:
             x = np.empty_like(g)
             prev = 0.0 if x0 is None else x0
@@ -167,7 +170,8 @@ class ModalMarch:
         n_fft = 2 * self.K
         spec = np.fft.rfft(loads, n=n_fft, out=self._spec)
         spec *= self.h_hat
-        return np.fft.irfft(spec, n=n_fft)[:, :self.K].T
+        # a compact copy: a view would pin the 2K-long irfft buffer
+        return np.fft.irfft(spec, n=n_fft)[:, :self.K].T.copy()
 
     def solve_transposed(self, g: np.ndarray) -> np.ndarray:
         """x_i = T_i^{-T} g_i: the Toeplitz solve on time-reversed loads, reversed."""
@@ -235,9 +239,12 @@ class CylinderSystem:
     profile. ``march`` holds the per-mode time solves with rates delta:
     for L1 it computes every mode's impulse response here, once (O(K^2 n)
     work), so each state or adjoint march is one FFT convolution (O(n K log
-    K)); for backward Euler a step costs one division per mode. No march
-    reads the assembled free-node stiffness ``A_free``: it is assembled on
-    first access, by :meth:`energy` or a test, and then kept.
+    K)); for backward Euler a step costs one division per mode. The control
+    loads B_int z map to modal coefficients per axis through the (m-1) x m
+    factor ``c1`` = phi^T B1 (:meth:`control_to_modal` and its transpose
+    :meth:`modal_to_control`). No march reads the assembled free-node
+    stiffness ``A_free``: it is assembled on first access, by
+    :meth:`energy` or a test, and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -254,10 +261,16 @@ class CylinderSystem:
         self.quad = omega_quadrature(mesh.omega)
         self.B = control_load_matrix(mesh.omega)
         self.B_int = self.B[interior].tocsr()
+        self.B_int_T = self.B_int.T.tocsr()
         self.interior = interior
         self.tpos = mesh.trace_free_pos
 
-        self.phi, lam = lattice_modes(mesh.omega.cells_per_dim)
+        m = mesh.omega.cells_per_dim
+        self.phi, lam = lattice_modes(m)
+        # B_int is the n-fold Kronecker power of the (m-1) x m hat-over-cell
+        # matrix B1 (entries h/2); c1 = phi^T B1 is its modal factor
+        b1 = 0.5 * mesh.omega.h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
+        self.c1 = self.phi.T @ b1
         if mesh.omega.n == 2:
             lam = np.add.outer(lam, lam).ravel()
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
@@ -290,6 +303,27 @@ class CylinderSystem:
         m1 = phi.shape[0]
         grid = coeffs.reshape(coeffs.shape[:-1] + (m1, m1))
         return (phi @ grid @ phi.T).reshape(coeffs.shape)
+
+    def control_to_modal(self, z: np.ndarray) -> np.ndarray:
+        """Modal coefficients of the control loads, to_modal(B_int z), along the last axis.
+
+        Applied per axis as c1 Z c1^T, never through a dense phi^T B_int.
+        """
+        c1 = self.c1
+        if self.mesh.omega.n == 1:
+            return z @ c1.T
+        m1, m = c1.shape
+        grid = z.reshape(z.shape[:-1] + (m, m))
+        return (c1 @ grid @ c1.T).reshape(z.shape[:-1] + (m1 * m1,))
+
+    def modal_to_control(self, coeffs: np.ndarray) -> np.ndarray:
+        """B_int^T from_modal(coeffs) along the last axis: the transpose of control_to_modal."""
+        c1 = self.c1
+        if self.mesh.omega.n == 1:
+            return coeffs @ c1
+        m1, m = c1.shape
+        grid = coeffs.reshape(coeffs.shape[:-1] + (m1, m1))
+        return (c1.T @ grid @ c1).reshape(coeffs.shape[:-1] + (m * m,))
 
     def field(self, coeffs: np.ndarray) -> np.ndarray:
         """Free-node fields sum_i coeffs_i phi_i x psi_i of trace coefficients.

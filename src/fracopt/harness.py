@@ -268,8 +268,7 @@ def _control_solve(s: float, config: ExperimentConfig, M: int, K: int):
                       kind="control", quad=quad)
     err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega,
                       kind="state", quad=quad)
-    p_means = np.stack([project_trace(result.adjoint.traces[k], prob.system)
-                        for k in range(grid.K)])
+    p_means = project_trace(result.adjoint.traces[:-1].T, prob.system).T
     row = {"case": "", "s": s, "gamma": config.gamma, "M": M, "K": K,
            "N": mesh.n_free, "zeta": mesh.axis.zeta, "Y": mesh.axis.Y,
            "err_control": err_z, "err_state": err_u, "cost": result.cost,

@@ -171,6 +171,30 @@ def sparse_trace_schur(system):
     return A[t][:, t].toarray() - A_ut.T @ spla.spsolve(A[upos][:, upos].tocsc(), A_ut)
 
 
+def rel_gap(got, ref):
+    """Largest entrywise difference relative to the largest reference entry."""
+    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
+
+
+def nodal_cost_and_gradient(prob, zvals):
+    """(cost, gradient, state, adjoint) of ReducedProblem through the nodal marches.
+
+    The state march, the tracking cost from nodal traces with M_int, the
+    adjoint march driven by M_int tr V - b_ud, and B_int^T applied to the
+    adjoint traces: the reference for the modal evaluation.
+    """
+    system = prob.system
+    state = prob.state(zvals)
+    tr = state.traces[1:]
+    track = float(np.einsum("ki,ki->", tr, (system.M_int @ tr.T).T)
+                  - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(prob.c_ud))
+    reg = prob.cell_volume * float(np.sum(np.square(zvals)))
+    cost = 0.5 * prob.grid.tau * track + 0.5 * prob.mu * prob.grid.tau * reg
+    adj = prob.adjoint(state)
+    grad = prob.mu * zvals + (system.B_int.T @ adj.traces[:-1].T).T / prob.cell_volume
+    return cost, grad, state, adj
+
+
 # -- per-step data loops: the reference for the batched step-block path ------
 
 _GAUSS2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))

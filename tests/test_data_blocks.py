@@ -14,7 +14,7 @@ from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
 from helpers import (loop_desired_state_data, loop_forcing_loads, loop_l2_project,
-                     loop_l2Q_error)
+                     loop_l2Q_error, rel_gap)
 
 # cells per dimension: the 1D lattice is finer so that its step blocks stay short
 CELLS = {1: 16, 2: 4}
@@ -23,10 +23,6 @@ CELLS = {1: 16, 2: 4}
 def block_steps(n_points):
     """Steps per data evaluation for a rule with n_points points."""
     return next(step_blocks(TimeGrid(T=1.0, K=10 ** 9), n_points))[0].stop
-
-
-def rel_gap(got, ref):
-    return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1", "1024"])

@@ -5,6 +5,8 @@ import pytest
 
 from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
                      l2Q_error, load_config, run_experiment)
+from fracopt import harness
+from fracopt.control import project_trace
 from fracopt.harness import (REPORT_COLUMNS, read_report_csv, run_convergence_time,
                              run_truncation_study, write_report_csv)
 from fracopt.problem import ParameterError
@@ -152,6 +154,24 @@ def test_run_experiment_writes_reports(tmp_path):
         assert all(r[col] is not None for r in rows)
     assert all(r["err_control"] > 0 for r in rows)
     assert len(report.slopes) == 2
+
+
+def test_control_solve_adjoint_means_match_step_loop(monkeypatch):
+    seen = []
+    vi_residual = harness.vi_residual
+
+    def capture(control, p_cell_means):
+        seen.append(p_cell_means)
+        return vi_residual(control, p_cell_means)
+
+    monkeypatch.setattr(harness, "vi_residual", capture)
+    cfg = ExperimentConfig(kind="conv-space", s_list=(0.5,), gamma=0.5, T=0.5, tol=1e-8)
+    _, result, prob = harness._control_solve(0.5, cfg, 4, 9)
+    loop = np.stack([project_trace(result.adjoint.traces[k], prob.system)
+                     for k in range(prob.grid.K)])
+    (got,) = seen
+    assert got.shape == loop.shape
+    assert np.max(np.abs(got - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
 def test_reports_deterministic():

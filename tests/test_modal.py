@@ -6,14 +6,10 @@ from fracopt import CylinderSystem, TimeGrid, apply_discrete_caputo
 from fracopt.evolution import ModalMarch, adjoint_march, state_march
 from fracopt.problem import make_params
 
-from helpers import (build_test_mesh, sparse_adjoint_march, sparse_initial_field,
+from helpers import (build_test_mesh, rel_gap, sparse_adjoint_march, sparse_initial_field,
                      sparse_state_march, sparse_trace_schur)
 
 TOL = 1e-11
-
-
-def rel_gap(got, ref):
-    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 def make_system(n, gamma, c, K=6):
@@ -84,6 +80,8 @@ def test_modal_march_matches_step_recurrence(gamma, K):
     ref = np.array(hist[1:])
     got = march.solve(loads, x0)
     assert rel_gap(got, ref) <= 1e-13
+    # a compact result, not a view that keeps a larger work buffer alive
+    assert got.flags.owndata and got.flags.c_contiguous
     # the transposed solve is the adjoint of the forward one
     other = rng.standard_normal((K, rates.size))
     lhs = np.sum(other * march.solve(loads))
