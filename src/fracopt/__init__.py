@@ -13,8 +13,8 @@ from .problem import (ControlBounds, FractionalParams, ParameterError,
                       ProblemData, TimeGrid, make_params, select_truncation)
 from .mesh import (CylinderMesh, GradedAxis, OmegaMesh, build_cylinder,
                    build_omega, default_zeta, graded_axis)
-from .assembly import (assemble_load, assemble_stiffness, assemble_trace_mass,
-                       control_load_matrix, omega_quadrature, weight_integrals)
+from .assembly import (assemble_stiffness, assemble_trace_mass, control_load_matrix,
+                       omega_quadrature, weight_integrals)
 from .evolution import (AdjointTrajectory, CaputoWeights, CylinderSystem,
                         StateTrajectory, UseDelta1Error, apply_discrete_caputo,
                         caputo_weights, lambda_diagnostic, solve_adjoint,

@@ -10,6 +10,10 @@ per interval (the weight times polynomials of degree <= 2), which stays
 exact down to the y = 0 interval where the weight is singular but
 integrable. The x'-direction uses a 3-point tensor Gauss rule (degree-5
 exact) for data terms; mass and stiffness factors are assembled exactly.
+Space-time data are evaluated once per block of time steps
+(:func:`step_blocks`, :func:`time_average`), always at the one
+``OmegaQuadrature.points`` array of the mesh, so a data callable may keep
+its spatial factor between calls as long as it checks that array.
 """
 from __future__ import annotations
 
@@ -238,8 +242,9 @@ def time_average(f, points: np.ndarray, t0, t1, what: str = "data") -> np.ndarra
     """Averages of f(points, .) over the steps [t0, t1] by the 2-point Gauss rule.
 
     ``t0`` and ``t1`` are arrays of shape (m,) or scalars. f is called once,
-    with the (2m, 1) column of all Gauss times; the result has shape
-    (m, n_points), or (n_points,) for scalar ends.
+    with the (2m, 1) column of all Gauss times and the same ``points`` array
+    on every call; the two Gauss rows are averaged into one fresh array of
+    shape (m, n_points), or (n_points,) for scalar ends.
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
@@ -248,33 +253,9 @@ def time_average(f, points: np.ndarray, t0, t1, what: str = "data") -> np.ndarra
                             np.atleast_1d(t0 + span * _GAUSS2_P[1])])
     vals = evaluate_data(f, points, times[:, None], what)
     m = times.size // 2
-    avg = 0.5 * (vals[:m] + vals[m:])
+    avg = np.add(vals[:m], vals[m:])
+    avg *= 0.5
     return avg if t0.ndim else avg[0]
-
-
-@dataclass(frozen=True)
-class LoadVector:
-    """Trace-node load entries for one time step."""
-
-    values: np.ndarray
-    k: int
-
-
-def assemble_load(f, k: int, grid: TimeGrid, mesh: CylinderMesh,
-                  quad: OmegaQuadrature | None = None) -> LoadVector:
-    """Load vector <f^{k+1}, tr W> with f^{k+1} the average over [t_k, t_{k+1}].
-
-    Entries are indexed by the Omega vertices (the trace nodes); spatial
-    integration is the 3-point tensor Gauss rule, time averaging the 2-point
-    rule on the step.
-    """
-    if not 0 <= k <= grid.K - 1:
-        raise ParameterError(f"step index {k} outside [0, {grid.K - 1}]")
-    if quad is None:
-        quad = omega_quadrature(mesh.omega)
-    tau = grid.tau
-    fbar = time_average(f, quad.points, k * tau, (k + 1) * tau)
-    return LoadVector(values=quad.scatter @ fbar, k=k)
 
 
 def control_load_matrix(omega: OmegaMesh) -> sp.csr_matrix:

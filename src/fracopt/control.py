@@ -58,7 +58,7 @@ def clamp(values, a: float, b: float) -> np.ndarray:
     """Entrywise max(a, min(b, v))."""
     if a > b:
         raise ParameterError(f"bounds out of order: a = {a} > b = {b}")
-    return np.minimum(b, np.maximum(a, np.asarray(values, dtype=float)))
+    return np.clip(np.asarray(values, dtype=float), a, b)
 
 
 def control_norm(values: np.ndarray, grid: TimeGrid, omega: OmegaMesh) -> float:
@@ -136,12 +136,12 @@ class ReducedProblem:
         # loads <u_d^k, phi_i> and the constant term int (u_d^k)^2 from one
         # evaluation of u_d per block of steps, with the quadrature of forcing_loads
         quad = sysm.quad
-        scatter_t = quad.scatter[sysm.interior].T
+        scatter = quad.scatter[sysm.interior]
         self.b_ud = np.empty((grid.K, sysm.n_interior))
         self.c_ud = np.empty(grid.K)
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
             vals = time_average(data.desired_state, quad.points, t0, t1, "desired state")
-            self.b_ud[steps] = vals @ scatter_t
+            self.b_ud[steps] = (scatter @ vals.T).T
             self.c_ud[steps] = np.square(vals) @ quad.weights
         self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
 
@@ -254,16 +254,17 @@ class OptimizeResult:
 
 def _two_loop(g: np.ndarray, pairs, inv_seed: float, dot) -> np.ndarray:
     q = g.copy()
+    tmp = np.empty_like(q)
     alphas = []
     for s, y in reversed(pairs):
         rho = 1.0 / dot(y, s)
         a = rho * dot(s, q)
         alphas.append((a, rho, s, y))
-        q -= a * y
+        q -= np.multiply(a, y, out=tmp)
     q *= inv_seed
     for a, rho, s, y in reversed(alphas):
         b = rho * dot(y, q)
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=tmp)
     return q
 
 
@@ -301,6 +302,9 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
     # (s, y, free_pair(s, y, mask_free)) for each stored pair
     pairs: list = []
     mask_free = None
+    # the projected gradient, then each trial step; an accepted step is kept
+    # as the pair's s and a fresh work array replaces it
+    work = np.empty_like(z)
     pg_history = []
     cost_history = [f]
     n_iter = 0
@@ -308,7 +312,9 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
     c1 = 1e-4
 
     for n_iter in range(1, max_iter + 1):
-        pg = z - clamp(z - g, a, b)
+        np.subtract(z, g, out=work)
+        np.clip(work, a, b, out=work)
+        pg = np.subtract(z, work, out=work)
         pg_norm = nrm(pg)
         pg_history.append(pg_norm)
         if callback is not None:
@@ -317,24 +323,24 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
             converged = True
             break
 
-        active = ((z <= a) & (g > 0.0)) | ((z >= b) & (g < 0.0))
+        active = (z <= a) & (g > 0.0)
+        active |= (z >= b) & (g < 0.0)
         free = ~active
         if mask_free is None or not np.array_equal(free, mask_free):
             mask_free = free
             pairs = [(s, y, free_pair(s, y, free)) for s, y, _ in pairs]
         model = [m for _, _, m in pairs if m is not None]
-        gf = g[free]
+        # mu-scaled steepest descent; the model replaces it on the free set
+        d = g / -seed
         if model:
-            # curvature-scaled seed once pairs exist; mu-seed bootstraps
+            # curvature-scaled seed once pairs exist
+            gf = g[free]
             s_l, y_l = model[-1]
             inv_seed = dot(s_l, y_l) / dot(y_l, y_l)
-            df = -_two_loop(gf, model, inv_seed, dot)
-        else:
-            df = -gf / seed
-        if dot(df, gf) > 0.0:
-            df = -gf / seed
-        d = -g / seed
-        d[free] = df
+            df = _two_loop(gf, model, inv_seed, dot)
+            np.negative(df, out=df)
+            if not dot(df, gf) > 0.0:   # an uphill model keeps steepest descent
+                d[free] = df
 
         # Armijo backtracking on the projected path, with a roundoff
         # allowance so decrease can be certified near the noise floor of f.
@@ -342,8 +348,10 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         accepted = False
         allowance = 8.0 * np.finfo(float).eps * (abs(f) + 1e-300)
         for _ in range(40):
-            z_trial = clamp(z + alpha * d, a, b)
-            step = z_trial - z
+            z_trial = np.multiply(d, alpha)
+            z_trial += z
+            np.clip(z_trial, a, b, out=z_trial)
+            step = np.subtract(z_trial, z, out=work)
             decrement = dot(g, step)
             if decrement >= 0.0:
                 alpha *= 0.5
@@ -356,7 +364,7 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         if not accepted:
             break
 
-        s_vec = z_trial - z
+        s_vec, work = step, np.empty_like(z)
         y_vec = g_trial - g
         if dot(y_vec, s_vec) > 1e-14 * nrm(y_vec) * nrm(s_vec):
             pairs.append((s_vec, y_vec, free_pair(s_vec, y_vec, mask_free)))

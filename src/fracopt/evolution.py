@@ -159,10 +159,14 @@ class ModalMarch:
         Returns a new (K, n_modes) array, not a view of a work buffer.
         """
         if self.h_hat is None:
+            # each step in place in its row: fresh temporaries per step cost
+            # more than the step's arithmetic at a few hundred modes
             x = np.empty_like(g)
-            prev = 0.0 if x0 is None else x0
+            prev = np.zeros(g.shape[1:]) if x0 is None else x0
             for k in range(self.K):
-                prev = x[k] = (self.c_new * prev + g[k]) / self.rate
+                prev = np.multiply(self.c_new, prev, out=x[k])
+                prev += g[k]
+                prev /= self.rate
             return x
         loads = np.array(g.T, order="C")
         if x0 is not None:
@@ -384,6 +388,16 @@ def _check_loads(system: CylinderSystem, loads: np.ndarray) -> None:
         raise ParameterError(f"loads must have shape {shape}, got {loads.shape}")
 
 
+def _check_traces(last: np.ndarray, march: str) -> None:
+    # Only the march's last computed step is scanned: a NaN or inf in a load
+    # or in the initial trace reaches it, through the backward Euler recurrence
+    # or the L1 convolution (an FFT spreads it to every step), and the dense
+    # sine-basis products back from modal coordinates carry it to the nodes.
+    if not np.isfinite(last).all():
+        raise ParameterError(f"{march} produced non-finite traces; check its loads "
+                             "and initial datum")
+
+
 def state_march(system: CylinderSystem, trace0: np.ndarray,
                 loads: np.ndarray, keep_fields: bool = False) -> StateTrajectory:
     """Forward march: loads[k] is the trace-interior load of step k+1.
@@ -391,6 +405,7 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
     The loads are transformed to modal coordinates once, every mode solves
     its Toeplitz system in time (:class:`ModalMarch`), and the traces (and,
     with ``keep_fields``, the cylinder fields) are transformed back once.
+    Raises ParameterError when a trace is not finite.
     """
     _check_loads(system, loads)
     w0 = system.to_modal(system.M_int @ trace0)
@@ -398,6 +413,7 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
     traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[0] = trace0
     traces[1:] = system.from_modal(modal)
+    _check_traces(traces[-1], "state march")
     fields = None
     if keep_fields:
         fields = np.zeros((system.grid.K + 1, system.mesh.n_free))
@@ -411,11 +427,13 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajector
     Per mode this solves with the transpose of the forward Toeplitz matrix
     (the forward solve on time-reversed loads), so it is the exact
     transpose of :func:`state_march`, in the same modal coordinates.
+    Raises ParameterError when a trace is not finite.
     """
     _check_loads(system, loads)
     modal = system.march.solve_transposed(system.to_modal(loads))
     traces = np.zeros((system.grid.K + 1, system.n_interior))
     traces[:-1] = system.from_modal(modal)
+    _check_traces(traces[0], "adjoint march")
     return AdjointTrajectory(traces=traces, grid=system.grid)
 
 
@@ -428,9 +446,10 @@ def forcing_loads(f, grid: TimeGrid, mesh: CylinderMesh,
     names it in data errors.
     """
     out = np.empty((grid.K, interior.size))
-    scatter_t = quad.scatter[interior].T
+    # (S V^T)^T is what V @ S^T computes, without transposing S on every block
+    scatter = quad.scatter[interior]
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        out[steps] = time_average(f, quad.points, t0, t1, what) @ scatter_t
+        out[steps] = (scatter @ time_average(f, quad.points, t0, t1, what).T).T
     return out
 
 
@@ -440,7 +459,8 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
     """Fully discrete state solve for given data and (optional) control.
 
     ``control`` may be a ControlField or a plain (K, n_cells) array; it adds
-    B Z^{k+1} to the load of every step.
+    B Z^{k+1} to the load of every step. A non-finite control or initial
+    datum raises ParameterError from :func:`state_march`.
     """
     if system is None:
         system = CylinderSystem(mesh, params, grid, reaction=data.reaction)

@@ -152,20 +152,20 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
         if discrete.shape != (K + 1, interior.size):
             raise ParameterError(
                 f"state history must have shape {(K + 1, interior.size)}, got {discrete.shape}")
-        basis_t = quad.basis[:, interior].T
-        values = lambda steps: discrete[1:][steps] @ basis_t
+        basis = quad.basis[:, interior]
+        values = lambda steps: (basis @ discrete[1:][steps].T).T
     elif kind == "control":
         if discrete.shape != (K, omega.n_cells):
             raise ParameterError(
                 f"control must have shape {(K, omega.n_cells)}, got {discrete.shape}")
-        values = lambda steps: discrete[steps][:, quad.cell_of]
+        values = lambda steps: np.take(discrete[steps], quad.cell_of, axis=1)
     else:
         raise ParameterError(f"unknown field kind '{kind}'")
     acc = 0.0
     for steps, _, t1 in step_blocks(grid, quad.points.shape[0]):
         diff = values(steps) - evaluate_data(exact, quad.points, t1[:, None],
                                              "exact solution")
-        acc += grid.tau * float(np.sum(np.square(diff) @ quad.weights))
+        acc += grid.tau * float(np.sum(np.square(diff, out=diff) @ quad.weights))
     return math.sqrt(acc)
 
 

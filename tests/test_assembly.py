@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracopt import (TimeGrid, assemble_load, assemble_stiffness,
-                     assemble_trace_mass, build_omega, weight_integrals)
+from fracopt import (TimeGrid, assemble_stiffness, assemble_trace_mass, build_omega,
+                     weight_integrals)
 from fracopt.assembly import NonIntegrableWeightError, control_load_matrix, omega_quadrature
+from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
 from helpers import (build_test_mesh, check_operator_symmetry, check_spd_rayleigh,
@@ -140,18 +141,22 @@ def test_trace_mass_row_sums_2d():
     assert Mt.sum() == pytest.approx(1.0, abs=1e-13)
 
 
+def vertex_loads(f, grid, mesh):
+    """Loads of the step averages of f at every Omega vertex, steps 0..K-1."""
+    all_vertices = np.arange(mesh.omega.n_vertices)
+    return forcing_loads(f, grid, mesh, omega_quadrature(mesh.omega), all_vertices)
+
+
 def test_load_zero_and_constant():
     mesh, _ = build_test_mesh(n=2, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=4)
-    zero = assemble_load(lambda x, t: np.zeros(np.atleast_2d(x).shape[0]),
-                         0, grid, mesh)
-    assert np.all(zero.values == 0.0)
-    one = assemble_load(lambda x, t: np.ones(np.atleast_2d(x).shape[0]),
-                        2, grid, mesh)
+    zero = vertex_loads(lambda x, t: np.zeros(np.atleast_2d(x).shape[0]), grid, mesh)[0]
+    assert np.all(zero == 0.0)
+    one = vertex_loads(lambda x, t: np.ones(np.atleast_2d(x).shape[0]), grid, mesh)[2]
     Mt = assemble_trace_mass(mesh)
     rowsums = np.asarray(Mt[mesh.trace_global].sum(axis=1)).ravel()
-    assert np.allclose(one.values, rowsums, atol=1e-13)
-    assert float(one.values.sum()) == pytest.approx(1.0, abs=1e-13)
+    assert np.allclose(one, rowsums, atol=1e-13)
+    assert float(one.sum()) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_load_against_adaptive_quadrature():
@@ -159,7 +164,7 @@ def test_load_against_adaptive_quadrature():
     mesh, _ = build_test_mesh(n=2, M=16, s=0.5)
     grid = TimeGrid(T=1.0, K=20)
     f = lambda x, t: np.sin(2 * np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1]) * np.exp(t)
-    load = assemble_load(f, 0, grid, mesh)
+    load = vertex_loads(f, grid, mesh)[0]
     tau = grid.tau
     time_factor = (math.exp(tau) - 1.0) / tau
     h = mesh.omega.h
@@ -176,7 +181,7 @@ def test_load_against_adaptive_quadrature():
         ref, _ = dblquad(integrand, max(0.0, xi - h), min(1.0, xi + h),
                          lambda x: max(0.0, yj - h), lambda x: min(1.0, yj + h),
                          epsabs=1e-12, epsrel=1e-12)
-        assert abs(load.values[vertex] - ref * time_factor) <= 1e-8
+        assert abs(load[vertex] - ref * time_factor) <= 1e-8
 
 
 def test_load_propagates_data_errors():
@@ -187,9 +192,9 @@ def test_load_propagates_data_errors():
         raise RuntimeError("broken data function")
 
     with pytest.raises(RuntimeError, match="broken data"):
-        assemble_load(bad, 0, grid, mesh)
+        vertex_loads(bad, grid, mesh)
     with pytest.raises(ParameterError):
-        assemble_load(lambda x, t: np.zeros(len(np.atleast_2d(x))), 5, grid, mesh)
+        vertex_loads(lambda x, t: np.zeros(len(np.atleast_2d(x)) + 1), grid, mesh)
 
 
 def test_control_load_matrix_exact_means():

@@ -310,3 +310,49 @@ def test_solve_state_control_shape_mismatch():
     bad = np.zeros((grid.K + 1, mesh.omega.n_cells))
     with pytest.raises(ParameterError):
         solve_state(data, params, mesh, grid, control=bad)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("step", [0, 2, 5])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_marches_reject_non_finite_traces(gamma, step):
+    # the first, a middle and the last step of the state march
+    mesh, params = build_test_mesh(n=2, M=4, s=0.5)
+    params = make_params(params.s, gamma, params.truncation_Y)
+    grid = TimeGrid(T=1.0, K=6)
+    system = CylinderSystem(mesh, params, grid)
+    loads = np.zeros((grid.K, system.n_interior))
+    loads[step, 1] = np.nan
+    with pytest.raises(ParameterError, match="state march"):
+        state_march(system, np.zeros(system.n_interior), loads)
+    with pytest.raises(ParameterError, match="adjoint march"):
+        adjoint_march(system, loads)
+    loads[step, 1] = np.inf
+    with pytest.raises(ParameterError, match="adjoint march"):
+        adjoint_march(system, loads)
+    trace0 = np.zeros(system.n_interior)
+    trace0[0] = np.nan
+    with pytest.raises(ParameterError, match="state march"):
+        state_march(system, trace0, np.zeros_like(loads))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_solve_state_rejects_non_finite_initial_datum_and_control():
+    mesh, params = build_test_mesh(n=1, M=4, s=0.5)
+    grid = TimeGrid(T=1.0, K=5)
+
+    def nan_u0(x):
+        out = np.zeros(np.atleast_2d(x).shape[0])
+        out[1] = np.nan
+        return out
+
+    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+                       initial=nan_u0, bounds=WIDE)
+    with pytest.raises(ParameterError, match="state march"):
+        solve_state(data, params, mesh, grid)
+    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+                       initial=zero_u0, bounds=WIDE)
+    control = np.zeros((grid.K, mesh.omega.n_cells))
+    control[3, 0] = np.nan
+    with pytest.raises(ParameterError, match="state march"):
+        solve_state(data, params, mesh, grid, control=control)

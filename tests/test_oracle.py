@@ -225,3 +225,89 @@ def test_spectral_solve_state_shape_errors():
     with pytest.raises(ParameterError):
         spectral_solve_state([mode(1, 1), mode(2, 2)], [1.0, 0.0], [1.0],
                              1.0, 0.5, 1.0)
+
+
+def direct_manufactured(man, x, t):
+    """The manufactured data with the sine product recomputed by SpectralMode."""
+    S = mode(*([2] * man.n))(x, normalized=False)
+    T, mu, lam_s = man.T, man.mu, man.lam ** man.s
+    if man.gamma >= 1.0:
+        state_time = np.exp(t)
+        adjoint_time = (1.0 - (T - t)) * np.exp(t)
+    else:
+        state_time = caputo_left(np.exp, man.gamma, t)
+        adjoint_time = caputo_right(lambda r: (T - r - 1.0) * np.exp(r), man.gamma, t, T)
+    control = np.minimum(man.b, np.maximum(man.a, (T - t) * np.exp(t) * S))
+    return {
+        "state": np.exp(t) * S,
+        "adjoint": -mu * (T - t) * np.exp(t) * S,
+        "control": control,
+        "forcing": (state_time + lam_s * np.exp(t)) * S - control,
+        "desired_state": (np.exp(t) + mu * adjoint_time
+                          + mu * lam_s * (T - t) * np.exp(t)) * S,
+        "initial": S,
+    }
+
+
+def assert_bitwise_manufactured(man, x, t):
+    ref = direct_manufactured(man, x, t)
+    for name, want in ref.items():
+        fn = getattr(man, name)
+        got = fn(x) if name == "initial" else fn(x, t)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("n,gamma", [(1, 1.0), (2, 1.0), (2, 0.5)])
+def test_manufactured_memo_matches_direct_formula_bitwise(n, gamma):
+    man = manufactured_problem(0.4, 0.7, 0.5, gamma=gamma, n=n)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(37, n))
+    x[0] = 0.0                                  # sine product +0.0 here
+    column = np.linspace(0.0, man.T, 6)[:, None]
+    for t in (column, 0.3, man.T):
+        assert_bitwise_manufactured(man, x, t)
+        assert_bitwise_manufactured(man, x, t)    # second call: the memo
+
+    # an in-place change gives fresh values, down to the sign of a zero
+    x[0, 0] = -0.0
+    assert_bitwise_manufactured(man, x, column)
+    x[1, 0] += 0.1
+    assert_bitwise_manufactured(man, x, column)
+    # so does a second array of the same shape
+    y = rng.uniform(0.0, 1.0, size=x.shape)
+    assert_bitwise_manufactured(man, y, column)
+    assert_bitwise_manufactured(man, x, column)
+    # and a non-contiguous view
+    assert_bitwise_manufactured(man, np.asfortranarray(y)[::2], column)
+
+
+def test_manufactured_initial_is_a_private_copy():
+    man = manufactured_problem(0.4, 1.0, 1.0, n=2)
+    x = np.random.default_rng(6).uniform(0.0, 1.0, size=(20, 2))
+    u0 = man.initial(x)
+    u0[:] = 7.0
+    assert_bitwise_manufactured(man, x, np.array([[0.0], [0.4]]))
+
+
+def test_manufactured_factor_computed_once_per_points_array(monkeypatch):
+    from fracopt.oracle import SpectralMode
+    calls = []
+    direct = SpectralMode.__call__
+
+    def counted(self, points, normalized=True):
+        calls.append(points)
+        return direct(self, points, normalized)
+
+    monkeypatch.setattr(SpectralMode, "__call__", counted)
+    man = manufactured_problem(0.4, 1.0, 1.0, n=2)
+    quad = omega_quadrature(build_omega(2, 6))
+    t = np.array([[0.1], [0.2]])
+    for _ in range(3):
+        for f in (man.forcing, man.desired_state, man.state, man.control, man.adjoint):
+            f(quad.points, t)
+        man.initial(quad.points)
+    assert len(calls) == 1
+    quad.points[0, 0] += 1e-3
+    man.state(quad.points, t)
+    assert len(calls) == 2
