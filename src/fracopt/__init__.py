@@ -20,8 +20,7 @@ from .evolution import (AdjointTrajectory, CaputoWeights, CylinderSystem,
                         caputo_weights, lambda_diagnostic, solve_adjoint,
                         solve_state)
 from .control import (ControlField, OptimizeResult, ReducedProblem, clamp,
-                      l2_project, projected_bfgs, reduced_cost,
-                      reduced_gradient, solve_control_problem, vi_residual)
+                      l2_project, projected_bfgs, solve_control_problem, vi_residual)
 from .oracle import (ManufacturedSolution, SpectralMode, fractional_ibp_check,
                      fractional_power_apply, manufactured_problem,
                      modal_decompose, mode, spectral_solve_state)

@@ -2,7 +2,9 @@
 
 Each subcommand runs one experiment kind; defaults come from an optional
 config file (flat key=value entries under [section] headers) and every
-value can be overridden by a flag of the same name.
+value can be overridden by a flag of the same name. The exit status is 1
+when a control solve did not converge (its rows are still written and
+named on stderr), else 0.
 """
 from __future__ import annotations
 
@@ -84,7 +86,11 @@ def main(argv=None) -> int:
     for rate in report.slopes:
         print(f"  slope[{rate['quantity']}, s={rate['s']}] = {rate['slope']:.4f} "
               f"(levels={rate['levels_used']})")
-    return 0
+    failed = [row for row in report.rows if not row.get("converged", True)]
+    for row in failed:
+        print(f"fracopt: not converged: case={row['case']} s={row['s']} M={row['M']}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -212,17 +212,6 @@ class ReducedProblem:
                 AdjointTrajectory(traces=adj, grid=self.grid))
 
 
-def reduced_cost(control: ControlField, prob: ReducedProblem) -> float:
-    """J(S z, z) = 1/2 ||tr V - u_d||^2_{l2(L2)} + mu/2 ||z||^2_{l2(L2)}."""
-    return prob.cost(np.asarray(control.values, dtype=float))
-
-
-def reduced_gradient(control: ControlField, prob: ReducedProblem) -> np.ndarray:
-    """Riesz representative mu z + Pi(tr P) of the reduced derivative."""
-    _, grad, _, _ = prob.cost_and_gradient(np.asarray(control.values, dtype=float))
-    return grad
-
-
 def vi_residual(control: ControlField, p_cell_means: np.ndarray) -> float:
     """Distance of z from the projection-formula fixed point.
 

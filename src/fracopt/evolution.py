@@ -34,10 +34,12 @@ Per mode the whole march is one lower-triangular Toeplitz solve in time
 and backward Euler is the case a = (1, 0, ..., 0). The inverse of a
 lower-triangular Toeplitz matrix is again lower-triangular Toeplitz, so
 x = h_i * g is the causal convolution of the load with the first column
-h_i of the inverse, the mode's impulse response, truncated to K steps. For
-L1 the impulse responses are computed once per system, by the scalar
-recurrence itself (O(K^2 n)), and every march is then one FFT product
-(O(n K log K)); backward Euler keeps its one-step recurrence (O(n K)).
+h_i of the inverse, the mode's impulse response, truncated to K steps: the
+power series of 1/(c_new + delta_i - c_new z D(z)), D(z) = sum_j d_j z^j.
+For L1 the impulse responses are computed once per system, by Newton
+iteration on that reciprocal (O(n K log K), :func:`impulse_responses`),
+and every march is then one FFT product (O(n K log K)); backward Euler
+keeps its one-step recurrence (O(n K)).
 The adjoint march solves with the transpose T_i^T = J T_i J (J reverses
 time), i.e. the same convolution applied to the time-reversed loads, so it
 is the exact transpose of the forward march and the discrete duality
@@ -112,6 +114,67 @@ def apply_discrete_caputo(weights: CaputoWeights, history: np.ndarray):
     return weights.scale, weights.scale * acc
 
 
+# steps of the direct recurrence before the Newton doublings take over
+_START_BLOCK = 32
+
+
+def impulse_responses(rate: np.ndarray, c_new: float, diffs: np.ndarray,
+                      K: int) -> np.ndarray:
+    """First K coefficients of 1/(rate_i - Q(z)) per mode, as an (n_modes, K) array.
+
+    Q(z) = c_new z D(z) with D(z) = sum_j d_j z^j, d_j = diffs[j], so row i
+    is mode i's impulse response. The first min(K, 32) coefficients come
+    from the direct recurrence h_k = c_new sum_{j<k} d_j h_{k-1-j} / rate_i,
+    in its step-major order, so marches of up to 32 steps keep its rounding.
+    Each Newton step for the power-series reciprocal (Brent-Kung) then takes
+    the m known coefficients H of every mode to 2m (at most K) with real
+    FFTs of length 2m, in O(n K log K) work overall:
+
+        E = (Q H)[m:2m]     (a middle product: the cyclic wrap lands below m),
+        H[m:2m] = (H E)[0:m].
+
+    Every term is nonnegative (d_j > 0, rate_i > 0), so nothing cancels and
+    the error is the FFT's, absolute in the norms of the factors. The head
+    q_1..q_32 dominates the norm of Q and so enters the middle product
+    exactly. The largest difference from the recurrence, relative to the
+    largest entry, is then below 3e-16 for gamma <= 0.5 and 1.3e-14 for
+    gamma = 0.9 (K <= 4096; 2e-13 without the exact head).
+    """
+    h = np.empty((rate.size, K))
+    m = min(K, _START_BLOCK)
+    start = np.empty((m, rate.size))
+    start[0] = 1.0 / rate
+    # d_{k-1}..d_0, the tail of the reversed diffs, pair with h_0..h_{k-1}
+    rdiffs = np.ascontiguousarray(diffs[:m - 1][::-1])
+    for k in range(1, m):
+        start[k] = c_new * (rdiffs[m - 1 - k:] @ start[:k]) / rate
+    h[:, :m] = start.T
+    if m == K:
+        return h
+    q = np.zeros(K)
+    q[1:] = c_new * diffs
+    # the exact head of the middle product: head[i, k] = q_{b+k-i} (k <= i)
+    # pairs h_{m-b+i} with E_k, and the FFT sees only the tail q_{b+1}..
+    b = _START_BLOCK
+    i = np.arange(b)
+    head = np.tril(q[b - np.abs(np.subtract.outer(i, i))])
+    q[:b + 1] = 0.0
+    while m < K:
+        n_fft, top = 2 * m, min(2 * m, K)
+        h_spec = np.fft.rfft(h[:, :m], n=n_fft)
+        spec = h_spec * np.fft.rfft(q[:top], n=n_fft)
+        err = np.fft.irfft(spec, n=n_fft)[:, m:top]
+        w = min(b, top - m)
+        err[:, :w] += h[:, m - b:m] @ head[:, :w]
+        spec = np.fft.rfft(err, n=n_fft, out=spec)
+        spec *= h_spec
+        # free the 2m-long irfft buffer behind err before the next one
+        del err, h_spec
+        h[:, m:top] = np.fft.irfft(spec, n=n_fft)[:, :top - m]
+        m = top
+    return h
+
+
 class ModalMarch:
     """Per-mode time-stepping solves T_i x_i = g_i for all modes at once.
 
@@ -121,13 +184,15 @@ class ModalMarch:
     d_j = a_j - a_{j+1}: the L1 weights and scale for gamma < 1, and for
     backward Euler (gamma = 1) c_new = 1/tau and a = (1, 0, ..., 0). An
     initial value x^0 enters as the extra load c_new a_k x^0. Loads and
-    solutions are (K, n_modes) arrays, step k in row k.
+    solutions are (K, n_modes) arrays, step k in row k. Every rate must be
+    finite with c_new + r_i > 0, or ParameterError is raised.
 
-    For L1 the impulse responses h_i (first columns of T_i^{-1}) come from
-    the recurrence run once on a unit impulse, and only their real FFTs,
-    zero-padded to 2K and stored mode-major, are kept; a solve is then the
-    causal convolution h_i * g_i truncated to K steps. Backward Euler has a
-    one-step memory and keeps its recurrence.
+    For L1 the impulse responses h_i (first columns of T_i^{-1}) are the
+    power-series reciprocals of c_new + r_i - c_new z D(z), computed by
+    Newton iteration in O(n K log K) (:func:`impulse_responses`); only
+    their real FFTs, zero-padded to 2K and stored mode-major, are kept, and
+    a solve is the causal convolution h_i * g_i truncated to K steps.
+    Backward Euler has a one-step memory and keeps its recurrence.
     """
 
     def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
@@ -135,23 +200,14 @@ class ModalMarch:
         self.weights = caputo_weights(gamma, K, tau) if gamma < 1.0 else None
         self.c_new = 1.0 / tau if self.weights is None else self.weights.scale
         self.rate = self.c_new + np.asarray(rates, dtype=float)
+        if not (np.isfinite(self.rate).all() and (self.rate > 0.0).all()):
+            raise ParameterError("march rates must be finite with c_new + rate > 0")
         self.h_hat = None
         if self.weights is not None:
-            h = self._impulse_response(self.weights.diffs)
-            self.h_hat = np.fft.rfft(np.ascontiguousarray(h.T), n=2 * K)
+            self.h_hat = np.fft.rfft(
+                impulse_responses(self.rate, self.c_new, self.weights.diffs, K), n=2 * K)
             # reused by every solve: a fresh spectrum per call costs page faults
             self._spec = np.empty_like(self.h_hat)
-
-    def _impulse_response(self, diffs: np.ndarray) -> np.ndarray:
-        """h[m] = c_new sum_{j<m} d_j h[m-1-j]/rate from h[0] = 1/rate."""
-        K = self.K
-        h = np.empty((K, self.rate.size))
-        h[0] = 1.0 / self.rate
-        # d_{m-1}..d_0, the tail of the reversed diffs, pair with h[0]..h[m-1]
-        rdiffs = np.ascontiguousarray(diffs[::-1])
-        for m in range(1, K):
-            h[m] = self.c_new * (rdiffs[K - 1 - m:] @ h[:m]) / self.rate
-        return h
 
     def solve(self, g: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes).
@@ -241,14 +297,14 @@ class CylinderSystem:
     docstring) it is diagonal after the axis elimination: ``delta[i]`` is
     the Schur complement of mode i onto y = 0 and ``psi[i]`` its axis
     profile. ``march`` holds the per-mode time solves with rates delta:
-    for L1 it computes every mode's impulse response here, once (O(K^2 n)
-    work), so each state or adjoint march is one FFT convolution (O(n K log
-    K)); for backward Euler a step costs one division per mode. The control
-    loads B_int z map to modal coefficients per axis through the (m-1) x m
-    factor ``c1`` = phi^T B1 (:meth:`control_to_modal` and its transpose
-    :meth:`modal_to_control`). No march reads the assembled free-node
-    stiffness ``A_free``: it is assembled on first access, by
-    :meth:`energy` or a test, and then kept.
+    for L1 it computes every mode's impulse response here, once (O(n K log
+    K) work, by Newton iteration), so each state or adjoint march is one FFT
+    convolution (O(n K log K)); for backward Euler a step costs one division
+    per mode. The control loads B_int z map to modal coefficients per axis
+    through the (m-1) x m factor ``c1`` = phi^T B1 (:meth:`control_to_modal`
+    and its transpose :meth:`modal_to_control`). No march reads the
+    assembled free-node stiffness ``A_free``: it is assembled on first
+    access, by :meth:`energy` or a test, and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 

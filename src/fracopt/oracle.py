@@ -377,11 +377,10 @@ def fractional_ibp_check(f_samples, g_samples, gamma: float, times) -> float:
 
     def l1_derivative(vals):
         out = np.zeros(K + 1)
-        for k in range(K):
-            acc = w.a[k] * vals[0]
-            if k >= 1:
-                acc = acc + w.diffs[:k] @ vals[k:0:-1]
-            out[k + 1] = w.scale * (vals[k + 1] - acc)
+        out[1:] = w.scale * (vals[1:] - w.a * vals[0])
+        if K > 1:
+            # the memory sum_{j<k} d_j vals[k-j] of step k is entry k-1 of d * vals[1:]
+            out[2:] -= w.scale * np.convolve(w.diffs, vals[1:])[:K - 1]
         return out
 
     dcf = l1_derivative(f)

@@ -171,6 +171,21 @@ def sparse_trace_schur(system):
     return A[t][:, t].toarray() - A_ut.T @ spla.spsolve(A[upos][:, upos].tocsc(), A_ut)
 
 
+def recurrence_impulse_responses(rate, c_new, diffs, K):
+    """Impulse responses h[:, k] = c_new sum_{j<k} d_j h[:, k-1-j]/rate from 1/rate.
+
+    The O(K^2 n) scalar recurrence, one step at a time: the reference for
+    the Newton set-up of ModalMarch. Returns an (n_modes, K) array.
+    """
+    h = np.empty((K, rate.size))
+    h[0] = 1.0 / rate
+    # d_{m-1}..d_0, the tail of the reversed diffs, pair with h[0]..h[m-1]
+    rdiffs = np.ascontiguousarray(diffs[::-1])
+    for m in range(1, K):
+        h[m] = c_new * (rdiffs[K - 1 - m:] @ h[:m]) / rate
+    return h.T
+
+
 def rel_gap(got, ref):
     """Largest entrywise difference relative to the largest reference entry."""
     return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))

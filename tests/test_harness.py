@@ -204,6 +204,23 @@ def test_cli_solve_state(tmp_path, capsys):
     assert (out / "report.csv").exists()
 
 
+def test_cli_fails_when_a_solve_did_not_converge(tmp_path, capsys):
+    out = tmp_path / "cli"
+    args = ["solve-control", "--s", "0.3,0.6", "--n", "1", "--M", "4", "--K", "4",
+            "--T", "0.5", "--out", str(out)]
+    assert cli_main(args) == 0
+    assert "not converged" not in capsys.readouterr().err
+    rc = cli_main(args + ["--max-iter", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    for s in ("0.3", "0.6"):
+        assert f"not converged: case=solve-control s={s} M=4" in err
+    with open(out / "report.csv") as fh:
+        assert fh.readline().strip().split(",") == REPORT_COLUMNS
+    rows = read_report_csv(out / "report.csv")
+    assert [r["iters"] for r in rows] == [1, 1]
+
+
 def test_cli_oracle_check(tmp_path):
     out = tmp_path / "oracle"
     rc = cli_main(["oracle-check", "--s", "0.4", "--out", str(out)])

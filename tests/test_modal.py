@@ -1,13 +1,16 @@
 """Modal fast-diagonalization step solve against the assembled sparse path."""
+import functools
+
 import numpy as np
 import pytest
 
-from fracopt import CylinderSystem, TimeGrid, apply_discrete_caputo
-from fracopt.evolution import ModalMarch, adjoint_march, state_march
+from fracopt import CylinderSystem, ParameterError, TimeGrid, apply_discrete_caputo
+from fracopt.evolution import ModalMarch, adjoint_march, impulse_responses, state_march
 from fracopt.problem import make_params
 
-from helpers import (build_test_mesh, rel_gap, sparse_adjoint_march, sparse_initial_field,
-                     sparse_state_march, sparse_trace_schur)
+from helpers import (build_test_mesh, recurrence_impulse_responses, rel_gap,
+                     sparse_adjoint_march, sparse_initial_field, sparse_state_march,
+                     sparse_trace_schur)
 
 TOL = 1e-11
 
@@ -87,6 +90,39 @@ def test_modal_march_matches_step_recurrence(gamma, K):
     lhs = np.sum(other * march.solve(loads))
     rhs = np.sum(march.solve_transposed(other) * loads)
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(other * march.solve(loads)))
+
+
+@functools.cache
+def system_rates(n):
+    """The Schur complements delta of an n-dimensional test system."""
+    return make_system(n, 1.0, 0.7).delta
+
+
+# start block (32) and its neighbours, a partial last doubling (33, 37) and
+# full ones (1024; 4096 on the 1D system only, to keep the oracle cheap)
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("rates,K", [(r, K) for r in ("fixed", 1, 2)
+                                     for K in (1, 2, 3, 31, 32, 33, 37, 1024)]
+                         + [(1, 4096)])
+def test_impulse_response_matches_recurrence(rates, K, gamma):
+    """Newton set-up vs the O(K^2 n) recurrence, normwise per mode set."""
+    rates = np.array([0.0, 0.3, 5.0, 400.0]) if rates == "fixed" else system_rates(rates)
+    march = ModalMarch(rates, gamma, K, 1.0 / K)
+    ref = recurrence_impulse_responses(march.rate, march.c_new, march.weights.diffs, K)
+    got = impulse_responses(march.rate, march.c_new, march.weights.diffs, K)
+    assert got.shape == (rates.size, K)
+    assert rel_gap(got, ref) <= 1e-13
+    assert rel_gap(march.h_hat, np.fft.rfft(ref, n=2 * K)) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("bad", ["nan", "inf", "minus_c_new"])
+def test_modal_march_rejects_bad_rates(bad, gamma):
+    K, tau = 8, 0.125
+    c_new = ModalMarch(np.zeros(1), gamma, K, tau).c_new
+    value = {"nan": np.nan, "inf": np.inf, "minus_c_new": -c_new}[bad]
+    with pytest.raises(ParameterError, match="rates"):
+        ModalMarch(np.array([0.0, 1.0, value]), gamma, K, tau)
 
 
 def check_duality(system, trials):
