@@ -256,19 +256,3 @@ def time_average(f, points: np.ndarray, t0, t1, what: str = "data") -> np.ndarra
     avg = np.add(vals[:m], vals[m:])
     avg *= 0.5
     return avg if t0.ndim else avg[0]
-
-
-def control_load_matrix(omega: OmegaMesh) -> sp.csr_matrix:
-    """Exact integrals int_cell phi_i: maps cell values to vertex loads.
-
-    Shape (n_vertices, n_cells); each cell contributes (h/2)^n to each of
-    its 2^n vertices. The transpose divided by the cell volume is the
-    piecewise-constant projection of a trace function.
-    """
-    contrib = (omega.h / 2.0) ** omega.n
-    ncells, nloc = omega.cells.shape
-    rows = omega.cells.ravel()
-    cols = np.repeat(np.arange(ncells), nloc)
-    vals = np.full(rows.size, contrib)
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(omega.n_vertices, ncells))

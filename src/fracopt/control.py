@@ -6,17 +6,18 @@ gradient are consistent to machine precision: the representative of the
 tracking derivative on step k is the cell average of the adjoint trace at
 index k-1 (the adjoint sequence read in reversed time).
 
-The optimizer runs in modal trace coefficients. With Phi the
-M_Omega-orthonormal lattice modes (Phi^T M_int Phi = I, see
-:mod:`fracopt.evolution`), a trace tr = Phi w_hat, and b_hat = Phi^T b for
-any interior load b, Parseval gives the tracking cost
+The optimizer runs in modal trace coefficients. The interior mass M_int and
+the control loads B_int are the Kronecker powers of the 1D factors m1 =
+(h/6) tridiag(1, 4, 1) and b1 ((m-1) x m, entries h/2), and Phi = phi x phi
+(phi for n = 1) holds the M_Omega-orthonormal lattice modes, phi^T m1 phi =
+I (see :mod:`fracopt.evolution`). With a trace tr = Phi w_hat and b_hat =
+Phi^T b for any interior load b, Parseval gives the tracking cost
 
     tau/2 sum_k (|w_hat^k|^2 - 2 <w_hat^k, b_ud_hat^k> + c_ud^k),
 
-and the adjoint load M_int tr V - b_ud becomes w_hat - b_ud_hat. The control
-loads B_int z enter as Phi^T B_int z = c1 Z c1^T per axis, where B_int is the
-Kronecker power of the (m-1) x m hat-over-cell matrix B1 (entries h/2) and
-c1 = phi^T B1; the gradient's B_int^T Phi p_hat is c1^T P_hat c1. So a
+and the adjoint load (m1 x m1) tr V - b_ud becomes w_hat - b_ud_hat. The
+control loads enter as Phi^T (b1 x b1) z = c1 Z c1^T per axis, with c1 =
+phi^T b1, and the gradient's (b1 x b1)^T Phi p_hat is c1^T P_hat c1. So a
 cost-and-gradient evaluation does one state and one adjoint march and no
 nodal transform; :meth:`ReducedProblem.trajectories` forms the nodal traces
 once, for the result.
@@ -44,10 +45,6 @@ class ControlField:
     bounds: ControlBounds
     grid: TimeGrid
     omega: OmegaMesh
-
-    def clamped(self) -> "ControlField":
-        return ControlField(values=clamp(self.values, self.bounds.a, self.bounds.b),
-                            bounds=self.bounds, grid=self.grid, omega=self.omega)
 
     def is_admissible(self, tol: float = 0.0) -> bool:
         return bool(np.all(self.values >= self.bounds.a - tol)
@@ -95,7 +92,7 @@ def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
     K) array gives the means of K traces in one product.
     """
     vol = system.mesh.omega.cell_volume
-    return (system.B_int_T @ trace_int) / vol
+    return system.cell_integrals(trace_int.T).T / vol
 
 
 class ReducedProblem:
@@ -147,7 +144,7 @@ class ReducedProblem:
 
         self.b_f_hat = sysm.to_modal(self.b_f)
         self.b_ud_hat = sysm.to_modal(self.b_ud)
-        self.w0_hat = sysm.to_modal(sysm.M_int @ self.trace0)
+        self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
         self.c_ud_sum = float(np.sum(self.c_ud))
 
     def new_control(self, values=None) -> ControlField:
@@ -157,11 +154,11 @@ class ReducedProblem:
                             bounds=self.bounds, grid=self.grid, omega=self.mesh.omega)
 
     def state(self, zvals: np.ndarray) -> StateTrajectory:
-        loads = self.b_f + (self.system.B_int @ zvals.T).T
+        loads = self.b_f + self.system.control_loads(zvals)
         return state_march(self.system, self.trace0, loads)
 
     def adjoint(self, state: StateTrajectory) -> AdjointTrajectory:
-        loads = (self.system.M_int @ state.traces[1:].T).T - self.b_ud
+        loads = self.system.mass(state.traces[1:]) - self.b_ud
         return adjoint_march(self.system, loads)
 
     def _modal_state(self, zvals: np.ndarray) -> np.ndarray:
@@ -257,10 +254,12 @@ def _two_loop(g: np.ndarray, pairs, inv_seed: float, dot) -> np.ndarray:
     return q
 
 
+# correction pairs kept by projected_bfgs
+_MEMORY = 10
+
+
 def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
-                   weight: float, tol: float = 1e-9, max_iter: int = 400,
-                   memory: int = 10, seed: float | None = None,
-                   callback=None) -> dict:
+                   weight: float, tol: float = 1e-9, max_iter: int = 400) -> dict:
     """Projected limited-memory BFGS with Armijo backtracking.
 
     ``fun_and_grad(z) -> (f, g)`` with g the Riesz representative in the
@@ -268,16 +267,12 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
     to the box; bound-active coordinates whose gradient points outward get
     the steepest-descent direction while the quasi-Newton model acts on the
     rest. Terminates when ||z - clamp(z - g)|| <= tol. The inverse Hessian
-    seed is 1/seed (seed defaults to the regularization weight mu, the exact
-    Hessian of the penalty term). The model works on the free coordinates
-    only: stored pairs are restricted to the free set and curvature-tested
-    once per free set, not once per iteration.
+    seed is 1/mu, mu the regularization weight (the exact Hessian of the
+    penalty term), until pairs exist; at most 10 pairs are kept. The model
+    works on the free coordinates only: stored pairs are restricted to the
+    free set and curvature-tested once per free set, not once per iteration.
     """
-    if isinstance(z0, ControlField):
-        z0 = z0.values
     a, b = bounds.a, bounds.b
-    if seed is None:
-        seed = bounds.mu
     dot = lambda u, v: weight * float(np.vdot(u, v))
     nrm = lambda u: math.sqrt(max(dot(u, u), 0.0))
 
@@ -306,8 +301,6 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         pg = np.subtract(z, work, out=work)
         pg_norm = nrm(pg)
         pg_history.append(pg_norm)
-        if callback is not None:
-            callback(n_iter, z, f, pg_norm)
         if pg_norm <= tol:
             converged = True
             break
@@ -320,7 +313,7 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
             pairs = [(s, y, free_pair(s, y, free)) for s, y, _ in pairs]
         model = [m for _, _, m in pairs if m is not None]
         # mu-scaled steepest descent; the model replaces it on the free set
-        d = g / -seed
+        d = g / -bounds.mu
         if model:
             # curvature-scaled seed once pairs exist
             gf = g[free]
@@ -357,7 +350,7 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         y_vec = g_trial - g
         if dot(y_vec, s_vec) > 1e-14 * nrm(y_vec) * nrm(s_vec):
             pairs.append((s_vec, y_vec, free_pair(s_vec, y_vec, mask_free)))
-            if len(pairs) > memory:
+            if len(pairs) > _MEMORY:
                 pairs.pop(0)
         z, f, g = z_trial, f_trial, g_trial
         cost_history.append(f)
@@ -394,7 +387,7 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
         return f, g
 
     raw = projected_bfgs(fun_and_grad, z0, data.bounds, prob.weight,
-                         tol=tol, max_iter=max_iter, seed=data.bounds.mu)
+                         tol=tol, max_iter=max_iter)
     if last["z"] is not raw["z"]:
         # the last evaluation was a rejected line-search trial
         fun_and_grad(raw["z"])

@@ -15,7 +15,11 @@ eigenpairs are closed-form:
     lambda_k  = 6 (1 - cos theta_k) / (h^2 (2 + cos theta_k)),
 
 and for n = 2 the Q1 modes are products phi_k x phi_l with eigenvalue
-lambda_k + lambda_l, applied one axis at a time. In this basis the step
+lambda_k + lambda_l, applied one axis at a time. The elements are tensor
+products, so every Omega operator the solver needs (the modes, the
+interior mass, the control loads and their transpose) is the n-fold
+Kronecker power of a 1D factor: :class:`CylinderSystem` keeps the 1D
+factors only and applies them per axis. In this basis the step
 matrix splits into one tridiagonal axis problem per mode i,
 
     T_i = ((lambda_i + c) M_y + S_y)/d_s  on axis nodes 0..M-1,  plus c_new at (0, 0),
@@ -53,9 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (OmegaQuadrature, assemble_stiffness, control_load_matrix,
-                       omega_matrices, omega_quadrature, step_blocks, time_average,
-                       weight_integrals)
+from .assembly import (OmegaQuadrature, assemble_stiffness, omega_quadrature,
+                       step_blocks, time_average, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
 
@@ -300,11 +303,17 @@ class CylinderSystem:
     for L1 it computes every mode's impulse response here, once (O(n K log
     K) work, by Newton iteration), so each state or adjoint march is one FFT
     convolution (O(n K log K)); for backward Euler a step costs one division
-    per mode. The control loads B_int z map to modal coefficients per axis
-    through the (m-1) x m factor ``c1`` = phi^T B1 (:meth:`control_to_modal`
-    and its transpose :meth:`modal_to_control`). No march reads the
-    assembled free-node stiffness ``A_free``: it is assembled on first
-    access, by :meth:`energy` or a test, and then kept.
+    per mode.
+
+    Every Omega operator is kept as its 1D factor on the uniform partition
+    with m cells and applied per axis as its n-fold Kronecker power: the
+    modes ``phi``, the interior P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the
+    (m-1) x m hat-over-cell matrix ``b1`` (entries h/2) and the modal control
+    factor ``c1`` = phi^T b1. So :meth:`mass` applies the interior mass
+    M_int, :meth:`control_loads` the control loads B_int and
+    :meth:`cell_integrals` B_int^T; no 2D Omega matrix is assembled. No
+    march reads the assembled free-node stiffness ``A_free``: it is
+    assembled on first access, by :meth:`energy` or a test, and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -315,22 +324,15 @@ class CylinderSystem:
         self.grid = grid
         self.reaction = reaction
 
-        m_w, _ = omega_matrices(mesh.omega)
-        interior = mesh.omega.interior_idx
-        self.M_int = m_w[interior][:, interior].tocsr()
         self.quad = omega_quadrature(mesh.omega)
-        self.B = control_load_matrix(mesh.omega)
-        self.B_int = self.B[interior].tocsr()
-        self.B_int_T = self.B_int.T.tocsr()
-        self.interior = interior
+        self.interior = mesh.omega.interior_idx
         self.tpos = mesh.trace_free_pos
 
-        m = mesh.omega.cells_per_dim
+        m, h = mesh.omega.cells_per_dim, mesh.omega.h
         self.phi, lam = lattice_modes(m)
-        # B_int is the n-fold Kronecker power of the (m-1) x m hat-over-cell
-        # matrix B1 (entries h/2); c1 = phi^T B1 is its modal factor
-        b1 = 0.5 * mesh.omega.h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
-        self.c1 = self.phi.T @ b1
+        self.m1 = h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1))
+        self.b1 = 0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
+        self.c1 = self.phi.T @ self.b1
         if mesh.omega.n == 2:
             lam = np.add.outer(lam, lam).ravel()
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
@@ -346,44 +348,45 @@ class CylinderSystem:
     def n_interior(self) -> int:
         return self.interior.size
 
+    def _per_axis(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The n-fold Kronecker power of the 1D factor f, applied along the last axis of x.
+
+        For n = 2 that axis holds a row-major lattice X of side f.shape[1],
+        and (f x f) vec(X) = vec(f X f^T).
+        """
+        if self.mesh.omega.n == 1:
+            return x @ f.T
+        rows, cols = f.shape
+        grid = x.reshape(x.shape[:-1] + (cols, cols))
+        return (f @ grid @ f.T).reshape(x.shape[:-1] + (rows * rows,))
+
     def to_modal(self, loads: np.ndarray) -> np.ndarray:
         """Modal coefficients phi_i . l of interior loads along the last axis."""
-        phi = self.phi
-        if self.mesh.omega.n == 1:
-            return loads @ phi
-        m1 = phi.shape[0]
-        grid = loads.reshape(loads.shape[:-1] + (m1, m1))
-        return (phi.T @ grid @ phi).reshape(loads.shape)
+        return self._per_axis(self.phi.T, loads)
 
     def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
         """Interior nodal values sum_i coeffs_i phi_i along the last axis."""
-        phi = self.phi
-        if self.mesh.omega.n == 1:
-            return coeffs @ phi.T
-        m1 = phi.shape[0]
-        grid = coeffs.reshape(coeffs.shape[:-1] + (m1, m1))
-        return (phi @ grid @ phi.T).reshape(coeffs.shape)
+        return self._per_axis(self.phi, coeffs)
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
-        """Modal coefficients of the control loads, to_modal(B_int z), along the last axis.
-
-        Applied per axis as c1 Z c1^T, never through a dense phi^T B_int.
-        """
-        c1 = self.c1
-        if self.mesh.omega.n == 1:
-            return z @ c1.T
-        m1, m = c1.shape
-        grid = z.reshape(z.shape[:-1] + (m, m))
-        return (c1 @ grid @ c1.T).reshape(z.shape[:-1] + (m1 * m1,))
+        """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
+        return self._per_axis(self.c1, z)
 
     def modal_to_control(self, coeffs: np.ndarray) -> np.ndarray:
         """B_int^T from_modal(coeffs) along the last axis: the transpose of control_to_modal."""
-        c1 = self.c1
-        if self.mesh.omega.n == 1:
-            return coeffs @ c1
-        m1, m = c1.shape
-        grid = coeffs.reshape(coeffs.shape[:-1] + (m1, m1))
-        return (c1.T @ grid @ c1).reshape(coeffs.shape[:-1] + (m * m,))
+        return self._per_axis(self.c1.T, coeffs)
+
+    def mass(self, x: np.ndarray) -> np.ndarray:
+        """M_int x: the interior Omega mass applied to interior values along the last axis."""
+        return self._per_axis(self.m1, x)
+
+    def control_loads(self, z: np.ndarray) -> np.ndarray:
+        """B_int z: interior loads sum_c z_c int_c phi_i of cell values along the last axis."""
+        return self._per_axis(self.b1, z)
+
+    def cell_integrals(self, trace: np.ndarray) -> np.ndarray:
+        """B_int^T tr: per-cell integrals of interior trace values along the last axis."""
+        return self._per_axis(self.b1.T, trace)
 
     def field(self, coeffs: np.ndarray) -> np.ndarray:
         """Free-node fields sum_i coeffs_i phi_i x psi_i of trace coefficients.
@@ -403,7 +406,7 @@ class CylinderSystem:
         vanishing at y = 0, which per mode is the axis profile psi_i.
         """
         u0v = np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
-        return self.field(self.to_modal(self.M_int @ u0v))
+        return self.field(self.to_modal(self.mass(u0v)))
 
     def energy(self, v_free: np.ndarray) -> float:
         """a_Y(v, v) of a free-node coefficient vector."""
@@ -422,12 +425,6 @@ class StateTrajectory:
     traces: np.ndarray            # (K+1, n_interior)
     grid: TimeGrid
     fields: np.ndarray | None = None
-
-    def trace_coeffs(self, k: int, mesh: CylinderMesh) -> np.ndarray:
-        """Coefficients over all Omega vertices at step k (zeros on boundary)."""
-        full = np.zeros(mesh.omega.n_vertices)
-        full[mesh.omega.interior_idx] = self.traces[k]
-        return full
 
 
 @dataclass
@@ -464,7 +461,7 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
     Raises ParameterError when a trace is not finite.
     """
     _check_loads(system, loads)
-    w0 = system.to_modal(system.M_int @ trace0)
+    w0 = system.to_modal(system.mass(trace0))
     modal = system.march.solve(system.to_modal(loads), w0)
     traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[0] = trace0
@@ -526,29 +523,12 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
         if zvals.shape != (grid.K, mesh.omega.n_cells):
             raise ParameterError(
                 f"control must have shape {(grid.K, mesh.omega.n_cells)}, got {zvals.shape}")
-        loads = loads + (system.B_int @ zvals.T).T
+        loads = loads + system.control_loads(zvals)
     v0 = system.initial_field(data.initial)
     traj = state_march(system, v0[system.tpos], loads, keep_fields=keep_fields)
     if keep_fields:
         traj.fields[0] = v0
     return traj
-
-
-def tracking_loads(state: StateTrajectory, u_d, grid: TimeGrid,
-                   system: CylinderSystem) -> np.ndarray:
-    """Adjoint loads M tr V^{k+1} - <u_d^{k+1}, phi_i> for k = 0..K-1."""
-    b_ud = forcing_loads(u_d, grid, system.mesh, system.quad, system.interior,
-                         what="desired state")
-    return (system.M_int @ state.traces[1:].T).T - b_ud
-
-
-def solve_adjoint(state: StateTrajectory, u_d, params: FractionalParams,
-                  mesh: CylinderMesh, grid: TimeGrid,
-                  system: CylinderSystem | None = None) -> AdjointTrajectory:
-    """Discrete adjoint driven by the tracking residual of ``state``."""
-    if system is None:
-        system = CylinderSystem(mesh, params, grid)
-    return adjoint_march(system, tracking_loads(state, u_d, grid, system))
 
 
 def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid,

@@ -73,38 +73,43 @@ def _parse_list(text, cast=float):
     return tuple(cast(tok) for tok in str(text).replace(" ", "").split(",") if tok)
 
 
+# config file key (any case) -> (ExperimentConfig field, parser of the value)
+_CONFIG_KEYS = {
+    "kind": ("kind", str), "out": ("out", str),
+    "s": ("s_list", _parse_list), "s_list": ("s_list", _parse_list),
+    "k_list": ("K_list", lambda v: _parse_list(v, int)),
+    "m_list": ("M_list", lambda v: _parse_list(v, int)),
+    "y_list": ("Y_list", _parse_list),
+    "k": ("K", int), "m": ("M", int), "n": ("n", int),
+    "max_iter": ("max_iter", int), "fit_last": ("fit_last", int),
+    "gamma": ("gamma", float), "t": ("T", float), "mu": ("mu", float),
+    "zeta": ("zeta", float), "y": ("Y", float), "tol": ("tol", float),
+}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read a flat key=value config with [section] headers."""
+    """Read a flat key=value config with [section] headers.
+
+    Keys are the CLI flag names (``max_iter`` and ``fit_last`` with
+    underscores) plus ``kind``, ``s_list``, ``K_list``, ``M_list`` and
+    ``Y_list``, in any case. An unknown key raises ParameterError naming it
+    and the file.
+    """
     parser = configparser.ConfigParser()
+    parser.optionxform = str    # keep the spelling for the error message
     with open(path) as fh:
         parser.read_file(fh)
     merged = {}
     for section in parser.sections():
         merged.update(parser[section])
+    unknown = [key for key in merged if key.lower() not in _CONFIG_KEYS]
+    if unknown:
+        raise ParameterError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
+                             f"in {path}")
     kwargs = {}
     for key, value in merged.items():
-        key = key.strip()
-        if key in ("s", "s_list"):
-            kwargs["s_list"] = _parse_list(value)
-        elif key in ("k_list", "klist"):
-            kwargs["K_list"] = _parse_list(value, int)
-        elif key in ("m_list", "mlist"):
-            kwargs["M_list"] = _parse_list(value, int)
-        elif key in ("y_list", "ylist"):
-            kwargs["Y_list"] = _parse_list(value)
-        elif key == "k":
-            kwargs["K"] = int(value)
-        elif key == "m":
-            kwargs["M"] = int(value)
-        elif key == "kind":
-            kwargs["kind"] = value.strip()
-        elif key == "out":
-            kwargs["out"] = value.strip()
-        elif key in ("n", "max_iter", "fit_last"):
-            kwargs[key] = int(value)
-        elif key in ("gamma", "t", "mu", "zeta", "y", "tol"):
-            name = {"t": "T", "y": "Y"}.get(key, key)
-            kwargs[name] = float(value)
+        name, parse = _CONFIG_KEYS[key.lower()]
+        kwargs[name] = parse(value)
     return ExperimentConfig(**kwargs)
 
 
@@ -361,7 +366,7 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     for Y in heights[:-1]:
         traj, system = traces[Y]
         diff = traj.traces - ref.traces
-        sq = np.einsum("ki,ki->k", diff, (system.M_int @ diff.T).T)
+        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
         err = math.sqrt(grid.tau * float(np.sum(sq[1:])))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": meshes[Y].n_free,

@@ -85,11 +85,6 @@ class GradedAxis:
     zeta: float
     nodes: np.ndarray
 
-    @property
-    def intervals(self) -> np.ndarray:
-        """(M, 2) array of interval endpoints."""
-        return np.stack([self.nodes[:-1], self.nodes[1:]], axis=1)
-
 
 def default_zeta(alpha: float) -> float:
     """Grading exponent strictly above the admissibility bound 3/(1-alpha)."""
@@ -137,10 +132,6 @@ class CylinderMesh:
     @property
     def n_free(self) -> int:
         return self.free_idx.size
-
-    @property
-    def n_trace_free(self) -> int:
-        return self.trace_free_pos.size
 
     def node_index(self, vertex: int, axis_node: int) -> int:
         return vertex * (self.axis.M + 1) + axis_node

@@ -131,18 +131,11 @@ def caputo_right(gprime: Callable, gamma: float, t, T: float,
 
 @dataclass
 class ModalTrajectories:
-    """Per-mode solution samples on a fine uniform grid, plus exact forms."""
+    """Per-mode solution samples on a fine uniform grid."""
 
     modes: Sequence[SpectralMode]
     times: np.ndarray
     coeffs: np.ndarray             # (K_fine + 1, n_modes)
-    exact: Callable | None = None  # exact evaluator t -> (n_modes,)
-
-    def at(self, t: float) -> np.ndarray:
-        if self.exact is not None:
-            return self.exact(t)
-        return np.array([np.interp(t, self.times, self.coeffs[:, j])
-                         for j in range(self.coeffs.shape[1])])
 
     @property
     def final(self) -> np.ndarray:
@@ -188,14 +181,9 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
 
     if gamma >= 1.0 and exp_amps is not None:
         part = exp_amps / (1.0 + lam_s)
-
-        def exact(t):
-            return (u0 - part) * np.exp(-lam_s * np.asarray(t)) + part * np.exp(np.asarray(t))
-
-        coeffs = np.empty((K_fine + 1, nm))
-        for i, t in enumerate(times):
-            coeffs[i] = exact(t)
-        return ModalTrajectories(modes=modes, times=times, coeffs=coeffs, exact=exact)
+        t = times[:, None]
+        coeffs = (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
+        return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
 
     tau = T / K_fine
     if exp_amps is not None:

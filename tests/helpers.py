@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from fracopt import (build_cylinder, build_omega, caputo_weights, graded_axis,
                      make_params, weight_integrals)
-from fracopt.assembly import assemble_stiffness, assemble_trace_mass
+from fracopt.assembly import assemble_stiffness, assemble_trace_mass, omega_matrices
 from fracopt.mesh import default_zeta
 
 
@@ -93,6 +93,35 @@ def check_telescoping(gamma, K):
         assert abs(total - 1.0) <= 1e-12, f"telescoping off at k={k}: {total}"
 
 
+# -- assembled Omega operators: the references for the per-axis applies -----
+
+def control_load_matrix(omega):
+    """Exact integrals int_cell phi_i: maps cell values to vertex loads.
+
+    Shape (n_vertices, n_cells); each cell contributes (h/2)^n to each of
+    its 2^n vertices. The transpose divided by the cell volume is the
+    piecewise-constant projection of a trace function.
+    """
+    contrib = (omega.h / 2.0) ** omega.n
+    ncells, nloc = omega.cells.shape
+    rows = omega.cells.ravel()
+    cols = np.repeat(np.arange(ncells), nloc)
+    vals = np.full(rows.size, contrib)
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(omega.n_vertices, ncells))
+
+
+def M_int(system):
+    """Assembled Q1 mass on the interior Omega vertices: the reference of system.mass."""
+    m_w, _ = omega_matrices(system.mesh.omega)
+    return m_w[system.interior][:, system.interior].tocsr()
+
+
+def B_int(system):
+    """Assembled control loads on the interior vertices: the reference of system.control_loads."""
+    return control_load_matrix(system.mesh.omega)[system.interior].tocsr()
+
+
 # -- assembled sparse path: the reference for the modal step solve -----------
 
 def sparse_step_solver(system):
@@ -105,7 +134,7 @@ def sparse_step_solver(system):
     nf, n_int = mesh.n_free, system.n_interior
     embed = sp.csr_matrix((np.ones(n_int), (system.tpos, np.arange(n_int))),
                           shape=(nf, n_int))
-    step = system.A_free + system.march.c_new * (embed @ system.M_int @ embed.T)
+    step = system.A_free + system.march.c_new * (embed @ M_int(system) @ embed.T)
     solve = spla.factorized(step.tocsc())
 
     def solve_trace(rhs_int):
@@ -119,6 +148,7 @@ def sparse_state_march(system, trace0, loads):
     """Forward L1/backward Euler march by sparse LU; returns (traces, fields)."""
     K = system.grid.K
     solve = sparse_step_solver(system)
+    mass = M_int(system)
     traces = np.empty((K + 1, system.n_interior))
     traces[0] = trace0
     fields = np.zeros((K + 1, system.mesh.n_free))
@@ -130,7 +160,7 @@ def sparse_state_march(system, trace0, loads):
             acc = w.a[k] * traces[0]
             if k >= 1:
                 acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
-        fields[k + 1] = solve(system.march.c_new * (system.M_int @ acc) + loads[k])
+        fields[k + 1] = solve(system.march.c_new * (mass @ acc) + loads[k])
         traces[k + 1] = fields[k + 1][system.tpos]
     return traces, fields
 
@@ -139,6 +169,7 @@ def sparse_adjoint_march(system, loads):
     """Backward march with terminal value zero by sparse LU; returns the traces."""
     K = system.grid.K
     solve = sparse_step_solver(system)
+    mass = M_int(system)
     traces = np.zeros((K + 1, system.n_interior))
     w = system.march.weights
     for j in range(K - 1, -1, -1):
@@ -146,7 +177,7 @@ def sparse_adjoint_march(system, loads):
             acc = traces[j + 1]
         else:
             acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
-        traces[j] = solve(system.march.c_new * (system.M_int @ acc) + loads[j])[system.tpos]
+        traces[j] = solve(system.march.c_new * (mass @ acc) + loads[j])[system.tpos]
     return traces
 
 
@@ -194,19 +225,20 @@ def rel_gap(got, ref):
 def nodal_cost_and_gradient(prob, zvals):
     """(cost, gradient, state, adjoint) of ReducedProblem through the nodal marches.
 
-    The state march, the tracking cost from nodal traces with M_int, the
-    adjoint march driven by M_int tr V - b_ud, and B_int^T applied to the
-    adjoint traces: the reference for the modal evaluation.
+    The nodal state march, the tracking cost from nodal traces with the
+    assembled M_int, the nodal adjoint march driven by M_int tr V - b_ud, and
+    the assembled B_int^T applied to the adjoint traces: the reference for
+    the modal evaluation.
     """
     system = prob.system
     state = prob.state(zvals)
     tr = state.traces[1:]
-    track = float(np.einsum("ki,ki->", tr, (system.M_int @ tr.T).T)
+    track = float(np.einsum("ki,ki->", tr, (M_int(system) @ tr.T).T)
                   - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(prob.c_ud))
     reg = prob.cell_volume * float(np.sum(np.square(zvals)))
     cost = 0.5 * prob.grid.tau * track + 0.5 * prob.mu * prob.grid.tau * reg
     adj = prob.adjoint(state)
-    grad = prob.mu * zvals + (system.B_int.T @ adj.traces[:-1].T).T / prob.cell_volume
+    grad = prob.mu * zvals + (B_int(system).T @ adj.traces[:-1].T).T / prob.cell_volume
     return cost, grad, state, adj
 
 

@@ -150,10 +150,10 @@ def test_criterion_7_duality_identity(gamma):
         zeta = rng.standard_normal((grid.K, mesh.omega.n_cells))
         eta = rng.standard_normal((grid.K, mesh.omega.n_cells))
         V = state_march(system, np.zeros(system.n_interior),
-                        (system.B_int @ zeta.T).T)
-        P = adjoint_march(system, (system.B_int @ eta.T).T)
-        lhs = grid.tau * float(np.sum((system.B_int @ eta.T).T * V.traces[1:]))
-        rhs = grid.tau * float(np.sum(zeta * (system.B_int.T @ P.traces[:-1].T).T))
+                        system.control_loads(zeta))
+        P = adjoint_march(system, system.control_loads(eta))
+        lhs = grid.tau * float(np.sum(system.control_loads(eta) * V.traces[1:]))
+        rhs = grid.tau * float(np.sum(zeta * system.cell_integrals(P.traces[:-1])))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     ok = worst <= 1e-10
     _report(7, ok, f"gamma={gamma}: (tr S0 zeta, eta) = (zeta, tr P(eta)) "

@@ -6,12 +6,12 @@ import scipy.sparse as sp
 
 from fracopt import (TimeGrid, assemble_stiffness, assemble_trace_mass, build_omega,
                      weight_integrals)
-from fracopt.assembly import NonIntegrableWeightError, control_load_matrix, omega_quadrature
+from fracopt.assembly import NonIntegrableWeightError, omega_quadrature
 from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
 from helpers import (build_test_mesh, check_operator_symmetry, check_spd_rayleigh,
-                     check_weight_integrals)
+                     check_weight_integrals, control_load_matrix)
 
 
 def test_weight_integrals_unweighted():

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
+from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
                      UseDelta1Error, apply_discrete_caputo, caputo_weights,
-                     lambda_diagnostic, solve_adjoint, solve_state)
-from fracopt import evolution
+                     lambda_diagnostic, solve_state)
+from fracopt import assembly, evolution
 from fracopt.assembly import assemble_stiffness
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import mode
@@ -163,6 +164,29 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     assert system.A_free is system.A_free
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the system applies 1D factors and assembles no 2D Omega matrix")
+
+    # patched where they are defined and, should it import them, in evolution
+    for module in (assembly, evolution):
+        for name in ("omega_matrices", "control_load_matrix"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    mesh, params = build_test_mesh(n=n, M=5, s=0.4)
+    params = make_params(params.s, gamma, params.truncation_Y)
+    grid = TimeGrid(T=1.0, K=4)
+    system = CylinderSystem(mesh, params, grid, reaction=0.7)
+    md = mode(*([1] * n))
+    v0 = system.initial_field(lambda x: md(x))
+    loads = system.control_loads(np.ones((grid.K, mesh.omega.n_cells)))
+    state_march(system, v0[system.tpos], loads)
+    adjoint_march(system, system.mass(loads))
+    for name in ("M_int", "B", "B_int", "B_int_T"):
+        assert not hasattr(system, name)
+
+
 def test_zero_data_zero_trajectories():
     for gamma in (1.0, 0.5):
         mesh, params = build_test_mesh(n=1, M=4, s=0.5)
@@ -172,7 +196,7 @@ def test_zero_data_zero_trajectories():
                            initial=zero_u0, bounds=WIDE)
         traj = solve_state(data, params, mesh, grid)
         assert np.all(traj.traces == 0.0)
-        adj = solve_adjoint(traj, zero_f, params, mesh, grid)
+        adj = ReducedProblem(data, params, mesh, grid).adjoint(traj)
         assert np.all(adj.traces == 0.0)
 
 
@@ -184,7 +208,7 @@ def test_backward_euler_monotone_decay():
                        initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(data, params, mesh, grid, system=system)
-    norms = [float(tr @ (system.M_int @ tr)) for tr in traj.traces]
+    norms = [float(tr @ system.mass(tr)) for tr in traj.traces]
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
 
@@ -220,7 +244,8 @@ def test_adjoint_zero_when_state_matches_desired():
         k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
         return traj.traces[k] @ basis_int.T
 
-    adj = solve_adjoint(traj, u_d, params, mesh, grid, system=system)
+    data = dataclasses.replace(data, desired_state=u_d)
+    adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
     assert np.max(np.abs(adj.traces)) <= 1e-12 * max(1.0, np.max(np.abs(traj.traces)))
     assert np.all(adj.traces[-1] == 0.0)
 
@@ -238,7 +263,7 @@ def test_adjoint_approximates_manufactured_adjoint():
         z = np.clip(l2_project(man.control, grid, mesh.omega, quad=system.quad),
                     man.a, man.b)
         traj = solve_state(data, params, mesh, grid, control=z, system=system)
-        adj = solve_adjoint(traj, man.desired_state, params, mesh, grid, system=system)
+        adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
         # adjoint history is read at the left endpoints; compare step k with p(t_{k-1})
         shifted = np.vstack([adj.traces[1:], adj.traces[:1] * 0.0])
         err = l2Q_error(shifted, lambda x, t: man.adjoint(x, t), grid, mesh.omega,
@@ -258,10 +283,10 @@ def test_duality_identity(gamma):
         zeta = rng.standard_normal((grid.K, mesh.omega.n_cells))
         eta = rng.standard_normal((grid.K, mesh.omega.n_cells))
         V = state_march(system, np.zeros(system.n_interior),
-                        (system.B_int @ zeta.T).T)
-        P = adjoint_march(system, (system.B_int @ eta.T).T)
-        lhs = grid.tau * float(np.sum((system.B_int @ eta.T).T * V.traces[1:]))
-        rhs = grid.tau * float(np.sum(zeta * (system.B_int.T @ P.traces[:-1].T).T))
+                        system.control_loads(zeta))
+        P = adjoint_march(system, system.control_loads(eta))
+        lhs = grid.tau * float(np.sum(system.control_loads(eta) * V.traces[1:]))
+        rhs = grid.tau * float(np.sum(zeta * system.cell_integrals(P.traces[:-1])))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -275,7 +300,7 @@ def test_stability_constant_across_refinements():
                            initial=lambda x: md(x), bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
         traj = solve_state(data, params, mesh, grid, system=system)
-        sq = np.einsum("ki,ki->k", traj.traces[1:], (system.M_int @ traj.traces[1:].T).T)
+        sq = np.einsum("ki,ki->k", traj.traces[1:], system.mass(traj.traces[1:]))
         lhs = math.sqrt(grid.tau * float(np.sum(sq)))
         # ||u0|| + ||f||_{l2(L2)} with ||f^k|| = |1 + t_k| * ||phi|| = 1 + t_k
         rhs = 1.0 + math.sqrt(grid.tau * float(np.sum((1.0 + grid.nodes[1:]) ** 2)))

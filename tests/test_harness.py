@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ out = study
     assert cfg.K == 8
     assert cfg.tol == 1e-8
     assert cfg.out == "study"
+
+
+def test_config_unknown_keys_raise(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("[experiment]\nkind = conv-space\nM_lists = 4, 6, 8\nfit_lst = 2\n")
+    with pytest.raises(ParameterError, match="M_lists") as info:
+        load_config(path)
+    assert "fit_lst" in str(info.value)
+    assert str(path) in str(info.value)
+    # the undocumented short spellings of the lists are not accepted either
+    for key in ("klist", "mlist", "ylist"):
+        path.write_text(f"[experiment]\n{key} = 4, 6, 8\n")
+        with pytest.raises(ParameterError, match=key):
+            load_config(path)
+    # every key of the shipped configs is known, in any case
+    for cfg in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+        load_config(cfg)
+    path.write_text("[experiment]\nk_LIST = 4, 8\nFIT_LAST = 2\n")
+    cfg = load_config(path)
+    assert cfg.K_list == (4, 8)
+    assert cfg.fit_last == 2
 
 
 def test_conv_time_step_counts_checked_up_front():

@@ -8,7 +8,7 @@ from fracopt import CylinderSystem, ParameterError, TimeGrid, apply_discrete_cap
 from fracopt.evolution import ModalMarch, adjoint_march, impulse_responses, state_march
 from fracopt.problem import make_params
 
-from helpers import (build_test_mesh, recurrence_impulse_responses, rel_gap,
+from helpers import (M_int, build_test_mesh, recurrence_impulse_responses, rel_gap,
                      sparse_adjoint_march, sparse_initial_field, sparse_state_march,
                      sparse_trace_schur)
 
@@ -38,7 +38,7 @@ def test_modal_matches_sparse(n, gamma, c, K=6):
     schur = sparse_trace_schur(system)
     modal = system.to_modal(system.to_modal(schur).T)
     assert rel_gap(modal, np.diag(system.delta)) <= TOL
-    mass = system.to_modal(system.to_modal(system.M_int.toarray()).T)
+    mass = system.to_modal(system.to_modal(M_int(system).toarray()).T)
     assert rel_gap(mass, np.eye(system.n_interior)) <= TOL
 
     v0 = system.initial_field(u0)
@@ -126,15 +126,15 @@ def test_modal_march_rejects_bad_rates(bad, gamma):
 
 
 def check_duality(system, trials):
-    grid, B = system.grid, system.B_int
+    grid = system.grid
     rng = np.random.default_rng(41)
     for _ in range(trials):
         zeta = rng.standard_normal((grid.K, system.mesh.omega.n_cells))
         eta = rng.standard_normal((grid.K, system.mesh.omega.n_cells))
-        V = state_march(system, np.zeros(system.n_interior), (B @ zeta.T).T)
-        P = adjoint_march(system, (B @ eta.T).T)
-        lhs = grid.tau * float(np.sum((B @ eta.T).T * V.traces[1:]))
-        rhs = grid.tau * float(np.sum(zeta * (B.T @ P.traces[:-1].T).T))
+        V = state_march(system, np.zeros(system.n_interior), system.control_loads(zeta))
+        P = adjoint_march(system, system.control_loads(eta))
+        lhs = grid.tau * float(np.sum(system.control_loads(eta) * V.traces[1:]))
+        rhs = grid.tau * float(np.sum(zeta * system.cell_integrals(P.traces[:-1])))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 

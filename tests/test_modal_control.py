@@ -11,7 +11,7 @@ from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import build_test_mesh, nodal_cost_and_gradient, rel_gap
+from helpers import B_int, M_int, build_test_mesh, nodal_cost_and_gradient, rel_gap
 
 
 def make_problem(n, gamma, c):
@@ -50,10 +50,15 @@ def test_control_maps_match_sparse(n, M):
     rng = np.random.default_rng(M)
     z = rng.standard_normal((3, mesh.omega.n_cells))
     p_hat = rng.standard_normal((3, system.n_interior))
-    ref = system.to_modal((system.B_int @ z.T).T)
+    ref = system.to_modal((B_int(system) @ z.T).T)
     assert rel_gap(system.control_to_modal(z), ref) <= 1e-13
-    ref = (system.B_int.T @ system.from_modal(p_hat).T).T
+    ref = (B_int(system).T @ system.from_modal(p_hat).T).T
     assert rel_gap(system.modal_to_control(p_hat), ref) <= 1e-13
+    # the nodal applies of the 1D factors against the assembled matrices
+    x = rng.standard_normal((3, system.n_interior))
+    assert rel_gap(system.mass(x), (M_int(system) @ x.T).T) <= 1e-13
+    assert rel_gap(system.control_loads(z), (B_int(system) @ z.T).T) <= 1e-13
+    assert rel_gap(system.cell_integrals(x), (B_int(system).T @ x.T).T) <= 1e-13
 
 
 def test_solve_forms_nodal_traces_once(monkeypatch):

@@ -55,7 +55,8 @@ def test_spectral_homogeneous_decay():
     out = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 1.0, K_fine=32)
     lam_s = md.lam ** 0.6
     assert np.allclose(out.coeffs[:, 0], np.exp(-lam_s * out.times), rtol=1e-12)
-    assert out.at(0.37)[0] == pytest.approx(math.exp(-lam_s * 0.37), rel=1e-12)
+    out = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 0.37, K_fine=32)
+    assert out.final[0] == pytest.approx(math.exp(-lam_s * 0.37), rel=1e-12)
 
 
 def test_spectral_exponential_forcing_reproduces_exp():
