@@ -8,8 +8,9 @@ on the tensor-product mesh, so every operator is a Kronecker combination of
 one-dimensional factors. The y^alpha factors are integrated in closed form
 per interval (the weight times polynomials of degree <= 2), which stays
 exact down to the y = 0 interval where the weight is singular but
-integrable. The x'-direction uses a 3-point tensor Gauss rule (degree-5
-exact) for data terms; mass and stiffness factors are assembled exactly.
+integrable. Data terms use the 3-point Gauss rule (degree-5 exact) on
+Omega, the tensor power of the 1D rule applied one axis at a time
+(:func:`kron_apply`); mass and stiffness factors are assembled exactly.
 Space-time data are evaluated once per block of time steps
 (:func:`step_blocks`, :func:`time_average`), always at the one
 ``OmegaQuadrature.points`` array of the mesh, so a data callable may keep
@@ -17,7 +18,6 @@ its spatial factor between calls as long as it checks that array.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,24 +135,50 @@ def assemble_trace_mass(mesh: CylinderMesh) -> sp.csr_matrix:
     return sp.kron(m_w, pick, format="csr")
 
 
+def kron_apply(f: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold Kronecker power (n = 1 or 2) of the 1D factor f along the last axis of x.
+
+    For n = 2 that axis holds a row-major lattice X of side f.shape[1],
+    and (f x f) vec(X) = vec(f X f^T).
+    """
+    if n == 1:
+        return x @ f.T
+    rows, cols = f.shape
+    grid = x.reshape(x.shape[:-1] + (cols, cols))
+    return (f @ grid @ f.T).reshape(x.shape[:-1] + (rows * rows,))
+
+
 @dataclass(frozen=True)
 class OmegaQuadrature:
-    """3-point tensor Gauss data on every Omega cell (degree-5 exact).
+    """3-point Gauss rule on every Omega cell (degree-5 exact): a tensor power of the 1D rule.
 
-    ``basis`` holds the vertex basis values at the quadrature points, so
-    loads are ``basis.T @ (weights * f(points))`` and discrete trace values
-    at the points are ``basis @ coefficients``.
+    The 1D rule on the m cells of (0, 1) has 3m points, cell by cell, with
+    weights ``weights1``; ``hats`` (3m, m-1) holds the interior hat
+    functions at those points. The Omega rule lists its
+    (3m)^n points in tensor order, point (a, b) at a 3m + b, as the lattice
+    numbers its vertices and cells. Loads, point values and cell sums are
+    Kronecker powers of 1D factors, applied per axis (:func:`kron_apply`).
     """
 
+    n: int
     points: np.ndarray      # (nq, n)
     weights: np.ndarray     # (nq,)
     cell_of: np.ndarray     # (nq,) cell index of each point
-    basis: sp.csr_matrix    # (nq, n_vertices)
+    weights1: np.ndarray    # (3m,)
+    hats: np.ndarray        # (3m, m-1)
 
-    @functools.cached_property
-    def scatter(self) -> sp.csr_matrix:
-        """Weighted transposed basis (n_vertices, nq), built on first use."""
-        return self.basis.T.multiply(self.weights).tocsr()
+    def loads(self, vals: np.ndarray) -> np.ndarray:
+        """Interior loads sum_q w_q phi_i(x_q) vals_q of point values along the last axis."""
+        return kron_apply(self.hats.T * self.weights1, vals, self.n)
+
+    def values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Point values sum_i coeffs_i phi_i(x_q) of interior coefficients along the last axis."""
+        return kron_apply(self.hats, coeffs, self.n)
+
+    def cell_integrals(self, vals: np.ndarray) -> np.ndarray:
+        """Per-cell weighted sums of point values along the last axis."""
+        cells = np.repeat(np.eye(self.hats.shape[1] + 1), 3, axis=1)
+        return kron_apply(cells * self.weights1, vals, self.n)
 
 
 _GAUSS3_P = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -160,42 +186,21 @@ _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 def omega_quadrature(omega: OmegaMesh) -> OmegaQuadrature:
-    m = omega.cells_per_dim
-    h = omega.h
-    gp, gw = _GAUSS3_P, _GAUSS3_W
-    if omega.n == 1:
-        cells = np.arange(m)
-        pts = (cells[:, None] + gp[None, :]).ravel() * h
-        w = np.tile(gw * h, m)
-        cell_of = np.repeat(cells, gp.size)
-        rows = np.arange(pts.size)
-        xi = np.tile(gp, m)
-        cols = np.stack([omega.cells[cell_of, 0], omega.cells[cell_of, 1]], axis=1)
-        vals = np.stack([1.0 - xi, xi], axis=1)
-        basis = sp.csr_matrix((vals.ravel(),
-                               (np.repeat(rows, 2), cols.ravel())),
-                              shape=(pts.size, omega.n_vertices))
-        return OmegaQuadrature(points=pts[:, None], weights=w,
-                               cell_of=cell_of, basis=basis)
-    # n = 2: tensor 3x3 rule per cell
-    xi, eta = np.meshgrid(gp, gp, indexing="ij")
-    ww = np.outer(gw, gw).ravel() * h * h
-    xi, eta = xi.ravel(), eta.ravel()
-    ncells = omega.n_cells
-    origins = omega.vertices[omega.cells[:, 0]]                  # (ncells, 2)
-    pts = origins[:, None, :] + h * np.stack([xi, eta], axis=1)[None, :, :]
-    pts = pts.reshape(-1, 2)
-    w = np.tile(ww, ncells)
-    cell_of = np.repeat(np.arange(ncells), xi.size)
-    # bilinear basis in cell order [v00, v01, v10, v11]
-    ref = np.stack([(1 - xi) * (1 - eta), (1 - xi) * eta,
-                    xi * (1 - eta), xi * eta], axis=1)          # (9, 4)
-    rows = np.repeat(np.arange(pts.shape[0]), 4)
-    cols = omega.cells[cell_of].ravel()
-    vals = np.tile(ref, (ncells, 1)).ravel()
-    basis = sp.csr_matrix((vals, (rows, cols)),
-                          shape=(pts.shape[0], omega.n_vertices))
-    return OmegaQuadrature(points=pts, weights=w, cell_of=cell_of, basis=basis)
+    m, h, n = omega.cells_per_dim, omega.h, omega.n
+    cell1 = np.repeat(np.arange(m), 3)
+    xi = np.tile(_GAUSS3_P, m)
+    weights1 = np.tile(_GAUSS3_W * h, m)
+    # the two lattice hats of each point's cell; the boundary columns go
+    hats = np.zeros((3 * m, m + 1))
+    hats[np.arange(3 * m), cell1] = 1.0 - xi
+    hats[np.arange(3 * m), cell1 + 1] = xi
+    tensor = lambda v: np.meshgrid(*[v] * n, indexing="ij")
+    points1 = np.linspace(0.0, 1.0, m + 1)[cell1] + h * xi
+    return OmegaQuadrature(
+        n=n, points=np.stack([x.ravel() for x in tensor(points1)], axis=1),
+        weights=np.prod(tensor(weights1), axis=0).ravel(),
+        cell_of=np.ravel_multi_index(tuple(tensor(cell1)), (m,) * n).ravel(),
+        weights1=weights1, hats=hats[:, 1:-1])
 
 
 _GAUSS2_P = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])

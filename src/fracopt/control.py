@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import omega_quadrature, step_blocks, time_average
 from .evolution import (AdjointTrajectory, CylinderSystem, StateTrajectory,
@@ -64,8 +63,7 @@ def control_norm(values: np.ndarray, grid: TimeGrid, omega: OmegaMesh) -> float:
     return math.sqrt(w * float(np.sum(np.square(values))))
 
 
-def l2_project(r, grid: TimeGrid, omega: OmegaMesh, bounds: ControlBounds | None = None,
-               quad=None) -> np.ndarray:
+def l2_project(r, grid: TimeGrid, omega: OmegaMesh, quad=None) -> np.ndarray:
     """L2(Q)-orthogonal projection of an evaluable onto piecewise constants.
 
     Values are the exact means over each space-time cell, computed with the
@@ -74,14 +72,10 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh, bounds: ControlBounds | None
     """
     if quad is None:
         quad = omega_quadrature(omega)
-    n_points = quad.points.shape[0]
-    # (n_points, n_cells): quadrature weight of each point in its cell's sum
-    cell_sum = sp.csr_matrix((quad.weights, (np.arange(n_points), quad.cell_of)),
-                             shape=(n_points, omega.n_cells))
     out = np.empty((grid.K, omega.n_cells))
-    for steps, t0, t1 in step_blocks(grid, n_points):
+    for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
         vals = time_average(r, quad.points, t0, t1, "exact solution")
-        out[steps] = (vals @ cell_sum) / omega.cell_volume
+        out[steps] = quad.cell_integrals(vals) / omega.cell_volume
     return out
 
 
@@ -129,16 +123,15 @@ class ReducedProblem:
         self.cell_volume = mesh.omega.cell_volume
         self.weight = grid.tau * self.cell_volume
 
-        self.b_f = forcing_loads(data.forcing, grid, mesh, sysm.quad, sysm.interior)
+        quad = sysm.quad
+        self.b_f = forcing_loads(data.forcing, grid, quad)
         # loads <u_d^k, phi_i> and the constant term int (u_d^k)^2 from one
         # evaluation of u_d per block of steps, with the quadrature of forcing_loads
-        quad = sysm.quad
-        scatter = quad.scatter[sysm.interior]
         self.b_ud = np.empty((grid.K, sysm.n_interior))
         self.c_ud = np.empty(grid.K)
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
             vals = time_average(data.desired_state, quad.points, t0, t1, "desired state")
-            self.b_ud[steps] = (scatter @ vals.T).T
+            self.b_ud[steps] = quad.loads(vals)
             self.c_ud[steps] = np.square(vals) @ quad.weights
         self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
 

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (OmegaQuadrature, assemble_stiffness, omega_quadrature,
-                       step_blocks, time_average, weight_integrals)
+from .assembly import (OmegaQuadrature, assemble_stiffness, kron_apply,
+                       omega_quadrature, step_blocks, time_average, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
 
@@ -306,10 +306,11 @@ class CylinderSystem:
     per mode.
 
     Every Omega operator is kept as its 1D factor on the uniform partition
-    with m cells and applied per axis as its n-fold Kronecker power: the
-    modes ``phi``, the interior P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the
-    (m-1) x m hat-over-cell matrix ``b1`` (entries h/2) and the modal control
-    factor ``c1`` = phi^T b1. So :meth:`mass` applies the interior mass
+    with m cells and applied per axis as its n-fold Kronecker power
+    (:func:`~fracopt.assembly.kron_apply`): the modes ``phi``, the interior
+    P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the (m-1) x m hat-over-cell
+    matrix ``b1`` (entries h/2) and the modal control factor ``c1`` =
+    phi^T b1. So :meth:`mass` applies the interior mass
     M_int, :meth:`control_loads` the control loads B_int and
     :meth:`cell_integrals` B_int^T; no 2D Omega matrix is assembled. No
     march reads the assembled free-node stiffness ``A_free``: it is
@@ -324,6 +325,7 @@ class CylinderSystem:
         self.grid = grid
         self.reaction = reaction
 
+        self.n = mesh.omega.n
         self.quad = omega_quadrature(mesh.omega)
         self.interior = mesh.omega.interior_idx
         self.tpos = mesh.trace_free_pos
@@ -348,45 +350,33 @@ class CylinderSystem:
     def n_interior(self) -> int:
         return self.interior.size
 
-    def _per_axis(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The n-fold Kronecker power of the 1D factor f, applied along the last axis of x.
-
-        For n = 2 that axis holds a row-major lattice X of side f.shape[1],
-        and (f x f) vec(X) = vec(f X f^T).
-        """
-        if self.mesh.omega.n == 1:
-            return x @ f.T
-        rows, cols = f.shape
-        grid = x.reshape(x.shape[:-1] + (cols, cols))
-        return (f @ grid @ f.T).reshape(x.shape[:-1] + (rows * rows,))
-
     def to_modal(self, loads: np.ndarray) -> np.ndarray:
         """Modal coefficients phi_i . l of interior loads along the last axis."""
-        return self._per_axis(self.phi.T, loads)
+        return kron_apply(self.phi.T, loads, self.n)
 
     def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
         """Interior nodal values sum_i coeffs_i phi_i along the last axis."""
-        return self._per_axis(self.phi, coeffs)
+        return kron_apply(self.phi, coeffs, self.n)
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
         """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
-        return self._per_axis(self.c1, z)
+        return kron_apply(self.c1, z, self.n)
 
     def modal_to_control(self, coeffs: np.ndarray) -> np.ndarray:
         """B_int^T from_modal(coeffs) along the last axis: the transpose of control_to_modal."""
-        return self._per_axis(self.c1.T, coeffs)
+        return kron_apply(self.c1.T, coeffs, self.n)
 
     def mass(self, x: np.ndarray) -> np.ndarray:
         """M_int x: the interior Omega mass applied to interior values along the last axis."""
-        return self._per_axis(self.m1, x)
+        return kron_apply(self.m1, x, self.n)
 
     def control_loads(self, z: np.ndarray) -> np.ndarray:
         """B_int z: interior loads sum_c z_c int_c phi_i of cell values along the last axis."""
-        return self._per_axis(self.b1, z)
+        return kron_apply(self.b1, z, self.n)
 
     def cell_integrals(self, trace: np.ndarray) -> np.ndarray:
         """B_int^T tr: per-cell integrals of interior trace values along the last axis."""
-        return self._per_axis(self.b1.T, trace)
+        return kron_apply(self.b1.T, trace, self.n)
 
     def field(self, coeffs: np.ndarray) -> np.ndarray:
         """Free-node fields sum_i coeffs_i phi_i x psi_i of trace coefficients.
@@ -490,19 +480,16 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajector
     return AdjointTrajectory(traces=traces, grid=system.grid)
 
 
-def forcing_loads(f, grid: TimeGrid, mesh: CylinderMesh,
-                  quad: OmegaQuadrature, interior: np.ndarray,
+def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature,
                   what: str = "forcing") -> np.ndarray:
     """Interior-node loads of the step averages f^{k+1}, k = 0..K-1.
 
     f is evaluated once per block of steps (:func:`step_blocks`); ``what``
     names it in data errors.
     """
-    out = np.empty((grid.K, interior.size))
-    # (S V^T)^T is what V @ S^T computes, without transposing S on every block
-    scatter = quad.scatter[interior]
+    out = np.empty((grid.K, quad.hats.shape[1] ** quad.n))
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        out[steps] = (scatter @ time_average(f, quad.points, t0, t1, what).T).T
+        out[steps] = quad.loads(time_average(f, quad.points, t0, t1, what))
     return out
 
 
@@ -517,7 +504,7 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
     """
     if system is None:
         system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
-    loads = forcing_loads(data.forcing, grid, mesh, system.quad, system.interior)
+    loads = forcing_loads(data.forcing, grid, system.quad)
     if control is not None:
         zvals = np.asarray(getattr(control, "values", control), dtype=float)
         if zvals.shape != (grid.K, mesh.omega.n_cells):

@@ -93,6 +93,7 @@ def load_config(path) -> ExperimentConfig:
     Keys are the CLI flag names (``max_iter`` and ``fit_last`` with
     underscores) plus ``kind``, ``s_list``, ``K_list``, ``M_list`` and
     ``Y_list``, in any case. An unknown key raises ParameterError naming it
+    and the file; a value that does not parse, naming its key, the value
     and the file.
     """
     parser = configparser.ConfigParser()
@@ -109,7 +110,11 @@ def load_config(path) -> ExperimentConfig:
     kwargs = {}
     for key, value in merged.items():
         name, parse = _CONFIG_KEYS[key.lower()]
-        kwargs[name] = parse(value)
+        try:
+            kwargs[name] = parse(value)
+        except ValueError:
+            raise ParameterError(f"config key {key!r} has invalid value {value!r} "
+                                 f"in {path}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -157,8 +162,7 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
         if discrete.shape != (K + 1, interior.size):
             raise ParameterError(
                 f"state history must have shape {(K + 1, interior.size)}, got {discrete.shape}")
-        basis = quad.basis[:, interior]
-        values = lambda steps: (basis @ discrete[1:][steps].T).T
+        values = lambda steps: quad.values(discrete[1:][steps])
     elif kind == "control":
         if discrete.shape != (K, omega.n_cells):
             raise ParameterError(

@@ -1,5 +1,6 @@
 """Shared check routines used by the unit tests and the acceptance suite."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,6 +121,72 @@ def M_int(system):
 def B_int(system):
     """Assembled control loads on the interior vertices: the reference of system.control_loads."""
     return control_load_matrix(system.mesh.omega)[system.interior].tocsr()
+
+
+# -- assembled quadrature: the reference for the per-axis rule ---------------
+
+_GAUSS3_P = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
+_GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+
+
+@dataclass(frozen=True)
+class AssembledQuadrature:
+    """3-point tensor Gauss data on every Omega cell, points listed cell by cell.
+
+    ``basis`` holds the vertex basis values at the quadrature points, so
+    loads are ``basis.T @ (weights * f(points))`` and discrete trace values
+    at the points are ``basis @ coefficients``.
+    """
+
+    points: np.ndarray      # (nq, n)
+    weights: np.ndarray     # (nq,)
+    cell_of: np.ndarray     # (nq,) cell index of each point
+    basis: sp.csr_matrix    # (nq, n_vertices)
+
+    @property
+    def scatter(self) -> sp.csr_matrix:
+        """Weighted transposed basis (n_vertices, nq)."""
+        return self.basis.T.multiply(self.weights).tocsr()
+
+
+def assembled_quadrature(omega):
+    """The sparse-basis Omega quadrature: the reference of OmegaQuadrature."""
+    m = omega.cells_per_dim
+    h = omega.h
+    gp, gw = _GAUSS3_P, _GAUSS3_W
+    if omega.n == 1:
+        cells = np.arange(m)
+        pts = (cells[:, None] + gp[None, :]).ravel() * h
+        w = np.tile(gw * h, m)
+        cell_of = np.repeat(cells, gp.size)
+        rows = np.arange(pts.size)
+        xi = np.tile(gp, m)
+        cols = np.stack([omega.cells[cell_of, 0], omega.cells[cell_of, 1]], axis=1)
+        vals = np.stack([1.0 - xi, xi], axis=1)
+        basis = sp.csr_matrix((vals.ravel(),
+                               (np.repeat(rows, 2), cols.ravel())),
+                              shape=(pts.size, omega.n_vertices))
+        return AssembledQuadrature(points=pts[:, None], weights=w,
+                                   cell_of=cell_of, basis=basis)
+    # n = 2: tensor 3x3 rule per cell
+    xi, eta = np.meshgrid(gp, gp, indexing="ij")
+    ww = np.outer(gw, gw).ravel() * h * h
+    xi, eta = xi.ravel(), eta.ravel()
+    ncells = omega.n_cells
+    origins = omega.vertices[omega.cells[:, 0]]                  # (ncells, 2)
+    pts = origins[:, None, :] + h * np.stack([xi, eta], axis=1)[None, :, :]
+    pts = pts.reshape(-1, 2)
+    w = np.tile(ww, ncells)
+    cell_of = np.repeat(np.arange(ncells), xi.size)
+    # bilinear basis in cell order [v00, v01, v10, v11]
+    ref = np.stack([(1 - xi) * (1 - eta), (1 - xi) * eta,
+                    xi * (1 - eta), xi * eta], axis=1)          # (9, 4)
+    rows = np.repeat(np.arange(pts.shape[0]), 4)
+    cols = omega.cells[cell_of].ravel()
+    vals = np.tile(ref, (ncells, 1)).ravel()
+    basis = sp.csr_matrix((vals, (rows, cols)),
+                          shape=(pts.shape[0], omega.n_vertices))
+    return AssembledQuadrature(points=pts, weights=w, cell_of=cell_of, basis=basis)
 
 
 # -- assembled sparse path: the reference for the modal step solve -----------
@@ -254,16 +321,18 @@ def step_average(f, points, k, tau):
     return 0.5 * (np.asarray(f(points, ta)) + np.asarray(f(points, tb)))
 
 
-def loop_forcing_loads(f, grid, quad, interior):
+def loop_forcing_loads(f, grid, omega):
     """Interior loads of the step averages, one step at a time."""
+    quad, interior = assembled_quadrature(omega), omega.interior_idx
     out = np.empty((grid.K, interior.size))
     for k in range(grid.K):
         out[k] = (quad.scatter @ step_average(f, quad.points, k, grid.tau))[interior]
     return out
 
 
-def loop_desired_state_data(u_d, grid, quad, interior):
+def loop_desired_state_data(u_d, grid, omega):
     """(b_ud, c_ud) of ReducedProblem, one step at a time."""
+    quad, interior = assembled_quadrature(omega), omega.interior_idx
     b_ud = np.empty((grid.K, interior.size))
     c_ud = np.empty(grid.K)
     for k in range(grid.K):
@@ -273,8 +342,9 @@ def loop_desired_state_data(u_d, grid, quad, interior):
     return b_ud, c_ud
 
 
-def loop_l2_project(r, grid, omega, quad):
+def loop_l2_project(r, grid, omega):
     """Space-time cell means of r, one step at a time."""
+    quad = assembled_quadrature(omega)
     out = np.empty((grid.K, omega.n_cells))
     for k in range(grid.K):
         vals = step_average(r, quad.points, k, grid.tau)
@@ -283,8 +353,9 @@ def loop_l2_project(r, grid, omega, quad):
     return out
 
 
-def loop_l2Q_error(discrete, exact, grid, omega, kind, quad):
+def loop_l2Q_error(discrete, exact, grid, omega, kind):
     """l2(L2) distance to exact(., t_k), one step at a time."""
+    quad = assembled_quadrature(omega)
     acc = 0.0
     basis_int = quad.basis[:, omega.interior_idx].tocsr()
     for k in range(1, grid.K + 1):

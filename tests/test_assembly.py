@@ -10,8 +10,8 @@ from fracopt.assembly import NonIntegrableWeightError, omega_quadrature
 from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
-from helpers import (build_test_mesh, check_operator_symmetry, check_spd_rayleigh,
-                     check_weight_integrals, control_load_matrix)
+from helpers import (assembled_quadrature, build_test_mesh, check_operator_symmetry,
+                     check_spd_rayleigh, check_weight_integrals, control_load_matrix)
 
 
 def test_weight_integrals_unweighted():
@@ -142,9 +142,14 @@ def test_trace_mass_row_sums_2d():
 
 
 def vertex_loads(f, grid, mesh):
-    """Loads of the step averages of f at every Omega vertex, steps 0..K-1."""
-    all_vertices = np.arange(mesh.omega.n_vertices)
-    return forcing_loads(f, grid, mesh, omega_quadrature(mesh.omega), all_vertices)
+    """Loads of the step averages of f at every Omega vertex, steps 0..K-1.
+
+    The interior entries come from forcing_loads; the boundary vertices,
+    which carry no load, stay zero.
+    """
+    out = np.zeros((grid.K, mesh.omega.n_vertices))
+    out[:, mesh.omega.interior_idx] = forcing_loads(f, grid, omega_quadrature(mesh.omega))
+    return out
 
 
 def test_load_zero_and_constant():
@@ -155,8 +160,13 @@ def test_load_zero_and_constant():
     one = vertex_loads(lambda x, t: np.ones(np.atleast_2d(x).shape[0]), grid, mesh)[2]
     Mt = assemble_trace_mass(mesh)
     rowsums = np.asarray(Mt[mesh.trace_global].sum(axis=1)).ravel()
-    assert np.allclose(one, rowsums, atol=1e-13)
-    assert float(one.sum()) == pytest.approx(1.0, abs=1e-13)
+    interior = mesh.omega.interior_idx
+    assert np.allclose(one[interior], rowsums[interior], atol=1e-13)
+    # the loads at all vertices, boundary included, from the assembled oracle
+    oracle = assembled_quadrature(mesh.omega)
+    one_all = oracle.scatter @ np.ones(oracle.points.shape[0])
+    assert np.allclose(one_all, rowsums, atol=1e-13)
+    assert float(one_all.sum()) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_load_against_adaptive_quadrature():
@@ -202,8 +212,44 @@ def test_control_load_matrix_exact_means():
     B = control_load_matrix(om)
     # loads of the constant-one control equal int phi_i over Omega
     ones = np.ones(om.n_cells)
-    quad = omega_quadrature(om)
+    quad = assembled_quadrature(om)
     ref = quad.scatter @ np.ones(quad.points.shape[0])
     assert np.allclose(B @ ones, ref, atol=1e-14)
     # column sums are the cell volumes
     assert np.allclose(np.asarray(B.sum(axis=0)).ravel(), om.cell_volume, atol=1e-15)
+
+
+def _matches(got, want, rtol=1e-14):
+    """Same shape, entrywise within rtol of the largest reference entry (empty allowed)."""
+    assert got.shape == want.shape
+    gap = np.max(np.abs(got - want), initial=0.0)
+    assert gap <= rtol * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 2])
+def test_tensor_quadrature_matches_assembled_oracle(n, M):
+    om = build_omega(n, M)
+    quad, ref = omega_quadrature(om), assembled_quadrature(om)
+    assert quad.hats.shape == (3 * M, M - 1)
+    # the same (point, weight, cell) triples, in tensor instead of cell order
+    order = np.lexsort(quad.points.T[::-1])
+    ref_order = np.lexsort(ref.points.T[::-1])
+    np.testing.assert_allclose(quad.points[order], ref.points[ref_order], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(quad.weights[order], ref.weights[ref_order], rtol=1e-15, atol=0)
+    assert np.array_equal(quad.cell_of[order], ref.cell_of[ref_order])
+    # ref_of[q]: the oracle's number of the point numbered q in tensor order
+    ref_of = np.empty_like(order)
+    ref_of[order] = ref_order
+
+    rng = np.random.default_rng(10 * n + M)
+    interior = om.interior_idx
+    vals = rng.standard_normal((3, quad.points.shape[0]))
+    ref_vals = np.empty_like(vals)
+    ref_vals[:, ref_of] = vals
+    _matches(quad.loads(vals), (ref.scatter[interior] @ ref_vals.T).T)
+    coeffs = rng.standard_normal((3, interior.size))
+    _matches(quad.values(coeffs), (ref.basis[:, interior] @ coeffs.T).T[:, ref_of])
+    cell_sum = sp.csr_matrix((ref.weights, (np.arange(ref.weights.size), ref.cell_of)),
+                             shape=(ref.weights.size, om.n_cells))
+    _matches(quad.cell_integrals(vals), ref_vals @ cell_sum)

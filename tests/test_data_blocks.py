@@ -38,14 +38,14 @@ def test_batched_data_matches_step_loops(n, gamma, steps):
     prob = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
     quad, interior, omega = prob.system.quad, prob.system.interior, mesh.omega
 
-    ref_f = loop_forcing_loads(man.forcing, grid, quad, interior)
-    assert rel_gap(forcing_loads(man.forcing, grid, mesh, quad, interior), ref_f) <= 1e-13
+    ref_f = loop_forcing_loads(man.forcing, grid, omega)
+    assert rel_gap(forcing_loads(man.forcing, grid, quad), ref_f) <= 1e-13
     assert rel_gap(prob.b_f, ref_f) <= 1e-13
-    b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, quad, interior)
+    b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, omega)
     assert rel_gap(prob.b_ud, b_ud) <= 1e-13
     assert rel_gap(prob.c_ud, c_ud) <= 1e-13
     assert rel_gap(l2_project(man.control, grid, omega, quad=quad),
-                   loop_l2_project(man.control, grid, omega, quad)) <= 1e-13
+                   loop_l2_project(man.control, grid, omega)) <= 1e-13
 
     rng = np.random.default_rng(K)
     state = rng.uniform(-1.0, 1.0, (K + 1, interior.size))
@@ -53,7 +53,7 @@ def test_batched_data_matches_step_loops(n, gamma, steps):
     for kind, discrete, exact in (("state", state, man.state),
                                   ("control", control, man.control)):
         got = l2Q_error(discrete, exact, grid, omega, kind=kind, quad=quad)
-        ref = loop_l2Q_error(discrete, exact, grid, omega, kind, quad)
+        ref = loop_l2Q_error(discrete, exact, grid, omega, kind)
         assert math.isclose(got, ref, rel_tol=1e-13), kind
 
 

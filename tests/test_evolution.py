@@ -7,12 +7,13 @@ import pytest
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
                      UseDelta1Error, apply_discrete_caputo, caputo_weights,
                      lambda_diagnostic, solve_state)
-from fracopt import assembly, evolution
+from fracopt import assembly, control, evolution
 from fracopt.assembly import assemble_stiffness
+from fracopt.control import l2_project, solve_control_problem
 from fracopt.evolution import adjoint_march, state_march
-from fracopt.oracle import mode
+from fracopt.oracle import manufactured_problem, mode
 from fracopt.problem import ParameterError, make_params
-from fracopt.harness import build_setup, l2Q_error
+from fracopt.harness import build_setup, l2Q_error, manufactured_data
 
 from helpers import build_test_mesh, check_telescoping
 
@@ -164,6 +165,11 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     assert system.A_free is system.A_free
 
 
+class _NoSparse:
+    def __getattr__(self, name):
+        raise AssertionError(f"the solve path called scipy.sparse.{name}")
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2])
 def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
@@ -174,6 +180,9 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     for module in (assembly, evolution):
         for name in ("omega_matrices", "control_load_matrix"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    # and no sparse matrix anywhere on the way from data to errors
+    monkeypatch.setattr(assembly, "sp", _NoSparse())
+    monkeypatch.setattr(control, "sp", _NoSparse(), raising=False)
     mesh, params = build_test_mesh(n=n, M=5, s=0.4)
     params = make_params(params.s, gamma, params.truncation_Y)
     grid = TimeGrid(T=1.0, K=4)
@@ -185,6 +194,15 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     adjoint_march(system, system.mass(loads))
     for name in ("M_int", "B", "B_int", "B_int_T"):
         assert not hasattr(system, name)
+
+    man = manufactured_problem(params.s, 1.0, 1.0, gamma=gamma, n=n)
+    data = manufactured_data(man, 1.0)
+    # builds its own ReducedProblem
+    result = solve_control_problem(data, params, mesh, grid, max_iter=3)
+    z = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
+    traj = solve_state(data, params, mesh, grid, control=z)
+    l2Q_error(traj.traces, man.state, grid, mesh.omega)
+    l2Q_error(result.control.values, man.control, grid, mesh.omega, kind="control")
 
 
 def test_zero_data_zero_trajectories():
@@ -236,13 +254,10 @@ def test_adjoint_zero_when_state_matches_desired():
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(data, params, mesh, grid, system=system)
 
-    interior = mesh.omega.interior_idx
-    basis_int = system.quad.basis[:, interior].tocsr()
-
     def u_d(x, t):
         # piecewise-constant-in-time interpolant of the discrete trace
         k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
-        return traj.traces[k] @ basis_int.T
+        return system.quad.values(traj.traces[k])
 
     data = dataclasses.replace(data, desired_state=u_d)
     adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
@@ -251,8 +266,6 @@ def test_adjoint_zero_when_state_matches_desired():
 
 
 def test_adjoint_approximates_manufactured_adjoint():
-    from fracopt.oracle import manufactured_problem
-    from fracopt.control import l2_project
     errs = []
     for (M, K) in ((4, 8), (8, 16)):
         man = manufactured_problem(0.5, 1.0, 1.0, n=2)

@@ -149,6 +149,18 @@ def test_config_unknown_keys_raise(tmp_path):
     assert cfg.fit_last == 2
 
 
+@pytest.mark.parametrize("entry", ["K = eight", "gamma = half", "M_list = 4, six",
+                                   "fit_last = 2.5"])
+def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[experiment]\nkind = conv-space\n{entry}\n")
+    key, value = (part.strip() for part in entry.split("="))
+    with pytest.raises(ParameterError) as info:
+        load_config(path)
+    message = str(info.value)
+    assert repr(key) in message and repr(value) in message and str(path) in message
+
+
 def test_conv_time_step_counts_checked_up_front():
     # 3 does not divide the reference 8 * 8 = 64: rejected before any solve
     with pytest.raises(ParameterError, match="do not divide"):

@@ -1,8 +1,9 @@
-"""No library module imports a name it never uses.
+"""No library module imports a name it never uses or takes a parameter it never reads.
 
 Each ``src/fracopt`` module except the package's ``__init__.py`` (which
 imports to re-export) is parsed with ``ast``; every name bound by an import
-must be read somewhere in the module.
+must be read somewhere in the module. Every parameter of every ``def`` in
+``src/fracopt`` must be read in the function's body.
 """
 import ast
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracopt"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -35,3 +37,37 @@ def test_detector_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_parameters(source: str) -> list:
+    """``"function(parameter)"`` for each parameter of a def in ``source`` never read in its body.
+
+    ``self``, ``cls`` and names starting with ``_`` are skipped, and so are
+    lambdas: data callables take ``(x, t)`` whether or not they read ``t``.
+    A read inside a nested function counts for the enclosing one.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({p})" for p in params
+                  if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return found
+
+
+def test_detector_finds_unused_parameters():
+    source = ("def f(a, b, *args, c=1, **kw):\n    b = 0\n    return a + c + len(kw)\n"
+              "class C:\n    def m(self, x, _y):\n        def inner(z):\n"
+              "            return x\n        return inner\n"
+              "g = lambda x, t: x\n")
+    assert unused_parameters(source) == ["f(b)", "f(args)", "inner(z)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_functions_read_every_parameter(path):
+    assert unused_parameters(path.read_text()) == []
