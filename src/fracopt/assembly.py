@@ -18,6 +18,7 @@ its spatial factor between calls as long as it checks that array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,10 @@ def _factor_matrices_1d(m: int):
 def omega_matrices(omega: OmegaMesh):
     """Mass and stiffness on the Omega lattice (all vertices, Q1 elements)."""
     m1, s1 = _factor_matrices_1d(omega.cells_per_dim)
-    if omega.n == 1:
-        return m1, s1
-    mass = sp.kron(m1, m1, format="csr")
-    stiff = (sp.kron(s1, m1) + sp.kron(m1, s1)).tocsr()
+    mass, stiff = m1, s1
+    for _ in range(omega.n - 1):
+        mass, stiff = (sp.kron(mass, m1, format="csr"),
+                       (sp.kron(stiff, m1) + sp.kron(mass, s1)).tocsr())
     return mass, stiff
 
 
@@ -136,16 +137,17 @@ def assemble_trace_mass(mesh: CylinderMesh) -> sp.csr_matrix:
 
 
 def kron_apply(f: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold Kronecker power (n = 1 or 2) of the 1D factor f along the last axis of x.
+    """The n-fold Kronecker power of the 1D factor f along the last axis of x.
 
-    For n = 2 that axis holds a row-major lattice X of side f.shape[1],
-    and (f x f) vec(X) = vec(f X f^T).
+    That axis holds a row-major lattice of n axes of side f.shape[1]; f is
+    applied along each in turn, the last first (sizes explicit: f is empty at M = 1).
     """
-    if n == 1:
-        return x @ f.T
     rows, cols = f.shape
-    grid = x.reshape(x.shape[:-1] + (cols, cols))
-    return (f @ grid @ f.T).reshape(x.shape[:-1] + (rows * rows,))
+    lead = x.shape[:-1]
+    y = x.reshape(math.prod(lead) * cols ** (n - 1), cols) @ f.T
+    for j in range(n - 2, -1, -1):
+        y = f @ y.reshape(lead + (cols ** j, cols, rows ** (n - 1 - j)))
+    return y.reshape(lead + (rows ** n,))
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,10 @@ class OmegaQuadrature:
 
     The 1D rule on the m cells of (0, 1) has 3m points, cell by cell, with
     weights ``weights1``; ``hats`` (3m, m-1) holds the interior hat
-    functions at those points. The Omega rule lists its
-    (3m)^n points in tensor order, point (a, b) at a 3m + b, as the lattice
-    numbers its vertices and cells. Loads, point values and cell sums are
-    Kronecker powers of 1D factors, applied per axis (:func:`kron_apply`).
+    functions at those points. The Omega rule lists its (3m)^n points in
+    row-major tensor order, the last axis fastest, as the lattice numbers its
+    vertices and cells. Loads, point values and cell sums are Kronecker
+    powers of 1D factors, applied per axis (:func:`kron_apply`).
     """
 
     n: int

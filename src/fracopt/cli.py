@@ -30,7 +30,7 @@ def _add_common_flags(sp):
     sp.add_argument("--zeta", type=float, help="grading exponent override")
     sp.add_argument("--Y", dest="Y", help="cylinder height (comma list for truncation)")
     sp.add_argument("--tol", type=float, help="projected-gradient tolerance")
-    sp.add_argument("--n", type=int, help="spatial dimension (1 or 2)")
+    sp.add_argument("--n", type=int, help="spatial dimension n >= 1 of Omega = (0,1)^n")
     sp.add_argument("--max-iter", type=int, dest="max_iter")
     sp.add_argument("--fit-last", type=int, dest="fit_last",
                     help="number of trailing levels for slope fits")

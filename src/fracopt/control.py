@@ -8,16 +8,16 @@ index k-1 (the adjoint sequence read in reversed time).
 
 The optimizer runs in modal trace coefficients. The interior mass M_int and
 the control loads B_int are the Kronecker powers of the 1D factors m1 =
-(h/6) tridiag(1, 4, 1) and b1 ((m-1) x m, entries h/2), and Phi = phi x phi
-(phi for n = 1) holds the M_Omega-orthonormal lattice modes, phi^T m1 phi =
-I (see :mod:`fracopt.evolution`). With a trace tr = Phi w_hat and b_hat =
-Phi^T b for any interior load b, Parseval gives the tracking cost
+(h/6) tridiag(1, 4, 1) and b1 ((m-1) x m, entries h/2), and Phi, the n-fold
+Kronecker power of phi, holds the M_Omega-orthonormal lattice modes,
+phi^T m1 phi = I (see :mod:`fracopt.evolution`). With a trace tr = Phi w_hat
+and b_hat = Phi^T b for any interior load b, Parseval gives the tracking cost
 
     tau/2 sum_k (|w_hat^k|^2 - 2 <w_hat^k, b_ud_hat^k> + c_ud^k),
 
-and the adjoint load (m1 x m1) tr V - b_ud becomes w_hat - b_ud_hat. The
-control loads enter as Phi^T (b1 x b1) z = c1 Z c1^T per axis, with c1 =
-phi^T b1, and the gradient's (b1 x b1)^T Phi p_hat is c1^T P_hat c1. So a
+and the adjoint load M_int tr V - b_ud becomes w_hat - b_ud_hat. The
+control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
+axis, and the gradient's B_int^T Phi p_hat is the power of c1^T. So a
 cost-and-gradient evaluation does one state and one adjoint march and no
 nodal transform; :meth:`ReducedProblem.trajectories` forms the nodal traces
 once, for the result.
@@ -97,16 +97,18 @@ class ReducedProblem:
     Phi^T b_ud, w0_hat = Phi^T M_int tr V^0 and sum_k c_ud^k.
     :meth:`cost_and_gradient` stays in modal trace coefficients:
 
-    1. w_hat = T^{-1}(b_f_hat + c1 Z c1^T; w0_hat), one state march;
+    1. w_hat = T^{-1}(b_f_hat + C1 z; w0_hat), one state march;
     2. J = tau/2 (|w_hat|^2 - 2 <w_hat, b_ud_hat> + sum_k c_ud^k)
        + mu tau |cell|/2 |z|^2, by Parseval (Phi^T M_int Phi = I);
     3. p_hat = T^{-T}(w_hat - b_ud_hat), one adjoint march;
-    4. grad = mu z + c1^T P_hat c1/|cell|,
+    4. grad = mu z + C1^T p_hat/|cell|,
 
-    and returns (J, grad, w_hat, p_hat); c1 = phi^T B1 is the modal factor
-    of the control loads (:meth:`CylinderSystem.control_to_modal`). Nodal
-    traces are formed by :meth:`trajectories`, and by :meth:`state` and
-    :meth:`adjoint`, which run the nodal marches.
+    and returns (J, grad, w_hat, p_hat); C1 = Phi^T B_int, the n-fold power
+    of c1 = phi^T b1, is the modal map of the control loads
+    (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
+    :meth:`trajectories`, and by :meth:`state` and :meth:`adjoint`, which
+    run the nodal marches. A ``system`` built for another time grid raises
+    ParameterError.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -116,6 +118,8 @@ class ReducedProblem:
         self.params = params
         self.mesh = mesh
         self.grid = grid
+        if system is not None and system.grid != grid:
+            raise ParameterError(f"system was built for the time grid {system.grid}, not {grid}")
         self.system = system or CylinderSystem(mesh, params, grid, reaction=data.reaction)
         sysm = self.system
         self.bounds = data.bounds

@@ -2,8 +2,7 @@
 
 For gamma = 1 the step operator is backward Euler; for gamma in (0, 1) it is
 the L1 scheme with weights a_j = (j+1)^{1-gamma} - j^{1-gamma}. Only trace
-values enter the fractional memory, so the marches keep trace histories
-and form cylinder fields only on request.
+values enter the fractional memory, so the marches keep trace histories.
 
 Every step solves the same cylinder system, and the marches solve it by
 fast diagonalization (Lynch-Rice-Thomas) in the M_Omega-orthonormal
@@ -14,12 +13,12 @@ eigenpairs are closed-form:
     phi_k(j)  = sqrt(2/(m mu_k)) sin(j k pi/m),     mu_k = h (2 + cos theta_k)/3,
     lambda_k  = 6 (1 - cos theta_k) / (h^2 (2 + cos theta_k)),
 
-and for n = 2 the Q1 modes are products phi_k x phi_l with eigenvalue
-lambda_k + lambda_l, applied one axis at a time. The elements are tensor
-products, so every Omega operator the solver needs (the modes, the
-interior mass, the control loads and their transpose) is the n-fold
-Kronecker power of a 1D factor: :class:`CylinderSystem` keeps the 1D
-factors only and applies them per axis. In this basis the step
+and on (0, 1)^n the Q1 modes are the products phi_k1 x ... x phi_kn with
+eigenvalue lambda_k1 + ... + lambda_kn. The elements are tensor products,
+so every Omega operator the solver needs (the modes, the interior mass,
+the control loads and their transpose) is the n-fold Kronecker power of a
+1D factor: :class:`CylinderSystem` keeps the 1D factors only and applies
+them one axis at a time. In this basis the step
 matrix splits into one tridiagonal axis problem per mode i,
 
     T_i = ((lambda_i + c) M_y + S_y)/d_s  on axis nodes 0..M-1,  plus c_new at (0, 0),
@@ -27,8 +26,8 @@ matrix splits into one tridiagonal axis problem per mode i,
 and eliminating the axis nodes above y = 0 leaves the scalar recurrence
 w_i^{k+1} = (c_new hist_i^k + l_i^k)/(c_new + delta_i), with delta_i the
 Schur complement of T_i onto y = 0. This holds only for the supported
-case: the unit interval or square, the uniform lattice, A = I and a
-constant reaction c >= 0.
+case: the unit cube (0, 1)^n, the uniform lattice, A = I and a constant
+reaction c >= 0.
 
 Per mode the whole march is one lower-triangular Toeplitz solve in time
 (see :class:`ModalMarch`): with x_k = w_i^{k+1} and d_j = a_j - a_{j+1},
@@ -215,8 +214,12 @@ class ModalMarch:
     def solve(self, g: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes).
 
-        Returns a new (K, n_modes) array, not a view of a work buffer.
+        Returns a new (K, n_modes) array, not a view of a work buffer. Loads
+        of any other shape raise ParameterError.
         """
+        if g.shape != (self.K, self.rate.size):
+            raise ParameterError(f"march loads must have shape {(self.K, self.rate.size)}, "
+                                 f"got {g.shape}")
         if self.h_hat is None:
             # each step in place in its row: fresh temporaries per step cost
             # more than the step's arithmetic at a few hundred modes
@@ -310,11 +313,12 @@ class CylinderSystem:
     (:func:`~fracopt.assembly.kron_apply`): the modes ``phi``, the interior
     P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the (m-1) x m hat-over-cell
     matrix ``b1`` (entries h/2) and the modal control factor ``c1`` =
-    phi^T b1. So :meth:`mass` applies the interior mass
-    M_int, :meth:`control_loads` the control loads B_int and
-    :meth:`cell_integrals` B_int^T; no 2D Omega matrix is assembled. No
-    march reads the assembled free-node stiffness ``A_free``: it is
-    assembled on first access, by :meth:`energy` or a test, and then kept.
+    phi^T b1. So :meth:`mass` applies the interior mass M_int,
+    :meth:`control_loads` the control loads B_int and :meth:`cell_integrals`
+    B_int^T; no n-dimensional Omega matrix is assembled, and the lattice
+    eigenvalues are the n-fold outer sum of the 1D ones. No march reads the
+    assembled free-node stiffness ``A_free``: it is assembled on first
+    access, by :meth:`energy` or a test, and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -335,8 +339,7 @@ class CylinderSystem:
         self.m1 = h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1))
         self.b1 = 0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
         self.c1 = self.phi.T @ self.b1
-        if mesh.omega.n == 2:
-            lam = np.add.outer(lam, lam).ravel()
+        lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
                                           params.d_s)
         self.march = ModalMarch(self.delta, params.gamma, grid.K, grid.tau)
@@ -408,13 +411,11 @@ class StateTrajectory:
     """Trace history of the discrete state, steps 0..K.
 
     ``traces`` holds the values at the interior Omega vertices; the trace
-    function is zero on the boundary ones. ``fields`` optionally keeps the
-    full free-node field of every step.
+    function is zero on the boundary ones.
     """
 
     traces: np.ndarray            # (K+1, n_interior)
     grid: TimeGrid
-    fields: np.ndarray | None = None
 
 
 @dataclass
@@ -442,12 +443,12 @@ def _check_traces(last: np.ndarray, march: str) -> None:
 
 
 def state_march(system: CylinderSystem, trace0: np.ndarray,
-                loads: np.ndarray, keep_fields: bool = False) -> StateTrajectory:
+                loads: np.ndarray) -> StateTrajectory:
     """Forward march: loads[k] is the trace-interior load of step k+1.
 
     The loads are transformed to modal coordinates once, every mode solves
-    its Toeplitz system in time (:class:`ModalMarch`), and the traces (and,
-    with ``keep_fields``, the cylinder fields) are transformed back once.
+    its Toeplitz system in time (:class:`ModalMarch`), and the traces are
+    transformed back once.
     Raises ParameterError when a trace is not finite.
     """
     _check_loads(system, loads)
@@ -457,11 +458,7 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
     traces[0] = trace0
     traces[1:] = system.from_modal(modal)
     _check_traces(traces[-1], "state march")
-    fields = None
-    if keep_fields:
-        fields = np.zeros((system.grid.K + 1, system.mesh.n_free))
-        fields[1:] = system.field(modal)
-    return StateTrajectory(traces=traces, grid=system.grid, fields=fields)
+    return StateTrajectory(traces=traces, grid=system.grid)
 
 
 def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajectory:
@@ -494,8 +491,8 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature,
 
 
 def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
-                grid: TimeGrid, control=None, system: CylinderSystem | None = None,
-                keep_fields: bool = False) -> StateTrajectory:
+                grid: TimeGrid, control=None,
+                system: CylinderSystem | None = None) -> StateTrajectory:
     """Fully discrete state solve for given data and (optional) control.
 
     ``control`` may be a ControlField or a plain (K, n_cells) array; it adds
@@ -512,10 +509,7 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
                 f"control must have shape {(grid.K, mesh.omega.n_cells)}, got {zvals.shape}")
         loads = loads + system.control_loads(zvals)
     v0 = system.initial_field(data.initial)
-    traj = state_march(system, v0[system.tpos], loads, keep_fields=keep_fields)
-    if keep_fields:
-        traj.fields[0] = v0
-    return traj
+    return state_march(system, v0[system.tpos], loads)
 
 
 def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid,

@@ -58,6 +58,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be nonempty")
         if self.kind == "conv-time":
             _check_time_levels(self.K_list, REF_FACTOR)
+        if self.kind == "truncation":
+            _check_heights(self.Y_list)
 
 
 def _check_time_levels(K_list, ref_factor: int) -> None:
@@ -67,6 +69,12 @@ def _check_time_levels(K_list, ref_factor: int) -> None:
     if bad:
         raise ParameterError(f"step counts {bad} do not divide the reference "
                              f"{ref_factor} * max(K_list) = {K_ref}")
+
+
+def _check_heights(Y_list) -> None:
+    """The truncation fit needs >= 3 rows below the tallest height: >= 4 distinct heights."""
+    if len(set(Y_list)) < 4:
+        raise ParameterError(f"truncation needs at least 4 distinct heights, got {tuple(Y_list)}")
 
 
 def _parse_list(text, cast=float):
@@ -341,40 +349,36 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     """Decay of the trace differences as the cylinder height grows.
 
     Solves the homogeneous problem with single-mode initial datum for each
-    height; the largest height serves as reference and its row is excluded
-    from the fitted exponential slope.
+    distinct height; the largest serves as reference and its row is
+    excluded from the fitted exponential slope. Fewer than 4 distinct
+    heights raise ParameterError.
     """
+    _check_heights(config.Y_list)
     report = ConvergenceReport(case="truncation")
     s = config.s_list[0]
     n, M, K = config.n, config.M, config.K
-    heights = sorted(config.Y_list)
-    md = mode(*([1] * n))
-    u0 = lambda x: md(x)
+    heights = sorted(set(config.Y_list))
     f = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
-    data = ProblemData(n=n, forcing=f, desired_state=f, initial=u0,
+    data = ProblemData(n=n, forcing=f, desired_state=f, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
     grid = TimeGrid(T=config.T, K=K)
 
-    traces = {}
-    meshes = {}
+    runs = {}
     for Y in heights:
         params = make_params(s, config.gamma, Y)
         zeta = config.zeta or default_zeta(params.alpha)
         mesh = build_cylinder(build_omega(n, M), graded_axis(M, Y, zeta))
         system = CylinderSystem(mesh, params, grid)
-        traj = solve_state(data, params, mesh, grid, system=system)
-        traces[Y] = (traj, system)
-        meshes[Y] = mesh
-    Ymax = heights[-1]
-    ref, ref_system = traces[Ymax]
+        runs[Y] = (solve_state(data, params, mesh, grid, system=system), system)
+    ref = runs[heights[-1]][0]
     for Y in heights[:-1]:
-        traj, system = traces[Y]
+        traj, system = runs[Y]
         diff = traj.traces - ref.traces
         sq = np.einsum("ki,ki->k", diff, system.mass(diff))
         err = math.sqrt(grid.tau * float(np.sum(sq[1:])))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
-                            "M": M, "K": K, "N": meshes[Y].n_free,
-                            "zeta": meshes[Y].axis.zeta, "Y": Y,
+                            "M": M, "K": K, "N": system.mesh.n_free,
+                            "zeta": system.mesh.axis.zeta, "Y": Y,
                             "err_control": None, "err_state": err,
                             "cost": None, "iters": None, "pg_norm": None})
     ys = np.array([r["err_state"] for r in report.rows])

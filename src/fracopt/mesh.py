@@ -8,6 +8,7 @@ operator sparsity pattern reproducible. Meshes are immutable after build.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from .problem import ParameterError
 
 @dataclass(frozen=True)
 class OmegaMesh:
-    """Uniform n-rectangle mesh of the unit interval/square."""
+    """Uniform mesh of the unit cube (0,1)^n into cubes of side h."""
 
     n: int
     cells_per_dim: int
@@ -47,33 +48,26 @@ class OmegaMesh:
 
 
 def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
-    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim."""
-    if n not in (1, 2):
-        raise ParameterError(f"only n = 1 or 2 supported, got {n}")
+    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim, numbered row-major.
+
+    A cell lists its 2^n corners in ``itertools.product((0, 1), repeat=n)`` order.
+    """
+    if n < 1:
+        raise ParameterError(f"dimension must be >= 1, got {n}")
     if cells_per_dim < 1:
         raise ParameterError("need at least one cell per dimension")
     m = cells_per_dim
-    x = np.linspace(0.0, 1.0, m + 1)
-    if n == 1:
-        vertices = x[:, None]
-        cells = np.stack([np.arange(m), np.arange(m) + 1], axis=1)
-        boundary = np.zeros(m + 1, dtype=bool)
-        boundary[[0, m]] = True
-    else:
-        # vertex (i, j) -> flat i*(m+1) + j; cell vertex order
-        # [v00, v01, v10, v11] matching the bilinear reference basis
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        v00 = (ii * (m + 1) + jj).ravel()
-        cells = np.stack([v00, v00 + 1, v00 + (m + 1), v00 + (m + 2)], axis=1)
-        cells = cells[:, [0, 1, 2, 3]]
-        boundary = np.zeros((m + 1, m + 1), dtype=bool)
-        boundary[0, :] = boundary[-1, :] = True
-        boundary[:, 0] = boundary[:, -1] = True
-        boundary = boundary.ravel()
+    shape = (m + 1,) * n
+    coords = np.meshgrid(*[np.linspace(0.0, 1.0, m + 1)] * n, indexing="ij")
+    vertices = np.stack([x.ravel() for x in coords], axis=1)
+    lower = np.ravel_multi_index(np.meshgrid(*[np.arange(m)] * n, indexing="ij"), shape)
+    corners = np.ravel_multi_index(np.array(list(itertools.product((0, 1), repeat=n))).T,
+                                   shape)
+    cells = lower.reshape(-1, 1) + corners
+    boundary = np.ones(shape, dtype=bool)
+    boundary[(slice(1, -1),) * n] = False
     return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices, cells=cells,
-                     boundary_vertex_mask=boundary)
+                     boundary_vertex_mask=boundary.ravel())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Independent spectral reference on (0,1)^n and fractional-calculus checks.
 
 Everything here bypasses the cylinder discretization: eigenpairs of the
-Dirichlet Laplacian on the unit interval/square are known in closed form,
+Dirichlet Laplacian on the unit cube (0,1)^n are known in closed form,
 so fractional powers act diagonally and the evolution reduces to scalar
 problems per mode. This module is the ground truth the finite element
 solver is tested against. The manufactured control problem's data are a

@@ -142,7 +142,7 @@ class ProblemData:
     reaction: float = 0.0
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ParameterError(f"only n = 1 or 2 supported, got {self.n}")
+        if self.n < 1:
+            raise ParameterError(f"dimension must be >= 1, got {self.n}")
         if self.reaction < 0.0:
             raise ParameterError(f"reaction coefficient must be >= 0, got {self.reaction}")

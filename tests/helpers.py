@@ -1,4 +1,5 @@
 """Shared check routines used by the unit tests and the acceptance suite."""
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -150,43 +151,30 @@ class AssembledQuadrature:
 
 
 def assembled_quadrature(omega):
-    """The sparse-basis Omega quadrature: the reference of OmegaQuadrature."""
-    m = omega.cells_per_dim
-    h = omega.h
-    gp, gw = _GAUSS3_P, _GAUSS3_W
-    if omega.n == 1:
-        cells = np.arange(m)
-        pts = (cells[:, None] + gp[None, :]).ravel() * h
-        w = np.tile(gw * h, m)
-        cell_of = np.repeat(cells, gp.size)
-        rows = np.arange(pts.size)
-        xi = np.tile(gp, m)
-        cols = np.stack([omega.cells[cell_of, 0], omega.cells[cell_of, 1]], axis=1)
-        vals = np.stack([1.0 - xi, xi], axis=1)
-        basis = sp.csr_matrix((vals.ravel(),
-                               (np.repeat(rows, 2), cols.ravel())),
-                              shape=(pts.size, omega.n_vertices))
-        return AssembledQuadrature(points=pts[:, None], weights=w,
-                                   cell_of=cell_of, basis=basis)
-    # n = 2: tensor 3x3 rule per cell
-    xi, eta = np.meshgrid(gp, gp, indexing="ij")
-    ww = np.outer(gw, gw).ravel() * h * h
-    xi, eta = xi.ravel(), eta.ravel()
+    """The sparse-basis Omega quadrature: the reference of OmegaQuadrature.
+
+    The tensor 3^n Gauss rule on every cell, points listed cell by cell,
+    with the Q1 basis of each cell's 2^n corners (in ``omega.cells`` order)
+    evaluated at them.
+    """
+    n, h = omega.n, omega.h
+    tensor = lambda v: np.stack([x.ravel() for x in np.meshgrid(*[v] * n, indexing="ij")],
+                                axis=1)
+    xi = tensor(_GAUSS3_P)                                          # (3^n, n)
+    ww = np.prod(tensor(_GAUSS3_W), axis=1) * h ** n
+    corners = np.array(list(itertools.product((0, 1), repeat=n)))   # (2^n, n)
+    # the basis of corner c is prod_j (xi_j if c_j else 1 - xi_j)
+    ref = np.prod(np.where(corners[None], xi[:, None], 1.0 - xi[:, None]), axis=2)
     ncells = omega.n_cells
-    origins = omega.vertices[omega.cells[:, 0]]                  # (ncells, 2)
-    pts = origins[:, None, :] + h * np.stack([xi, eta], axis=1)[None, :, :]
-    pts = pts.reshape(-1, 2)
-    w = np.tile(ww, ncells)
-    cell_of = np.repeat(np.arange(ncells), xi.size)
-    # bilinear basis in cell order [v00, v01, v10, v11]
-    ref = np.stack([(1 - xi) * (1 - eta), (1 - xi) * eta,
-                    xi * (1 - eta), xi * eta], axis=1)          # (9, 4)
-    rows = np.repeat(np.arange(pts.shape[0]), 4)
-    cols = omega.cells[cell_of].ravel()
-    vals = np.tile(ref, (ncells, 1)).ravel()
-    basis = sp.csr_matrix((vals, (rows, cols)),
+    origins = omega.vertices[omega.cells[:, 0]]                     # (ncells, n)
+    pts = (origins[:, None, :] + h * xi[None, :, :]).reshape(-1, n)
+    cell_of = np.repeat(np.arange(ncells), xi.shape[0])
+    rows = np.repeat(np.arange(pts.shape[0]), corners.shape[0])
+    basis = sp.csr_matrix((np.tile(ref, (ncells, 1)).ravel(),
+                           (rows, omega.cells[cell_of].ravel())),
                           shape=(pts.shape[0], omega.n_vertices))
-    return AssembledQuadrature(points=pts, weights=w, cell_of=cell_of, basis=basis)
+    return AssembledQuadrature(points=pts, weights=np.tile(ww, ncells),
+                               cell_of=cell_of, basis=basis)
 
 
 # -- assembled sparse path: the reference for the modal step solve -----------

@@ -227,7 +227,7 @@ def _matches(got, want, rtol=1e-14):
 
 
 @pytest.mark.parametrize("M", [1, 2, 5, 12])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_tensor_quadrature_matches_assembled_oracle(n, M):
     om = build_omega(n, M)
     quad, ref = omega_quadrature(om), assembled_quadrature(om)

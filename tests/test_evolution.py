@@ -156,7 +156,7 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     md = mode(1, 2)
     v0 = system.initial_field(lambda x: md(x))
     loads = np.ones((grid.K, system.n_interior))
-    state_march(system, v0[system.tpos], loads, keep_fields=True)
+    state_march(system, v0[system.tpos], loads)
     adjoint_march(system, loads)
     monkeypatch.undo()
     # energy() assembles the stiffness on first use and matches the assembled form
@@ -171,7 +171,7 @@ class _NoSparse:
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     def refuse(*args, **kwargs):
         raise AssertionError("the system applies 1D factors and assembles no 2D Omega matrix")

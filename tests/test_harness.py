@@ -175,6 +175,28 @@ def test_conv_time_step_counts_checked_up_front():
     assert ExperimentConfig(kind="conv-time", K_list=(2, 5, 10)).K_list == (2, 5, 10)
 
 
+@pytest.mark.parametrize("heights", [(2.0,), (1.0, 2.0), (1.0, 1.5, 2.0),
+                                     (1.0, 1.5, 2.0, 2.0), (1.0, 1.0, 1.5, 1.5, 2.0)])
+def test_truncation_heights_checked_up_front(heights):
+    # fewer than 4 distinct heights leave fewer than 3 rows to fit
+    with pytest.raises(ParameterError, match="4 distinct heights"):
+        ExperimentConfig(kind="truncation", Y_list=heights)
+    with pytest.raises(ParameterError, match="4 distinct heights"):
+        cli_main(["truncation", "--Y", ",".join(map(str, heights))])
+    with pytest.raises(ParameterError, match="4 distinct heights"):
+        run_truncation_study(ExperimentConfig(kind="solve-state", Y_list=heights))
+
+
+def test_truncation_counts_a_repeated_height_once():
+    cfg = ExperimentConfig(kind="truncation", s_list=(0.5,), n=1, M=24, K=4,
+                           Y_list=(2.5, 1.0, 1.5, 2.0, 2.5, 1.0), T=0.5)
+    rep = run_truncation_study(cfg)
+    assert [r["Y"] for r in rep.rows] == [1.0, 1.5, 2.0]
+    assert all(r["err_state"] > 0.0 for r in rep.rows)
+    (rate,) = rep.slopes
+    assert rate["levels_used"] == 3 and math.isfinite(rate["slope"])
+
+
 def test_run_experiment_writes_reports(tmp_path):
     out = tmp_path / "run"
     cfg = ExperimentConfig(kind="conv-space", s_list=(0.5,), K=4,

@@ -1,9 +1,11 @@
-"""No library module imports a name it never uses or takes a parameter it never reads.
+"""No library module imports a name it never uses, takes a parameter it never reads or branches on n.
 
 Each ``src/fracopt`` module except the package's ``__init__.py`` (which
 imports to re-export) is parsed with ``ast``; every name bound by an import
 must be read somewhere in the module. Every parameter of every ``def`` in
-``src/fracopt`` must be read in the function's body.
+``src/fracopt`` must be read in the function's body. No module compares the
+dimension ``n`` (a name or an attribute ``.n``) for (in)equality or
+membership with a constant: one tensor code path serves every n.
 """
 import ast
 from pathlib import Path
@@ -71,3 +73,43 @@ def test_detector_finds_unused_parameters():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_functions_read_every_parameter(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def branches_on_n(source: str) -> list:
+    """Line numbers of the ==, !=, in and not in comparisons of ``n`` or ``x.n`` with constants.
+
+    A constant is a literal, or a tuple, list or set of literals; either
+    side of the comparison may hold ``n``.
+    """
+    def is_n(node):
+        return ((isinstance(node, ast.Name) and node.id == "n")
+                or (isinstance(node, ast.Attribute) and node.attr == "n"))
+
+    def is_constant(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return all(isinstance(e, ast.Constant) for e in node.elts)
+        return isinstance(node, ast.Constant)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left] + node.comparators
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if (isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                    and (is_n(left) and is_constant(right) or is_constant(left) and is_n(right))):
+                found.append(node.lineno)
+    return found
+
+
+def test_detector_finds_branches_on_n():
+    source = ("if n == 1:\n    pass\n"
+              "if omega.n != 2 and mesh.omega.n in (1, 2):\n    pass\n"
+              "ok = 3 == self.n or n not in [1, 2] or 0 < n == 2\n"
+              "fine = n < 1 or m == 1 or n == k or x.n >= 2 or n in sizes or n2 == 2\n")
+    assert branches_on_n(source) == [1, 3, 3, 5, 5, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_does_not_branch_on_n(path):
+    assert branches_on_n(path.read_text()) == []

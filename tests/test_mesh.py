@@ -85,6 +85,22 @@ def test_omega_mesh_2d_interior_cell_count():
     assert np.all(counts[interior] == 4)
 
 
+def test_omega_mesh_3d_counts():
+    om = build_omega(3, 4)
+    assert om.n_vertices == 125
+    assert om.n_cells == 64
+    assert om.interior_idx.size == 27
+    # every interior vertex belongs to 2^n cells
+    counts = np.bincount(om.cells.ravel(), minlength=om.n_vertices)
+    assert np.all(counts[om.interior_idx] == 8)
+    # corners in itertools.product((0, 1), repeat=3) order: (i, j, k) -> 25 i + 5 j + k
+    assert om.cells[0].tolist() == [0, 1, 5, 6, 25, 26, 30, 31]
+    span = om.vertices[om.cells[:, -1]] - om.vertices[om.cells[:, 0]]
+    assert np.allclose(span, om.h, rtol=0, atol=1e-15)
+    mesh = build_cylinder(om, graded_axis(4, 1.0, 3.15))
+    assert mesh.n_free == 3 ** 3 * 4
+
+
 def test_build_cylinder_tiny_enumeration():
     # n = 1 with 2 cells, M = 2: 9 nodes, 7 Dirichlet, free = the two
     # nodes with y < Y over the interior vertex

@@ -15,8 +15,8 @@ from helpers import (M_int, build_test_mesh, recurrence_impulse_responses, rel_g
 TOL = 1e-11
 
 
-def make_system(n, gamma, c, K=6):
-    mesh, params = build_test_mesh(n=n, M=8 if n == 1 else 5, s=0.35)
+def make_system(n, gamma, c, K=6, M=None):
+    mesh, params = build_test_mesh(n=n, M=M or {1: 8, 2: 5, 3: 4}[n], s=0.35)
     params = make_params(params.s, gamma, params.truncation_Y)
     return CylinderSystem(mesh, params, TimeGrid(T=1.0, K=K), reaction=c)
 
@@ -28,9 +28,9 @@ def u0(x):
 
 @pytest.mark.parametrize("c", [0.0, 0.7, 2.0])
 @pytest.mark.parametrize("gamma", [1.0, 0.6, 0.3])
-@pytest.mark.parametrize("n", [1, 2])
-def test_modal_matches_sparse(n, gamma, c, K=6):
-    system = make_system(n, gamma, c, K=K)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_modal_matches_sparse(n, gamma, c, K=6, M=None):
+    system = make_system(n, gamma, c, K=K, M=M)
     rng = np.random.default_rng(7)
     shape = (system.grid.K, system.n_interior)
 
@@ -46,10 +46,11 @@ def test_modal_matches_sparse(n, gamma, c, K=6):
 
     trace0 = v0[system.tpos]
     loads = rng.standard_normal(shape)
-    traj = state_march(system, trace0, loads, keep_fields=True)
+    traj = state_march(system, trace0, loads)
     ref_traces, ref_fields = sparse_state_march(system, trace0, loads)
     assert rel_gap(traj.traces, ref_traces) <= TOL
-    assert rel_gap(traj.fields[1:], ref_fields[1:]) <= TOL
+    fields = system.field(system.to_modal(system.mass(traj.traces[1:])))
+    assert rel_gap(fields, ref_fields[1:]) <= TOL
 
     loads = rng.standard_normal(shape)
     adj = adjoint_march(system, loads)
@@ -125,6 +126,17 @@ def test_modal_march_rejects_bad_rates(bad, gamma):
         ModalMarch(np.array([0.0, 1.0, value]), gamma, K, tau)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("shape", [(16, 3), (4, 3), (8, 2), (8, 4), (8,)])
+def test_modal_march_rejects_loads_of_another_shape(shape, gamma):
+    # unchecked, backward Euler would leave the rows past K unset and L1 crop them
+    march = ModalMarch(np.array([0.0, 1.0, 5.0]), gamma, 8, 0.125)
+    with pytest.raises(ParameterError, match="loads must have shape"):
+        march.solve(np.ones(shape))
+    with pytest.raises(ParameterError, match="loads must have shape"):
+        march.solve_transposed(np.ones(shape))
+
+
 def check_duality(system, trials):
     grid = system.grid
     rng = np.random.default_rng(41)
@@ -141,6 +153,19 @@ def check_duality(system, trials):
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_duality_identity_1d_reaction(gamma):
     check_duality(make_system(1, gamma, 0.7), trials=5)
+
+
+# the smallest 3D lattices, with one and eight interior vertices (M = 4 above has 27)
+@pytest.mark.parametrize("c", [0.0, 0.7, 2.0])
+@pytest.mark.parametrize("gamma", [1.0, 0.6, 0.3])
+@pytest.mark.parametrize("M", [2, 3])
+def test_modal_matches_sparse_3d_small_lattices(M, gamma, c):
+    test_modal_matches_sparse(3, gamma, c, M=M)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.6, 0.3])
+def test_duality_identity_3d(gamma):
+    check_duality(make_system(3, gamma, 0.7), trials=3)
 
 
 def test_duality_identity_long_l1_march():

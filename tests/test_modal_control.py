@@ -43,7 +43,7 @@ def test_modal_evaluation_matches_nodal(n, gamma, c):
 
 
 @pytest.mark.parametrize("M", [2, 5, 12])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_control_maps_match_sparse(n, M):
     mesh, params = build_test_mesh(n=n, M=M)
     system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=3))
@@ -59,6 +59,18 @@ def test_control_maps_match_sparse(n, M):
     assert rel_gap(system.mass(x), (M_int(system) @ x.T).T) <= 1e-13
     assert rel_gap(system.control_loads(z), (B_int(system) @ z.T).T) <= 1e-13
     assert rel_gap(system.cell_integrals(x), (B_int(system).T @ x.T).T) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_reduced_problem_rejects_system_of_another_grid(gamma):
+    prob = make_problem(2, gamma, 0.0)
+    for grid in (TimeGrid(T=1.0, K=12), TimeGrid(T=0.5, K=prob.grid.K)):
+        other = CylinderSystem(prob.mesh, prob.params, grid)
+        with pytest.raises(ParameterError, match="grid"):
+            ReducedProblem(prob.data, prob.params, prob.mesh, prob.grid, system=other)
+    same = CylinderSystem(prob.mesh, prob.params, TimeGrid(T=1.0, K=prob.grid.K))
+    assert ReducedProblem(prob.data, prob.params, prob.mesh, prob.grid,
+                          system=same).system is same
 
 
 def test_solve_forms_nodal_traces_once(monkeypatch):

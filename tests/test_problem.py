@@ -98,7 +98,7 @@ def test_problem_data_validation():
     b = ControlBounds(0.0, 0.5, 1.0)
     ProblemData(n=2, forcing=f, desired_state=f, initial=u0, bounds=b)
     with pytest.raises(ParameterError):
-        ProblemData(n=3, forcing=f, desired_state=f, initial=u0, bounds=b)
+        ProblemData(n=0, forcing=f, desired_state=f, initial=u0, bounds=b)
     with pytest.raises(ParameterError):
         ProblemData(n=1, forcing=f, desired_state=f, initial=u0, bounds=b,
                     reaction=-1.0)
