@@ -11,6 +11,10 @@ exact down to the y = 0 interval where the weight is singular but
 integrable. Data terms use the 3-point Gauss rule (degree-5 exact) on
 Omega, the tensor power of the 1D rule applied one axis at a time
 (:func:`kron_apply`); mass and stiffness factors are assembled exactly.
+The solve path needs only numpy. The assembled sparse operators
+(:func:`axis_matrices`, :func:`omega_matrices`, :func:`assemble_stiffness`,
+:func:`assemble_trace_mass`) serve the test oracles and
+``CylinderSystem.A_free``; each imports ``scipy.sparse`` when called.
 Space-time data are evaluated once per block of time steps
 (:func:`step_blocks`, :func:`time_average`), always at the one
 ``OmegaQuadrature.points`` array of the mesh, so a data callable may keep
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import FractionalParams, ParameterError, TimeGrid
@@ -63,6 +66,7 @@ def weight_integrals(y0: float, y1: float, alpha: float):
 
 def axis_matrices(axis: GradedAxis, alpha: float):
     """Weighted mass and stiffness factors on the graded axis, size (M+1)^2."""
+    import scipy.sparse as sp
     M = axis.M
     rows_d = np.arange(M + 1)
     mass = sp.lil_matrix((M + 1, M + 1))
@@ -83,6 +87,7 @@ def axis_matrices(axis: GradedAxis, alpha: float):
 
 def _factor_matrices_1d(m: int):
     """Unweighted P1 mass/stiffness on the uniform partition of (0,1)."""
+    import scipy.sparse as sp
     h = 1.0 / m
     main_m = np.full(m + 1, 2.0 * h / 3.0)
     main_m[[0, -1]] = h / 3.0
@@ -97,6 +102,7 @@ def _factor_matrices_1d(m: int):
 
 def omega_matrices(omega: OmegaMesh):
     """Mass and stiffness on the Omega lattice (all vertices, Q1 elements)."""
+    import scipy.sparse as sp
     m1, s1 = _factor_matrices_1d(omega.cells_per_dim)
     mass, stiff = m1, s1
     for _ in range(omega.n - 1):
@@ -105,15 +111,15 @@ def omega_matrices(omega: OmegaMesh):
     return mass, stiff
 
 
-def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams,
-                       c: float = 0.0) -> sp.csr_matrix:
-    """Weighted stiffness of a_Y on free nodes (Dirichlet rows/cols removed).
+def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 0.0):
+    """Weighted CSR stiffness of a_Y on free nodes (Dirichlet rows/cols removed).
 
     Tensor form: (1/d_s) [ S_Omega x M_y + M_Omega x (S_y + c M_y) ] where
     the axis factors carry the y^alpha weight in closed form.
     """
     if c < 0.0:
         raise ParameterError(f"reaction coefficient must be >= 0, got {c}")
+    import scipy.sparse as sp
     m_w, s_w = omega_matrices(mesh.omega)
     m_y, s_y = axis_matrices(mesh.axis, params.alpha)
     op = sp.kron(s_w, m_y) + sp.kron(m_w, s_y)
@@ -124,12 +130,13 @@ def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams,
     return op[free][:, free].tocsr()
 
 
-def assemble_trace_mass(mesh: CylinderMesh) -> sp.csr_matrix:
-    """Omega mass matrix embedded at y = 0 in cylinder indexing.
+def assemble_trace_mass(mesh: CylinderMesh):
+    """Omega CSR mass matrix embedded at y = 0 in cylinder indexing.
 
     Rows and columns away from the trace are zero; the sum of all entries
     equals |Omega| = 1.
     """
+    import scipy.sparse as sp
     m_w, _ = omega_matrices(mesh.omega)
     Mp1 = mesh.axis.M + 1
     pick = sp.csr_matrix(([1.0], ([0], [0])), shape=(Mp1, Mp1))

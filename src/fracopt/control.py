@@ -379,6 +379,7 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
     last = {}
 
     def fun_and_grad(z):
+        last.clear()        # drop the previous trajectories before making new ones
         f, g, w_hat, p_hat = prob.cost_and_gradient(z)
         last.update(z=z, f=f, w_hat=w_hat, p_hat=p_hat)
         return f, g

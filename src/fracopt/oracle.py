@@ -6,7 +6,8 @@ so fractional powers act diagonally and the evolution reduces to scalar
 problems per mode. This module is the ground truth the finite element
 solver is tested against. The manufactured control problem's data are a
 time profile times one sine product; the sine product is computed once per
-points array and reused while that array is unchanged.
+points array and reused while that array is unchanged. The Caputo profiles
+of those data use a Gauss-Jacobi rule computed with numpy alone.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .assembly import omega_quadrature
 from .evolution import ModalMarch, caputo_weights
@@ -87,11 +87,23 @@ def modal_decompose(func: Callable, n: int, kmax: int = 32, tol: float = 1e-12,
 
 @functools.lru_cache(maxsize=32)
 def _jacobi_rule(gamma: float, nquad: int = 24):
-    # weight (1+x)^{-gamma} on [-1,1]; mapped to u^{-gamma} on [0,1]. Cached
-    # because every Caputo evaluation needs it; read-only since it is shared.
-    x, w = roots_jacobi(nquad, 0.0, -gamma)
-    u = 0.5 * (x + 1.0)
-    w = w * 0.5 ** (1.0 - gamma)
+    """Nodes u and weights w of the nquad-point Gauss rule for u^{-gamma} on [0, 1].
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of P^(0,-gamma)(2u - 1), the weights 1/(1-gamma) times the
+    squared first components of its eigenvectors. Cached because every Caputo
+    evaluation needs it; read-only since it is shared.
+    """
+    if nquad < 1:
+        raise ParameterError(f"a Gauss-Jacobi rule needs nquad >= 1, got {nquad}")
+    # the recurrence of P^(0,b), b = -gamma, on [-1, 1], halved and shifted to [0, 1]
+    k = np.arange(nquad, dtype=float)
+    s = 2.0 * k - gamma
+    diag = 0.5 + 0.5 * gamma ** 2 / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    sub = k * (k - gamma) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    u, vecs = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1))
+    w = vecs[0] ** 2 / (1.0 - gamma)
     u.flags.writeable = w.flags.writeable = False
     return u, w
 

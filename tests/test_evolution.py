@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
                      UseDelta1Error, apply_discrete_caputo, caputo_weights,
                      lambda_diagnostic, solve_state)
-from fracopt import assembly, control, evolution
+from fracopt import assembly, evolution, oracle
 from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
 from fracopt.evolution import adjoint_march, state_march
@@ -165,11 +166,6 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     assert system.A_free is system.A_free
 
 
-class _NoSparse:
-    def __getattr__(self, name):
-        raise AssertionError(f"the solve path called scipy.sparse.{name}")
-
-
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
@@ -180,9 +176,12 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     for module in (assembly, evolution):
         for name in ("omega_matrices", "control_load_matrix"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    # and no sparse matrix anywhere on the way from data to errors
-    monkeypatch.setattr(assembly, "sp", _NoSparse())
-    monkeypatch.setattr(control, "sp", _NoSparse(), raising=False)
+    # and no scipy.sparse or scipy.special anywhere on the way from data to
+    # errors: an import of either raises, and no module binds one at import
+    # time (tests/test_imports.py); the Gauss-Jacobi rule is rebuilt under it
+    for name in ("scipy.sparse", "scipy.special"):
+        monkeypatch.setitem(sys.modules, name, None)
+    oracle._jacobi_rule.cache_clear()
     mesh, params = build_test_mesh(n=n, M=5, s=0.4)
     params = make_params(params.s, gamma, params.truncation_Y)
     grid = TimeGrid(T=1.0, K=4)

@@ -1,18 +1,25 @@
-"""No library module imports a name it never uses, takes a parameter it never reads or branches on n.
+"""No library module imports an unused name, leaves a parameter unread, branches on n or loads scipy.
 
 Each ``src/fracopt`` module except the package's ``__init__.py`` (which
 imports to re-export) is parsed with ``ast``; every name bound by an import
 must be read somewhere in the module. Every parameter of every ``def`` in
 ``src/fracopt`` must be read in the function's body. No module compares the
 dimension ``n`` (a name or an attribute ``.n``) for (in)equality or
-membership with a constant: one tensor code path serves every n.
+membership with a constant: one tensor code path serves every n. No
+module imports scipy when it is itself imported, and a control solve and a
+truncation study run in a fresh interpreter without loading any of scipy.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fracopt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fracopt"
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -113,3 +120,71 @@ def test_detector_finds_branches_on_n():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_does_not_branch_on_n(path):
     assert branches_on_n(path.read_text()) == []
+
+
+def import_time_scipy(source: str) -> list:
+    """Line numbers of the scipy imports in ``source`` that run when it is imported.
+
+    An import in a function body runs only when the function is called;
+    any other, at module level or inside a class, ``if`` or ``try``, counts.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            else:
+                names = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_detector_finds_import_time_scipy():
+    source = ("import numpy as np\nimport scipy\nfrom scipy.special import gamma\n"
+              "if np:\n    import scipy.sparse as sp\n"
+              "def f():\n    import scipy.sparse as sp\n    return sp\n"
+              "class C:\n    from scipy import linalg\n"
+              "from . import scipy_free\nimport scipyx\n")
+    assert import_time_scipy(source) == [2, 3, 5, 10]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_no_scipy_at_import_time(path):
+    assert import_time_scipy(path.read_text()) == []
+
+
+SOLVE_WITHOUT_SCIPY = """
+import json, sys
+from fracopt.cli import main
+codes = [main(["solve-control", "--s", "0.4", "--M", "4", "--K", "8", "--gamma", "0.5",
+               "--out", "control"]),
+         main(["truncation", "--M", "4", "--K", "4", "--out", "truncation"])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import fracopt
+mesh = fracopt.build_cylinder(fracopt.build_omega(2, 3), fracopt.graded_axis(3, 1.5, 1.2))
+stiff = fracopt.assemble_stiffness(mesh, fracopt.make_params(0.4, 1.0, 1.5))
+print(json.dumps({"codes": codes, "loaded": loaded, "format": stiff.format,
+                  "shape": list(stiff.shape), "free": int(mesh.free_idx.size)}))
+"""
+
+
+def test_solve_path_loads_no_scipy(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SOLVE_WITHOUT_SCIPY], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["loaded"] == []
+    for case in ("control", "truncation"):
+        assert (tmp_path / case / "report.csv").is_file()
+    # the assembled sparse oracles still work, importing scipy.sparse on demand
+    assert got["format"] == "csr" and got["shape"] == [got["free"]] * 2

@@ -7,8 +7,8 @@ from fracopt import (build_omega, fractional_ibp_check, fractional_power_apply,
                      manufactured_problem, mode, spectral_solve_state)
 from fracopt.assembly import omega_quadrature
 from fracopt.evolution import lambda_diagnostic
-from fracopt.oracle import caputo_left, caputo_right
-from fracopt.problem import TimeGrid
+from fracopt.oracle import _jacobi_rule, caputo_left, caputo_right
+from fracopt.problem import ParameterError, TimeGrid
 
 
 def test_mode_eigenvalues_and_normalization():
@@ -109,6 +109,42 @@ def test_caputo_left_closed_forms():
     gamma, t = 0.5, 0.9
     series = sum(t ** (m + 1 - gamma) / math.gamma(m + 2 - gamma) for m in range(40))
     assert caputo_left(np.exp, gamma, t) == pytest.approx(series, rel=1e-12)
+
+
+RULE_GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+RULE_SIZES = (1, 2, 8, 24)
+
+
+@pytest.mark.parametrize("nquad", RULE_SIZES)
+@pytest.mark.parametrize("gamma", RULE_GAMMAS)
+def test_jacobi_rule_exact_on_monomials(gamma, nquad):
+    # Gauss: int_0^1 u^{-gamma} u^k du = 1/(k+1-gamma) for every k < 2 nquad
+    u, w = _jacobi_rule(gamma, nquad)
+    assert u.shape == w.shape == (nquad,)
+    assert np.all((u > 0.0) & (u < 1.0)) and np.all(w > 0.0)
+    for k in range(2 * nquad):
+        want = 1.0 / (k + 1 - gamma)
+        assert abs(w @ u ** k - want) <= 1e-13 * want, k
+
+
+@pytest.mark.parametrize("nquad", RULE_SIZES)
+@pytest.mark.parametrize("gamma", RULE_GAMMAS)
+def test_jacobi_rule_matches_scipy(gamma, nquad):
+    from scipy.special import roots_jacobi
+    x, w_ref = roots_jacobi(nquad, 0.0, -gamma)
+    u, w = _jacobi_rule(gamma, nquad)
+    assert np.abs(u - 0.5 * (x + 1.0)).max() <= 1e-14
+    assert np.abs(w - w_ref * 0.5 ** (1.0 - gamma)).max() <= 1e-11 * w.sum()
+
+
+def test_caputo_rejects_empty_rule():
+    for nquad in (0, -3):
+        with pytest.raises(ParameterError, match="nquad"):
+            _jacobi_rule(0.5, nquad)
+        with pytest.raises(ParameterError, match="nquad"):
+            caputo_left(np.exp, 0.5, 0.7, nquad=nquad)
+        with pytest.raises(ParameterError, match="nquad"):
+            caputo_right(np.exp, 0.5, 0.2, 1.0, nquad=nquad)
 
 
 def test_caputo_right_matches_reversed_left():
