@@ -14,7 +14,8 @@ Omega, the tensor power of the 1D rule applied one axis at a time
 The solve path needs only numpy. The assembled sparse operators
 (:func:`axis_matrices`, :func:`omega_matrices`, :func:`assemble_stiffness`,
 :func:`assemble_trace_mass`) serve the test oracles and
-``CylinderSystem.A_free``; each imports ``scipy.sparse`` when called.
+``CylinderSystem.A_free``; each imports ``scipy.sparse`` when called, and
+the cylinder's free nodes are those of :func:`free_nodes`.
 Space-time data are evaluated once per block of time steps
 (:func:`step_blocks`, :func:`time_average`), always at the one
 ``OmegaQuadrature.points`` array of the mesh, so a data callable may keep
@@ -111,6 +112,12 @@ def omega_matrices(omega: OmegaMesh):
     return mass, stiff
 
 
+def free_nodes(mesh: CylinderMesh) -> np.ndarray:
+    """Free nodes of the numbering vertex*(M+1) + axis node: axis nodes < M of interior vertices."""
+    Mp1 = mesh.axis.M + 1
+    return (mesh.omega.interior_idx[:, None] * Mp1 + np.arange(mesh.axis.M)).ravel()
+
+
 def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 0.0):
     """Weighted CSR stiffness of a_Y on free nodes (Dirichlet rows/cols removed).
 
@@ -126,7 +133,7 @@ def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 
     if c != 0.0:
         op = op + c * sp.kron(m_w, m_y)
     op = (op / params.d_s).tocsr()
-    free = mesh.free_idx
+    free = free_nodes(mesh)
     return op[free][:, free].tocsr()
 
 

@@ -12,10 +12,7 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import ExperimentConfig, _parse_list, load_config, run_experiment
-
-_SUBCOMMANDS = ["solve-state", "solve-control", "conv-space", "conv-time",
-                "truncation", "oracle-check"]
+from .harness import RUNNERS, ExperimentConfig, _parse_list, load_config, run_experiment
 
 
 def _add_common_flags(sp):
@@ -68,7 +65,7 @@ def main(argv=None) -> int:
         description="Solver and convergence harness for optimal control of "
                     "space-time fractional diffusion.")
     subs = parser.add_subparsers(dest="kind", required=True)
-    for name in _SUBCOMMANDS:
+    for name in RUNNERS:
         sp = subs.add_parser(name)
         _add_common_flags(sp)
     args = parser.parse_args(argv)

@@ -137,7 +137,7 @@ class ReducedProblem:
             vals = time_average(data.desired_state, quad.points, t0, t1, "desired state")
             self.b_ud[steps] = quad.loads(vals)
             self.c_ud[steps] = np.square(vals) @ quad.weights
-        self.trace0 = sysm.initial_field(data.initial)[sysm.tpos]
+        self.trace0 = sysm.initial_field(data.initial)
 
         self.b_f_hat = sysm.to_modal(self.b_f)
         self.b_ud_hat = sysm.to_modal(self.b_ud)

@@ -316,9 +316,10 @@ class CylinderSystem:
     phi^T b1. So :meth:`mass` applies the interior mass M_int,
     :meth:`control_loads` the control loads B_int and :meth:`cell_integrals`
     B_int^T; no n-dimensional Omega matrix is assembled, and the lattice
-    eigenvalues are the n-fold outer sum of the 1D ones. No march reads the
-    assembled free-node stiffness ``A_free``: it is assembled on first
-    access, by :meth:`energy` or a test, and then kept.
+    eigenvalues are the n-fold outer sum of the 1D ones. The state is kept
+    as its trace at y = 0 (per mode the extension is ``psi[i]`` times it). No
+    march reads the assembled free-node stiffness ``A_free``, which the
+    sparse oracles use: it is assembled on first access and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -332,7 +333,6 @@ class CylinderSystem:
         self.n = mesh.omega.n
         self.quad = omega_quadrature(mesh.omega)
         self.interior = mesh.omega.interior_idx
-        self.tpos = mesh.trace_free_pos
 
         m, h = mesh.omega.cells_per_dim, mesh.omega.h
         self.phi, lam = lattice_modes(m)
@@ -381,29 +381,15 @@ class CylinderSystem:
         """B_int^T tr: per-cell integrals of interior trace values along the last axis."""
         return kron_apply(self.b1.T, trace, self.n)
 
-    def field(self, coeffs: np.ndarray) -> np.ndarray:
-        """Free-node fields sum_i coeffs_i phi_i x psi_i of trace coefficients.
-
-        ``coeffs`` has the modes on its last axis; the result replaces it
-        by the free-node vector (interior vertex major, axis node minor).
-        """
-        nodal = self.from_modal(coeffs[..., None, :] * self.psi.T)  # (..., M, n_int)
-        return np.swapaxes(nodal, -1, -2).reshape(coeffs.shape[:-1] + (-1,))
-
     def initial_field(self, u0) -> np.ndarray:
-        """Discrete weighted-harmonic extension of u0, as a free-node vector.
+        """Initial trace: the trace of the discrete weighted-harmonic extension of u0.
 
-        The trace is the M_Omega-projection of the nodal values of u0 onto
-        the lattice modes (the nodal values themselves, up to roundoff); the
-        remaining free nodes solve a_Y(V0, W) = 0 against all test functions
-        vanishing at y = 0, which per mode is the axis profile psi_i.
+        That is the M_Omega-projection of the nodal values of u0 onto the
+        lattice modes (the nodal values themselves, up to roundoff), since
+        per mode the extension is the axis profile psi_i, equal to 1 at y = 0.
         """
         u0v = np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
-        return self.field(self.to_modal(self.mass(u0v)))
-
-    def energy(self, v_free: np.ndarray) -> float:
-        """a_Y(v, v) of a free-node coefficient vector."""
-        return float(v_free @ (self.A_free @ v_free))
+        return self.from_modal(self.to_modal(self.mass(u0v)))
 
 
 @dataclass
@@ -495,21 +481,20 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
                 system: CylinderSystem | None = None) -> StateTrajectory:
     """Fully discrete state solve for given data and (optional) control.
 
-    ``control`` may be a ControlField or a plain (K, n_cells) array; it adds
-    B Z^{k+1} to the load of every step. A non-finite control or initial
-    datum raises ParameterError from :func:`state_march`.
+    ``control`` is a (K, n_cells) array, or ParameterError is raised; it
+    adds B Z^{k+1} to the load of every step. A non-finite control or
+    initial datum raises ParameterError from :func:`state_march`.
     """
     if system is None:
         system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
     loads = forcing_loads(data.forcing, grid, system.quad)
     if control is not None:
-        zvals = np.asarray(getattr(control, "values", control), dtype=float)
-        if zvals.shape != (grid.K, mesh.omega.n_cells):
+        control = np.asarray(control, dtype=float)
+        if control.shape != (grid.K, mesh.omega.n_cells):
             raise ParameterError(
-                f"control must have shape {(grid.K, mesh.omega.n_cells)}, got {zvals.shape}")
-        loads = loads + system.control_loads(zvals)
-    v0 = system.initial_field(data.initial)
-    return state_march(system, v0[system.tpos], loads)
+                f"control must have shape {(grid.K, mesh.omega.n_cells)}, got {control.shape}")
+        loads = loads + system.control_loads(control)
+    return state_march(system, system.initial_field(data.initial), loads)
 
 
 def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid,

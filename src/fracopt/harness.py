@@ -126,16 +126,12 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def estimate_dofs(n: int, M: int) -> int:
-    """Free unknowns of the cylinder mesh with cells_per_dim = M."""
-    return (M - 1) ** n * M
-
-
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
                 zeta: float | None = None, Y: float | None = None):
     """Mesh, params and grid for one run (Y and zeta default per theory)."""
     if Y is None:
-        Y = select_truncation(max(estimate_dofs(n, M), 8), s, n)
+        # N = (M-1)^n M, the n_free of the mesh built below
+        Y = select_truncation(max((M - 1) ** n * M, 8), s, n)
     params = make_params(s, gamma, Y)
     if zeta is None:
         zeta = default_zeta(params.alpha)
@@ -232,24 +228,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report_csv(rows, path):
+def _write_csv(rows, columns, path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in REPORT_COLUMNS])
+            writer.writerow([_fmt(row.get(col)) for col in columns])
 
 
-def write_rates_csv(slopes, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RATE_COLUMNS)
-        for row in slopes:
-            writer.writerow([_fmt(row.get(col)) for col in RATE_COLUMNS])
+def write_report_csv(rows, path):
+    _write_csv(rows, REPORT_COLUMNS, path)
 
 
 def read_report_csv(path):
@@ -490,5 +480,5 @@ def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
     out = Path(config.out)
     write_report_csv(report.rows, out / "report.csv")
     if report.slopes:
-        write_rates_csv(report.slopes, out / "rates.csv")
+        _write_csv(report.slopes, RATE_COLUMNS, out / "rates.csv")
     return report

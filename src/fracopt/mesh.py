@@ -2,13 +2,12 @@
 
 The cylinder mesh is the tensor product of a uniform partition of
 Omega = (0,1)^n into n-rectangles and a partition of [0, Y] graded toward
-y = 0 by y_m = (m/M)^zeta Y. Node numbering is axis-major within each Omega
-vertex: global index = vertex_index * (M+1) + axis_index, which keeps the
-operator sparsity pattern reproducible. Meshes are immutable after build.
+y = 0 by y_m = (m/M)^zeta Y. The solver never numbers the cylinder's nodes;
+the sparse oracles number them in :func:`fracopt.assembly.free_nodes`.
+Meshes are immutable after build.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ class OmegaMesh:
     n: int
     cells_per_dim: int
     vertices: np.ndarray           # (n_vertices, n)
-    cells: np.ndarray              # (n_cells, 2^n) vertex indices
     boundary_vertex_mask: np.ndarray
 
     @property
@@ -36,7 +34,7 @@ class OmegaMesh:
 
     @property
     def n_cells(self) -> int:
-        return self.cells.shape[0]
+        return self.cells_per_dim ** self.n
 
     @property
     def cell_volume(self) -> float:
@@ -48,9 +46,9 @@ class OmegaMesh:
 
 
 def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
-    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim, numbered row-major.
+    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim.
 
-    A cell lists its 2^n corners in ``itertools.product((0, 1), repeat=n)`` order.
+    Vertices, and cells by their lowest corner, are numbered row-major.
     """
     if n < 1:
         raise ParameterError(f"dimension must be >= 1, got {n}")
@@ -60,13 +58,9 @@ def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
     shape = (m + 1,) * n
     coords = np.meshgrid(*[np.linspace(0.0, 1.0, m + 1)] * n, indexing="ij")
     vertices = np.stack([x.ravel() for x in coords], axis=1)
-    lower = np.ravel_multi_index(np.meshgrid(*[np.arange(m)] * n, indexing="ij"), shape)
-    corners = np.ravel_multi_index(np.array(list(itertools.product((0, 1), repeat=n))).T,
-                                   shape)
-    cells = lower.reshape(-1, 1) + corners
     boundary = np.ones(shape, dtype=bool)
     boundary[(slice(1, -1),) * n] = False
-    return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices, cells=cells,
+    return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices,
                      boundary_vertex_mask=boundary.ravel())
 
 
@@ -104,52 +98,21 @@ def graded_axis(M: int, Y: float, zeta: float) -> GradedAxis:
 
 @dataclass(frozen=True)
 class CylinderMesh:
-    """Tensor product of an Omega mesh and a graded axis, with Dirichlet mask.
+    """Tensor product of an Omega mesh and a graded axis.
 
-    Dirichlet nodes are those on the lateral boundary (Omega vertex on
-    d(Omega), any y) and on the top cap y = Y. Trace nodes sit at y = 0;
-    the ones over interior Omega vertices are free degrees of freedom.
+    The lateral boundary (Omega vertex on d(Omega), any y) and the top cap
+    y = Y are Dirichlet, so the free unknowns are the axis nodes 0..M-1
+    over each interior Omega vertex; the trace sits at y = 0.
     """
 
     omega: OmegaMesh
     axis: GradedAxis
-    dirichlet_mask: np.ndarray     # (n_nodes,)
-    free_idx: np.ndarray           # global indices of free nodes
-    free_pos: np.ndarray           # global index -> position in free vector (-1 if fixed)
-    trace_global: np.ndarray       # Omega vertex -> global node at y = 0
-    trace_free_pos: np.ndarray     # interior Omega vertex -> position in free vector
-
-    @property
-    def n_nodes(self) -> int:
-        return self.omega.n_vertices * (self.axis.M + 1)
 
     @property
     def n_free(self) -> int:
-        return self.free_idx.size
-
-    def node_index(self, vertex: int, axis_node: int) -> int:
-        return vertex * (self.axis.M + 1) + axis_node
+        return self.omega.interior_idx.size * self.axis.M
 
 
 def build_cylinder(omega: OmegaMesh, axis: GradedAxis) -> CylinderMesh:
-    """Assemble the index maps of the tensor-product cylinder mesh."""
-    nv = omega.n_vertices
-    Mp1 = axis.M + 1
-    n_nodes = nv * Mp1
-
-    # Dirichlet: lateral columns over boundary vertices plus the top cap.
-    dirichlet = np.repeat(omega.boundary_vertex_mask, Mp1).copy()
-    dirichlet[Mp1 - 1::Mp1] = True
-
-    free_idx = np.nonzero(~dirichlet)[0]
-    free_pos = np.full(n_nodes, -1, dtype=np.int64)
-    free_pos[free_idx] = np.arange(free_idx.size)
-
-    trace_global = np.arange(nv, dtype=np.int64) * Mp1
-    interior = omega.interior_idx
-    trace_free_pos = free_pos[trace_global[interior]]
-    assert np.all(trace_free_pos >= 0)
-
-    return CylinderMesh(omega=omega, axis=axis, dirichlet_mask=dirichlet,
-                        free_idx=free_idx, free_pos=free_pos,
-                        trace_global=trace_global, trace_free_pos=trace_free_pos)
+    """The tensor-product cylinder mesh of omega and axis."""
+    return CylinderMesh(omega=omega, axis=axis)

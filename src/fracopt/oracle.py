@@ -57,11 +57,6 @@ def mode(*indices: int) -> SpectralMode:
     return SpectralMode(indices=tuple(indices), lam=lam)
 
 
-def fractional_power_apply(coeffs, lams, s: float) -> np.ndarray:
-    """Apply L^s diagonally: multiply each modal coefficient by lambda^s."""
-    return np.asarray(coeffs, dtype=float) * np.asarray(lams, dtype=float) ** s
-
-
 def modal_decompose(func: Callable, n: int, kmax: int = 32, tol: float = 1e-12,
                     cells: int = 64):
     """Sine coefficients of a callable on (0,1)^n, for the oracle's use.

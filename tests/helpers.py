@@ -95,6 +95,75 @@ def check_telescoping(gamma, K):
         assert abs(total - 1.0) <= 1e-12, f"telescoping off at k={k}: {total}"
 
 
+# -- node numberings of the assembled operators ------------------------------
+
+def omega_cells(omega):
+    """(n_cells, 2^n) vertex indices of each cell's corners, row-major by lowest corner.
+
+    A cell lists its corners in ``itertools.product((0, 1), repeat=n)`` order.
+    """
+    m, n = omega.cells_per_dim, omega.n
+    shape = (m + 1,) * n
+    lower = np.ravel_multi_index(np.meshgrid(*[np.arange(m)] * n, indexing="ij"), shape)
+    corners = np.ravel_multi_index(np.array(list(itertools.product((0, 1), repeat=n))).T,
+                                   shape)
+    return lower.reshape(-1, 1) + corners
+
+
+def node_index(mesh, vertex, axis_node):
+    """Global cylinder node: axis-minor within each Omega vertex."""
+    return vertex * (mesh.axis.M + 1) + axis_node
+
+
+@dataclass(frozen=True)
+class NodeMaps:
+    """Index maps of the cylinder numbering node_index, from the Dirichlet geometry.
+
+    Dirichlet nodes are those on the lateral boundary (Omega vertex on
+    d(Omega), any y) and on the top cap y = Y; the rest are free, in
+    ascending order, as the rows of ``assemble_stiffness``.
+    """
+
+    dirichlet_mask: np.ndarray     # (n_nodes,)
+    free_idx: np.ndarray           # global indices of free nodes
+    trace_global: np.ndarray       # Omega vertex -> global node at y = 0
+    trace_free_pos: np.ndarray     # interior Omega vertex -> position in free vector
+
+    @property
+    def n_nodes(self):
+        return self.dirichlet_mask.size
+
+
+def node_maps(mesh):
+    nv, Mp1 = mesh.omega.n_vertices, mesh.axis.M + 1
+    dirichlet = np.repeat(mesh.omega.boundary_vertex_mask, Mp1)
+    dirichlet[Mp1 - 1::Mp1] = True
+    free_idx = np.nonzero(~dirichlet)[0]
+    free_pos = np.full(nv * Mp1, -1)
+    free_pos[free_idx] = np.arange(free_idx.size)
+    trace_global = np.arange(nv) * Mp1
+    trace_free_pos = free_pos[trace_global[mesh.omega.interior_idx]]
+    assert np.all(trace_free_pos >= 0)
+    return NodeMaps(dirichlet_mask=dirichlet, free_idx=free_idx,
+                    trace_global=trace_global, trace_free_pos=trace_free_pos)
+
+
+def free_field(system, coeffs):
+    """Free-node fields sum_i coeffs_i phi_i x psi_i of modal trace coefficients.
+
+    ``coeffs`` has the modes on its last axis; the result replaces it by
+    the free-node vector (interior vertex major, axis node minor).
+    """
+    nodal = system.from_modal(coeffs[..., None, :] * system.psi.T)  # (..., M, n_int)
+    return np.swapaxes(nodal, -1, -2).reshape(coeffs.shape[:-1] + (-1,))
+
+
+def extension_field(system, u0):
+    """Discrete weighted-harmonic extension of u0 from its modal profiles, as a free-node vector."""
+    u0v = np.asarray(u0(system.mesh.omega.vertices[system.interior]), dtype=float)
+    return free_field(system, system.to_modal(system.mass(u0v)))
+
+
 # -- assembled Omega operators: the references for the per-axis applies -----
 
 def control_load_matrix(omega):
@@ -105,8 +174,9 @@ def control_load_matrix(omega):
     piecewise-constant projection of a trace function.
     """
     contrib = (omega.h / 2.0) ** omega.n
-    ncells, nloc = omega.cells.shape
-    rows = omega.cells.ravel()
+    cells = omega_cells(omega)
+    ncells, nloc = cells.shape
+    rows = cells.ravel()
     cols = np.repeat(np.arange(ncells), nloc)
     vals = np.full(rows.size, contrib)
     return sp.csr_matrix((vals, (rows, cols)),
@@ -154,10 +224,11 @@ def assembled_quadrature(omega):
     """The sparse-basis Omega quadrature: the reference of OmegaQuadrature.
 
     The tensor 3^n Gauss rule on every cell, points listed cell by cell,
-    with the Q1 basis of each cell's 2^n corners (in ``omega.cells`` order)
+    with the Q1 basis of each cell's 2^n corners (in ``omega_cells`` order)
     evaluated at them.
     """
     n, h = omega.n, omega.h
+    cells = omega_cells(omega)
     tensor = lambda v: np.stack([x.ravel() for x in np.meshgrid(*[v] * n, indexing="ij")],
                                 axis=1)
     xi = tensor(_GAUSS3_P)                                          # (3^n, n)
@@ -166,12 +237,12 @@ def assembled_quadrature(omega):
     # the basis of corner c is prod_j (xi_j if c_j else 1 - xi_j)
     ref = np.prod(np.where(corners[None], xi[:, None], 1.0 - xi[:, None]), axis=2)
     ncells = omega.n_cells
-    origins = omega.vertices[omega.cells[:, 0]]                     # (ncells, n)
+    origins = omega.vertices[cells[:, 0]]                           # (ncells, n)
     pts = (origins[:, None, :] + h * xi[None, :, :]).reshape(-1, n)
     cell_of = np.repeat(np.arange(ncells), xi.shape[0])
     rows = np.repeat(np.arange(pts.shape[0]), corners.shape[0])
     basis = sp.csr_matrix((np.tile(ref, (ncells, 1)).ravel(),
-                           (rows, omega.cells[cell_of].ravel())),
+                           (rows, cells[cell_of].ravel())),
                           shape=(pts.shape[0], omega.n_vertices))
     return AssembledQuadrature(points=pts, weights=np.tile(ww, ncells),
                                cell_of=cell_of, basis=basis)
@@ -185,16 +256,15 @@ def sparse_step_solver(system):
     Returns solve(rhs_int) -> free-node vector for a load that lives on the
     interior trace nodes only.
     """
-    mesh = system.mesh
-    nf, n_int = mesh.n_free, system.n_interior
-    embed = sp.csr_matrix((np.ones(n_int), (system.tpos, np.arange(n_int))),
-                          shape=(nf, n_int))
+    nf, n_int = system.mesh.n_free, system.n_interior
+    tpos = node_maps(system.mesh).trace_free_pos
+    embed = sp.csr_matrix((np.ones(n_int), (tpos, np.arange(n_int))), shape=(nf, n_int))
     step = system.A_free + system.march.c_new * (embed @ M_int(system) @ embed.T)
     solve = spla.factorized(step.tocsc())
 
     def solve_trace(rhs_int):
         rhs = np.zeros(nf)
-        rhs[system.tpos] = rhs_int
+        rhs[tpos] = rhs_int
         return solve(rhs)
     return solve_trace
 
@@ -204,6 +274,7 @@ def sparse_state_march(system, trace0, loads):
     K = system.grid.K
     solve = sparse_step_solver(system)
     mass = M_int(system)
+    tpos = node_maps(system.mesh).trace_free_pos
     traces = np.empty((K + 1, system.n_interior))
     traces[0] = trace0
     fields = np.zeros((K + 1, system.mesh.n_free))
@@ -216,7 +287,7 @@ def sparse_state_march(system, trace0, loads):
             if k >= 1:
                 acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
         fields[k + 1] = solve(system.march.c_new * (mass @ acc) + loads[k])
-        traces[k + 1] = fields[k + 1][system.tpos]
+        traces[k + 1] = fields[k + 1][tpos]
     return traces, fields
 
 
@@ -225,6 +296,7 @@ def sparse_adjoint_march(system, loads):
     K = system.grid.K
     solve = sparse_step_solver(system)
     mass = M_int(system)
+    tpos = node_maps(system.mesh).trace_free_pos
     traces = np.zeros((K + 1, system.n_interior))
     w = system.march.weights
     for j in range(K - 1, -1, -1):
@@ -232,7 +304,7 @@ def sparse_adjoint_march(system, loads):
             acc = traces[j + 1]
         else:
             acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
-        traces[j] = solve(system.march.c_new * (mass @ acc) + loads[j])[system.tpos]
+        traces[j] = solve(system.march.c_new * (mass @ acc) + loads[j])[tpos]
     return traces
 
 
@@ -240,18 +312,19 @@ def sparse_initial_field(system, u0):
     """Harmonic extension by sparse LU: nodal u0 on the trace, a_Y(V0, W) = 0 above."""
     mesh = system.mesh
     u0v = np.asarray(u0(mesh.omega.vertices[system.interior]), dtype=float)
-    upos = np.setdiff1d(np.arange(mesh.n_free), system.tpos)
+    tpos = node_maps(mesh).trace_free_pos
+    upos = np.setdiff1d(np.arange(mesh.n_free), tpos)
     A = system.A_free
     v = np.zeros(mesh.n_free)
-    v[system.tpos] = u0v
-    v[upos] = spla.spsolve(A[upos][:, upos].tocsc(), -(A[upos][:, system.tpos] @ u0v))
+    v[tpos] = u0v
+    v[upos] = spla.spsolve(A[upos][:, upos].tocsc(), -(A[upos][:, tpos] @ u0v))
     return v
 
 
 def sparse_trace_schur(system):
     """Dense Schur complement of the assembled stiffness onto the trace nodes."""
     A = system.A_free.tocsr()
-    t = system.tpos
+    t = node_maps(system.mesh).trace_free_pos
     upos = np.setdiff1d(np.arange(system.mesh.n_free), t)
     A_ut = A[upos][:, t].toarray()
     return A[t][:, t].toarray() - A_ut.T @ spla.spsolve(A[upos][:, upos].tocsc(), A_ut)

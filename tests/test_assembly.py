@@ -11,7 +11,8 @@ from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
 from helpers import (assembled_quadrature, build_test_mesh, check_operator_symmetry,
-                     check_spd_rayleigh, check_weight_integrals, control_load_matrix)
+                     check_spd_rayleigh, check_weight_integrals, control_load_matrix,
+                     node_index, node_maps)
 
 
 def test_weight_integrals_unweighted():
@@ -71,10 +72,8 @@ def _reference_unweighted_stiffness(mesh):
     (x, y) rectangle mesh (n = 1 cylinder, alpha = 0)."""
     gp = np.array([0.5 - math.sqrt(15) / 10, 0.5, 0.5 + math.sqrt(15) / 10])
     gw = np.array([5 / 18, 8 / 18, 5 / 18])
-    nv = mesh.omega.n_vertices
-    Mp1 = mesh.axis.M + 1
-    n_nodes = mesh.n_nodes
-    A = sp.lil_matrix((n_nodes, n_nodes))
+    maps = node_maps(mesh)
+    A = sp.lil_matrix((maps.n_nodes, maps.n_nodes))
     xs = mesh.omega.vertices[:, 0]
     ys = mesh.axis.nodes
     for cx in range(mesh.omega.n_cells):
@@ -83,8 +82,8 @@ def _reference_unweighted_stiffness(mesh):
         for cy in range(mesh.axis.M):
             y0, y1 = ys[cy], ys[cy + 1]
             hy = y1 - y0
-            nodes = [mesh.node_index(cx, cy), mesh.node_index(cx, cy + 1),
-                     mesh.node_index(cx + 1, cy), mesh.node_index(cx + 1, cy + 1)]
+            nodes = [node_index(mesh, cx, cy), node_index(mesh, cx, cy + 1),
+                     node_index(mesh, cx + 1, cy), node_index(mesh, cx + 1, cy + 1)]
             local = np.zeros((4, 4))
             for a, (xi, wx) in enumerate(zip(gp, gw)):
                 for b, (et, wy) in enumerate(zip(gp, gw)):
@@ -95,7 +94,7 @@ def _reference_unweighted_stiffness(mesh):
             for i in range(4):
                 for j in range(4):
                     A[nodes[i], nodes[j]] += local[i, j]
-    free = mesh.free_idx
+    free = maps.free_idx
     return A.tocsr()[free][:, free]
 
 
@@ -112,7 +111,8 @@ def test_trace_mass_structure_1d():
     mesh, _ = build_test_mesh(n=1, M=4, s=0.5)
     Mt = assemble_trace_mass(mesh)
     h = mesh.omega.h
-    tg = mesh.trace_global
+    maps = node_maps(mesh)
+    tg = maps.trace_global
     block = Mt[tg][:, tg].toarray()
     nv = mesh.omega.n_vertices
     expected = np.zeros((nv, nv))
@@ -126,14 +126,14 @@ def test_trace_mass_structure_1d():
     assert np.allclose(sums[1:-1], h, atol=1e-15)
     # everything off the trace is empty and the grand total is |Omega|
     assert Mt.sum() == pytest.approx(1.0, abs=1e-13)
-    off = np.setdiff1d(np.arange(mesh.n_nodes), tg)
+    off = np.setdiff1d(np.arange(maps.n_nodes), tg)
     assert abs(Mt[off]).sum() == 0.0
 
 
 def test_trace_mass_row_sums_2d():
     mesh, _ = build_test_mesh(n=2, M=4, s=0.5)
     Mt = assemble_trace_mass(mesh)
-    tg = mesh.trace_global
+    tg = node_maps(mesh).trace_global
     block = Mt[tg][:, tg].toarray()
     sums = block.sum(axis=1)
     interior = mesh.omega.interior_idx
@@ -159,7 +159,7 @@ def test_load_zero_and_constant():
     assert np.all(zero == 0.0)
     one = vertex_loads(lambda x, t: np.ones(np.atleast_2d(x).shape[0]), grid, mesh)[2]
     Mt = assemble_trace_mass(mesh)
-    rowsums = np.asarray(Mt[mesh.trace_global].sum(axis=1)).ravel()
+    rowsums = np.asarray(Mt[node_maps(mesh).trace_global].sum(axis=1)).ravel()
     interior = mesh.omega.interior_idx
     assert np.allclose(one[interior], rowsums[interior], atol=1e-13)
     # the loads at all vertices, boundary included, from the assembled oracle

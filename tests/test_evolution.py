@@ -16,7 +16,7 @@ from fracopt.oracle import manufactured_problem, mode
 from fracopt.problem import ParameterError, make_params
 from fracopt.harness import build_setup, l2Q_error, manufactured_data
 
-from helpers import build_test_mesh, check_telescoping
+from helpers import build_test_mesh, check_telescoping, extension_field, node_index, node_maps
 
 
 def zero_f(x, t):
@@ -101,10 +101,16 @@ def test_discrete_caputo_empty_history():
 
 
 def full_initial_field(u0, mesh, params):
-    """CylinderSystem.initial_field embedded in all nodes (zero on Dirichlet ones)."""
+    """The harmonic extension of u0 embedded in all nodes (zero on Dirichlet ones).
+
+    Its trace is CylinderSystem.initial_field; above y = 0 it is the modal
+    profile psi of every mode.
+    """
     system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=1))
-    v = np.zeros(mesh.n_nodes)
-    v[mesh.free_idx] = system.initial_field(u0)
+    maps = node_maps(mesh)
+    v = np.zeros(maps.n_nodes)
+    v[maps.free_idx] = extension_field(system, u0)
+    v[maps.trace_global[mesh.omega.interior_idx]] = system.initial_field(u0)
     return v
 
 
@@ -118,13 +124,14 @@ def test_initialize_state_trace_and_decay():
     mesh, params = build_test_mesh(n=2, M=6, s=0.5)
     md = mode(1, 1)
     v = full_initial_field(lambda x: md(x), mesh, params)
+    maps = node_maps(mesh)
     interior = mesh.omega.interior_idx
-    got = v[mesh.trace_global[interior]]
+    got = v[maps.trace_global[interior]]
     assert np.allclose(got, md(mesh.omega.vertices[interior]), atol=1e-13)
-    assert np.all(v[mesh.dirichlet_mask] == 0.0)
+    assert np.all(v[maps.dirichlet_mask] == 0.0)
     # discrete maximum-principle style check: values decay going up a column
     for vertex in interior[:5]:
-        col = v[[mesh.node_index(vertex, m) for m in range(mesh.axis.M + 1)]]
+        col = v[[node_index(mesh, vertex, m) for m in range(mesh.axis.M + 1)]]
         assert np.all(np.diff(np.abs(col)) <= 1e-13)
 
 
@@ -134,13 +141,13 @@ def test_initialize_state_energy_bounded_across_refinements():
     for M in (4, 8, 16):
         mesh, params = build_test_mesh(n=2, M=M, s=0.6)
         system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=1))
-        vfree = system.initial_field(lambda x: md(x))
-        energies.append(system.energy(vfree))
+        vfree = extension_field(system, lambda x: md(x))
+        energies.append(float(vfree @ (system.A_free @ vfree)))
     assert max(energies) <= 2.0 * min(energies)
     # Galerkin orthogonality of the extension solve: residual vanishes off the trace
     resid = system.A_free @ vfree
     mask = np.ones(mesh.n_free, dtype=bool)
-    mask[mesh.trace_free_pos] = False
+    mask[node_maps(mesh).trace_free_pos] = False
     assert np.max(np.abs(resid[mask])) <= 1e-12 * np.max(np.abs(resid))
 
 
@@ -155,14 +162,15 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     monkeypatch.setattr(evolution, "assemble_stiffness", refuse)
     system = CylinderSystem(mesh, params, grid, reaction=0.7)
     md = mode(1, 2)
-    v0 = system.initial_field(lambda x: md(x))
+    trace0 = system.initial_field(lambda x: md(x))
     loads = np.ones((grid.K, system.n_interior))
-    state_march(system, v0[system.tpos], loads)
+    state_march(system, trace0, loads)
     adjoint_march(system, loads)
     monkeypatch.undo()
-    # energy() assembles the stiffness on first use and matches the assembled form
+    # A_free is assembled on first use, kept, and gives the assembled energy
+    v0 = extension_field(system, lambda x: md(x))
     A = assemble_stiffness(mesh, params, c=0.7)
-    assert math.isclose(system.energy(v0), float(v0 @ (A @ v0)), rel_tol=1e-14)
+    assert math.isclose(float(v0 @ (system.A_free @ v0)), float(v0 @ (A @ v0)), rel_tol=1e-14)
     assert system.A_free is system.A_free
 
 
@@ -187,9 +195,9 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     grid = TimeGrid(T=1.0, K=4)
     system = CylinderSystem(mesh, params, grid, reaction=0.7)
     md = mode(*([1] * n))
-    v0 = system.initial_field(lambda x: md(x))
+    trace0 = system.initial_field(lambda x: md(x))
     loads = system.control_loads(np.ones((grid.K, mesh.omega.n_cells)))
-    state_march(system, v0[system.tpos], loads)
+    state_march(system, trace0, loads)
     adjoint_march(system, system.mass(loads))
     for name in ("M_int", "B", "B_int", "B_int_T"):
         assert not hasattr(system, name)

@@ -8,6 +8,8 @@ dimension ``n`` (a name or an attribute ``.n``) for (in)equality or
 membership with a constant: one tensor code path serves every n. No
 module imports scipy when it is itself imported, and a control solve and a
 truncation study run in a fresh interpreter without loading any of scipy.
+No module but ``assembly.py``, whose sparse oracles number the cylinder's
+nodes, reads an attribute of that numbering: the solve path is the trace.
 """
 import ast
 import json
@@ -160,6 +162,33 @@ def test_module_imports_no_scipy_at_import_time(path):
     assert import_time_scipy(path.read_text()) == []
 
 
+NUMBERING_ATTRIBUTES = {"free_idx", "free_pos", "trace_free_pos", "trace_global",
+                        "dirichlet_mask", "node_index", "n_nodes", "tpos"}
+
+
+def numbering_reads(source: str) -> list:
+    """``"line:attribute"`` for each attribute of the free-node numbering read in ``source``."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr in NUMBERING_ATTRIBUTES]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}:{node.attr}" for node in found]
+
+
+def test_detector_finds_numbering_reads():
+    source = ("v = system.initial_field(u0)[system.tpos]\n"
+              "free = mesh.free_idx\nk = mesh.node_index(1, 0) + mesh.n_nodes\n"
+              "fine = mesh.n_free + free_idx + tpos + system.n_interior\n"
+              "self.free_pos = None\nmesh.omega.trace_global[0] = 1\n")
+    assert numbering_reads(source) == ["1:tpos", "2:free_idx", "3:node_index", "3:n_nodes",
+                                       "5:free_pos", "6:trace_global"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "assembly.py"],
+                         ids=lambda p: p.name)
+def test_module_reads_no_free_node_numbering(path):
+    assert numbering_reads(path.read_text()) == []
+
+
 SOLVE_WITHOUT_SCIPY = """
 import json, sys
 from fracopt.cli import main
@@ -171,7 +200,7 @@ import fracopt
 mesh = fracopt.build_cylinder(fracopt.build_omega(2, 3), fracopt.graded_axis(3, 1.5, 1.2))
 stiff = fracopt.assemble_stiffness(mesh, fracopt.make_params(0.4, 1.0, 1.5))
 print(json.dumps({"codes": codes, "loaded": loaded, "format": stiff.format,
-                  "shape": list(stiff.shape), "free": int(mesh.free_idx.size)}))
+                  "shape": list(stiff.shape), "free": int(mesh.n_free)}))
 """
 
 

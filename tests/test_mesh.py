@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import build_cylinder, build_omega, default_zeta, graded_axis
+from fracopt import (assemble_stiffness, build_cylinder, build_omega, default_zeta,
+                     graded_axis, make_params)
+from fracopt.assembly import free_nodes
 from fracopt.problem import ParameterError
+
+from helpers import node_index, node_maps, omega_cells
 
 
 def test_graded_axis_uniform():
@@ -80,7 +84,7 @@ def test_omega_mesh_2d_interior_cell_count():
     assert om.n_vertices == 25
     assert om.n_cells == 16
     # every interior vertex belongs to 2^n cells
-    counts = np.bincount(om.cells.ravel(), minlength=om.n_vertices)
+    counts = np.bincount(omega_cells(om).ravel(), minlength=om.n_vertices)
     interior = om.interior_idx
     assert np.all(counts[interior] == 4)
 
@@ -91,11 +95,13 @@ def test_omega_mesh_3d_counts():
     assert om.n_cells == 64
     assert om.interior_idx.size == 27
     # every interior vertex belongs to 2^n cells
-    counts = np.bincount(om.cells.ravel(), minlength=om.n_vertices)
+    cells = omega_cells(om)
+    assert cells.shape == (om.n_cells, 8)
+    counts = np.bincount(cells.ravel(), minlength=om.n_vertices)
     assert np.all(counts[om.interior_idx] == 8)
     # corners in itertools.product((0, 1), repeat=3) order: (i, j, k) -> 25 i + 5 j + k
-    assert om.cells[0].tolist() == [0, 1, 5, 6, 25, 26, 30, 31]
-    span = om.vertices[om.cells[:, -1]] - om.vertices[om.cells[:, 0]]
+    assert cells[0].tolist() == [0, 1, 5, 6, 25, 26, 30, 31]
+    span = om.vertices[cells[:, -1]] - om.vertices[cells[:, 0]]
     assert np.allclose(span, om.h, rtol=0, atol=1e-15)
     mesh = build_cylinder(om, graded_axis(4, 1.0, 3.15))
     assert mesh.n_free == 3 ** 3 * 4
@@ -105,18 +111,20 @@ def test_build_cylinder_tiny_enumeration():
     # n = 1 with 2 cells, M = 2: 9 nodes, 7 Dirichlet, free = the two
     # nodes with y < Y over the interior vertex
     mesh = build_cylinder(build_omega(1, 2), graded_axis(2, 1.0, 2.0))
-    assert mesh.n_nodes == 9
-    assert int(mesh.dirichlet_mask.sum()) == 7
+    maps = node_maps(mesh)
+    assert maps.n_nodes == 9
+    assert int(maps.dirichlet_mask.sum()) == 7
     assert mesh.n_free == 2
-    expected_free = [mesh.node_index(1, 0), mesh.node_index(1, 1)]
-    assert sorted(mesh.free_idx.tolist()) == sorted(expected_free)
+    expected_free = [node_index(mesh, 1, 0), node_index(mesh, 1, 1)]
+    assert sorted(free_nodes(mesh).tolist()) == sorted(expected_free)
 
 
 def test_trace_nodes_one_per_vertex():
     mesh = build_cylinder(build_omega(2, 3), graded_axis(4, 1.0, 3.15))
-    assert mesh.trace_global.size == mesh.omega.n_vertices
+    maps = node_maps(mesh)
+    assert maps.trace_global.size == mesh.omega.n_vertices
     # trace node is Dirichlet exactly when its vertex is on the boundary
-    tr_dirichlet = mesh.dirichlet_mask[mesh.trace_global]
+    tr_dirichlet = maps.dirichlet_mask[maps.trace_global]
     assert np.array_equal(tr_dirichlet, mesh.omega.boundary_vertex_mask)
 
 
@@ -130,4 +138,14 @@ def test_free_count_scaling():
 
 def test_node_count_product():
     mesh = build_cylinder(build_omega(2, 5), graded_axis(7, 1.2, 2.0))
-    assert mesh.n_nodes == 36 * 8
+    assert node_maps(mesh).n_nodes == 36 * 8
+
+
+@pytest.mark.parametrize("n,Ms", [(1, (1, 2, 5, 16)), (2, (1, 2, 4, 7)), (3, (1, 2, 3, 5))])
+def test_free_nodes_match_dirichlet_geometry_and_stiffness_size(n, Ms):
+    params = make_params(0.4, 1.0, 1.5)
+    for M in Ms:
+        mesh = build_cylinder(build_omega(n, M), graded_axis(M, 1.5, 2.0))
+        # the free nodes are exactly the non-Dirichlet ones, in ascending order
+        assert np.array_equal(free_nodes(mesh), node_maps(mesh).free_idx)
+        assert mesh.n_free == assemble_stiffness(mesh, params).shape[0]

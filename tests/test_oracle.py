@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import (build_omega, fractional_ibp_check, fractional_power_apply,
-                     manufactured_problem, mode, spectral_solve_state)
+from fracopt import (build_omega, fractional_ibp_check, manufactured_problem, mode,
+                     spectral_solve_state)
 from fracopt.assembly import omega_quadrature
 from fracopt.evolution import lambda_diagnostic
 from fracopt.oracle import _jacobi_rule, caputo_left, caputo_right
@@ -20,24 +20,6 @@ def test_mode_eigenvalues_and_normalization():
     quad = omega_quadrature(om)
     vals = mode(2, 1)(quad.points)
     assert float(quad.weights @ vals ** 2) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_fractional_power_identity_and_classical():
-    lams = np.array([m.lam for m in (mode(1, 1), mode(2, 2), mode(3, 1))])
-    coeffs = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(fractional_power_apply(coeffs, lams, 0.0), coeffs)
-    assert np.allclose(fractional_power_apply(coeffs, lams, 1.0), coeffs * lams)
-    got = fractional_power_apply(np.array([1.0]), np.array([mode(2, 2).lam]), 0.5)
-    assert got[0] == pytest.approx(math.sqrt(8.0) * math.pi, rel=1e-14)
-
-
-def test_fractional_power_multiplicative():
-    rng = np.random.default_rng(1)
-    lams = np.array([mode(k, l).lam for k in (1, 2) for l in (1, 3)])
-    coeffs = rng.standard_normal(lams.size)
-    one = fractional_power_apply(fractional_power_apply(coeffs, lams, 0.3), lams, 0.45)
-    two = fractional_power_apply(coeffs, lams, 0.75)
-    assert np.allclose(one, two, rtol=1e-13)
 
 
 def test_eigenfunction_orthonormality_under_quadrature():
