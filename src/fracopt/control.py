@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,12 @@ def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
 class ReducedProblem:
     """Reduced cost of the discrete control problem with precomputed data.
 
-    Assembles the forcing and desired-state step averages (``b_f``, ``b_ud``,
-    ``c_ud``) once, and their modal data b_f_hat = Phi^T b_f, b_ud_hat =
-    Phi^T b_ud, w0_hat = Phi^T M_int tr V^0 and sum_k c_ud^k.
+    Assembles the forcing and desired-state step averages once and keeps
+    their modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, the
+    constant terms ``c_ud``, w0_hat = Phi^T M_int tr V^0 and sum_k c_ud^k.
+    The nodal loads ``b_f`` and ``b_ud`` are not kept: each is built on
+    first read, by the same computation, for the nodal marches of
+    :meth:`state` and :meth:`adjoint`.
     :meth:`cost_and_gradient` stays in modal trace coefficients:
 
     1. w_hat = T^{-1}(b_f_hat + C1 z; w0_hat), one state march;
@@ -127,22 +131,41 @@ class ReducedProblem:
         self.cell_volume = mesh.omega.cell_volume
         self.weight = grid.tau * self.cell_volume
 
-        quad = sysm.quad
-        self.b_f = forcing_loads(data.forcing, grid, quad)
-        # loads <u_d^k, phi_i> and the constant term int (u_d^k)^2 from one
-        # evaluation of u_d per block of steps, with the quadrature of forcing_loads
-        self.b_ud = np.empty((grid.K, sysm.n_interior))
-        self.c_ud = np.empty(grid.K)
-        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-            vals = time_average(data.desired_state, quad.points, t0, t1, "desired state")
-            self.b_ud[steps] = quad.loads(vals)
-            self.c_ud[steps] = np.square(vals) @ quad.weights
+        # each nodal load array is dropped once transformed, before the next is built
+        b_ud, self.c_ud = self._desired_state_data()
+        self.b_ud_hat = sysm.to_modal(b_ud)
+        del b_ud
+        self.b_f_hat = sysm.to_modal(forcing_loads(data.forcing, grid, sysm.quad))
         self.trace0 = sysm.initial_field(data.initial)
-
-        self.b_f_hat = sysm.to_modal(self.b_f)
-        self.b_ud_hat = sysm.to_modal(self.b_ud)
         self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
         self.c_ud_sum = float(np.sum(self.c_ud))
+
+    def _desired_state_data(self):
+        """(b_ud, c_ud): loads <u_d^k, phi_i> and the constant terms int (u_d^k)^2.
+
+        Both come from one evaluation of u_d per block of steps, with the
+        quadrature of forcing_loads.
+        """
+        quad, grid = self.system.quad, self.grid
+        b_ud = np.empty((grid.K, self.system.n_interior))
+        c_ud = np.empty(grid.K)
+        vals = None
+        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+            vals = time_average(self.data.desired_state, quad.points, t0, t1,
+                                "desired state", out=vals)
+            b_ud[steps] = quad.loads(vals)
+            c_ud[steps] = np.square(vals) @ quad.weights
+        return b_ud, c_ud
+
+    @cached_property
+    def b_f(self) -> np.ndarray:
+        """Nodal forcing loads, (K, n_interior); built on first read."""
+        return forcing_loads(self.data.forcing, self.grid, self.system.quad)
+
+    @cached_property
+    def b_ud(self) -> np.ndarray:
+        """Nodal desired-state loads, (K, n_interior); built on first read."""
+        return self._desired_state_data()[0]
 
     def new_control(self, values=None) -> ControlField:
         if values is None:
@@ -265,24 +288,44 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
     the steepest-descent direction while the quasi-Newton model acts on the
     rest. Terminates when ||z - clamp(z - g)|| <= tol. The inverse Hessian
     seed is 1/mu, mu the regularization weight (the exact Hessian of the
-    penalty term), until pairs exist; at most 10 pairs are kept. The model
-    works on the free coordinates only: stored pairs are restricted to the
-    free set and curvature-tested once per free set, not once per iteration.
+    penalty term), until pairs exist; at most 10 pairs are kept. Each pair
+    is stored once, whole. The model works on the free coordinates only:
+    every iteration restricts the stored pairs to its free set and
+    curvature-tests the restrictions, which feed the seed and both loops of
+    the two-loop recursion and are dropped before the line search.
     """
     a, b = bounds.a, bounds.b
     dot = lambda u, v: weight * float(np.vdot(u, v))
     nrm = lambda u: math.sqrt(max(dot(u, u), 0.0))
 
-    def free_pair(s, y, free):
-        """(s[free], y[free]), or None if it fails the curvature test."""
-        s, y = s[free], y[free]
+    def free_pair(s, y, idx):
+        """(s, y) at the flat indices idx, or None if that fails the curvature test."""
+        s, y = s.take(idx), y.take(idx)
         return (s, y) if dot(y, s) > 1e-14 * nrm(y) * nrm(s) else None
+
+    def apply_model(d, g, free):
+        """Set d[free] to the model direction -H g[free] unless it is uphill.
+
+        H is built from the stored pairs restricted to ``free``; d stays as
+        it is when no restriction passes the curvature test. The
+        restrictions live only in this call.
+        """
+        idx = np.flatnonzero(free)
+        model = [m for m in (free_pair(s, y, idx) for s, y in pairs) if m is not None]
+        if not model:
+            return
+        gf = g.take(idx)
+        s_l, y_l = model[-1]
+        # curvature-scaled seed once pairs exist
+        df = _two_loop(gf, model, dot(s_l, y_l) / dot(y_l, y_l), dot)
+        np.negative(df, out=df)
+        if not dot(df, gf) > 0.0:   # an uphill model keeps steepest descent
+            np.put(d, idx, df)
 
     z = clamp(z0, a, b)
     f, g = fun_and_grad(z)
-    # (s, y, free_pair(s, y, mask_free)) for each stored pair
+    # the accepted (s, y) pairs, whole
     pairs: list = []
-    mask_free = None
     # the projected gradient, then each trial step; an accepted step is kept
     # as the pair's s and a fresh work array replaces it
     work = np.empty_like(z)
@@ -305,21 +348,9 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         active = (z <= a) & (g > 0.0)
         active |= (z >= b) & (g < 0.0)
         free = ~active
-        if mask_free is None or not np.array_equal(free, mask_free):
-            mask_free = free
-            pairs = [(s, y, free_pair(s, y, free)) for s, y, _ in pairs]
-        model = [m for _, _, m in pairs if m is not None]
         # mu-scaled steepest descent; the model replaces it on the free set
         d = g / -bounds.mu
-        if model:
-            # curvature-scaled seed once pairs exist
-            gf = g[free]
-            s_l, y_l = model[-1]
-            inv_seed = dot(s_l, y_l) / dot(y_l, y_l)
-            df = _two_loop(gf, model, inv_seed, dot)
-            np.negative(df, out=df)
-            if not dot(df, gf) > 0.0:   # an uphill model keeps steepest descent
-                d[free] = df
+        apply_model(d, g, free)
 
         # Armijo backtracking on the projected path, with a roundoff
         # allowance so decrease can be certified near the noise floor of f.
@@ -346,7 +377,7 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         s_vec, work = step, np.empty_like(z)
         y_vec = g_trial - g
         if dot(y_vec, s_vec) > 1e-14 * nrm(y_vec) * nrm(s_vec):
-            pairs.append((s_vec, y_vec, free_pair(s_vec, y_vec, mask_free)))
+            pairs.append((s_vec, y_vec))
             if len(pairs) > _MEMORY:
                 pairs.pop(0)
         z, f, g = z_trial, f_trial, g_trial
@@ -363,12 +394,26 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
             "cost_history": cost_history}
 
 
+def check_stopping(tol: float, max_iter: int) -> None:
+    """Raise ParameterError unless tol is finite and > 0 and max_iter >= 1."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tolerance must be finite and > 0, got tol = {tol}")
+    if not max_iter >= 1:
+        raise ParameterError(f"need at least one iteration, got max_iter = {max_iter}")
+
+
 def solve_control_problem(data: ProblemData, params: FractionalParams,
                           mesh: CylinderMesh, grid: TimeGrid,
                           z0: np.ndarray | None = None, tol: float = 1e-9,
                           max_iter: int = 400,
                           prob: ReducedProblem | None = None) -> OptimizeResult:
-    """Minimize the reduced cost over the discrete admissible set."""
+    """Minimize the reduced cost over the discrete admissible set.
+
+    ``tol`` must be finite and > 0 and ``max_iter`` >= 1, else
+    ParameterError: a stopping rule that can never be met is refused
+    before any work.
+    """
+    check_stopping(tol, max_iter)
     if prob is None:
         prob = ReducedProblem(data, params, mesh, grid)
     if z0 is None:

@@ -471,8 +471,10 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature,
     names it in data errors.
     """
     out = np.empty((grid.K, quad.hats.shape[1] ** quad.n))
+    avg = None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        out[steps] = quad.loads(time_average(f, quad.points, t0, t1, what))
+        avg = time_average(f, quad.points, t0, t1, what, out=avg)
+        out[steps] = quad.loads(avg)
     return out
 
 

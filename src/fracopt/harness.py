@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import evaluate_data, omega_quadrature, step_blocks
-from .control import ReducedProblem, l2_project, solve_control_problem, vi_residual, project_trace
+from .control import (ReducedProblem, check_stopping, l2_project, project_trace,
+                      solve_control_problem, vi_residual)
 from .evolution import CylinderSystem, solve_state
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
 from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
@@ -56,6 +57,7 @@ class ExperimentConfig:
         for name in ("s_list", "K_list", "M_list", "Y_list"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must be nonempty")
+        check_stopping(self.tol, self.max_iter)
         if self.kind == "conv-time":
             _check_time_levels(self.K_list, REF_FACTOR)
         if self.kind == "truncation":

@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fracopt import (build_cylinder, build_omega, caputo_weights, graded_axis,
+from fracopt import (build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
                      make_params, weight_integrals)
 from fracopt.assembly import assemble_stiffness, assemble_trace_mass, omega_matrices
 from fracopt.mesh import default_zeta
@@ -427,3 +427,116 @@ def loop_l2Q_error(discrete, exact, grid, omega, kind):
         diff = vals - np.asarray(exact(quad.points, k * grid.tau))
         acc += grid.tau * float(quad.weights @ np.square(diff))
     return math.sqrt(acc)
+
+
+# -- the projected L-BFGS with stored free-set restrictions: the reference ---
+# for the optimizer that keeps whole pairs only and restricts them per iteration
+
+def reference_two_loop(g, pairs, inv_seed, dot):
+    q = g.copy()
+    tmp = np.empty_like(q)
+    alphas = []
+    for s, y in reversed(pairs):
+        rho = 1.0 / dot(y, s)
+        a = rho * dot(s, q)
+        alphas.append((a, rho, s, y))
+        q -= np.multiply(a, y, out=tmp)
+    q *= inv_seed
+    for a, rho, s, y in reversed(alphas):
+        b = rho * dot(y, q)
+        q += np.multiply(a - b, s, out=tmp)
+    return q
+
+
+def reference_projected_bfgs(fun_and_grad, z0, bounds, weight, tol=1e-9, max_iter=400,
+                             memory=10):
+    """Projected L-BFGS that stores each pair whole and restricted to the free set.
+
+    The restrictions are rebuilt only when the free set changes and are kept
+    through the line search. Same iterates, in the same floating-point
+    operations, as :func:`fracopt.projected_bfgs`.
+    """
+    a, b = bounds.a, bounds.b
+    dot = lambda u, v: weight * float(np.vdot(u, v))
+    nrm = lambda u: math.sqrt(max(dot(u, u), 0.0))
+
+    def free_pair(s, y, free):
+        s, y = s[free], y[free]
+        return (s, y) if dot(y, s) > 1e-14 * nrm(y) * nrm(s) else None
+
+    z = clamp(z0, a, b)
+    f, g = fun_and_grad(z)
+    pairs = []
+    mask_free = None
+    work = np.empty_like(z)
+    pg_history = []
+    cost_history = [f]
+    n_iter = 0
+    converged = False
+    c1 = 1e-4
+
+    for n_iter in range(1, max_iter + 1):
+        np.subtract(z, g, out=work)
+        np.clip(work, a, b, out=work)
+        pg = np.subtract(z, work, out=work)
+        pg_norm = nrm(pg)
+        pg_history.append(pg_norm)
+        if pg_norm <= tol:
+            converged = True
+            break
+
+        active = (z <= a) & (g > 0.0)
+        active |= (z >= b) & (g < 0.0)
+        free = ~active
+        if mask_free is None or not np.array_equal(free, mask_free):
+            mask_free = free
+            pairs = [(s, y, free_pair(s, y, free)) for s, y, _ in pairs]
+        model = [m for _, _, m in pairs if m is not None]
+        d = g / -bounds.mu
+        if model:
+            gf = g[free]
+            s_l, y_l = model[-1]
+            inv_seed = dot(s_l, y_l) / dot(y_l, y_l)
+            df = reference_two_loop(gf, model, inv_seed, dot)
+            np.negative(df, out=df)
+            if not dot(df, gf) > 0.0:
+                d[free] = df
+
+        alpha = 1.0
+        accepted = False
+        allowance = 8.0 * np.finfo(float).eps * (abs(f) + 1e-300)
+        for _ in range(40):
+            z_trial = np.multiply(d, alpha)
+            z_trial += z
+            np.clip(z_trial, a, b, out=z_trial)
+            step = np.subtract(z_trial, z, out=work)
+            decrement = dot(g, step)
+            if decrement >= 0.0:
+                alpha *= 0.5
+                continue
+            f_trial, g_trial = fun_and_grad(z_trial)
+            if f_trial <= f + c1 * decrement + allowance:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+
+        s_vec, work = step, np.empty_like(z)
+        y_vec = g_trial - g
+        if dot(y_vec, s_vec) > 1e-14 * nrm(y_vec) * nrm(s_vec):
+            pairs.append((s_vec, y_vec, free_pair(s_vec, y_vec, mask_free)))
+            if len(pairs) > memory:
+                pairs.pop(0)
+        z, f, g = z_trial, f_trial, g_trial
+        cost_history.append(f)
+    else:
+        n_iter = max_iter
+
+    if not converged:
+        pg = z - clamp(z - g, a, b)
+        pg_history.append(nrm(pg))
+        converged = pg_history[-1] <= tol
+    return {"z": z, "f": f, "g": g, "pg_history": pg_history,
+            "iterations": n_iter, "converged": converged,
+            "cost_history": cost_history}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from fracopt.control import ReducedProblem, control_norm, project_trace
 from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
+
+from helpers import reference_projected_bfgs
 
 
 def test_clamp_examples():
@@ -139,28 +142,100 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
     assert np.max(np.abs(g - data.bounds.mu * z)) <= 1e-11 * scale
 
 
-def test_projected_bfgs_separable_toy():
-    # no state coupling: f(z) = 1/2||z - u_d||^2 + mu/2 ||z||^2 in the
-    # weighted norm; box-constrained minimizer is clamp(u_d/(1+mu))
+def _separable_toy(shape=(5, 9), weight=0.01):
+    """No state coupling: f(z) = 1/2||z - u_d||^2 + mu/2 ||z||^2 in the weighted norm.
+
+    Returns (fun_and_grad, bounds, u_d); the box-constrained minimizer is
+    clamp(u_d/(1+mu)), and about half of it lies on the bounds.
+    """
     rng = np.random.default_rng(12)
     mu = 0.7
     bounds = ControlBounds(-0.25, 0.3, mu)
-    u_d = rng.uniform(-1.0, 1.0, size=(5, 9))
-    weight = 0.01
-
-    evals = {"count": 0}
+    u_d = rng.uniform(-1.0, 1.0, size=shape)
 
     def fun_and_grad(z):
-        evals["count"] += 1
         f = 0.5 * weight * float(np.sum((z - u_d) ** 2)) \
             + 0.5 * mu * weight * float(np.sum(z ** 2))
         return f, (z - u_d) + mu * z
 
-    out = projected_bfgs(fun_and_grad, np.zeros_like(u_d), bounds, weight, tol=1e-12)
-    expected = np.clip(u_d / (1.0 + mu), bounds.a, bounds.b)
+    return fun_and_grad, bounds, u_d
+
+
+def test_projected_bfgs_separable_toy():
+    fun_and_grad, bounds, u_d = _separable_toy()
+    out = projected_bfgs(fun_and_grad, np.zeros_like(u_d), bounds, 0.01, tol=1e-12)
+    expected = np.clip(u_d / (1.0 + bounds.mu), bounds.a, bounds.b)
     assert out["converged"]
     assert out["iterations"] <= 5
     assert np.max(np.abs(out["z"] - expected)) <= 1e-10
+
+
+def _assert_same_run(got, ref):
+    for key in ("z", "g"):
+        assert np.array_equal(got[key], ref[key]), key
+    for key in ("f", "pg_history", "cost_history", "iterations", "converged"):
+        assert got[key] == ref[key], key
+
+
+def test_projected_bfgs_matches_stored_restriction_oracle_on_toy():
+    fun_and_grad, bounds, u_d = _separable_toy()
+    runs = [opt(fun_and_grad, np.zeros_like(u_d), bounds, 0.01, tol=1e-12)
+            for opt in (projected_bfgs, reference_projected_bfgs)]
+    _assert_same_run(*runs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("mu", [1.0, 1e-2])
+def test_projected_bfgs_matches_stored_restriction_oracle(mu, gamma, seed):
+    # rebuilding the free-set restrictions every iteration changes where
+    # they live, not one floating-point operation of the iteration
+    man, data, params, mesh, grid = _small_problem(gamma=gamma, M=6, K=16, mu=mu)
+    prob = ReducedProblem(data, params, mesh, grid)
+    rng = np.random.default_rng(seed)
+    z0 = man.a + (man.b - man.a) * rng.random((grid.K, mesh.omega.n_cells))
+    fun_and_grad = lambda z: prob.cost_and_gradient(z)[:2]
+    runs = [opt(fun_and_grad, z0, data.bounds, prob.weight, tol=1e-10)
+            for opt in (projected_bfgs, reference_projected_bfgs)]
+    _assert_same_run(*runs)
+    assert runs[0]["converged"]
+
+
+# traced peak of projected_bfgs above its start on the 2**17-entry toy, in
+# control-array sizes: 10.3 whole pairs only, 13.1 with stored restrictions
+TOY_PEAK_ARRAYS = 11.5
+
+
+def _traced_peak_arrays(opt, fun_and_grad, bounds, u_d):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = opt(fun_and_grad, np.zeros_like(u_d), bounds, 1.0 / u_d.size, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["converged"]
+    return (peak - start) / u_d.nbytes
+
+
+def test_projected_bfgs_keeps_no_restrictions_through_the_line_search():
+    fun_and_grad, bounds, u_d = _separable_toy(shape=(256, 512), weight=1.0 / 2 ** 17)
+    assert u_d.size == 2 ** 17
+    active = np.abs(np.clip(u_d / (1.0 + bounds.mu), bounds.a, bounds.b)
+                    - u_d / (1.0 + bounds.mu)) > 0.0
+    assert 0.25 < active.mean() < 0.75
+    assert _traced_peak_arrays(projected_bfgs, fun_and_grad, bounds, u_d) < TOY_PEAK_ARRAYS
+    # the bound separates the two designs: the oracle keeps restrictions stored
+    assert _traced_peak_arrays(reference_projected_bfgs, fun_and_grad, bounds,
+                               u_d) > TOY_PEAK_ARRAYS
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": -1.0}, {"max_iter": 0}],
+                         ids=["tol-nan", "tol-negative", "max-iter-0"])
+def test_solve_control_problem_rejects_unreachable_stopping_rule(kwargs):
+    man, data, params, mesh, grid = _small_problem(M=4, K=8)
+    with pytest.raises(ParameterError, match=next(iter(kwargs))):
+        solve_control_problem(data, params, mesh, grid, **kwargs)
 
 
 def test_solve_control_problem_optimality():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracopt import TimeGrid, build_omega, l2_project, l2Q_error
-from fracopt.assembly import omega_quadrature, step_blocks
+from fracopt.assembly import omega_quadrature, step_blocks, time_average
 from fracopt.control import ReducedProblem
 from fracopt.evolution import forcing_loads
 from fracopt.harness import build_setup, manufactured_data
@@ -55,6 +55,41 @@ def test_batched_data_matches_step_loops(n, gamma, steps):
         got = l2Q_error(discrete, exact, grid, omega, kind=kind, quad=quad)
         ref = loop_l2Q_error(discrete, exact, grid, omega, kind)
         assert math.isclose(got, ref, rel_tol=1e-13), kind
+
+
+def test_time_average_into_a_shared_buffer():
+    quad = omega_quadrature(build_omega(2, 4))
+    man = manufactured_problem(0.5, 1.0, 1.0, gamma=0.5, n=2)
+    t0 = np.arange(7) * 0.1
+    fresh = time_average(man.forcing, quad.points, t0, t0 + 0.1)
+    buf = np.full((9, quad.points.shape[0]), np.nan)
+    got = time_average(man.forcing, quad.points, t0, t0 + 0.1, out=buf)
+    assert np.shares_memory(got, buf) and got.shape == fresh.shape
+    assert np.array_equal(got, fresh)
+    assert np.isnan(buf[7:]).all()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_nodal_loads_are_built_on_first_read(gamma):
+    # three step blocks, the last one short
+    mesh, params, grid = build_setup(2, 4, 0.5, gamma, 1.0, 500)
+    man = manufactured_problem(0.5, 1.0, 1.0, gamma=gamma, n=2)
+    prob = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
+    assert "b_f" not in vars(prob) and "b_ud" not in vars(prob)
+    sysm = prob.system
+    # the modal data come from the same nodal loads, bit for bit
+    assert np.array_equal(prob.b_f_hat, sysm.to_modal(prob.b_f))
+    assert np.array_equal(prob.b_ud_hat, sysm.to_modal(prob.b_ud))
+    assert "b_f" in vars(prob) and "b_ud" in vars(prob)
+    assert prob.b_f is prob.b_f
+    assert np.array_equal(prob.b_f, forcing_loads(man.forcing, grid, sysm.quad))
+    again = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid, system=sysm)
+    assert np.array_equal(prob.b_ud, again.b_ud)
+    assert np.array_equal(prob.c_ud, again.c_ud)
+    assert rel_gap(prob.b_f, loop_forcing_loads(man.forcing, grid, mesh.omega)) <= 1e-13
+    b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, mesh.omega)
+    assert rel_gap(prob.b_ud, b_ud) <= 1e-13
+    assert rel_gap(prob.c_ud, c_ud) <= 1e-13
 
 
 def _wrong_shape(x, t):

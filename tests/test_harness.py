@@ -277,6 +277,24 @@ def test_cli_fails_when_a_solve_did_not_converge(tmp_path, capsys):
     assert [r["iters"] for r in rows] == [1, 1]
 
 
+UNREACHABLE_STOPS = [("tol", "nan"), ("tol", "-1"), ("max_iter", "0")]
+
+
+@pytest.mark.parametrize("name, value", UNREACHABLE_STOPS)
+def test_cli_rejects_unreachable_stopping_rule(tmp_path, name, value):
+    out = tmp_path / "cli"
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(ParameterError, match=name):
+        cli_main(["solve-control", "--M", "4", "--K", "8", flag, value, "--out", str(out)])
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("name, value", UNREACHABLE_STOPS + [("tol", "inf"), ("tol", "0")])
+def test_config_rejects_unreachable_stopping_rule(name, value):
+    with pytest.raises(ParameterError, match=name):
+        ExperimentConfig(**{name: float(value) if name == "tol" else int(value)})
+
+
 def test_cli_oracle_check(tmp_path):
     out = tmp_path / "oracle"
     rc = cli_main(["oracle-check", "--s", "0.4", "--out", str(out)])
