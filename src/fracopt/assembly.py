@@ -36,7 +36,7 @@ class NonIntegrableWeightError(ParameterError):
     """The weight exponent makes y^alpha non-integrable at y = 0."""
 
 
-def weight_integrals(y0: float, y1: float, alpha: float):
+def weight_integrals(y0, y1, alpha: float):
     """Closed-form weighted integrals of the two local hat functions.
 
     Returns (mass_ll, mass_lr, mass_rr, stiff) with
@@ -44,13 +44,14 @@ def weight_integrals(y0: float, y1: float, alpha: float):
         mass_ij = int_{y0}^{y1} y^alpha phi_i phi_j dy,
         stiff   = int_{y0}^{y1} y^alpha phi_i' phi_i' dy  (off-diagonal = -stiff),
 
-    where phi_l = (y1 - y)/h and phi_r = (y - y0)/h. Valid for y0 = 0.
+    where phi_l = (y1 - y)/h and phi_r = (y - y0)/h. Valid for y0 = 0. The
+    ends may be arrays of intervals; each result then has their shape.
     """
     if alpha <= -1.0:
         raise NonIntegrableWeightError(f"y^{alpha} is not integrable at 0")
     if alpha >= 1.0:
         raise ParameterError(f"weight exponent must lie in (-1, 1), got {alpha}")
-    if not 0.0 <= y0 < y1:
+    if not np.all((0.0 <= y0) & (y0 < y1)):
         raise ParameterError(f"invalid interval [{y0}, {y1}]")
     h = y1 - y0
     # moments int y^(alpha+m) dy, m = 0, 1, 2
@@ -68,22 +69,11 @@ def weight_integrals(y0: float, y1: float, alpha: float):
 def axis_matrices(axis: GradedAxis, alpha: float):
     """Weighted mass and stiffness factors on the graded axis, size (M+1)^2."""
     import scipy.sparse as sp
-    M = axis.M
-    rows_d = np.arange(M + 1)
-    mass = sp.lil_matrix((M + 1, M + 1))
-    stiff = sp.lil_matrix((M + 1, M + 1))
-    for m in range(M):
-        y0, y1 = axis.nodes[m], axis.nodes[m + 1]
-        a, b, c, s = weight_integrals(y0, y1, alpha)
-        mass[m, m] += a
-        mass[m, m + 1] += b
-        mass[m + 1, m] += b
-        mass[m + 1, m + 1] += c
-        stiff[m, m] += s
-        stiff[m, m + 1] -= s
-        stiff[m + 1, m] -= s
-        stiff[m + 1, m + 1] += s
-    return mass.tocsr(), stiff.tocsr()
+    mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
+    # node j collects the left end of interval j and the right end of interval j-1
+    mass = sp.diags([mlr, np.r_[mll, 0.0] + np.r_[0.0, mrr], mlr], [-1, 0, 1], format="csr")
+    stiff = sp.diags([-s, np.r_[s, 0.0] + np.r_[0.0, s], -s], [-1, 0, 1], format="csr")
+    return mass, stiff
 
 
 def _factor_matrices_1d(m: int):

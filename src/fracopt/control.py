@@ -19,8 +19,9 @@ and the adjoint load M_int tr V - b_ud becomes w_hat - b_ud_hat. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
 axis, and the gradient's B_int^T Phi p_hat is the power of c1^T. So a
 cost-and-gradient evaluation does one state and one adjoint march and no
-nodal transform; :meth:`ReducedProblem.trajectories` forms the nodal traces
-once, for the result.
+nodal transform; the result's nodal traces are formed once, by the marches'
+back-transform (:func:`~fracopt.evolution.state_trajectory`,
+:func:`~fracopt.evolution.adjoint_trajectory`).
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import omega_quadrature, step_blocks, time_average
-from .evolution import (AdjointTrajectory, CylinderSystem, StateTrajectory,
-                        adjoint_march, forcing_loads, state_march)
+from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
+                        forcing_loads, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
 from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
 
@@ -110,9 +111,8 @@ class ReducedProblem:
     and returns (J, grad, w_hat, p_hat); C1 = Phi^T B_int, the n-fold power
     of c1 = phi^T b1, is the modal map of the control loads
     (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
-    :meth:`trajectories`, and by :meth:`state` and :meth:`adjoint`, which
-    run the nodal marches. A ``system`` built for another time grid raises
-    ParameterError.
+    :meth:`state` and :meth:`adjoint`, which run the nodal marches. A
+    ``system`` built for another time grid raises ParameterError.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -173,11 +173,11 @@ class ReducedProblem:
         return ControlField(values=np.asarray(values, dtype=float),
                             bounds=self.bounds, grid=self.grid, omega=self.mesh.omega)
 
-    def state(self, zvals: np.ndarray) -> StateTrajectory:
+    def state(self, zvals: np.ndarray) -> Trajectory:
         loads = self.b_f + self.system.control_loads(zvals)
         return state_march(self.system, self.trace0, loads)
 
-    def adjoint(self, state: StateTrajectory) -> AdjointTrajectory:
+    def adjoint(self, state: Trajectory) -> Trajectory:
         loads = self.system.mass(state.traces[1:]) - self.b_ud
         return adjoint_march(self.system, loads)
 
@@ -207,7 +207,8 @@ class ReducedProblem:
 
         w_hat and p_hat are the (K, n_interior) modal trace coefficients of
         the state at steps 1..K and of the adjoint at steps 0..K-1; hand them
-        to :meth:`trajectories` for nodal traces.
+        to :func:`~fracopt.evolution.state_trajectory` and
+        :func:`~fracopt.evolution.adjoint_trajectory` for nodal traces.
         """
         w_hat = self._modal_state(zvals)
         cost = self._cost(w_hat, zvals)
@@ -216,17 +217,6 @@ class ReducedProblem:
         grad /= self.cell_volume
         grad += self.mu * zvals
         return cost, grad, w_hat, p_hat
-
-    def trajectories(self, w_hat: np.ndarray, p_hat: np.ndarray):
-        """Nodal state and adjoint trajectories of modal trace coefficients."""
-        sysm = self.system
-        traces = np.empty((self.grid.K + 1, sysm.n_interior))
-        traces[0] = self.trace0
-        traces[1:] = sysm.from_modal(w_hat)
-        adj = np.zeros((self.grid.K + 1, sysm.n_interior))
-        adj[:-1] = sysm.from_modal(p_hat)
-        return (StateTrajectory(traces=traces, grid=self.grid),
-                AdjointTrajectory(traces=adj, grid=self.grid))
 
 
 def vi_residual(control: ControlField, p_cell_means: np.ndarray) -> float:
@@ -249,8 +239,8 @@ class OptimizeResult:
     pg_history: list
     iterations: int
     converged: bool
-    state: StateTrajectory | None = None
-    adjoint: AdjointTrajectory | None = None
+    state: Trajectory
+    adjoint: Trajectory
     cost_history: list = field(default_factory=list)
 
     @property
@@ -411,11 +401,16 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
 
     ``tol`` must be finite and > 0 and ``max_iter`` >= 1, else
     ParameterError: a stopping rule that can never be met is refused
-    before any work.
+    before any work. A ``prob`` must have been built from this ``data`` and
+    ``mesh`` (the same objects) and an equal ``grid`` and ``params``, else
+    ParameterError.
     """
     check_stopping(tol, max_iter)
     if prob is None:
         prob = ReducedProblem(data, params, mesh, grid)
+    elif not (prob.data is data and prob.mesh is mesh and prob.grid == grid
+              and prob.params == params):
+        raise ParameterError("prob was built for another data, mesh, grid or params")
     if z0 is None:
         z0 = np.zeros((grid.K, mesh.omega.n_cells))
     elif not np.all(np.isfinite(z0)):
@@ -434,8 +429,9 @@ def solve_control_problem(data: ProblemData, params: FractionalParams,
     if last["z"] is not raw["z"]:
         # the last evaluation was a rejected line-search trial
         fun_and_grad(raw["z"])
-    state, adj = prob.trajectories(last["w_hat"], last["p_hat"])
     zopt = prob.new_control(raw["z"])
     return OptimizeResult(control=zopt, cost=last["f"], pg_history=raw["pg_history"],
                           iterations=raw["iterations"], converged=raw["converged"],
-                          state=state, adjoint=adj, cost_history=raw["cost_history"])
+                          state=state_trajectory(prob.system, prob.trace0, last["w_hat"]),
+                          adjoint=adjoint_trajectory(prob.system, last["p_hat"]),
+                          cost_history=raw["cost_history"])

@@ -280,8 +280,7 @@ def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float):
     psi_{j+1}/psi_j = (s - t)/(s + q).
     """
     M = axis.M
-    mll, mlr, mrr, s = np.array([weight_integrals(axis.nodes[j], axis.nodes[j + 1], alpha)
-                                 for j in range(M)]).T
+    mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
     r = np.asarray(rates, dtype=float)
     G = r * mll[-1] + s[-1]
     ratio = np.empty((r.size, M - 1))
@@ -382,34 +381,24 @@ class CylinderSystem:
         return kron_apply(self.b1.T, trace, self.n)
 
     def initial_field(self, u0) -> np.ndarray:
-        """Initial trace: the trace of the discrete weighted-harmonic extension of u0.
+        """Initial trace: the nodal interpolant of u0 at the interior vertices.
 
-        That is the M_Omega-projection of the nodal values of u0 onto the
-        lattice modes (the nodal values themselves, up to roundoff), since
-        per mode the extension is the axis profile psi_i, equal to 1 at y = 0.
+        It is also the trace of the discrete weighted-harmonic extension of
+        u0: per mode the extension is the axis profile psi_i, equal to 1 at
+        y = 0, and the lattice modes are a complete M_Omega-orthonormal basis.
         """
-        u0v = np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
-        return self.from_modal(self.to_modal(self.mass(u0v)))
+        return np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
 
 
 @dataclass
-class StateTrajectory:
-    """Trace history of the discrete state, steps 0..K.
+class Trajectory:
+    """Trace history of a march, steps 0..K; an adjoint's entry K is zero.
 
     ``traces`` holds the values at the interior Omega vertices; the trace
     function is zero on the boundary ones.
     """
 
     traces: np.ndarray            # (K+1, n_interior)
-    grid: TimeGrid
-
-
-@dataclass
-class AdjointTrajectory:
-    """Trace history of the discrete adjoint, steps 0..K; entry K is zero."""
-
-    traces: np.ndarray            # (K+1, n_interior)
-    grid: TimeGrid
 
 
 def _check_loads(system: CylinderSystem, loads: np.ndarray) -> None:
@@ -428,26 +417,45 @@ def _check_traces(last: np.ndarray, march: str) -> None:
                              "and initial datum")
 
 
-def state_march(system: CylinderSystem, trace0: np.ndarray,
-                loads: np.ndarray) -> StateTrajectory:
-    """Forward march: loads[k] is the trace-interior load of step k+1.
+def state_trajectory(system: CylinderSystem, trace0: np.ndarray,
+                     modal: np.ndarray) -> Trajectory:
+    """Nodal state traces: trace0, then the modal coefficients of steps 1..K transformed back.
 
-    The loads are transformed to modal coordinates once, every mode solves
-    its Toeplitz system in time (:class:`ModalMarch`), and the traces are
-    transformed back once.
     Raises ParameterError when a trace is not finite.
     """
-    _check_loads(system, loads)
-    w0 = system.to_modal(system.mass(trace0))
-    modal = system.march.solve(system.to_modal(loads), w0)
     traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[0] = trace0
     traces[1:] = system.from_modal(modal)
     _check_traces(traces[-1], "state march")
-    return StateTrajectory(traces=traces, grid=system.grid)
+    return Trajectory(traces)
 
 
-def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajectory:
+def adjoint_trajectory(system: CylinderSystem, modal: np.ndarray) -> Trajectory:
+    """Nodal adjoint traces: the modal coefficients of steps 0..K-1 transformed back, then zero.
+
+    Raises ParameterError when a trace is not finite.
+    """
+    traces = np.zeros((system.grid.K + 1, system.n_interior))
+    traces[:-1] = system.from_modal(modal)
+    _check_traces(traces[0], "adjoint march")
+    return Trajectory(traces)
+
+
+def state_march(system: CylinderSystem, trace0: np.ndarray,
+                loads: np.ndarray) -> Trajectory:
+    """Forward march: loads[k] is the trace-interior load of step k+1.
+
+    The loads are transformed to modal coordinates once, every mode solves
+    its Toeplitz system in time (:class:`ModalMarch`), and the traces are
+    transformed back once (:func:`state_trajectory`).
+    Raises ParameterError when a trace is not finite.
+    """
+    _check_loads(system, loads)
+    w0 = system.to_modal(system.mass(trace0))
+    return state_trajectory(system, trace0, system.march.solve(system.to_modal(loads), w0))
+
+
+def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
     """Backward march with terminal value zero; loads[j] drives step j.
 
     Per mode this solves with the transpose of the forward Toeplitz matrix
@@ -456,31 +464,25 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> AdjointTrajector
     Raises ParameterError when a trace is not finite.
     """
     _check_loads(system, loads)
-    modal = system.march.solve_transposed(system.to_modal(loads))
-    traces = np.zeros((system.grid.K + 1, system.n_interior))
-    traces[:-1] = system.from_modal(modal)
-    _check_traces(traces[0], "adjoint march")
-    return AdjointTrajectory(traces=traces, grid=system.grid)
+    return adjoint_trajectory(system, system.march.solve_transposed(system.to_modal(loads)))
 
 
-def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature,
-                  what: str = "forcing") -> np.ndarray:
+def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
     """Interior-node loads of the step averages f^{k+1}, k = 0..K-1.
 
-    f is evaluated once per block of steps (:func:`step_blocks`); ``what``
-    names it in data errors.
+    f is evaluated once per block of steps (:func:`step_blocks`).
     """
     out = np.empty((grid.K, quad.hats.shape[1] ** quad.n))
     avg = None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        avg = time_average(f, quad.points, t0, t1, what, out=avg)
+        avg = time_average(f, quad.points, t0, t1, "forcing", out=avg)
         out[steps] = quad.loads(avg)
     return out
 
 
 def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
                 grid: TimeGrid, control=None,
-                system: CylinderSystem | None = None) -> StateTrajectory:
+                system: CylinderSystem | None = None) -> Trajectory:
     """Fully discrete state solve for given data and (optional) control.
 
     ``control`` is a (K, n_cells) array, or ParameterError is raised; it

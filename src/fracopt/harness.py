@@ -131,13 +131,13 @@ def load_config(path) -> ExperimentConfig:
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
                 zeta: float | None = None, Y: float | None = None):
     """Mesh, params and grid for one run (Y and zeta default per theory)."""
+    omega = build_omega(n, M)
     if Y is None:
-        # N = (M-1)^n M, the n_free of the mesh built below
-        Y = select_truncation(max((M - 1) ** n * M, 8), s, n)
+        # the n_free of the mesh built below: M axis nodes per interior vertex
+        Y = select_truncation(max(omega.interior_idx.size * M, 8), s, n)
     params = make_params(s, gamma, Y)
     if zeta is None:
         zeta = default_zeta(params.alpha)
-    omega = build_omega(n, M)
     mesh = build_cylinder(omega, graded_axis(M, Y, zeta))
     grid = TimeGrid(T=T, K=K)
     return mesh, params, grid
@@ -263,8 +263,8 @@ def read_report_csv(path):
 
 # -- experiment drivers --------------------------------------------------------
 
-def _control_solve(s: float, config: ExperimentConfig, M: int, K: int):
-    """Solve the manufactured control problem at one (s, M, K)."""
+def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int):
+    """Solve the manufactured control problem at one (s, M, K); ``case`` labels its row."""
     man = manufactured_problem(s, config.mu, config.T, gamma=config.gamma, n=config.n)
     mesh, params, grid = build_setup(config.n, M, s, config.gamma, config.T, K,
                                      zeta=config.zeta, Y=config.Y)
@@ -278,7 +278,7 @@ def _control_solve(s: float, config: ExperimentConfig, M: int, K: int):
     err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega,
                       kind="state", quad=quad)
     p_means = project_trace(result.adjoint.traces[:-1].T, prob.system).T
-    row = {"case": "", "s": s, "gamma": config.gamma, "M": M, "K": K,
+    row = {"case": case, "s": s, "gamma": config.gamma, "M": M, "K": K,
            "N": mesh.n_free, "zeta": mesh.axis.zeta, "Y": mesh.axis.Y,
            "err_control": err_z, "err_state": err_u, "cost": result.cost,
            "iters": result.iterations, "pg_norm": result.pg_norm,
@@ -287,19 +287,12 @@ def _control_solve(s: float, config: ExperimentConfig, M: int, K: int):
     return row, result, prob
 
 
-def _control_case(case: str, s: float, config: ExperimentConfig, M: int, K: int):
-    row, _, _ = _control_solve(s, config, M, K)
-    row["case"] = case
-    return row
-
-
 def run_convergence_space(config: ExperimentConfig) -> ConvergenceReport:
     """Control/state errors against N at fixed K on the manufactured problem."""
     report = ConvergenceReport(case="conv-space")
     for s in config.s_list:
         for M in config.M_list:
-            row = _control_case("conv-space", s, config, M, config.K)
-            report.rows.append(row)
+            report.rows.append(_control_solve("conv-space", s, config, M, config.K)[0])
         for quantity in ("err_control", "err_state"):
             report.fit(quantity, "N", s=s, gamma=config.gamma, last=config.fit_last)
     return report
@@ -320,10 +313,9 @@ def run_convergence_time(config: ExperimentConfig,
     report = ConvergenceReport(case="conv-time")
     for s in config.s_list:
         K_ref = ref_factor * max(config.K_list)
-        ref_row, ref_result, ref_prob = _control_solve(s, config, config.M, K_ref)
+        _, ref_result, _ = _control_solve("conv-time", s, config, config.M, K_ref)
         for K in config.K_list:
-            row, result, prob = _control_solve(s, config, config.M, K)
-            row["case"] = "conv-time"
+            row, result, _ = _control_solve("conv-time", s, config, config.M, K)
             # expand the coarse piecewise-constant control to the fine grid
             rep = K_ref // K
             fine = np.repeat(result.control.values, rep, axis=0)
@@ -353,13 +345,11 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     f = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
     data = ProblemData(n=n, forcing=f, desired_state=f, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
-    grid = TimeGrid(T=config.T, K=K)
 
     runs = {}
     for Y in heights:
-        params = make_params(s, config.gamma, Y)
-        zeta = config.zeta or default_zeta(params.alpha)
-        mesh = build_cylinder(build_omega(n, M), graded_axis(M, Y, zeta))
+        mesh, params, grid = build_setup(n, M, s, config.gamma, config.T, K,
+                                         zeta=config.zeta, Y=Y)
         system = CylinderSystem(mesh, params, grid)
         runs[Y] = (solve_state(data, params, mesh, grid, system=system), system)
     ref = runs[heights[-1]][0]
@@ -370,9 +360,7 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
         err = math.sqrt(grid.tau * float(np.sum(sq[1:])))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
-                            "zeta": system.mesh.axis.zeta, "Y": Y,
-                            "err_control": None, "err_state": err,
-                            "cost": None, "iters": None, "pg_norm": None})
+                            "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
     ys = np.array([r["err_state"] for r in report.rows])
     Ys = np.array([r["Y"] for r in report.rows])
     slope = float(np.polyfit(Ys, np.log(ys), 1)[0])
@@ -397,17 +385,14 @@ def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
     err_u = l2Q_error(traj.traces, man.state, grid, mesh.omega, quad=system.quad)
     report.rows.append({"case": "solve-state", "s": s, "gamma": config.gamma,
                         "M": config.M, "K": config.K, "N": mesh.n_free,
-                        "zeta": mesh.axis.zeta, "Y": mesh.axis.Y,
-                        "err_control": None, "err_state": err_u, "cost": None,
-                        "iters": None, "pg_norm": None})
+                        "zeta": mesh.axis.zeta, "Y": mesh.axis.Y, "err_state": err_u})
     return report
 
 
 def run_solve_control(config: ExperimentConfig) -> ConvergenceReport:
     report = ConvergenceReport(case="solve-control")
     for s in config.s_list:
-        report.rows.append(_control_case("solve-control", s, config,
-                                         config.M, config.K))
+        report.rows.append(_control_solve("solve-control", s, config, config.M, config.K)[0])
     return report
 
 
@@ -459,9 +444,7 @@ def run_oracle_check(config: ExperimentConfig) -> ConvergenceReport:
 
     for name, value in checks:
         report.rows.append({"case": name, "s": config.s_list[0], "gamma": gamma,
-                            "M": None, "K": K_fine, "N": None, "zeta": None,
-                            "Y": None, "err_control": None, "err_state": value,
-                            "cost": None, "iters": None, "pg_norm": None})
+                            "K": K_fine, "err_state": value})
     return report
 
 

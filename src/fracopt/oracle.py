@@ -122,16 +122,12 @@ def caputo_left(fprime: Callable, gamma: float, t, nquad: int = 24) -> np.ndarra
 
 def caputo_right(gprime: Callable, gamma: float, t, T: float,
                  nquad: int = 24) -> np.ndarray:
-    """Right Caputo derivative toward T: -(1/Gamma(1-gamma)) int_t^T (xi-t)^{-gamma} g'."""
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"order must lie in (0, 1), got {gamma}")
-    u, w = _jacobi_rule(gamma, nquad)
-    t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    span = T - tt
-    vals = gprime(tt[:, None] + span[:, None] * u[None, :])
-    out = -(span ** (1.0 - gamma)) * (vals @ w) / math.gamma(1.0 - gamma)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
+    """Right Caputo derivative toward T: -(1/Gamma(1-gamma)) int_t^T (xi-t)^{-gamma} g'.
+
+    It is the left derivative of the reflection r -> g(T - r), whose
+    derivative is -g'(T - r), taken at T - t.
+    """
+    return caputo_left(lambda r: -gprime(T - r), gamma, np.subtract(T, t), nquad)
 
 
 # -- per-mode evolution -------------------------------------------------------
@@ -152,16 +148,15 @@ class ModalTrajectories:
 def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
                          gamma: float, s: float, T: float,
                          K_fine: int = 1024) -> ModalTrajectories:
-    """Reference evolution of d_t^gamma u_k + lambda_k^s u_k = g_k(t).
+    """Reference evolution of d_t^gamma u_k + lambda_k^s u_k = g_k e^t.
 
-    ``forcing`` is either None, an array of amplitudes g (meaning g * e^t
-    per mode), or a sequence of callables g_k(t). With gamma = 1 and
-    exponential forcing the closed form
+    ``forcing`` is None (no forcing) or an array of amplitudes g_k, one per
+    mode. With gamma = 1 the closed form
 
-        u_k(t) = (u0_k - g/(1+lam^s)) e^{-lam^s t} + g/(1+lam^s) e^t
+        u_k(t) = (u0_k - g_k/(1+lam^s)) e^{-lam^s t} + g_k/(1+lam^s) e^t
 
-    is returned exactly; otherwise the scalar L1 (or backward Euler)
-    scheme runs on the fine grid, through the same per-mode solve
+    is returned exactly; otherwise the scalar L1 scheme runs on the fine
+    grid, through the same per-mode solve
     (:class:`fracopt.evolution.ModalMarch`) as the finite element marches.
     """
     modes = list(modes)
@@ -170,37 +165,22 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     u0 = np.asarray(u0_coeffs, dtype=float)
     if u0.shape != (nm,):
         raise ParameterError(f"need one initial coefficient per mode, got {u0.shape}")
-
-    exp_amps = None
-    if forcing is None:
-        exp_amps = np.zeros(nm)
-    elif callable(forcing) or (isinstance(forcing, (list, tuple))
-                               and any(callable(f) for f in forcing)):
-        fns = list(forcing) if isinstance(forcing, (list, tuple)) else [forcing] * nm
-        if len(fns) != nm:
-            raise ParameterError("need one forcing callable per mode")
-    else:
-        exp_amps = np.asarray(forcing, dtype=float)
-        if exp_amps.shape != (nm,):
-            raise ParameterError(f"need one forcing amplitude per mode, got {exp_amps.shape}")
+    amps = np.zeros(nm) if forcing is None else np.asarray(forcing, dtype=float)
+    if amps.shape != (nm,):
+        raise ParameterError(f"need one forcing amplitude per mode, got {amps.shape}")
 
     times = np.linspace(0.0, T, K_fine + 1)
 
-    if gamma >= 1.0 and exp_amps is not None:
-        part = exp_amps / (1.0 + lam_s)
+    if gamma >= 1.0:
+        part = amps / (1.0 + lam_s)
         t = times[:, None]
         coeffs = (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
         return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
 
-    tau = T / K_fine
-    if exp_amps is not None:
-        gvals = exp_amps[None, :] * np.exp(times[1:])[:, None]
-    else:
-        gvals = np.stack([np.array([f(t) for t in times[1:]]) for f in fns], axis=1)
-    march = ModalMarch(lam_s, gamma, K_fine, tau)
+    march = ModalMarch(lam_s, gamma, K_fine, T / K_fine)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
-    coeffs[1:] = march.solve(gvals, u0)
+    coeffs[1:] = march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0)
     return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
 
 
@@ -327,19 +307,6 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
 
 # -- fractional integration by parts ------------------------------------------
 
-def _frac_integral_left_at_T(values: np.ndarray, sigma: float, times: np.ndarray) -> float:
-    """(I_t^sigma f)(T) for the piecewise-linear interpolant of the samples."""
-    T = times[-1]
-    a, bb = times[:-1], times[1:]
-    ua, ub = T - a, T - bb
-    m0 = (ua ** sigma - ub ** sigma) / sigma
-    m1 = T * m0 - (ua ** (sigma + 1.0) - ub ** (sigma + 1.0)) / (sigma + 1.0)
-    fa, fb = values[:-1], values[1:]
-    slope = (fb - fa) / (bb - a)
-    total = np.sum(fa * m0 + slope * (m1 - a * m0))
-    return float(total) / math.gamma(sigma)
-
-
 def _frac_integral_right_at_0(values: np.ndarray, sigma: float, times: np.ndarray) -> float:
     """(I_{T-t}^sigma g)(0) for the piecewise-linear interpolant of the samples."""
     a, bb = times[:-1], times[1:]
@@ -384,5 +351,6 @@ def fractional_ibp_check(f_samples, g_samples, gamma: float, times) -> float:
     lhs = float(np.trapezoid(dcf * g, dx=tau))
     lhs += f[0] * _frac_integral_right_at_0(g, 1.0 - gamma, times)
     rhs = float(np.trapezoid(f * dcg_rev, dx=tau))
-    rhs += g[-1] * _frac_integral_left_at_T(f, 1.0 - gamma, times)
+    # (I^{1-gamma}_t f)(T) is the right integral at 0 of the reflection r -> f(T - r)
+    rhs += g[-1] * _frac_integral_right_at_0(f[::-1], 1.0 - gamma, times[-1] - times[::-1])
     return abs(lhs - rhs)

@@ -42,16 +42,22 @@ def weighted_integral_oracle(y0, y1, alpha):
 
 
 def check_weight_integrals(rng, cases=12, tol=1e-10):
-    """Closed forms vs the mpmath oracle (absolute+relative mix)."""
+    """Closed forms vs the mpmath oracle (absolute+relative mix).
+
+    Each case checks one interval, and its two halves given as arrays of ends.
+    """
     worst = 0.0
     for _ in range(cases):
         alpha = rng.uniform(-0.9, 0.9)
         y0 = rng.choice([0.0, rng.uniform(0.0, 0.5)])
         y1 = y0 + rng.uniform(0.05, 1.0)
-        got = weight_integrals(y0, y1, alpha)
-        ref = weighted_integral_oracle(y0, y1, alpha)
-        for g, r in zip(got, ref):
-            worst = max(worst, abs(g - r) / max(1.0, abs(r)))
+        ends = np.array([y0, 0.5 * (y0 + y1), y1])
+        halves = zip(ends[:-1], ends[1:],
+                     np.transpose(weight_integrals(ends[:-1], ends[1:], alpha)))
+        for a, b, got in [(y0, y1, weight_integrals(y0, y1, alpha)), *halves]:
+            ref = weighted_integral_oracle(a, b, alpha)
+            for g, r in zip(got, ref):
+                worst = max(worst, abs(g - r) / max(1.0, abs(r)))
     assert worst <= tol, f"weighted integrals off by {worst:.3e}"
     return worst
 

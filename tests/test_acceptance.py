@@ -210,10 +210,10 @@ def test_criterion_9_oracle_agreement():
 
 def test_criterion_10_gamma_half_convergence():
     cfg = ExperimentConfig(s_list=(0.5,), gamma=0.5, T=1.0, tol=1e-9)
-    from fracopt.harness import _control_case
+    from fracopt.harness import _control_solve
     errs = []
     for (M, K) in ((4, 8), (8, 16), (16, 32)):
-        row = _control_case("c10", 0.5, cfg, M, K)
+        row, _, _ = _control_solve("c10", 0.5, cfg, M, K)
         assert row["converged"]
         errs.append(row["err_control"])
     ok = errs[0] > errs[1] > errs[2]

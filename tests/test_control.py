@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -236,6 +237,34 @@ def test_solve_control_problem_rejects_unreachable_stopping_rule(kwargs):
     man, data, params, mesh, grid = _small_problem(M=4, K=8)
     with pytest.raises(ParameterError, match=next(iter(kwargs))):
         solve_control_problem(data, params, mesh, grid, **kwargs)
+
+
+@pytest.mark.parametrize("other", ["data", "grid", "mesh", "params"])
+def test_solve_control_problem_rejects_prob_of_other_inputs(other):
+    man, data, params, mesh, grid = _small_problem(M=4, K=8)
+    prob = ReducedProblem(data, params, mesh, grid)
+    inputs = {"data": data, "params": params, "mesh": mesh, "grid": grid}
+    inputs[other] = {
+        # another box and mu: the solve would clamp to one and take its cost from the other
+        "data": dataclasses.replace(data, bounds=ControlBounds(-0.1, 0.1, 1e-2)),
+        "grid": TimeGrid(T=0.5, K=8),
+        # an equal mesh that is another object
+        "mesh": build_setup(2, 4, 0.5, 1.0, 1.0, 8)[0],
+        "params": build_setup(2, 4, 0.6, 1.0, 1.0, 8)[1],
+    }[other]
+    with pytest.raises(ParameterError, match="prob was built"):
+        solve_control_problem(prob=prob, **inputs)
+
+
+def test_solve_control_problem_accepts_its_own_prob():
+    # the call of the harness, the demos and the benchmark: prob built from the same inputs
+    man, data, params, mesh, grid = _small_problem(M=4, K=8)
+    prob = ReducedProblem(data, params, mesh, grid)
+    res = solve_control_problem(data, params, mesh, grid, tol=1e-9, prob=prob)
+    ref = solve_control_problem(data, params, mesh, grid, tol=1e-9)
+    assert res.converged
+    assert np.array_equal(res.control.values, ref.control.values)
+    assert np.array_equal(res.state.traces, ref.state.traces)
 
 
 def test_solve_control_problem_optimality():

@@ -222,7 +222,7 @@ def test_control_solve_adjoint_means_match_step_loop(monkeypatch):
 
     monkeypatch.setattr(harness, "vi_residual", capture)
     cfg = ExperimentConfig(kind="conv-space", s_list=(0.5,), gamma=0.5, T=0.5, tol=1e-8)
-    _, result, prob = harness._control_solve(0.5, cfg, 4, 9)
+    _, result, prob = harness._control_solve("conv-space", 0.5, cfg, 4, 9)
     loop = np.stack([project_trace(result.adjoint.traces[k], prob.system)
                      for k in range(prob.grid.K)])
     (got,) = seen
@@ -286,6 +286,14 @@ def test_cli_rejects_unreachable_stopping_rule(tmp_path, name, value):
     flag = "--" + name.replace("_", "-")
     with pytest.raises(ParameterError, match=name):
         cli_main(["solve-control", "--M", "4", "--K", "8", flag, value, "--out", str(out)])
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["solve-control", "truncation"])
+def test_cli_rejects_grading_exponent_below_one(tmp_path, kind):
+    out = tmp_path / "cli"
+    with pytest.raises(ParameterError, match="grading exponent"):
+        cli_main([kind, "--M", "4", "--K", "4", "--zeta", "0", "--out", str(out)])
     assert not (out / "report.csv").exists()
 
 

@@ -45,6 +45,7 @@ def test_modal_matches_sparse(n, gamma, c, K=6, M=None):
     ref_v0 = sparse_initial_field(system, u0)
     assert rel_gap(extension_field(system, u0), ref_v0) <= TOL
     trace0 = system.initial_field(u0)
+    assert np.array_equal(trace0, u0(system.mesh.omega.vertices[system.interior]))
     assert rel_gap(trace0, ref_v0[node_maps(system.mesh).trace_free_pos]) <= TOL
 
     loads = rng.standard_normal(shape)
