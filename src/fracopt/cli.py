@@ -1,76 +1,37 @@
 """Command line entry point.
 
-Each subcommand runs one experiment kind; defaults come from an optional
-config file (flat key=value entries under [section] headers) and every
-value can be overridden by a flag of the same name. The exit status is 1
-when a control solve did not converge (its rows are still written and
-named on stderr), else 0.
+One parser: the positional ``kind`` names the experiment, ``--config``
+reads an optional config file (flat key=value entries under [section]
+headers), and every other flag is a setting of
+:data:`~fracopt.harness.SETTINGS` that overrides the file's value for the
+same key. The exit status is 1 when a control solve did not converge (its
+rows are still written and named on stderr), else 0.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .harness import RUNNERS, ExperimentConfig, _parse_list, load_config, run_experiment
-
-
-def _add_common_flags(sp):
-    sp.add_argument("--config", metavar="PATH", help="config file to start from")
-    sp.add_argument("--out", metavar="DIR", help="output directory for CSV reports")
-    sp.add_argument("--s", help="comma-separated fractional orders, e.g. 0.2,0.4")
-    sp.add_argument("--gamma", type=float, help="temporal order in (0, 1]")
-    sp.add_argument("--K", dest="K", help="time steps (comma list for conv-time)")
-    sp.add_argument("--M", dest="M", help="cells per dimension (comma list for conv-space)")
-    sp.add_argument("--T", dest="T", type=float, help="final time")
-    sp.add_argument("--mu", type=float, help="regularization weight")
-    sp.add_argument("--zeta", type=float, help="grading exponent override")
-    sp.add_argument("--Y", dest="Y", help="cylinder height (comma list for truncation)")
-    sp.add_argument("--tol", type=float, help="projected-gradient tolerance")
-    sp.add_argument("--n", type=int, help="spatial dimension n >= 1 of Omega = (0,1)^n")
-    sp.add_argument("--max-iter", type=int, dest="max_iter")
-    sp.add_argument("--fit-last", type=int, dest="fit_last",
-                    help="number of trailing levels for slope fits")
-
-
-def build_config(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    updates = {"kind": args.kind}
-    if args.s is not None:
-        updates["s_list"] = _parse_list(args.s)
-    if args.K is not None:
-        ks = _parse_list(args.K, int)
-        updates["K_list"] = ks
-        updates["K"] = ks[0]
-    if args.M is not None:
-        ms = _parse_list(args.M, int)
-        updates["M_list"] = ms
-        updates["M"] = ms[0]
-    if args.Y is not None:
-        ys = _parse_list(args.Y)
-        updates["Y_list"] = ys
-        if len(ys) == 1:
-            updates["Y"] = ys[0]
-    for name in ("gamma", "T", "mu", "zeta", "tol", "n", "max_iter",
-                 "fit_last", "out"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    return dataclasses.replace(config, **updates)
+from .harness import (RUNNERS, SETTINGS, ExperimentConfig, apply_settings, load_config,
+                      run_experiment)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="fracopt",
+        prog="fracopt", allow_abbrev=False,     # a flag is spelled as its file key
         description="Solver and convergence harness for optimal control of "
                     "space-time fractional diffusion.")
-    subs = parser.add_subparsers(dest="kind", required=True)
-    for name in RUNNERS:
-        sp = subs.add_parser(name)
-        _add_common_flags(sp)
-    args = parser.parse_args(argv)
+    parser.add_argument("kind", choices=RUNNERS, help=SETTINGS["kind"][0])
+    parser.add_argument("--config", metavar="PATH", help="config file to start from")
+    for name, (help_text, _) in SETTINGS.items():
+        if name != "kind":
+            parser.add_argument("--" + name.replace("_", "-"), dest=name, help=help_text)
+    args = vars(parser.parse_args(argv))
 
-    config = build_config(args)
+    path = args.pop("config")
+    config = load_config(path) if path else ExperimentConfig()
+    config = apply_settings(config, {name: value for name, value in args.items()
+                                     if value is not None}, "on the command line")
     report = run_experiment(config)
 
     print(f"{config.kind}: {len(report.rows)} row(s) written to {config.out}/report.csv")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .assembly import omega_quadrature, step_blocks, time_average
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
-                        forcing_loads, state_march, state_trajectory)
+                        forcing_loads, state_march, state_trajectory, system_for)
 from .mesh import OmegaMesh, CylinderMesh
 from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
 
@@ -84,11 +84,11 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh, quad=None) -> np.ndarray:
 def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
     """Cell means of the piecewise-linear trace function, integrated exactly.
 
-    ``trace_int`` holds interior values along its first axis; a (n_interior,
-    K) array gives the means of K traces in one product.
+    ``trace_int`` holds interior values along its last axis, as every apply
+    of the system does; a (K, n_interior) array gives the means of K traces
+    in one product.
     """
-    vol = system.mesh.omega.cell_volume
-    return system.cell_integrals(trace_int.T).T / vol
+    return system.cell_integrals(trace_int) / system.mesh.omega.cell_volume
 
 
 class ReducedProblem:
@@ -112,7 +112,8 @@ class ReducedProblem:
     of c1 = phi^T b1, is the modal map of the control loads
     (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
     :meth:`state` and :meth:`adjoint`, which run the nodal marches. A
-    ``system`` built for another time grid raises ParameterError.
+    ``system`` built for other inputs raises ParameterError
+    (:func:`~fracopt.evolution.system_for`).
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -122,9 +123,7 @@ class ReducedProblem:
         self.params = params
         self.mesh = mesh
         self.grid = grid
-        if system is not None and system.grid != grid:
-            raise ParameterError(f"system was built for the time grid {system.grid}, not {grid}")
-        self.system = system or CylinderSystem(mesh, params, grid, reaction=data.reaction)
+        self.system = system_for(data, params, mesh, grid, system)
         sysm = self.system
         self.bounds = data.bounds
         self.mu = data.bounds.mu

@@ -480,6 +480,26 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
     return out
 
 
+def system_for(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
+               grid: TimeGrid, system: CylinderSystem | None = None) -> CylinderSystem:
+    """The system of (mesh, params, grid, data.reaction): a new one, or ``system``.
+
+    A given ``system`` must have been built on this ``mesh`` object, for
+    equal ``params`` and ``grid`` and the reaction of ``data``, or
+    ParameterError is raised naming what differs.
+    """
+    if system is None:
+        return CylinderSystem(mesh, params, grid, reaction=data.reaction)
+    if system.mesh is not mesh:
+        raise ParameterError("system was built on another mesh")
+    for what, theirs, ours in (("params", system.params, params),
+                               ("time grid", system.grid, grid),
+                               ("reaction", system.reaction, data.reaction)):
+        if theirs != ours:
+            raise ParameterError(f"system was built for the {what} {theirs}, not {ours}")
+    return system
+
+
 def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
                 grid: TimeGrid, control=None,
                 system: CylinderSystem | None = None) -> Trajectory:
@@ -487,10 +507,11 @@ def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
 
     ``control`` is a (K, n_cells) array, or ParameterError is raised; it
     adds B Z^{k+1} to the load of every step. A non-finite control or
-    initial datum raises ParameterError from :func:`state_march`.
+    initial datum raises ParameterError from :func:`state_march`. A
+    ``system`` built for other inputs raises ParameterError
+    (:func:`system_for`).
     """
-    if system is None:
-        system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
+    system = system_for(data, params, mesh, grid, system)
     loads = forcing_loads(data.forcing, grid, system.quad)
     if control is not None:
         control = np.asarray(control, dtype=float)

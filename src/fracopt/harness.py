@@ -11,14 +11,14 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import evaluate_data, omega_quadrature, step_blocks
-from .control import (ReducedProblem, check_stopping, l2_project, project_trace,
-                      solve_control_problem, vi_residual)
+from .control import (ReducedProblem, check_stopping, control_norm, l2_project,
+                      project_trace, solve_control_problem, vi_residual)
 from .evolution import CylinderSystem, solve_state
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
 from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
@@ -80,52 +80,88 @@ def _check_heights(Y_list) -> None:
 
 
 def _parse_list(text, cast=float):
-    return tuple(cast(tok) for tok in str(text).replace(" ", "").split(",") if tok)
+    return tuple(cast(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
-# config file key (any case) -> (ExperimentConfig field, parser of the value)
-_CONFIG_KEYS = {
-    "kind": ("kind", str), "out": ("out", str),
-    "s": ("s_list", _parse_list), "s_list": ("s_list", _parse_list),
-    "k_list": ("K_list", lambda v: _parse_list(v, int)),
-    "m_list": ("M_list", lambda v: _parse_list(v, int)),
-    "y_list": ("Y_list", _parse_list),
-    "k": ("K", int), "m": ("M", int), "n": ("n", int),
-    "max_iter": ("max_iter", int), "fit_last": ("fit_last", int),
-    "gamma": ("gamma", float), "t": ("T", float), "mu": ("mu", float),
-    "zeta": ("zeta", float), "y": ("Y", float), "tol": ("tol", float),
+def _field(name, cast):
+    return lambda text: {name: cast(text)}
+
+
+def _levels(name):
+    """``K`` or ``M``: the list of levels, and the single level from its first entry."""
+    def parse(text):
+        levels = _parse_list(text, int)
+        return {f"{name}_list": levels, name: levels[0]}
+    return parse
+
+
+def _heights(text):
+    """``Y``: the list of heights, and the height itself when only one is given."""
+    heights = _parse_list(text)
+    return {"Y_list": heights, "Y": heights[0]} if len(heights) == 1 else {"Y_list": heights}
+
+
+# The one list of settings: name -> (help, parser of its text into
+# ExperimentConfig field updates). A config file's keys are these names in
+# any case; the CLI takes ``kind`` as its positional argument and every
+# other name as the flag --name, with "_" spelled "-".
+SETTINGS = {
+    "kind": ("experiment to run", _field("kind", str)),
+    "out": ("output directory for CSV reports", _field("out", str)),
+    "s": ("comma-separated fractional orders, e.g. 0.2,0.4",
+          lambda text: {"s_list": _parse_list(text)}),
+    "gamma": ("temporal order in (0, 1]", _field("gamma", float)),
+    "K": ("time steps (comma list for conv-time)", _levels("K")),
+    "M": ("cells per dimension (comma list for conv-space)", _levels("M")),
+    "T": ("final time", _field("T", float)),
+    "mu": ("regularization weight", _field("mu", float)),
+    "zeta": ("grading exponent override", _field("zeta", float)),
+    "Y": ("cylinder height (comma list for truncation)", _heights),
+    "tol": ("projected-gradient tolerance", _field("tol", float)),
+    "n": ("spatial dimension n >= 1 of Omega = (0,1)^n", _field("n", int)),
+    "max_iter": ("iteration cap of the optimizer", _field("max_iter", int)),
+    "fit_last": ("number of trailing levels for slope fits", _field("fit_last", int)),
 }
+
+
+def apply_settings(config: ExperimentConfig, entries: dict, where: str) -> ExperimentConfig:
+    """``config`` with ``entries`` (setting name in any case -> text) applied.
+
+    ``where`` names the source in errors, e.g. "in exp.cfg" or "on the
+    command line". An unknown name, or a value that does not parse, raises
+    ParameterError naming it, its value and the source; the result is
+    checked by ``ExperimentConfig.__post_init__``.
+    """
+    names = {name.lower(): name for name in SETTINGS}
+    unknown = [key for key in entries if key.lower() not in names]
+    if unknown:
+        raise ParameterError(f"unknown setting(s) {', '.join(map(repr, unknown))} {where}")
+    updates = {}
+    for key, value in entries.items():
+        try:
+            updates.update(SETTINGS[names[key.lower()]][1](value))
+        except (ValueError, IndexError):
+            raise ParameterError(f"setting {key!r} has invalid value {value!r} {where}") from None
+    return replace(config, **updates)
 
 
 def load_config(path) -> ExperimentConfig:
     """Read a flat key=value config with [section] headers.
 
-    Keys are the CLI flag names (``max_iter`` and ``fit_last`` with
-    underscores) plus ``kind``, ``s_list``, ``K_list``, ``M_list`` and
-    ``Y_list``, in any case. An unknown key raises ParameterError naming it
-    and the file; a value that does not parse, naming its key, the value
-    and the file.
+    Its keys are the names in :data:`SETTINGS`, in any case: the CLI flag
+    names (``max_iter`` and ``fit_last`` with underscores) plus ``kind``.
+    A value means what it means after its flag, lists included (``K =
+    8, 16`` as ``--K 8,16``). An unknown key, or a value that does not
+    parse, raises ParameterError naming it, its value and the file.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values as typed, "%" too
     parser.optionxform = str    # keep the spelling for the error message
     with open(path) as fh:
         parser.read_file(fh)
     merged = {}
-    for section in parser.sections():
-        merged.update(parser[section])
-    unknown = [key for key in merged if key.lower() not in _CONFIG_KEYS]
-    if unknown:
-        raise ParameterError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
-                             f"in {path}")
-    kwargs = {}
-    for key, value in merged.items():
-        name, parse = _CONFIG_KEYS[key.lower()]
-        try:
-            kwargs[name] = parse(value)
-        except ValueError:
-            raise ParameterError(f"config key {key!r} has invalid value {value!r} "
-                                 f"in {path}") from None
-    return ExperimentConfig(**kwargs)
+    for section in parser.values():     # [DEFAULT] too, even when it stands alone
+        merged.update(section)
+    return apply_settings(ExperimentConfig(), merged, f"in {path}")
 
 
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
@@ -277,7 +313,7 @@ def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int
                       kind="control", quad=quad)
     err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega,
                       kind="state", quad=quad)
-    p_means = project_trace(result.adjoint.traces[:-1].T, prob.system).T
+    p_means = project_trace(result.adjoint.traces[:-1], prob.system)
     row = {"case": case, "s": s, "gamma": config.gamma, "M": M, "K": K,
            "N": mesh.n_free, "zeta": mesh.axis.zeta, "Y": mesh.axis.Y,
            "err_control": err_z, "err_state": err_u, "cost": result.cost,
@@ -319,10 +355,8 @@ def run_convergence_time(config: ExperimentConfig,
             # expand the coarse piecewise-constant control to the fine grid
             rep = K_ref // K
             fine = np.repeat(result.control.values, rep, axis=0)
-            diff = fine - ref_result.control.values
-            tau_ref = ref_result.control.grid.tau
-            vol = result.control.omega.cell_volume
-            row["err_control"] = math.sqrt(tau_ref * vol * float(np.sum(diff ** 2)))
+            row["err_control"] = control_norm(fine - ref_result.control.values,
+                                              ref_result.control.grid, result.control.omega)
             report.rows.append(row)
         report.fit("err_control", "K", s=s, gamma=config.gamma,
                    last=max(config.fit_last, len(config.K_list)))

@@ -6,10 +6,10 @@ import pytest
 
 from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
                      l2Q_error, load_config, run_experiment)
-from fracopt import harness
+from fracopt import cli, harness
 from fracopt.control import project_trace
-from fracopt.harness import (REPORT_COLUMNS, read_report_csv, run_convergence_time,
-                             run_truncation_study, write_report_csv)
+from fracopt.harness import (REPORT_COLUMNS, SETTINGS, ConvergenceReport, read_report_csv,
+                             run_convergence_time, run_truncation_study, write_report_csv)
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
@@ -113,7 +113,7 @@ s = 0.3, 0.5
 gamma = 1.0
 T = 0.5
 K = 8
-M_list = 3, 4, 5
+M = 3, 4, 5
 tol = 1e-8
 out = study
 """
@@ -135,21 +135,28 @@ def test_config_unknown_keys_raise(tmp_path):
         load_config(path)
     assert "fit_lst" in str(info.value)
     assert str(path) in str(info.value)
-    # the undocumented short spellings of the lists are not accepted either
-    for key in ("klist", "mlist", "ylist"):
+    # neither are the short spellings of the lists, nor the removed *_list keys
+    for key in ("klist", "mlist", "ylist", "M_list", "K_list"):
         path.write_text(f"[experiment]\n{key} = 4, 6, 8\n")
         with pytest.raises(ParameterError, match=key):
             load_config(path)
+    # a [DEFAULT] section is read as well, even without any other section
+    path.write_text("[DEFAULT]\nM_list = 4, 6, 8\n")
+    with pytest.raises(ParameterError, match="M_list"):
+        load_config(path)
     # every key of the shipped configs is known, in any case
     for cfg in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
         load_config(cfg)
-    path.write_text("[experiment]\nk_LIST = 4, 8\nFIT_LAST = 2\n")
+    path.write_text("[experiment]\nk = 4, 8\nFIT_LAST = 2\n")
     cfg = load_config(path)
     assert cfg.K_list == (4, 8)
     assert cfg.fit_last == 2
+    # nor does the command line take an abbreviation of a flag
+    with pytest.raises(SystemExit):
+        cli_main(["conv-space", "--fit", "2", "--out", str(tmp_path / "cli")])
 
 
-@pytest.mark.parametrize("entry", ["K = eight", "gamma = half", "M_list = 4, six",
+@pytest.mark.parametrize("entry", ["K = eight", "gamma = half", "M = 4, six",
                                    "fit_last = 2.5"])
 def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
     path = tmp_path / "bad.cfg"
@@ -159,6 +166,42 @@ def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
         load_config(path)
     message = str(info.value)
     assert repr(key) in message and repr(value) in message and str(path) in message
+    # the same value after its flag fails the same way, naming the command line
+    out = tmp_path / "cli"
+    with pytest.raises(ParameterError) as info:
+        cli_main(["conv-space", "--" + key.replace("_", "-"), value.replace(" ", ""),
+                  "--out", str(out)])
+    message = str(info.value)
+    assert repr(key) in message and repr(value.replace(" ", "")) in message
+    assert "command line" in message
+    assert not out.exists()
+
+
+# one value per setting, lists for K, M, Y and s; none is the default
+SETTING_VALUES = {"kind": "conv-time", "out": "study%1", "s": "0.3, 0.5", "gamma": "0.5",
+                  "K": "8, 16", "M": "4, 6", "T": "0.5", "mu": "0.1", "zeta": "2.5",
+                  "Y": "1, 1.5, 2, 3", "tol": "1e-8", "n": "1", "max_iter": "50",
+                  "fit_last": "2"}
+
+
+@pytest.mark.parametrize("key", list(SETTINGS))
+def test_setting_means_the_same_in_a_file_and_on_the_command_line(tmp_path, monkeypatch,
+                                                                   key):
+    value = SETTING_VALUES[key]
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: seen.append(config) or ConvergenceReport(config.kind))
+    path = tmp_path / "one.cfg"
+    if key == "kind":
+        path.write_text(f"[experiment]\nkind = {value}\n")
+        argv = [value]
+    else:
+        path.write_text(f"[experiment]\nkind = solve-state\n{key} = {value}\n")
+        argv = ["solve-state", "--" + key.replace("_", "-"), value.replace(" ", "")]
+    assert cli_main(argv) == 0
+    from_file = load_config(path)
+    assert seen == [from_file]
+    assert from_file != ExperimentConfig(kind="solve-state")
 
 
 def test_conv_time_step_counts_checked_up_front():
