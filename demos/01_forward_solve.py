@@ -37,7 +37,7 @@ for M in (4, 8, 16):
     traj = solve_state(data, params, mesh, grid, system=system)
 
     exact = lambda x, t: np.exp(-lam_s * t) * md(x)
-    err = l2Q_error(traj.traces, exact, grid, mesh.omega, quad=system.quad)
+    err = l2Q_error(traj.traces, exact, grid, mesh.omega)
     print(f"{M:>4} {mesh.n_free:>6} {Y:>6.2f} {err:>14.6e}")
 
 print("\nThe trace converges to the spectral solution as the cylinder mesh "

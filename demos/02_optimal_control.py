@@ -28,10 +28,8 @@ result = solve_control_problem(data, params, mesh, grid, tol=1e-9, prob=prob)
 print(f"converged: {result.converged} after {result.iterations} iterations")
 print(f"cost {result.cost:.10f}, projected gradient {result.pg_norm:.3e}")
 
-err_z = l2Q_error(result.control.values, man.control, grid, mesh.omega,
-                  kind="control", quad=prob.system.quad)
-err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega,
-                  quad=prob.system.quad)
+err_z = l2Q_error(result.control.values, man.control, grid, mesh.omega, kind="control")
+err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega)
 print(f"control error vs exact optimum: {err_z:.5f}")
 print(f"state error vs exact optimum:   {err_u:.5f}")
 

@@ -49,8 +49,7 @@ for (M, Kc) in ((4, 8), (8, 16), (16, 32)):
     data = manufactured_data(man, mu)
     prob = ReducedProblem(data, params, mesh, gridc)
     res = solve_control_problem(data, params, mesh, gridc, tol=1e-9, prob=prob)
-    err = l2Q_error(res.control.values, man.control, gridc, mesh.omega,
-                    kind="control", quad=prob.system.quad)
+    err = l2Q_error(res.control.values, man.control, gridc, mesh.omega, kind="control")
     print(f"{M:>4} {Kc:>4} {err:>14.5f} {res.iterations:>6}")
 print("errors decrease under simultaneous refinement; no rate is claimed "
       "for gamma < 1.")

@@ -16,10 +16,11 @@ The solve path needs only numpy. The assembled sparse operators
 :func:`assemble_trace_mass`) serve the test oracles and
 ``CylinderSystem.A_free``; each imports ``scipy.sparse`` when called, and
 the cylinder's free nodes are those of :func:`free_nodes`.
-Space-time data are evaluated once per block of time steps
-(:func:`step_blocks`, :func:`time_average`), always at the one
-``OmegaQuadrature.points`` array of the mesh, so a data callable may keep
-its spatial factor between calls as long as it checks that array.
+The lattice keeps its rule (:func:`omega_quadrature`), so every system on
+one lattice evaluates its space-time data at the one read-only
+``OmegaQuadrature.points`` array, once per block of time steps
+(:func:`step_blocks`, :func:`time_average`): a data callable may keep its
+spatial factor between calls as long as it checks that array.
 """
 from __future__ import annotations
 
@@ -192,6 +193,14 @@ _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 def omega_quadrature(omega: OmegaMesh) -> OmegaQuadrature:
+    """The Gauss rule of ``omega``: built on the first call, then the same object for that lattice.
+
+    Its arrays are read-only, since every system on the lattice shares them.
+    """
+    return omega.kept(_gauss_rule)
+
+
+def _gauss_rule(omega: OmegaMesh) -> OmegaQuadrature:
     m, h, n = omega.cells_per_dim, omega.h, omega.n
     cell1 = np.repeat(np.arange(m), 3)
     xi = np.tile(_GAUSS3_P, m)
@@ -202,11 +211,14 @@ def omega_quadrature(omega: OmegaMesh) -> OmegaQuadrature:
     hats[np.arange(3 * m), cell1 + 1] = xi
     tensor = lambda v: np.meshgrid(*[v] * n, indexing="ij")
     points1 = np.linspace(0.0, 1.0, m + 1)[cell1] + h * xi
-    return OmegaQuadrature(
+    quad = OmegaQuadrature(
         n=n, points=np.stack([x.ravel() for x in tensor(points1)], axis=1),
         weights=np.prod(tensor(weights1), axis=0).ravel(),
         cell_of=np.ravel_multi_index(tuple(tensor(cell1)), (m,) * n).ravel(),
         weights1=weights1, hats=hats[:, 1:-1])
+    for a in (quad.points, quad.weights, quad.cell_of, quad.weights1, quad.hats):
+        a.flags.writeable = False
+    return quad
 
 
 _GAUSS2_P = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])

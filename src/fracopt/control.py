@@ -65,15 +65,14 @@ def control_norm(values: np.ndarray, grid: TimeGrid, omega: OmegaMesh) -> float:
     return math.sqrt(w * float(np.sum(np.square(values))))
 
 
-def l2_project(r, grid: TimeGrid, omega: OmegaMesh, quad=None) -> np.ndarray:
+def l2_project(r, grid: TimeGrid, omega: OmegaMesh) -> np.ndarray:
     """L2(Q)-orthogonal projection of an evaluable onto piecewise constants.
 
     Values are the exact means over each space-time cell, computed with the
-    3-point tensor Gauss rule per cell and the 2-point rule per step; r is
-    evaluated once per block of steps.
+    lattice's 3-point tensor Gauss rule per cell and the 2-point rule per
+    step; r is evaluated once per block of steps.
     """
-    if quad is None:
-        quad = omega_quadrature(omega)
+    quad = omega_quadrature(omega)
     out = np.empty((grid.K, omega.n_cells))
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
         vals = time_average(r, quad.points, t0, t1, "exact solution")

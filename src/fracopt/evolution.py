@@ -58,7 +58,7 @@ import numpy as np
 
 from .assembly import (OmegaQuadrature, assemble_stiffness, kron_apply,
                        omega_quadrature, step_blocks, time_average, weight_integrals)
-from .mesh import CylinderMesh, GradedAxis
+from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
 
 
@@ -261,6 +261,25 @@ def lattice_modes(m: int):
     return phi, lam
 
 
+def lattice_factors(omega: OmegaMesh):
+    """The 1D factors (phi, lam, m1, b1, c1) of the lattice's operators, read-only.
+
+    ``phi`` and ``lam`` are the modes and eigenvalues of :func:`lattice_modes`,
+    ``m1`` = (h/6) tridiag(1, 4, 1) the interior P1 mass, ``b1`` the
+    (m-1) x m hat-over-cell matrix (entries h/2) and ``c1`` = phi^T b1 the
+    modal control factor. A system takes them through ``omega.kept``, so
+    they are built once per lattice and shared by every system on it.
+    """
+    m, h = omega.cells_per_dim, omega.h
+    phi, lam = lattice_modes(m)
+    m1 = h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1))
+    b1 = 0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
+    factors = (phi, lam, m1, b1, phi.T @ b1)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float):
     """Schur complements onto y = 0 and harmonic profiles of the axis blocks.
 
@@ -312,11 +331,14 @@ class CylinderSystem:
     (:func:`~fracopt.assembly.kron_apply`): the modes ``phi``, the interior
     P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the (m-1) x m hat-over-cell
     matrix ``b1`` (entries h/2) and the modal control factor ``c1`` =
-    phi^T b1. So :meth:`mass` applies the interior mass M_int,
-    :meth:`control_loads` the control loads B_int and :meth:`cell_integrals`
-    B_int^T; no n-dimensional Omega matrix is assembled, and the lattice
-    eigenvalues are the n-fold outer sum of the 1D ones. The state is kept
-    as its trace at y = 0 (per mode the extension is ``psi[i]`` times it). No
+    phi^T b1. These and the Gauss rule ``quad`` belong to the lattice
+    (:func:`lattice_factors`, :func:`~fracopt.assembly.omega_quadrature`):
+    built once per lattice, read-only, and shared by its systems. So
+    :meth:`mass` applies the interior mass M_int, :meth:`control_loads` the
+    control loads B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
+    Omega matrix is assembled, and the lattice eigenvalues are the n-fold
+    outer sum of the 1D ones. The state is kept as its trace at y = 0 (per
+    mode the extension is ``psi[i]`` times it). No
     march reads the assembled free-node stiffness ``A_free``, which the
     sparse oracles use: it is assembled on first access and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
@@ -332,12 +354,7 @@ class CylinderSystem:
         self.n = mesh.omega.n
         self.quad = omega_quadrature(mesh.omega)
         self.interior = mesh.omega.interior_idx
-
-        m, h = mesh.omega.cells_per_dim, mesh.omega.h
-        self.phi, lam = lattice_modes(m)
-        self.m1 = h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1))
-        self.b1 = 0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
-        self.c1 = self.phi.T @ self.b1
+        self.phi, lam, self.m1, self.b1, self.c1 = mesh.omega.kept(lattice_factors)
         lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
         self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
                                           params.d_s)

@@ -152,12 +152,17 @@ def load_config(path) -> ExperimentConfig:
     names (``max_iter`` and ``fit_last`` with underscores) plus ``kind``.
     A value means what it means after its flag, lists included (``K =
     8, 16`` as ``--K 8,16``). An unknown key, or a value that does not
-    parse, raises ParameterError naming it, its value and the file.
+    parse, raises ParameterError naming it, its value and the file; so does
+    a file that is not in that format (no section header, a repeated key,
+    a line that is not ``key = value``), naming the file and the fault.
     """
     parser = configparser.ConfigParser(interpolation=None)  # values as typed, "%" too
     parser.optionxform = str    # keep the spelling for the error message
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ParameterError(f"config file {path} is malformed: {exc}") from None
     merged = {}
     for section in parser.values():     # [DEFAULT] too, even when it stands alone
         merged.update(section)
@@ -165,9 +170,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
-                zeta: float | None = None, Y: float | None = None):
-    """Mesh, params and grid for one run (Y and zeta default per theory)."""
-    omega = build_omega(n, M)
+                zeta: float | None = None, Y: float | None = None,
+                omega: OmegaMesh | None = None):
+    """Mesh, params and grid for one run (Y and zeta default per theory).
+
+    The cylinder stands on ``omega`` when it is given, so that runs on one
+    lattice share its Gauss rule and 1D factors, or else on a new lattice.
+    A given lattice of another dimension or cell count than ``n`` and ``M``
+    raises ParameterError.
+    """
+    if omega is None:
+        omega = build_omega(n, M)
+    elif (omega.n, omega.cells_per_dim) != (n, M):
+        raise ParameterError(f"lattice has n = {omega.n}, M = {omega.cells_per_dim}; "
+                             f"the run needs n = {n}, M = {M}")
     if Y is None:
         # the n_free of the mesh built below: M axis nodes per interior vertex
         Y = select_truncation(max(omega.interior_idx.size * M, 8), s, n)
@@ -194,7 +210,8 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     piecewise-bilinear state. ``kind='control'``: discrete is the
     (K, n_cells) piecewise-constant field. The exact function is sampled at
     the right endpoints t_k, once per block of steps; space is integrated
-    by the 3-point Gauss rule.
+    by the 3-point Gauss rule: ``quad`` when given, else the lattice's
+    (:func:`~fracopt.assembly.omega_quadrature`, built once per lattice).
     """
     if quad is None:
         quad = omega_quadrature(omega)
@@ -209,7 +226,8 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
         if discrete.shape != (K, omega.n_cells):
             raise ParameterError(
                 f"control must have shape {(K, omega.n_cells)}, got {discrete.shape}")
-        values = lambda steps: np.take(discrete[steps], quad.cell_of, axis=1)
+        # indexing reads the read-only cell_of in place; np.take would copy it
+        values = lambda steps: discrete[steps][:, quad.cell_of]
     else:
         raise ParameterError(f"unknown field kind '{kind}'")
     acc = 0.0
@@ -308,11 +326,8 @@ def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int
     prob = ReducedProblem(data, params, mesh, grid)
     result = solve_control_problem(data, params, mesh, grid, tol=config.tol,
                                    max_iter=config.max_iter, prob=prob)
-    quad = prob.system.quad
-    err_z = l2Q_error(result.control.values, man.control, grid, mesh.omega,
-                      kind="control", quad=quad)
-    err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega,
-                      kind="state", quad=quad)
+    err_z = l2Q_error(result.control.values, man.control, grid, mesh.omega, kind="control")
+    err_u = l2Q_error(result.state.traces, man.state, grid, mesh.omega, kind="state")
     p_means = project_trace(result.adjoint.traces[:-1], prob.system)
     row = {"case": case, "s": s, "gamma": config.gamma, "M": M, "K": K,
            "N": mesh.n_free, "zeta": mesh.axis.zeta, "Y": mesh.axis.Y,
@@ -367,9 +382,9 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     """Decay of the trace differences as the cylinder height grows.
 
     Solves the homogeneous problem with single-mode initial datum for each
-    distinct height; the largest serves as reference and its row is
-    excluded from the fitted exponential slope. Fewer than 4 distinct
-    heights raise ParameterError.
+    distinct height, every height on one lattice; the largest serves as
+    reference and its row is excluded from the fitted exponential slope.
+    Fewer than 4 distinct heights raise ParameterError.
     """
     _check_heights(config.Y_list)
     report = ConvergenceReport(case="truncation")
@@ -380,10 +395,11 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     data = ProblemData(n=n, forcing=f, desired_state=f, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
 
+    omega = build_omega(n, M)
     runs = {}
     for Y in heights:
         mesh, params, grid = build_setup(n, M, s, config.gamma, config.T, K,
-                                         zeta=config.zeta, Y=Y)
+                                         zeta=config.zeta, Y=Y, omega=omega)
         system = CylinderSystem(mesh, params, grid)
         runs[Y] = (solve_state(data, params, mesh, grid, system=system), system)
     ref = runs[heights[-1]][0]
@@ -413,10 +429,9 @@ def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
                                      config.T, config.K, zeta=config.zeta, Y=config.Y)
     data = manufactured_data(man, config.mu)
     system = CylinderSystem(mesh, params, grid)
-    zvals = np.clip(l2_project(man.control, grid, mesh.omega, quad=system.quad),
-                    man.a, man.b)
+    zvals = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
     traj = solve_state(data, params, mesh, grid, control=zvals, system=system)
-    err_u = l2Q_error(traj.traces, man.state, grid, mesh.omega, quad=system.quad)
+    err_u = l2Q_error(traj.traces, man.state, grid, mesh.omega)
     report.rows.append({"case": "solve-state", "s": s, "gamma": config.gamma,
                         "M": config.M, "K": config.K, "N": mesh.n_free,
                         "zeta": mesh.axis.zeta, "Y": mesh.axis.Y, "err_state": err_u})

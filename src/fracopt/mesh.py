@@ -4,11 +4,14 @@ The cylinder mesh is the tensor product of a uniform partition of
 Omega = (0,1)^n into n-rectangles and a partition of [0, Y] graded toward
 y = 0 by y_m = (m/M)^zeta Y. The solver never numbers the cylinder's nodes;
 the sparse oracles number them in :func:`fracopt.assembly.free_nodes`.
-Meshes are immutable after build.
+Meshes are immutable after build. A lattice also keeps its Omega set-up
+(:meth:`OmegaMesh.kept`): its Gauss rule and the 1D factors of its
+operators are built on first use and shared, read-only, by every system
+on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +26,19 @@ class OmegaMesh:
     cells_per_dim: int
     vertices: np.ndarray           # (n_vertices, n)
     boundary_vertex_mask: np.ndarray
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kept(self, build):
+        """build(self), computed on the first call with ``build`` and returned on every later one.
+
+        This is how the lattice keeps its Omega set-up for its lifetime:
+        :func:`fracopt.assembly.omega_quadrature` and
+        :func:`fracopt.evolution.lattice_factors` build it once per lattice
+        object, as read-only arrays that every system on it shares.
+        """
+        if build not in self._kept:
+            self._kept[build] = build(self)
+        return self._kept[build]
 
     @property
     def h(self) -> float:
@@ -60,8 +76,9 @@ def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
     vertices = np.stack([x.ravel() for x in coords], axis=1)
     boundary = np.ones(shape, dtype=bool)
     boundary[(slice(1, -1),) * n] = False
-    return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices,
-                     boundary_vertex_mask=boundary.ravel())
+    boundary = boundary.ravel()
+    vertices.flags.writeable = boundary.flags.writeable = False
+    return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices, boundary_vertex_mask=boundary)
 
 
 @dataclass(frozen=True)

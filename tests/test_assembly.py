@@ -219,6 +219,22 @@ def test_control_load_matrix_exact_means():
     assert np.allclose(np.asarray(B.sum(axis=0)).ravel(), om.cell_volume, atol=1e-15)
 
 
+def test_lattice_keeps_one_read_only_gauss_rule():
+    om = build_omega(2, 3)
+    quad = omega_quadrature(om)
+    assert omega_quadrature(om) is quad
+    # nothing is kept across lattices: an equal lattice builds its own rule
+    other = omega_quadrature(build_omega(2, 3))
+    assert other is not quad and np.array_equal(other.points, quad.points)
+    for name in ("points", "weights", "cell_of", "weights1", "hats"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(quad, name)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        quad.points[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        om.vertices[0, 0] = 0.5
+
+
 def _matches(got, want, rtol=1e-14):
     """Same shape, entrywise within rtol of the largest reference entry (empty allowed)."""
     assert got.shape == want.shape

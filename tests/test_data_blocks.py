@@ -44,7 +44,7 @@ def test_batched_data_matches_step_loops(n, gamma, steps):
     b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, omega)
     assert rel_gap(prob.b_ud, b_ud) <= 1e-13
     assert rel_gap(prob.c_ud, c_ud) <= 1e-13
-    assert rel_gap(l2_project(man.control, grid, omega, quad=quad),
+    assert rel_gap(l2_project(man.control, grid, omega),
                    loop_l2_project(man.control, grid, omega)) <= 1e-13
 
     rng = np.random.default_rng(K)

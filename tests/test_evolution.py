@@ -280,8 +280,7 @@ def test_adjoint_approximates_manufactured_adjoint():
         data = ProblemData(n=2, forcing=man.forcing, desired_state=man.desired_state,
                            initial=man.initial, bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
-        z = np.clip(l2_project(man.control, grid, mesh.omega, quad=system.quad),
-                    man.a, man.b)
+        z = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
         traj = solve_state(data, params, mesh, grid, control=z, system=system)
         adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
         # adjoint history is read at the left endpoints; compare step k with p(t_{k-1})

@@ -6,10 +6,11 @@ import pytest
 
 from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
                      l2Q_error, load_config, run_experiment)
-from fracopt import cli, harness
+from fracopt import assembly, cli, evolution, harness
 from fracopt.control import project_trace
-from fracopt.harness import (REPORT_COLUMNS, SETTINGS, ConvergenceReport, read_report_csv,
-                             run_convergence_time, run_truncation_study, write_report_csv)
+from fracopt.harness import (REPORT_COLUMNS, SETTINGS, ConvergenceReport, build_setup,
+                             read_report_csv, run_convergence_time, run_truncation_study,
+                             write_report_csv)
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
@@ -156,10 +157,24 @@ def test_config_unknown_keys_raise(tmp_path):
         cli_main(["conv-space", "--fit", "2", "--out", str(tmp_path / "cli")])
 
 
+# whole files that are not key = value entries under [section] headers, and
+# the fault their error names
+MALFORMED = {"no section header": ("kind = conv-space\nK = 8\n", "no section headers"),
+             "duplicate key": ("[experiment]\nK = 8\nK = 16\n", "already exists"),
+             "malformed line": ("[experiment]\nK 8\n", "parsing errors")}
+
+
 @pytest.mark.parametrize("entry", ["K = eight", "gamma = half", "M = 4, six",
-                                   "fit_last = 2.5"])
+                                   "fit_last = 2.5", *MALFORMED])
 def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
     path = tmp_path / "bad.cfg"
+    if entry in MALFORMED:
+        text, fault = MALFORMED[entry]
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=fault) as info:
+            load_config(path)
+        assert str(path) in str(info.value)
+        return
     path.write_text(f"[experiment]\nkind = conv-space\n{entry}\n")
     key, value = (part.strip() for part in entry.split("="))
     with pytest.raises(ParameterError) as info:
@@ -238,6 +253,41 @@ def test_truncation_counts_a_repeated_height_once():
     assert all(r["err_state"] > 0.0 for r in rep.rows)
     (rate,) = rep.slopes
     assert rate["levels_used"] == 3 and math.isfinite(rate["slope"])
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_truncation_on_one_lattice_matches_a_lattice_per_height(gamma, monkeypatch):
+    cfg = ExperimentConfig(kind="truncation", s_list=(0.4,), gamma=gamma, n=2, M=6, K=8,
+                           Y_list=(1.0, 1.5, 2.0, 2.5), T=0.5)
+    shared = run_truncation_study(cfg)
+    # the same study with the lattice dropped: every height builds its own
+    monkeypatch.setattr(harness, "build_setup",
+                        lambda *args, omega, build=build_setup, **kw: build(*args, **kw))
+    fresh = run_truncation_study(cfg)
+    assert shared.rows == fresh.rows
+    assert shared.slopes == fresh.slopes
+
+
+def test_truncation_builds_one_gauss_rule_and_one_set_of_factors(monkeypatch):
+    built = []
+    for module, name in ((assembly, "_gauss_rule"), (evolution, "lattice_factors")):
+        def counted(omega, build=getattr(module, name), name=name):
+            built.append(name)
+            return build(omega)
+        monkeypatch.setattr(module, name, counted)
+    cfg = ExperimentConfig(kind="truncation", s_list=(0.5,), n=2, M=4, K=4,
+                           Y_list=(1.0, 1.5, 2.0, 2.5, 3.0), T=0.5)
+    assert len(run_truncation_study(cfg).rows) == 4
+    assert sorted(built) == ["_gauss_rule", "lattice_factors"]
+
+
+@pytest.mark.parametrize("n, M", [(1, 4), (2, 5)])
+def test_build_setup_rejects_a_lattice_of_another_n_or_M(n, M):
+    omega = build_omega(n, M)
+    mesh = build_setup(n, M, 0.5, 1.0, 1.0, 4, omega=omega)[0]
+    assert mesh.omega is omega
+    with pytest.raises(ParameterError, match="lattice has"):
+        build_setup(2, 4, 0.5, 1.0, 1.0, 4, omega=omega)
 
 
 def test_run_experiment_writes_reports(tmp_path):

@@ -68,6 +68,19 @@ def test_modal_matches_sparse_step_counts(n, K, gamma, c):
     test_modal_matches_sparse(n, gamma, c, K=K)
 
 
+def test_systems_on_one_lattice_share_its_read_only_factors():
+    mesh, params = build_test_mesh(n=2, M=5, s=0.4)
+    a = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=4))
+    b = CylinderSystem(mesh, make_params(0.7, 0.5, 2.0), TimeGrid(T=0.5, K=6), reaction=1.0)
+    assert b.quad is a.quad
+    for name in ("phi", "m1", "b1", "c1"):
+        assert getattr(b, name) is getattr(a, name)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        a.quad.points[0] = 0.0
+
+
 @pytest.mark.parametrize("gamma", [1.0, 0.7, 0.3])
 @pytest.mark.parametrize("K", [1, 2, 37, 300])
 def test_modal_march_matches_step_recurrence(gamma, K):

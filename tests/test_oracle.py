@@ -320,13 +320,15 @@ def test_manufactured_factor_computed_once_per_points_array(monkeypatch):
 
     monkeypatch.setattr(SpectralMode, "__call__", counted)
     man = manufactured_problem(0.4, 1.0, 1.0, n=2)
-    quad = omega_quadrature(build_omega(2, 6))
+    # the lattice's points are read-only, so a writable copy stands in for a
+    # caller's array that changes between calls
+    points = omega_quadrature(build_omega(2, 6)).points.copy()
     t = np.array([[0.1], [0.2]])
     for _ in range(3):
         for f in (man.forcing, man.desired_state, man.state, man.control, man.adjoint):
-            f(quad.points, t)
-        man.initial(quad.points)
+            f(points, t)
+        man.initial(points)
     assert len(calls) == 1
-    quad.points[0, 0] += 1e-3
-    man.state(quad.points, t)
+    points[0, 0] += 1e-3
+    man.state(points, t)
     assert len(calls) == 2
