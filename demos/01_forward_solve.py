@@ -26,7 +26,7 @@ zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
 for M in (4, 8, 16):
     N_est = (M - 1) ** 2 * M
     Y = select_truncation(max(N_est, 8), s, 2)
-    params = make_params(s, 1.0, Y)
+    params = make_params(s, 1.0)
     zeta = default_zeta(params.alpha)
     mesh = build_cylinder(build_omega(2, M), graded_axis(M, Y, zeta))
     grid = TimeGrid(T=T, K=K)
@@ -34,7 +34,7 @@ for M in (4, 8, 16):
     data = ProblemData(n=2, forcing=zero, desired_state=zero,
                        initial=lambda x: md(x), bounds=ControlBounds(-1, 1, 1.0))
     system = CylinderSystem(mesh, params, grid)
-    traj = solve_state(data, params, mesh, grid, system=system)
+    traj = solve_state(system, data)
 
     exact = lambda x, t: np.exp(-lam_s * t) * md(x)
     err = l2Q_error(traj.traces, exact, grid, mesh.omega)

@@ -21,7 +21,7 @@ from .evolution import (CaputoWeights, CylinderSystem, Trajectory, UseDelta1Erro
 from .control import (ControlField, OptimizeResult, ReducedProblem, clamp,
                       l2_project, projected_bfgs, solve_control_problem, vi_residual)
 from .oracle import (ManufacturedSolution, SpectralMode, fractional_ibp_check,
-                     manufactured_problem, modal_decompose, mode, spectral_solve_state)
+                     manufactured_problem, mode, spectral_solve_state)
 from .harness import (ConvergenceReport, ExperimentConfig, fit_rate, l2Q_error,
                       load_config, run_convergence_space, run_convergence_time,
                       run_experiment, run_truncation_study)

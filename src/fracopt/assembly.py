@@ -265,20 +265,17 @@ def time_average(f, points: np.ndarray, t0, t1, what: str = "data",
                  out: np.ndarray | None = None) -> np.ndarray:
     """Averages of f(points, .) over the steps [t0, t1] by the 2-point Gauss rule.
 
-    ``t0`` and ``t1`` are arrays of shape (m,) or scalars. f is called once,
+    ``t0`` and ``t1`` are float arrays of shape (m,). f is called once,
     with the (2m, 1) column of all Gauss times and the same ``points`` array
     on every call; the two Gauss rows are averaged into one array of shape
-    (m, n_points), or (n_points,) for scalar ends. That array is fresh, or
-    ``out[:m]`` when ``out`` is given: a block loop passes the previous
-    block's averages back, so all its blocks share one buffer.
+    (m, n_points). That array is fresh, or ``out[:m]`` when ``out`` is
+    given: a block loop passes the previous block's averages back, so all
+    its blocks share one buffer.
     """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
     span = t1 - t0
-    times = np.concatenate([np.atleast_1d(t0 + span * _GAUSS2_P[0]),
-                            np.atleast_1d(t0 + span * _GAUSS2_P[1])])
+    times = np.concatenate([t0 + span * _GAUSS2_P[0], t0 + span * _GAUSS2_P[1]])
     vals = evaluate_data(f, points, times[:, None], what)
-    m = times.size // 2
+    m = t0.size
     avg = np.add(vals[:m], vals[m:], out=None if out is None else out[:m])
     avg *= 0.5
-    return avg if t0.ndim else avg[0]
+    return avg

@@ -33,7 +33,7 @@ import numpy as np
 
 from .assembly import omega_quadrature, step_blocks, time_average
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
-                        forcing_loads, state_march, state_trajectory, system_for)
+                        forcing_loads, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
 from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
 
@@ -46,10 +46,6 @@ class ControlField:
     bounds: ControlBounds
     grid: TimeGrid
     omega: OmegaMesh
-
-    def is_admissible(self, tol: float = 0.0) -> bool:
-        return bool(np.all(self.values >= self.bounds.a - tol)
-                    and np.all(self.values <= self.bounds.b + tol))
 
 
 def clamp(values, a: float, b: float) -> np.ndarray:
@@ -110,22 +106,18 @@ class ReducedProblem:
     and returns (J, grad, w_hat, p_hat); C1 = Phi^T B_int, the n-fold power
     of c1 = phi^T b1, is the modal map of the control loads
     (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
-    :meth:`state` and :meth:`adjoint`, which run the nodal marches. A
-    ``system`` built for other inputs raises ParameterError
-    (:func:`~fracopt.evolution.system_for`).
+    :meth:`state` and :meth:`adjoint`, which run the nodal marches. The
+    problem builds its own ``system``, of (mesh, params, grid, data.reaction).
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
-                 mesh: CylinderMesh, grid: TimeGrid,
-                 system: CylinderSystem | None = None):
+                 mesh: CylinderMesh, grid: TimeGrid):
         self.data = data
         self.params = params
         self.mesh = mesh
         self.grid = grid
-        self.system = system_for(data, params, mesh, grid, system)
+        self.system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
         sysm = self.system
-        self.bounds = data.bounds
-        self.mu = data.bounds.mu
         self.cell_volume = mesh.omega.cell_volume
         self.weight = grid.tau * self.cell_volume
 
@@ -165,11 +157,9 @@ class ReducedProblem:
         """Nodal desired-state loads, (K, n_interior); built on first read."""
         return self._desired_state_data()[0]
 
-    def new_control(self, values=None) -> ControlField:
-        if values is None:
-            values = np.zeros((self.grid.K, self.mesh.omega.n_cells))
+    def new_control(self, values) -> ControlField:
         return ControlField(values=np.asarray(values, dtype=float),
-                            bounds=self.bounds, grid=self.grid, omega=self.mesh.omega)
+                            bounds=self.data.bounds, grid=self.grid, omega=self.mesh.omega)
 
     def state(self, zvals: np.ndarray) -> Trajectory:
         loads = self.b_f + self.system.control_loads(zvals)
@@ -191,7 +181,7 @@ class ReducedProblem:
         track = (float(np.vdot(w_hat, w_hat)) - 2.0 * float(np.vdot(w_hat, self.b_ud_hat))
                  + self.c_ud_sum)
         reg = self.cell_volume * float(np.vdot(zvals, zvals))
-        cost = 0.5 * self.grid.tau * track + 0.5 * self.mu * self.grid.tau * reg
+        cost = 0.5 * self.grid.tau * track + 0.5 * self.data.bounds.mu * self.grid.tau * reg
         if not math.isfinite(cost):
             # NaN or inf anywhere in the control or the state reaches the cost
             raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
@@ -213,7 +203,7 @@ class ReducedProblem:
         p_hat = self.system.march.solve_transposed(w_hat - self.b_ud_hat)
         grad = self.system.modal_to_control(p_hat)
         grad /= self.cell_volume
-        grad += self.mu * zvals
+        grad += self.data.bounds.mu * zvals
         return cost, grad, w_hat, p_hat
 
 

@@ -497,44 +497,23 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
     return out
 
 
-def system_for(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
-               grid: TimeGrid, system: CylinderSystem | None = None) -> CylinderSystem:
-    """The system of (mesh, params, grid, data.reaction): a new one, or ``system``.
+def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Trajectory:
+    """Fully discrete state solve of ``system`` for given data and (optional) control.
 
-    A given ``system`` must have been built on this ``mesh`` object, for
-    equal ``params`` and ``grid`` and the reaction of ``data``, or
-    ParameterError is raised naming what differs.
+    The system fixes mesh, orders, time grid and reaction: data of another
+    ``reaction`` raise ParameterError, as does a ``control`` that is not a
+    (K, n_cells) array; it adds B Z^{k+1} to the load of every step. A
+    non-finite control or initial datum raises it from :func:`state_march`.
     """
-    if system is None:
-        return CylinderSystem(mesh, params, grid, reaction=data.reaction)
-    if system.mesh is not mesh:
-        raise ParameterError("system was built on another mesh")
-    for what, theirs, ours in (("params", system.params, params),
-                               ("time grid", system.grid, grid),
-                               ("reaction", system.reaction, data.reaction)):
-        if theirs != ours:
-            raise ParameterError(f"system was built for the {what} {theirs}, not {ours}")
-    return system
-
-
-def solve_state(data: ProblemData, params: FractionalParams, mesh: CylinderMesh,
-                grid: TimeGrid, control=None,
-                system: CylinderSystem | None = None) -> Trajectory:
-    """Fully discrete state solve for given data and (optional) control.
-
-    ``control`` is a (K, n_cells) array, or ParameterError is raised; it
-    adds B Z^{k+1} to the load of every step. A non-finite control or
-    initial datum raises ParameterError from :func:`state_march`. A
-    ``system`` built for other inputs raises ParameterError
-    (:func:`system_for`).
-    """
-    system = system_for(data, params, mesh, grid, system)
-    loads = forcing_loads(data.forcing, grid, system.quad)
+    if data.reaction != system.reaction:
+        raise ParameterError(f"data have the reaction {data.reaction}, but the system "
+                             f"was built for {system.reaction}")
+    loads = forcing_loads(data.forcing, system.grid, system.quad)
     if control is not None:
         control = np.asarray(control, dtype=float)
-        if control.shape != (grid.K, mesh.omega.n_cells):
-            raise ParameterError(
-                f"control must have shape {(grid.K, mesh.omega.n_cells)}, got {control.shape}")
+        shape = (system.grid.K, system.mesh.omega.n_cells)
+        if control.shape != shape:
+            raise ParameterError(f"control must have shape {shape}, got {control.shape}")
         loads = loads + system.control_loads(control)
     return state_march(system, system.initial_field(data.initial), loads)
 

@@ -58,6 +58,8 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ParameterError(f"{name} must be nonempty")
         check_stopping(self.tol, self.max_iter)
+        if self.fit_last < 3:
+            raise ParameterError(f"a slope needs >= 3 levels, got fit_last = {self.fit_last}")
         if self.kind == "conv-time":
             _check_time_levels(self.K_list, REF_FACTOR)
         if self.kind == "truncation":
@@ -154,18 +156,25 @@ def load_config(path) -> ExperimentConfig:
     8, 16`` as ``--K 8,16``). An unknown key, or a value that does not
     parse, raises ParameterError naming it, its value and the file; so does
     a file that is not in that format (no section header, a repeated key,
-    a line that is not ``key = value``), naming the file and the fault.
+    a line that is not ``key = value``), naming the file and the fault, and
+    a setting given twice, in any case and sections ([DEFAULT] too), naming both.
     """
-    parser = configparser.ConfigParser(interpolation=None)  # values as typed, "%" too
+    parser = configparser.ConfigParser(interpolation=None,  # values as typed, "%" too
+                                       default_section="")  # [DEFAULT] is a plain section
     parser.optionxform = str    # keep the spelling for the error message
     with open(path) as fh:
         try:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ParameterError(f"config file {path} is malformed: {exc}") from None
-    merged = {}
-    for section in parser.values():     # [DEFAULT] too, even when it stands alone
-        merged.update(section)
+    merged, places = {}, {}
+    for section in parser.sections():
+        for key, value in parser[section].items():
+            place = places.setdefault(key.lower(), f"{key!r} in [{section}]")
+            if place != f"{key!r} in [{section}]":
+                raise ParameterError(f"setting {key!r} is given twice in {path}: "
+                                     f"as {place} and as {key!r} in [{section}]")
+            merged[key] = value
     return apply_settings(ExperimentConfig(), merged, f"in {path}")
 
 
@@ -187,7 +196,7 @@ def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
     if Y is None:
         # the n_free of the mesh built below: M axis nodes per interior vertex
         Y = select_truncation(max(omega.interior_idx.size * M, 8), s, n)
-    params = make_params(s, gamma, Y)
+    params = make_params(s, gamma)
     if zeta is None:
         zeta = default_zeta(params.alpha)
     mesh = build_cylinder(omega, graded_axis(M, Y, zeta))
@@ -257,16 +266,16 @@ class ConvergenceReport:
     rows: list = field(default_factory=list)
     slopes: list = field(default_factory=list)
 
-    def fit(self, quantity: str, x_key: str, s=None, gamma=None, last: int = 3):
+    def fit(self, quantity: str, x_key: str, s: float, gamma: float, last: int):
         rows = [r for r in self.rows
-                if (s is None or r["s"] == s)
+                if r["s"] == s
                 and isinstance(r.get(quantity), (int, float))
                 and r[quantity] == r[quantity]
                 and r.get("converged", True)]
         if len(rows) < 3:
             raise ParameterError(f"need >= 3 converged rows to fit {quantity}, have {len(rows)}")
         rows = sorted(rows, key=lambda r: r[x_key])
-        use = rows[-max(last, 3):]
+        use = rows[-last:]
         slope = fit_rate([r[x_key] for r in use], [r[quantity] for r in use])
         self.slopes.append({"case": self.case, "s": s, "gamma": gamma,
                             "quantity": quantity, "slope": slope,
@@ -401,7 +410,7 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
         mesh, params, grid = build_setup(n, M, s, config.gamma, config.T, K,
                                          zeta=config.zeta, Y=Y, omega=omega)
         system = CylinderSystem(mesh, params, grid)
-        runs[Y] = (solve_state(data, params, mesh, grid, system=system), system)
+        runs[Y] = (solve_state(system, data), system)
     ref = runs[heights[-1]][0]
     for Y in heights[:-1]:
         traj, system = runs[Y]
@@ -430,7 +439,7 @@ def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
     data = manufactured_data(man, config.mu)
     system = CylinderSystem(mesh, params, grid)
     zvals = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
-    traj = solve_state(data, params, mesh, grid, control=zvals, system=system)
+    traj = solve_state(system, data, control=zvals)
     err_u = l2Q_error(traj.traces, man.state, grid, mesh.omega)
     report.rows.append({"case": "solve-state", "s": s, "gamma": config.gamma,
                         "M": config.M, "K": config.K, "N": mesh.n_free,

@@ -83,7 +83,7 @@ def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
 
 @dataclass(frozen=True)
 class GradedAxis:
-    """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y."""
+    """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y; Y >= 1 is the cylinder's height."""
 
     M: int
     Y: float
@@ -99,11 +99,11 @@ def default_zeta(alpha: float) -> float:
 
 
 def graded_axis(M: int, Y: float, zeta: float) -> GradedAxis:
-    """Graded partition of [0, Y]; zeta = 1 gives the uniform partition."""
+    """Graded partition of [0, Y], Y >= 1; zeta = 1 gives the uniform partition."""
     if M < 1:
         raise ParameterError("empty axis mesh: need M >= 1 intervals")
-    if Y <= 0.0:
-        raise ParameterError(f"axis height must be positive, got {Y}")
+    if Y < 1.0:
+        raise ParameterError(f"truncation height must satisfy Y >= 1, got {Y}")
     if zeta < 1.0:
         raise ParameterError(f"grading exponent must be >= 1, got {zeta}")
     m = np.arange(M + 1, dtype=float)

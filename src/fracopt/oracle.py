@@ -12,16 +12,13 @@ of those data use a Gauss-Jacobi rule computed with numpy alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import omega_quadrature
 from .evolution import ModalMarch, caputo_weights
-from .mesh import build_omega
 from .problem import ParameterError
 
 
@@ -36,17 +33,13 @@ class SpectralMode:
     indices: tuple
     lam: float
 
-    @property
-    def n(self) -> int:
-        return len(self.indices)
-
     def __call__(self, points: np.ndarray, normalized: bool = True) -> np.ndarray:
         pts = np.atleast_2d(points)
         out = np.ones(pts.shape[0])
         for d, k in enumerate(self.indices):
             out = out * np.sin(k * math.pi * pts[:, d])
         if normalized:
-            out = out * 2.0 ** (self.n / 2.0)
+            out = out * 2.0 ** (len(self.indices) / 2.0)
         return out
 
 
@@ -55,27 +48,6 @@ def mode(*indices: int) -> SpectralMode:
         raise ParameterError(f"mode indices must be positive, got {indices}")
     lam = math.pi ** 2 * sum(k * k for k in indices)
     return SpectralMode(indices=tuple(indices), lam=lam)
-
-
-def modal_decompose(func: Callable, n: int, kmax: int = 32, tol: float = 1e-12,
-                    cells: int = 64):
-    """Sine coefficients of a callable on (0,1)^n, for the oracle's use.
-
-    Projects onto the normalized eigenfunctions with indices up to ``kmax``
-    per dimension (composite 3-point Gauss on ``cells`` cells per
-    dimension) and keeps modes whose coefficient exceeds ``tol``.
-    """
-    quad = omega_quadrature(build_omega(n, cells))
-    vals = np.asarray(func(quad.points), dtype=float)
-    modes, coeffs = [], []
-    ranges = [range(1, kmax + 1)] * n
-    for idx in itertools.product(*ranges):
-        md = mode(*idx)
-        c = float(quad.weights @ (vals * md(quad.points)))
-        if abs(c) > tol:
-            modes.append(md)
-            coeffs.append(c)
-    return modes, np.array(coeffs)
 
 
 # -- Caputo derivatives of smooth profiles via Gauss-Jacobi quadrature -------
@@ -136,7 +108,6 @@ def caputo_right(gprime: Callable, gamma: float, t, T: float,
 class ModalTrajectories:
     """Per-mode solution samples on a fine uniform grid."""
 
-    modes: Sequence[SpectralMode]
     times: np.ndarray
     coeffs: np.ndarray             # (K_fine + 1, n_modes)
 
@@ -159,9 +130,8 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     grid, through the same per-mode solve
     (:class:`fracopt.evolution.ModalMarch`) as the finite element marches.
     """
-    modes = list(modes)
-    nm = len(modes)
     lam_s = np.array([m.lam ** s for m in modes])
+    nm = lam_s.size
     u0 = np.asarray(u0_coeffs, dtype=float)
     if u0.shape != (nm,):
         raise ParameterError(f"need one initial coefficient per mode, got {u0.shape}")
@@ -175,13 +145,13 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
         part = amps / (1.0 + lam_s)
         t = times[:, None]
         coeffs = (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
-        return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
+        return ModalTrajectories(times=times, coeffs=coeffs)
 
     march = ModalMarch(lam_s, gamma, K_fine, T / K_fine)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
     coeffs[1:] = march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0)
-    return ModalTrajectories(modes=modes, times=times, coeffs=coeffs)
+    return ModalTrajectories(times=times, coeffs=coeffs)
 
 
 # -- manufactured optimal control problem -------------------------------------

@@ -22,7 +22,7 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class FractionalParams:
-    """Fractional orders and the constants derived from them.
+    """Fractional orders and derived constants; the cylinder height is ``mesh.axis.Y``.
 
     Attributes
     ----------
@@ -30,18 +30,16 @@ class FractionalParams:
     gamma : temporal order, 0 < gamma <= 1 (gamma = 1 is the classical case).
     alpha : extension weight exponent, always 1 - 2*s.
     d_s : normalization constant 2^alpha * Gamma(1-s) / Gamma(s).
-    truncation_Y : height of the truncated cylinder, >= 1.
     """
 
     s: float
     gamma: float
     alpha: float
     d_s: float
-    truncation_Y: float
 
 
-def make_params(s: float, gamma: float, Y: float) -> FractionalParams:
-    """Validate (s, gamma, Y) and attach the derived constants.
+def make_params(s: float, gamma: float) -> FractionalParams:
+    """Validate (s, gamma) and attach the derived constants.
 
     alpha = 1 - 2s and d_s = 2^alpha Gamma(1-s)/Gamma(s); for s = 1/2 the
     weight disappears (alpha = 0) and d_s = 1 exactly.
@@ -50,11 +48,9 @@ def make_params(s: float, gamma: float, Y: float) -> FractionalParams:
         raise ParameterError(f"spatial order s must lie in (0, 1), got {s}")
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"temporal order gamma must lie in (0, 1], got {gamma}")
-    if Y < 1.0:
-        raise ParameterError(f"truncation height must satisfy Y >= 1, got {Y}")
     alpha = 1.0 - 2.0 * s
     d_s = 2.0 ** alpha * math.gamma(1.0 - s) / math.gamma(s)
-    return FractionalParams(s=s, gamma=gamma, alpha=alpha, d_s=d_s, truncation_Y=Y)
+    return FractionalParams(s=s, gamma=gamma, alpha=alpha, d_s=d_s)
 
 
 def select_truncation(N: int, s: float, n: int) -> float:

@@ -63,7 +63,7 @@ def check_weight_integrals(rng, cases=12, tol=1e-10):
 
 
 def build_test_mesh(n=2, M=6, s=0.6, Y=1.5, zeta=None):
-    params = make_params(s, 1.0, Y)
+    params = make_params(s, 1.0)
     if zeta is None:
         zeta = default_zeta(params.alpha)
     mesh = build_cylinder(build_omega(n, M), graded_axis(M, Y, zeta))
@@ -364,15 +364,15 @@ def nodal_cost_and_gradient(prob, zvals):
     the assembled B_int^T applied to the adjoint traces: the reference for
     the modal evaluation.
     """
-    system = prob.system
+    system, mu = prob.system, prob.data.bounds.mu
     state = prob.state(zvals)
     tr = state.traces[1:]
     track = float(np.einsum("ki,ki->", tr, (M_int(system) @ tr.T).T)
                   - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(prob.c_ud))
     reg = prob.cell_volume * float(np.sum(np.square(zvals)))
-    cost = 0.5 * prob.grid.tau * track + 0.5 * prob.mu * prob.grid.tau * reg
+    cost = 0.5 * prob.grid.tau * track + 0.5 * mu * prob.grid.tau * reg
     adj = prob.adjoint(state)
-    grad = prob.mu * zvals + (B_int(system).T @ adj.traces[:-1].T).T / prob.cell_volume
+    grad = mu * zvals + (B_int(system).T @ adj.traces[:-1].T).T / prob.cell_volume
     return cost, grad, state, adj
 
 

@@ -141,7 +141,7 @@ def test_criterion_6_discrete_optimality(space_sweep):
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_criterion_7_duality_identity(gamma):
     mesh, params = build_test_mesh(n=2, M=4, s=0.3)
-    params = make_params(params.s, gamma, params.truncation_Y)
+    params = make_params(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     rng = np.random.default_rng(23)
@@ -189,7 +189,7 @@ def test_criterion_9_oracle_agreement():
         lam_s = md.lam ** s
         errs = []
         for M in (4, 8, 16):
-            params = make_params(s, 1.0, Y)
+            params = make_params(s, 1.0)
             mesh = build_cylinder(build_omega(2, M),
                                   graded_axis(M, Y, default_zeta(params.alpha)))
             grid = TimeGrid(T=T, K=K)
@@ -198,7 +198,7 @@ def test_criterion_9_oracle_agreement():
                                initial=lambda x: md(x),
                                bounds=ControlBounds(-1.0, 1.0, 1.0))
             system = CylinderSystem(mesh, params, grid)
-            traj = solve_state(data, params, mesh, grid, system=system)
+            traj = solve_state(system, data)
             quad = system.quad
             diff = quad.values(traj.traces[-1]) - math.exp(-lam_s * T) * md(quad.points)
             errs.append(math.sqrt(float(quad.weights @ diff ** 2)))

@@ -61,7 +61,7 @@ def test_stiffness_scaling_in_ds():
     mesh, params = build_test_mesh(n=1, M=6, s=0.7)
     A = assemble_stiffness(mesh, params)
     halved = params.__class__(s=params.s, gamma=params.gamma, alpha=params.alpha,
-                              d_s=params.d_s / 2.0, truncation_Y=params.truncation_Y)
+                              d_s=params.d_s / 2.0)
     A2 = assemble_stiffness(mesh, halved)
     gap = abs(A2 - 2.0 * A)
     assert gap.max() <= 1e-12 * abs(A).max()

@@ -12,7 +12,7 @@ from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import reference_projected_bfgs
+from helpers import reference_projected_bfgs, step_average
 
 
 def test_clamp_examples():
@@ -77,8 +77,7 @@ def test_reduced_cost_zero_cases():
     silent = ProblemData(n=2, forcing=zero, desired_state=zero,
                          initial=lambda x: zero(x), bounds=data.bounds)
     prob = ReducedProblem(silent, params, mesh, grid)
-    z = prob.new_control()
-    assert prob.cost(z.values) == 0.0
+    assert prob.cost(np.zeros((grid.K, mesh.omega.n_cells))) == 0.0
 
 
 def test_reduced_cost_double_path():
@@ -90,14 +89,12 @@ def test_reduced_cost_double_path():
 
     # independent recomputation: fresh state solve, norms via quadrature values
     from fracopt.evolution import solve_state
-    traj = solve_state(data, params, mesh, grid, control=zvals, system=prob.system)
+    traj = solve_state(prob.system, data, control=zvals)
     quad = prob.system.quad
-    from fracopt.assembly import time_average
     acc = 0.0
     for k in range(1, grid.K + 1):
         uvals = quad.values(traj.traces[k])
-        udvals = time_average(data.desired_state, quad.points,
-                              (k - 1) * grid.tau, k * grid.tau)
+        udvals = step_average(data.desired_state, quad.points, k - 1, grid.tau)
         acc += grid.tau * float(quad.weights @ (uvals - udvals) ** 2)
     ref = 0.5 * acc + 0.5 * data.bounds.mu * grid.tau * mesh.omega.cell_volume \
         * float(np.sum(zvals ** 2))
@@ -137,7 +134,7 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
 
     matched = ProblemData(n=2, forcing=data.forcing, desired_state=u_d,
                           initial=data.initial, bounds=data.bounds)
-    prob2 = ReducedProblem(matched, params, mesh, grid, system=prob.system)
+    prob2 = ReducedProblem(matched, params, mesh, grid)
     g = prob2.cost_and_gradient(prob2.new_control(z).values)[1]
     scale = np.max(np.abs(z))
     assert np.max(np.abs(g - data.bounds.mu * z)) <= 1e-11 * scale
@@ -272,7 +269,8 @@ def test_solve_control_problem_optimality():
     res = solve_control_problem(data, params, mesh, grid, tol=1e-9)
     assert res.converged
     assert res.pg_norm <= 1e-9
-    assert res.control.is_admissible(tol=0.0)
+    # admissible: the box leaves the optimal control unchanged
+    assert np.array_equal(clamp(res.control.values, man.a, man.b), res.control.values)
     # monotone cost decrease along accepted steps (up to roundoff allowance)
     hist = np.asarray(res.cost_history)
     assert np.all(np.diff(hist) <= 32 * np.finfo(float).eps * np.abs(hist[:-1]))

@@ -83,7 +83,7 @@ def test_nodal_loads_are_built_on_first_read(gamma):
     assert "b_f" in vars(prob) and "b_ud" in vars(prob)
     assert prob.b_f is prob.b_f
     assert np.array_equal(prob.b_f, forcing_loads(man.forcing, grid, sysm.quad))
-    again = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid, system=sysm)
+    again = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
     assert np.array_equal(prob.b_ud, again.b_ud)
     assert np.array_equal(prob.c_ud, again.c_ud)
     assert rel_gap(prob.b_f, loop_forcing_loads(man.forcing, grid, mesh.omega)) <= 1e-13

@@ -153,7 +153,7 @@ def test_initialize_state_energy_bounded_across_refinements():
 
 def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch):
     mesh, params = build_test_mesh(n=2, M=5, s=0.4)
-    params = make_params(params.s, 0.5, params.truncation_Y)
+    params = make_params(params.s, 0.5)
     grid = TimeGrid(T=1.0, K=4)
 
     def refuse(*args, **kwargs):
@@ -191,7 +191,7 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
         monkeypatch.setitem(sys.modules, name, None)
     oracle._jacobi_rule.cache_clear()
     mesh, params = build_test_mesh(n=n, M=5, s=0.4)
-    params = make_params(params.s, gamma, params.truncation_Y)
+    params = make_params(params.s, gamma)
     grid = TimeGrid(T=1.0, K=4)
     system = CylinderSystem(mesh, params, grid, reaction=0.7)
     md = mode(*([1] * n))
@@ -207,7 +207,7 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
     # builds its own ReducedProblem
     result = solve_control_problem(data, params, mesh, grid, max_iter=3)
     z = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
-    traj = solve_state(data, params, mesh, grid, control=z)
+    traj = solve_state(CylinderSystem(mesh, params, grid), data, control=z)
     l2Q_error(traj.traces, man.state, grid, mesh.omega)
     l2Q_error(result.control.values, man.control, grid, mesh.omega, kind="control")
 
@@ -215,11 +215,11 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
 def test_zero_data_zero_trajectories():
     for gamma in (1.0, 0.5):
         mesh, params = build_test_mesh(n=1, M=4, s=0.5)
-        params = make_params(params.s, gamma, params.truncation_Y)
+        params = make_params(params.s, gamma)
         grid = TimeGrid(T=1.0, K=5)
         data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
                            initial=zero_u0, bounds=WIDE)
-        traj = solve_state(data, params, mesh, grid)
+        traj = solve_state(CylinderSystem(mesh, params, grid), data)
         assert np.all(traj.traces == 0.0)
         adj = ReducedProblem(data, params, mesh, grid).adjoint(traj)
         assert np.all(adj.traces == 0.0)
@@ -232,7 +232,7 @@ def test_backward_euler_monotone_decay():
     data = ProblemData(n=2, forcing=zero_f, desired_state=zero_f,
                        initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
-    traj = solve_state(data, params, mesh, grid, system=system)
+    traj = solve_state(system, data)
     norms = [float(tr @ system.mass(tr)) for tr in traj.traces]
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -245,7 +245,7 @@ def test_state_matches_spectral_oracle_under_refinement():
         data = ProblemData(n=2, forcing=zero_f, desired_state=zero_f,
                            initial=lambda x: md(x), bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
-        traj = solve_state(data, params, mesh, grid, system=system)
+        traj = solve_state(system, data)
         lam_s = md.lam ** params.s
         exact = lambda x, t: np.exp(-lam_s * t) * md(x)
         errs.append(l2Q_error(traj.traces, exact, grid, mesh.omega, quad=system.quad))
@@ -259,7 +259,7 @@ def test_adjoint_zero_when_state_matches_desired():
     data = ProblemData(n=2, forcing=lambda x, t: md(x) * np.cos(t),
                        desired_state=zero_f, initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
-    traj = solve_state(data, params, mesh, grid, system=system)
+    traj = solve_state(system, data)
 
     def u_d(x, t):
         # piecewise-constant-in-time interpolant of the discrete trace
@@ -267,7 +267,7 @@ def test_adjoint_zero_when_state_matches_desired():
         return system.quad.values(traj.traces[k])
 
     data = dataclasses.replace(data, desired_state=u_d)
-    adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
+    adj = ReducedProblem(data, params, mesh, grid).adjoint(traj)
     assert np.max(np.abs(adj.traces)) <= 1e-12 * max(1.0, np.max(np.abs(traj.traces)))
     assert np.all(adj.traces[-1] == 0.0)
 
@@ -281,8 +281,8 @@ def test_adjoint_approximates_manufactured_adjoint():
                            initial=man.initial, bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
         z = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
-        traj = solve_state(data, params, mesh, grid, control=z, system=system)
-        adj = ReducedProblem(data, params, mesh, grid, system=system).adjoint(traj)
+        traj = solve_state(system, data, control=z)
+        adj = ReducedProblem(data, params, mesh, grid).adjoint(traj)
         # adjoint history is read at the left endpoints; compare step k with p(t_{k-1})
         shifted = np.vstack([adj.traces[1:], adj.traces[:1] * 0.0])
         err = l2Q_error(shifted, lambda x, t: man.adjoint(x, t), grid, mesh.omega,
@@ -295,7 +295,7 @@ def test_adjoint_approximates_manufactured_adjoint():
 def test_duality_identity(gamma):
     rng = np.random.default_rng(100 + int(10 * gamma))
     mesh, params = build_test_mesh(n=2, M=4, s=0.3)
-    params = make_params(params.s, gamma, params.truncation_Y)
+    params = make_params(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     for _ in range(5):
@@ -318,7 +318,7 @@ def test_stability_constant_across_refinements():
         data = ProblemData(n=2, forcing=f, desired_state=zero_f,
                            initial=lambda x: md(x), bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
-        traj = solve_state(data, params, mesh, grid, system=system)
+        traj = solve_state(system, data)
         sq = np.einsum("ki,ki->k", traj.traces[1:], system.mass(traj.traces[1:]))
         lhs = math.sqrt(grid.tau * float(np.sum(sq)))
         # ||u0|| + ||f||_{l2(L2)} with ||f^k|| = |1 + t_k| * ||phi|| = 1 + t_k
@@ -346,6 +346,21 @@ def test_lambda_diagnostic_identity_and_closed_form():
     assert math.isclose(got, grid.tau * 2.0 * grid.K, rel_tol=1e-14)
 
 
+def test_solve_state_rejects_data_of_another_reaction():
+    mesh, params = build_test_mesh(n=1, M=4, s=0.5)
+    grid = TimeGrid(T=1.0, K=5)
+    md = mode(1)
+    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+                       initial=lambda x: md(x), bounds=WIDE, reaction=0.7)
+    with pytest.raises(ParameterError, match="reaction"):
+        solve_state(CylinderSystem(mesh, params, grid), data)
+    # the system of that reaction solves it, as the control problem's does
+    system = CylinderSystem(mesh, params, grid, reaction=0.7)
+    traj = solve_state(system, data)
+    ref = ReducedProblem(data, params, mesh, grid).state(np.zeros((grid.K, mesh.omega.n_cells)))
+    assert np.array_equal(traj.traces, ref.traces)
+
+
 def test_solve_state_control_shape_mismatch():
     mesh, params = build_test_mesh(n=1, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=5)
@@ -353,7 +368,7 @@ def test_solve_state_control_shape_mismatch():
                        initial=zero_u0, bounds=WIDE)
     bad = np.zeros((grid.K + 1, mesh.omega.n_cells))
     with pytest.raises(ParameterError):
-        solve_state(data, params, mesh, grid, control=bad)
+        solve_state(CylinderSystem(mesh, params, grid), data, control=bad)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -362,7 +377,7 @@ def test_solve_state_control_shape_mismatch():
 def test_marches_reject_non_finite_traces(gamma, step):
     # the first, a middle and the last step of the state march
     mesh, params = build_test_mesh(n=2, M=4, s=0.5)
-    params = make_params(params.s, gamma, params.truncation_Y)
+    params = make_params(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     loads = np.zeros((grid.K, system.n_interior))
@@ -393,10 +408,10 @@ def test_solve_state_rejects_non_finite_initial_datum_and_control():
     data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
                        initial=nan_u0, bounds=WIDE)
     with pytest.raises(ParameterError, match="state march"):
-        solve_state(data, params, mesh, grid)
+        solve_state(CylinderSystem(mesh, params, grid), data)
     data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
                        initial=zero_u0, bounds=WIDE)
     control = np.zeros((grid.K, mesh.omega.n_cells))
     control[3, 0] = np.nan
     with pytest.raises(ParameterError, match="state march"):
-        solve_state(data, params, mesh, grid, control=control)
+        solve_state(CylinderSystem(mesh, params, grid), data, control=control)

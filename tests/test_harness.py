@@ -148,20 +148,28 @@ def test_config_unknown_keys_raise(tmp_path):
     # every key of the shipped configs is known, in any case
     for cfg in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
         load_config(cfg)
-    path.write_text("[experiment]\nk = 4, 8\nFIT_LAST = 2\n")
+    path.write_text("[experiment]\nk = 4, 8\nFIT_LAST = 4\n")
     cfg = load_config(path)
     assert cfg.K_list == (4, 8)
-    assert cfg.fit_last == 2
+    assert cfg.fit_last == 4
     # nor does the command line take an abbreviation of a flag
     with pytest.raises(SystemExit):
-        cli_main(["conv-space", "--fit", "2", "--out", str(tmp_path / "cli")])
+        cli_main(["conv-space", "--fit", "4", "--out", str(tmp_path / "cli")])
 
 
-# whole files that are not key = value entries under [section] headers, and
-# the fault their error names
+# whole files that are not key = value entries under [section] headers, or
+# that give one setting twice, and the fault their error names
 MALFORMED = {"no section header": ("kind = conv-space\nK = 8\n", "no section headers"),
              "duplicate key": ("[experiment]\nK = 8\nK = 16\n", "already exists"),
-             "malformed line": ("[experiment]\nK 8\n", "parsing errors")}
+             "malformed line": ("[experiment]\nK 8\n", "parsing errors"),
+             "key in two cases": ("[experiment]\nK = 8\nk = 16\n",
+                                  r"'k' is given twice .* 'K' in \[experiment\] "
+                                  r"and as 'k' in \[experiment\]"),
+             "key in two sections": ("[a]\nM = 4\n[b]\nM = 6\n",
+                                     r"'M' is given twice .* 'M' in \[a\] and as 'M' in \[b\]"),
+             "key in [DEFAULT] too": ("[DEFAULT]\ns = 0.4\n[experiment]\nS = 0.6\n",
+                                      r"'S' is given twice .* 's' in \[DEFAULT\] "
+                                      r"and as 'S' in \[experiment\]")}
 
 
 @pytest.mark.parametrize("entry", ["K = eight", "gamma = half", "M = 4, six",
@@ -196,7 +204,7 @@ def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
 SETTING_VALUES = {"kind": "conv-time", "out": "study%1", "s": "0.3, 0.5", "gamma": "0.5",
                   "K": "8, 16", "M": "4, 6", "T": "0.5", "mu": "0.1", "zeta": "2.5",
                   "Y": "1, 1.5, 2, 3", "tol": "1e-8", "n": "1", "max_iter": "50",
-                  "fit_last": "2"}
+                  "fit_last": "4"}
 
 
 @pytest.mark.parametrize("key", list(SETTINGS))
@@ -279,6 +287,19 @@ def test_truncation_builds_one_gauss_rule_and_one_set_of_factors(monkeypatch):
                            Y_list=(1.0, 1.5, 2.0, 2.5, 3.0), T=0.5)
     assert len(run_truncation_study(cfg).rows) == 4
     assert sorted(built) == ["_gauss_rule", "lattice_factors"]
+
+
+@pytest.mark.parametrize("kind, heights", [("truncation", "2,1.5,1,0.5"),
+                                           ("solve-state", "0.5")])
+def test_height_below_one_is_rejected_before_any_solve(tmp_path, monkeypatch, kind, heights):
+    with pytest.raises(ParameterError, match="Y >= 1"):
+        build_setup(2, 4, 0.5, 1.0, 1.0, 4, Y=0.5)
+    solves = []
+    monkeypatch.setattr(harness, "solve_state", lambda *args, **kw: solves.append(args))
+    out = tmp_path / "cli"
+    with pytest.raises(ParameterError, match="Y >= 1"):
+        cli_main([kind, "--M", "4", "--K", "4", "--Y", heights, "--out", str(out)])
+    assert solves == [] and not out.exists()
 
 
 @pytest.mark.parametrize("n, M", [(1, 4), (2, 5)])
@@ -370,7 +391,8 @@ def test_cli_fails_when_a_solve_did_not_converge(tmp_path, capsys):
     assert [r["iters"] for r in rows] == [1, 1]
 
 
-UNREACHABLE_STOPS = [("tol", "nan"), ("tol", "-1"), ("max_iter", "0")]
+# stopping rules that can never be met, and a slope fit over fewer than 3 levels
+UNREACHABLE_STOPS = [("tol", "nan"), ("tol", "-1"), ("max_iter", "0"), ("fit_last", "2")]
 
 
 @pytest.mark.parametrize("name, value", UNREACHABLE_STOPS)

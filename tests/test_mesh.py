@@ -57,6 +57,10 @@ def test_graded_axis_nesting_under_doubling():
 def test_graded_axis_errors():
     with pytest.raises(ParameterError):
         graded_axis(0, 1.0, 2.0)
+    # the cylinder's height is the axis's, so its rule Y >= 1 is checked here
+    for Y in (0.999, 0.5, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="Y >= 1"):
+            graded_axis(8, Y, 2.0)
 
 
 def test_default_zeta_values():
@@ -143,7 +147,7 @@ def test_node_count_product():
 
 @pytest.mark.parametrize("n,Ms", [(1, (1, 2, 5, 16)), (2, (1, 2, 4, 7)), (3, (1, 2, 3, 5))])
 def test_free_nodes_match_dirichlet_geometry_and_stiffness_size(n, Ms):
-    params = make_params(0.4, 1.0, 1.5)
+    params = make_params(0.4, 1.0)
     for M in Ms:
         mesh = build_cylinder(build_omega(n, M), graded_axis(M, 1.5, 2.0))
         # the free nodes are exactly the non-Dirichlet ones, in ascending order

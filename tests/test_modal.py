@@ -17,7 +17,7 @@ TOL = 1e-11
 
 def make_system(n, gamma, c, K=6, M=None):
     mesh, params = build_test_mesh(n=n, M=M or {1: 8, 2: 5, 3: 4}[n], s=0.35)
-    params = make_params(params.s, gamma, params.truncation_Y)
+    params = make_params(params.s, gamma)
     return CylinderSystem(mesh, params, TimeGrid(T=1.0, K=K), reaction=c)
 
 
@@ -71,7 +71,7 @@ def test_modal_matches_sparse_step_counts(n, K, gamma, c):
 def test_systems_on_one_lattice_share_its_read_only_factors():
     mesh, params = build_test_mesh(n=2, M=5, s=0.4)
     a = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=4))
-    b = CylinderSystem(mesh, make_params(0.7, 0.5, 2.0), TimeGrid(T=0.5, K=6), reaction=1.0)
+    b = CylinderSystem(mesh, make_params(0.7, 0.5), TimeGrid(T=0.5, K=6), reaction=1.0)
     assert b.quad is a.quad
     for name in ("phi", "m1", "b1", "c1"):
         assert getattr(b, name) is getattr(a, name)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import CylinderSystem, TimeGrid, control, solve_control_problem, solve_state
+from fracopt import CylinderSystem, TimeGrid, control, solve_control_problem
 from fracopt.control import ReducedProblem
 from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
@@ -59,29 +59,6 @@ def test_control_maps_match_sparse(n, M):
     assert rel_gap(system.mass(x), (M_int(system) @ x.T).T) <= 1e-13
     assert rel_gap(system.control_loads(z), (B_int(system) @ z.T).T) <= 1e-13
     assert rel_gap(system.cell_integrals(x), (B_int(system).T @ x.T).T) <= 1e-13
-
-
-@pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_reduced_problem_rejects_system_of_another_grid(gamma):
-    prob = make_problem(2, gamma, 0.0)
-    equal_mesh = build_setup(2, 4, 0.5, gamma, 1.0, 6)[0]
-    mesh_m5, params_s08, _ = build_setup(2, 5, 0.8, gamma, 1.0, 6)
-    others = [("grid", CylinderSystem(prob.mesh, prob.params, TimeGrid(T=1.0, K=12))),
-              ("grid", CylinderSystem(prob.mesh, prob.params, TimeGrid(T=0.5, K=prob.grid.K))),
-              ("mesh", CylinderSystem(equal_mesh, prob.params, prob.grid)),
-              ("mesh", CylinderSystem(mesh_m5, params_s08, prob.grid)),
-              ("params", CylinderSystem(prob.mesh, params_s08, prob.grid)),
-              ("reaction", CylinderSystem(prob.mesh, prob.params, prob.grid, reaction=3.0))]
-    for what, other in others:
-        with pytest.raises(ParameterError, match=what):
-            ReducedProblem(prob.data, prob.params, prob.mesh, prob.grid, system=other)
-        with pytest.raises(ParameterError, match=what):
-            solve_state(prob.data, prob.params, prob.mesh, prob.grid, system=other)
-    same = CylinderSystem(prob.mesh, prob.params, TimeGrid(T=1.0, K=prob.grid.K))
-    assert ReducedProblem(prob.data, prob.params, prob.mesh, prob.grid,
-                          system=same).system is same
-    assert solve_state(prob.data, prob.params, prob.mesh, prob.grid,
-                       system=same).traces.shape == (prob.grid.K + 1, same.n_interior)
 
 
 def test_solve_forms_nodal_traces_once(monkeypatch):

@@ -227,16 +227,6 @@ def test_fractional_ibp_smooth_refinement():
     assert vals[2] * 1.8 <= vals[1]
 
 
-def test_modal_decompose_recovers_coefficients():
-    from fracopt.oracle import modal_decompose
-    target = lambda x: 2.0 * mode(1, 1)(x) + 0.3 * mode(3, 2)(x)
-    modes, coeffs = modal_decompose(target, 2, kmax=4, cells=32)
-    found = {m.indices: c for m, c in zip(modes, coeffs)}
-    assert set(found) == {(1, 1), (3, 2)}
-    assert found[(1, 1)] == pytest.approx(2.0, abs=1e-7)
-    assert found[(3, 2)] == pytest.approx(0.3, abs=1e-7)
-
-
 def test_spectral_solve_state_shape_errors():
     from fracopt.problem import ParameterError
     with pytest.raises(ParameterError):

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import (ControlBounds, ParameterError, ProblemData, TimeGrid,
-                     make_params, select_truncation)
+from fracopt import (ControlBounds, ParameterError, ProblemData, TimeGrid, default_zeta,
+                     graded_axis, make_params, select_truncation)
 
 
 def test_make_params_half():
-    p = make_params(0.5, 1.0, 1.0)
+    p = make_params(0.5, 1.0)
     assert p.alpha == 0.0
     assert p.d_s == 1.0
 
 
 def test_make_params_alpha():
-    p = make_params(0.8, 1.0, 1.0)
+    p = make_params(0.8, 1.0)
     assert math.isclose(p.alpha, -0.6, rel_tol=0, abs_tol=1e-15)
 
 
@@ -23,7 +23,7 @@ def test_make_params_quarter_normalization():
     assert math.gamma(5) == 24.0
     assert math.gamma(7) == 720.0
     expected = 2.0 ** 0.5 * math.gamma(0.75) / math.gamma(0.25)
-    p = make_params(0.25, 1.0, 1.0)
+    p = make_params(0.25, 1.0)
     assert math.isclose(p.d_s, expected, rel_tol=1e-14)
     assert round(p.d_s, 3) == 0.478
 
@@ -32,19 +32,20 @@ def test_make_params_quarter_normalization():
                                        (0.5, 0.0, 1.0), (0.5, 1.5, 1.0),
                                        (0.5, 1.0, 0.5)])
 def test_make_params_domain_errors(s, gamma, Y):
+    # the orders are make_params's to check, the height the mesh axis's
     with pytest.raises(ParameterError):
-        make_params(s, gamma, Y)
+        graded_axis(4, Y, default_zeta(make_params(s, gamma).alpha))
 
 
 def test_alpha_identity_random():
     rng = np.random.default_rng(0)
     for s in rng.uniform(1e-6, 1 - 1e-6, size=1000):
-        p = make_params(float(s), 1.0, 1.0)
+        p = make_params(float(s), 1.0)
         assert abs(p.alpha + 2.0 * s - 1.0) <= 1e-15
 
 
 def test_ds_continuous_near_half():
-    vals = [make_params(s, 1.0, 1.0).d_s for s in (0.499, 0.4999, 0.5, 0.5001, 0.501)]
+    vals = [make_params(s, 1.0).d_s for s in (0.499, 0.4999, 0.5, 0.5001, 0.501)]
     assert vals[2] == 1.0
     assert max(abs(v - 1.0) for v in vals) < 5e-3
 
