@@ -31,7 +31,7 @@ for M in (4, 8, 16):
     mesh = build_cylinder(build_omega(2, M), graded_axis(M, Y, zeta))
     grid = TimeGrid(T=T, K=K)
 
-    data = ProblemData(n=2, forcing=zero, desired_state=zero,
+    data = ProblemData(forcing=zero, desired_state=zero,
                        initial=lambda x: md(x), bounds=ControlBounds(-1, 1, 1.0))
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(system, data)

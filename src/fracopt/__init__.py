@@ -13,11 +13,9 @@ from .problem import (ControlBounds, FractionalParams, ParameterError,
                       ProblemData, TimeGrid, make_params, select_truncation)
 from .mesh import (CylinderMesh, GradedAxis, OmegaMesh, build_cylinder,
                    build_omega, default_zeta, graded_axis)
-from .assembly import (assemble_stiffness, assemble_trace_mass, omega_quadrature,
-                       weight_integrals)
-from .evolution import (CaputoWeights, CylinderSystem, Trajectory, UseDelta1Error,
-                        apply_discrete_caputo, caputo_weights, lambda_diagnostic,
-                        solve_state)
+from .assembly import assemble_stiffness, omega_quadrature, weight_integrals
+from .evolution import (CaputoWeights, CylinderSystem, Trajectory, apply_discrete_caputo,
+                        caputo_weights, lambda_diagnostic, solve_state)
 from .control import (ControlField, OptimizeResult, ReducedProblem, clamp,
                       l2_project, projected_bfgs, solve_control_problem, vi_residual)
 from .oracle import (ManufacturedSolution, SpectralMode, fractional_ibp_check,

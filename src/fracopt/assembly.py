@@ -12,10 +12,10 @@ integrable. Data terms use the 3-point Gauss rule (degree-5 exact) on
 Omega, the tensor power of the 1D rule applied one axis at a time
 (:func:`kron_apply`); mass and stiffness factors are assembled exactly.
 The solve path needs only numpy. The assembled sparse operators
-(:func:`axis_matrices`, :func:`omega_matrices`, :func:`assemble_stiffness`,
-:func:`assemble_trace_mass`) serve the test oracles and
-``CylinderSystem.A_free``; each imports ``scipy.sparse`` when called, and
-the cylinder's free nodes are those of :func:`free_nodes`.
+(:func:`axis_matrices`, :func:`omega_matrices`, :func:`assemble_stiffness`)
+serve the test oracles and ``CylinderSystem.A_free``; each imports
+``scipy.sparse`` when called, and the cylinder's free nodes are those of
+:func:`free_nodes`.
 The lattice keeps its rule (:func:`omega_quadrature`), so every system on
 one lattice evaluates its space-time data at the one read-only
 ``OmegaQuadrature.points`` array, once per block of time steps
@@ -33,10 +33,6 @@ from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import FractionalParams, ParameterError, TimeGrid
 
 
-class NonIntegrableWeightError(ParameterError):
-    """The weight exponent makes y^alpha non-integrable at y = 0."""
-
-
 def weight_integrals(y0, y1, alpha: float):
     """Closed-form weighted integrals of the two local hat functions.
 
@@ -49,7 +45,7 @@ def weight_integrals(y0, y1, alpha: float):
     ends may be arrays of intervals; each result then has their shape.
     """
     if alpha <= -1.0:
-        raise NonIntegrableWeightError(f"y^{alpha} is not integrable at 0")
+        raise ParameterError(f"y^{alpha} is not integrable at 0")
     if alpha >= 1.0:
         raise ParameterError(f"weight exponent must lie in (-1, 1), got {alpha}")
     if not np.all((0.0 <= y0) & (y0 < y1)):
@@ -126,19 +122,6 @@ def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 
     op = (op / params.d_s).tocsr()
     free = free_nodes(mesh)
     return op[free][:, free].tocsr()
-
-
-def assemble_trace_mass(mesh: CylinderMesh):
-    """Omega CSR mass matrix embedded at y = 0 in cylinder indexing.
-
-    Rows and columns away from the trace are zero; the sum of all entries
-    equals |Omega| = 1.
-    """
-    import scipy.sparse as sp
-    m_w, _ = omega_matrices(mesh.omega)
-    Mp1 = mesh.axis.M + 1
-    pick = sp.csr_matrix(([1.0], ([0], [0])), shape=(Mp1, Mp1))
-    return sp.kron(m_w, pick, format="csr")
 
 
 def kron_apply(f: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:

@@ -169,27 +169,6 @@ class ReducedProblem:
         loads = self.system.mass(state.traces[1:]) - self.b_ud
         return adjoint_march(self.system, loads)
 
-    def _modal_state(self, zvals: np.ndarray) -> np.ndarray:
-        shape = (self.grid.K, self.mesh.omega.n_cells)
-        if np.shape(zvals) != shape:
-            raise ParameterError(f"control must have shape {shape}, got {np.shape(zvals)}")
-        loads = self.system.control_to_modal(zvals)
-        loads += self.b_f_hat
-        return self.system.march.solve(loads, self.w0_hat)
-
-    def _cost(self, w_hat: np.ndarray, zvals: np.ndarray) -> float:
-        track = (float(np.vdot(w_hat, w_hat)) - 2.0 * float(np.vdot(w_hat, self.b_ud_hat))
-                 + self.c_ud_sum)
-        reg = self.cell_volume * float(np.vdot(zvals, zvals))
-        cost = 0.5 * self.grid.tau * track + 0.5 * self.data.bounds.mu * self.grid.tau * reg
-        if not math.isfinite(cost):
-            # NaN or inf anywhere in the control or the state reaches the cost
-            raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
-        return cost
-
-    def cost(self, zvals: np.ndarray) -> float:
-        return self._cost(self._modal_state(zvals), zvals)
-
     def cost_and_gradient(self, zvals: np.ndarray):
         """(cost, gradient, w_hat, p_hat) at the control values ``zvals``.
 
@@ -197,9 +176,23 @@ class ReducedProblem:
         the state at steps 1..K and of the adjoint at steps 0..K-1; hand them
         to :func:`~fracopt.evolution.state_trajectory` and
         :func:`~fracopt.evolution.adjoint_trajectory` for nodal traces.
+        A control of another shape than (K, n_cells), or one that makes the
+        cost non-finite, raises ParameterError.
         """
-        w_hat = self._modal_state(zvals)
-        cost = self._cost(w_hat, zvals)
+        shape = (self.grid.K, self.mesh.omega.n_cells)
+        if np.shape(zvals) != shape:
+            raise ParameterError(f"control must have shape {shape}, got {np.shape(zvals)}")
+        loads = self.system.control_to_modal(zvals)
+        loads += self.b_f_hat
+        w_hat = self.system.march.solve(loads, self.w0_hat)
+        del loads
+        track = (float(np.vdot(w_hat, w_hat)) - 2.0 * float(np.vdot(w_hat, self.b_ud_hat))
+                 + self.c_ud_sum)
+        reg = self.cell_volume * float(np.vdot(zvals, zvals))
+        cost = 0.5 * self.grid.tau * track + 0.5 * self.data.bounds.mu * self.grid.tau * reg
+        if not math.isfinite(cost):
+            # NaN or inf anywhere in the control or the state reaches the cost
+            raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
         p_hat = self.system.march.solve_transposed(w_hat - self.b_ud_hat)
         grad = self.system.modal_to_control(p_hat)
         grad /= self.cell_volume
@@ -361,11 +354,8 @@ def projected_bfgs(fun_and_grad, z0: np.ndarray, bounds: ControlBounds,
         z, f, g = z_trial, f_trial, g_trial
         cost_history.append(f)
     else:
-        n_iter = max_iter
-
-    if not converged:
-        pg = z - clamp(z - g, a, b)
-        pg_history.append(nrm(pg))
+        # the iteration cap ended the loop after a step: measure the new iterate
+        pg_history.append(nrm(z - clamp(z - g, a, b)))
         converged = pg_history[-1] <= tol
     return {"z": z, "f": f, "g": g, "pg_history": pg_history,
             "iterations": n_iter, "converged": converged,

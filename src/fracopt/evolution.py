@@ -62,10 +62,6 @@ from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
 
 
-class UseDelta1Error(ParameterError):
-    """Raised when L1 weights are requested for gamma outside (0, 1)."""
-
-
 @dataclass(frozen=True)
 class CaputoWeights:
     """L1 weights a_j = (j+1)^{1-gamma} - j^{1-gamma}, j = 0..K-1.
@@ -75,7 +71,6 @@ class CaputoWeights:
     sum_{j<k}(a_j - a_{j+1}) + a_k = 1 for every k.
     """
 
-    gamma: float
     a: np.ndarray
     scale: float
 
@@ -87,14 +82,14 @@ class CaputoWeights:
 
 def caputo_weights(gamma: float, K: int, tau: float) -> CaputoWeights:
     if not 0.0 < gamma < 1.0:
-        raise UseDelta1Error(
+        raise ParameterError(
             f"gamma = {gamma} is outside (0, 1); use the classical difference delta^1")
     if K < 1 or tau <= 0.0:
         raise ParameterError(f"invalid time grid: K = {K}, tau = {tau}")
     j = np.arange(K, dtype=float)
     a = (j + 1.0) ** (1.0 - gamma) - j ** (1.0 - gamma)
     scale = 1.0 / (math.gamma(2.0 - gamma) * tau ** gamma)
-    return CaputoWeights(gamma=gamma, a=a, scale=scale)
+    return CaputoWeights(a=a, scale=scale)
 
 
 def apply_discrete_caputo(weights: CaputoWeights, history: np.ndarray):
@@ -518,28 +513,21 @@ def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Traj
     return state_march(system, system.initial_field(data.initial), loads)
 
 
-def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid,
-                      forcing_sq=None) -> float:
+def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid) -> float:
     """Discrete stability functional Lambda_gamma^2.
 
     ``trace_sq`` holds the squared L2(Omega) norms of the trace at steps
     0..K; the fractional integral I^{1-gamma} of the piecewise-constant
     interpolant (value of step k on (t_{k-1}, t_k]) is evaluated at T by
-    exact integration of the kernel over each step. ``forcing_sq`` holds
-    per-step squared norms of the forcing (steps 1..K) and contributes the
-    l2 sum tau * sum forcing_sq.
+    exact integration of the kernel over each step.
     """
     trace_sq = np.asarray(trace_sq, dtype=float)
     K = trace_sq.size - 1
     if K != grid.K:
         raise ParameterError(f"history length {trace_sq.size} does not match K = {grid.K}")
     if gamma >= 1.0:
-        value = trace_sq[-1]
-    else:
-        sigma = 1.0 - gamma
-        t = grid.nodes
-        kernel = ((grid.T - t[:-1]) ** sigma - (grid.T - t[1:]) ** sigma)
-        value = float(kernel @ trace_sq[1:]) / math.gamma(2.0 - gamma)
-    if forcing_sq is not None:
-        value += grid.tau * float(np.sum(forcing_sq))
-    return value
+        return trace_sq[-1]
+    sigma = 1.0 - gamma
+    t = grid.nodes
+    kernel = ((grid.T - t[:-1]) ** sigma - (grid.T - t[1:]) ** sigma)
+    return float(kernel @ trace_sq[1:]) / math.gamma(2.0 - gamma)

@@ -33,8 +33,10 @@ RATE_COLUMNS = ["case", "s", "gamma", "quantity", "slope", "levels_used"]
 REF_FACTOR = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one run; frozen, so that ``__post_init__`` checks every config once."""
+
     kind: str = "solve-control"
     s_list: tuple = (0.4,)
     gamma: float = 1.0
@@ -61,18 +63,24 @@ class ExperimentConfig:
         if self.fit_last < 3:
             raise ParameterError(f"a slope needs >= 3 levels, got fit_last = {self.fit_last}")
         if self.kind == "conv-time":
-            _check_time_levels(self.K_list, REF_FACTOR)
+            _check_time_levels(self.K_list)
+        # a rate study fits its slope through the rows of its levels
+        levels = {"conv-space": ("M", self.M_list), "conv-time": ("K", self.K_list)}
+        if self.kind in levels and len(levels[self.kind][1]) < 3:
+            name, values = levels[self.kind]
+            raise ParameterError(f"{self.kind} needs >= 3 levels of {name} to fit a rate, "
+                                 f"got {name} = {values}")
         if self.kind == "truncation":
             _check_heights(self.Y_list)
 
 
-def _check_time_levels(K_list, ref_factor: int) -> None:
-    """Every K must divide the reference step count ref_factor * max(K_list)."""
-    K_ref = ref_factor * max(K_list)
+def _check_time_levels(K_list) -> None:
+    """Every K must divide the reference step count REF_FACTOR * max(K_list)."""
+    K_ref = REF_FACTOR * max(K_list)
     bad = [K for K in K_list if K < 1 or K_ref % K]
     if bad:
         raise ParameterError(f"step counts {bad} do not divide the reference "
-                             f"{ref_factor} * max(K_list) = {K_ref}")
+                             f"{REF_FACTOR} * max(K_list) = {K_ref}")
 
 
 def _check_heights(Y_list) -> None:
@@ -131,8 +139,9 @@ def apply_settings(config: ExperimentConfig, entries: dict, where: str) -> Exper
 
     ``where`` names the source in errors, e.g. "in exp.cfg" or "on the
     command line". An unknown name, or a value that does not parse, raises
-    ParameterError naming it, its value and the source; the result is
-    checked by ``ExperimentConfig.__post_init__``.
+    ParameterError naming it, its value and the source; a result that
+    ``ExperimentConfig.__post_init__`` refuses raises its error with the
+    source added.
     """
     names = {name.lower(): name for name in SETTINGS}
     unknown = [key for key in entries if key.lower() not in names]
@@ -144,7 +153,10 @@ def apply_settings(config: ExperimentConfig, entries: dict, where: str) -> Exper
             updates.update(SETTINGS[names[key.lower()]][1](value))
         except (ValueError, IndexError):
             raise ParameterError(f"setting {key!r} has invalid value {value!r} {where}") from None
-    return replace(config, **updates)
+    try:
+        return replace(config, **updates)
+    except ParameterError as exc:
+        raise ParameterError(f"{exc} {where}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -205,7 +217,7 @@ def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
 
 
 def manufactured_data(man, mu: float) -> ProblemData:
-    return ProblemData(n=man.n, forcing=man.forcing, desired_state=man.desired_state,
+    return ProblemData(forcing=man.forcing, desired_state=man.desired_state,
                        initial=man.initial, bounds=ControlBounds(man.a, man.b, mu))
 
 
@@ -307,23 +319,6 @@ def write_report_csv(rows, path):
     _write_csv(rows, REPORT_COLUMNS, path)
 
 
-def read_report_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            row = {}
-            for key, val in rec.items():
-                if key in ("case",):
-                    row[key] = val
-                elif key in ("M", "K", "N", "iters"):
-                    row[key] = int(val) if val not in ("", "nan") else None
-                else:
-                    row[key] = float(val)
-            rows.append(row)
-    return rows
-
-
 # -- experiment drivers --------------------------------------------------------
 
 def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int):
@@ -358,21 +353,19 @@ def run_convergence_space(config: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
-def run_convergence_time(config: ExperimentConfig,
-                         ref_factor: int = REF_FACTOR) -> ConvergenceReport:
+def run_convergence_time(config: ExperimentConfig) -> ConvergenceReport:
     """Control error against K at fixed M on the manufactured problem.
 
     At desk-scale M the spatial part of the error against the exact control
     dwarfs the temporal one for every affordable K, so the temporal
     component is isolated the same way the truncation study isolates the
     height: each run is measured against a reference solve with
-    ``ref_factor * max(K_list)`` steps on the same mesh. The exact-solution
+    ``REF_FACTOR * max(K_list)`` steps on the same mesh. The exact-solution
     errors are still recorded (err_state column) for reference.
     """
-    _check_time_levels(config.K_list, ref_factor)
     report = ConvergenceReport(case="conv-time")
     for s in config.s_list:
-        K_ref = ref_factor * max(config.K_list)
+        K_ref = REF_FACTOR * max(config.K_list)
         _, ref_result, _ = _control_solve("conv-time", s, config, config.M, K_ref)
         for K in config.K_list:
             row, result, _ = _control_solve("conv-time", s, config, config.M, K)
@@ -393,15 +386,14 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     Solves the homogeneous problem with single-mode initial datum for each
     distinct height, every height on one lattice; the largest serves as
     reference and its row is excluded from the fitted exponential slope.
-    Fewer than 4 distinct heights raise ParameterError.
+    The config has checked that there are at least 4 distinct heights.
     """
-    _check_heights(config.Y_list)
     report = ConvergenceReport(case="truncation")
     s = config.s_list[0]
     n, M, K = config.n, config.M, config.K
     heights = sorted(set(config.Y_list))
     f = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
-    data = ProblemData(n=n, forcing=f, desired_state=f, initial=mode(*([1] * n)),
+    data = ProblemData(forcing=f, desired_state=f, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
 
     omega = build_omega(n, M)

@@ -24,7 +24,7 @@ class OmegaMesh:
 
     n: int
     cells_per_dim: int
-    vertices: np.ndarray           # (n_vertices, n)
+    vertices: np.ndarray           # ((cells_per_dim + 1)^n, n)
     boundary_vertex_mask: np.ndarray
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -43,10 +43,6 @@ class OmegaMesh:
     @property
     def h(self) -> float:
         return 1.0 / self.cells_per_dim
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
 
     @property
     def n_cells(self) -> int:

@@ -75,16 +75,16 @@ def _jacobi_rule(gamma: float, nquad: int = 24):
     return u, w
 
 
-def caputo_left(fprime: Callable, gamma: float, t, nquad: int = 24) -> np.ndarray:
+def caputo_left(fprime: Callable, gamma: float, t) -> np.ndarray:
     """Left Caputo derivative of order gamma at times t, given f'.
 
     Evaluates (1/Gamma(1-gamma)) int_0^t (t-r)^{-gamma} f'(r) dr with the
     substitution r = t(1-u), which turns the weak singularity into the
-    Gauss-Jacobi weight u^{-gamma}.
+    Gauss-Jacobi weight u^{-gamma}, integrated by its 24-point rule.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"order must lie in (0, 1), got {gamma}")
-    u, w = _jacobi_rule(gamma, nquad)
+    u, w = _jacobi_rule(gamma)
     t = np.asarray(t, dtype=float)
     tt = np.atleast_1d(t)
     vals = fprime(tt[:, None] * (1.0 - u[None, :]))
@@ -92,14 +92,13 @@ def caputo_left(fprime: Callable, gamma: float, t, nquad: int = 24) -> np.ndarra
     return out.reshape(t.shape) if t.ndim else float(out[0])
 
 
-def caputo_right(gprime: Callable, gamma: float, t, T: float,
-                 nquad: int = 24) -> np.ndarray:
+def caputo_right(gprime: Callable, gamma: float, t, T: float) -> np.ndarray:
     """Right Caputo derivative toward T: -(1/Gamma(1-gamma)) int_t^T (xi-t)^{-gamma} g'.
 
     It is the left derivative of the reflection r -> g(T - r), whose
     derivative is -g'(T - r), taken at T - t.
     """
-    return caputo_left(lambda r: -gprime(T - r), gamma, np.subtract(T, t), nquad)
+    return caputo_left(lambda r: -gprime(T - r), gamma, np.subtract(T, t))
 
 
 # -- per-mode evolution -------------------------------------------------------
@@ -167,11 +166,8 @@ class ManufacturedSolution:
     (T-t) e^t so that the same triple solves the fractional-in-time problem.
     """
 
-    s: float
     mu: float
     T: float
-    gamma: float
-    n: int
     lam: float
     a: float
     b: float
@@ -269,8 +265,8 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
         return (np.exp(t) + mu * adjoint_time(t)
                 + mu * lam_s * (T - t) * np.exp(t)) * shape(x)
 
-    return ManufacturedSolution(s=s, mu=mu, T=T, gamma=gamma, n=n, lam=md.lam,
-                                a=a, b=b, state=u_exact, adjoint=p_exact,
+    return ManufacturedSolution(mu=mu, T=T, lam=md.lam, a=a, b=b, state=u_exact,
+                                adjoint=p_exact,
                                 control=z_exact, forcing=forcing,
                                 desired_state=desired_state, initial=u0)
 

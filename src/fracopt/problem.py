@@ -118,7 +118,7 @@ Evaluable = Callable[..., np.ndarray]
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Data functions of the control problem on Omega = (0,1)^n.
+    """Data functions of the control problem on Omega = (0,1)^n; n is the lattice's, ``omega.n``.
 
     ``forcing`` and ``desired_state`` take (points, t) with ``points`` of
     shape (m, n) and ``t`` a (q, 1) column of times, and return an array
@@ -130,7 +130,6 @@ class ProblemData:
     constant c >= 0 of the elliptic operator.
     """
 
-    n: int
     forcing: Evaluable
     desired_state: Evaluable
     initial: Evaluable
@@ -138,7 +137,5 @@ class ProblemData:
     reaction: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.n}")
         if self.reaction < 0.0:
             raise ParameterError(f"reaction coefficient must be >= 0, got {self.reaction}")

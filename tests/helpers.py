@@ -1,4 +1,5 @@
 """Shared check routines used by the unit tests and the acceptance suite."""
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from fracopt import (build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
                      make_params, weight_integrals)
-from fracopt.assembly import assemble_stiffness, assemble_trace_mass, omega_matrices
+from fracopt.assembly import assemble_stiffness, omega_matrices
 from fracopt.mesh import default_zeta
 
 
@@ -68,6 +69,18 @@ def build_test_mesh(n=2, M=6, s=0.6, Y=1.5, zeta=None):
         zeta = default_zeta(params.alpha)
     mesh = build_cylinder(build_omega(n, M), graded_axis(M, Y, zeta))
     return mesh, params
+
+
+def assemble_trace_mass(mesh):
+    """Omega CSR mass matrix embedded at y = 0 in cylinder indexing.
+
+    Rows and columns away from the trace are zero; the sum of all entries
+    equals |Omega| = 1.
+    """
+    m_w, _ = omega_matrices(mesh.omega)
+    Mp1 = mesh.axis.M + 1
+    pick = sp.csr_matrix(([1.0], ([0], [0])), shape=(Mp1, Mp1))
+    return sp.kron(m_w, pick, format="csr")
 
 
 def check_operator_symmetry(mesh, params, tol=1e-12):
@@ -141,7 +154,7 @@ class NodeMaps:
 
 
 def node_maps(mesh):
-    nv, Mp1 = mesh.omega.n_vertices, mesh.axis.M + 1
+    nv, Mp1 = mesh.omega.vertices.shape[0], mesh.axis.M + 1
     dirichlet = np.repeat(mesh.omega.boundary_vertex_mask, Mp1)
     dirichlet[Mp1 - 1::Mp1] = True
     free_idx = np.nonzero(~dirichlet)[0]
@@ -186,7 +199,7 @@ def control_load_matrix(omega):
     cols = np.repeat(np.arange(ncells), nloc)
     vals = np.full(rows.size, contrib)
     return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(omega.n_vertices, ncells))
+                         shape=(omega.vertices.shape[0], ncells))
 
 
 def M_int(system):
@@ -249,7 +262,7 @@ def assembled_quadrature(omega):
     rows = np.repeat(np.arange(pts.shape[0]), corners.shape[0])
     basis = sp.csr_matrix((np.tile(ref, (ncells, 1)).ravel(),
                            (rows, cells[cell_of].ravel())),
-                          shape=(pts.shape[0], omega.n_vertices))
+                          shape=(pts.shape[0], omega.vertices.shape[0]))
     return AssembledQuadrature(points=pts, weights=np.tile(ww, ncells),
                                cell_of=cell_of, basis=basis)
 
@@ -537,12 +550,27 @@ def reference_projected_bfgs(fun_and_grad, z0, bounds, weight, tol=1e-9, max_ite
         z, f, g = z_trial, f_trial, g_trial
         cost_history.append(f)
     else:
-        n_iter = max_iter
-
-    if not converged:
-        pg = z - clamp(z - g, a, b)
-        pg_history.append(nrm(pg))
+        pg_history.append(nrm(z - clamp(z - g, a, b)))
         converged = pg_history[-1] <= tol
     return {"z": z, "f": f, "g": g, "pg_history": pg_history,
             "iterations": n_iter, "converged": converged,
             "cost_history": cost_history}
+
+
+# -- reports -------------------------------------------------------------------
+
+def read_report_csv(path):
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = []
+        for rec in reader:
+            row = {}
+            for key, val in rec.items():
+                if key in ("case",):
+                    row[key] = val
+                elif key in ("M", "K", "N", "iters"):
+                    row[key] = int(val) if val not in ("", "nan") else None
+                else:
+                    row[key] = float(val)
+            rows.append(row)
+    return rows

@@ -64,6 +64,10 @@ def test_l2_project_preserves_admissibility():
     assert np.all(proj >= a - 1e-14) and np.all(proj <= b + 1e-14)
 
 
+def reduced_cost(prob, zvals):
+    return prob.cost_and_gradient(zvals)[0]
+
+
 def _small_problem(s=0.5, gamma=1.0, M=4, K=6, n=2, mu=1.0, T=1.0):
     man = manufactured_problem(s, mu, T, gamma=gamma, n=n)
     mesh, params, grid = build_setup(n, M, s, gamma, T, K)
@@ -74,10 +78,10 @@ def _small_problem(s=0.5, gamma=1.0, M=4, K=6, n=2, mu=1.0, T=1.0):
 def test_reduced_cost_zero_cases():
     man, data, params, mesh, grid = _small_problem()
     zero = lambda *args: np.zeros(np.atleast_2d(args[0]).shape[0])
-    silent = ProblemData(n=2, forcing=zero, desired_state=zero,
+    silent = ProblemData(forcing=zero, desired_state=zero,
                          initial=lambda x: zero(x), bounds=data.bounds)
     prob = ReducedProblem(silent, params, mesh, grid)
-    assert prob.cost(np.zeros((grid.K, mesh.omega.n_cells))) == 0.0
+    assert reduced_cost(prob, np.zeros((grid.K, mesh.omega.n_cells))) == 0.0
 
 
 def test_reduced_cost_double_path():
@@ -85,7 +89,7 @@ def test_reduced_cost_double_path():
     prob = ReducedProblem(data, params, mesh, grid)
     rng = np.random.default_rng(8)
     zvals = rng.uniform(0.0, 0.5, size=(grid.K, mesh.omega.n_cells))
-    got = prob.cost(zvals)
+    got = reduced_cost(prob, zvals)
 
     # independent recomputation: fresh state solve, norms via quadrature values
     from fracopt.evolution import solve_state
@@ -114,7 +118,7 @@ def test_gradient_matches_finite_differences(gamma):
         directional = prob.weight * float(np.sum(g * d))
         best = math.inf
         for eps in (1e-3, 1e-4, 1e-5, 1e-6):
-            fd = (prob.cost(z + eps * d) - prob.cost(z - eps * d)) / (2 * eps)
+            fd = (reduced_cost(prob, z + eps * d) - reduced_cost(prob, z - eps * d)) / (2 * eps)
             best = min(best, abs(fd - directional) / abs(directional))
         assert best <= 1e-5
 
@@ -132,7 +136,7 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
         k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
         return quad.values(traj.traces[k])
 
-    matched = ProblemData(n=2, forcing=data.forcing, desired_state=u_d,
+    matched = ProblemData(forcing=data.forcing, desired_state=u_d,
                           initial=data.initial, bounds=data.bounds)
     prob2 = ReducedProblem(matched, params, mesh, grid)
     g = prob2.cost_and_gradient(prob2.new_control(z).values)[1]
@@ -166,6 +170,22 @@ def test_projected_bfgs_separable_toy():
     assert out["converged"]
     assert out["iterations"] <= 5
     assert np.max(np.abs(out["z"] - expected)) <= 1e-10
+
+
+def test_projected_bfgs_records_the_final_projected_gradient_once():
+    # an uphill gradient: every Armijo trial fails, so z never moves
+    uphill = lambda z: (0.5 * float(np.sum(z * z)), -z)
+    out = projected_bfgs(uphill, np.ones(4), ControlBounds(-10.0, 10.0, 1.0), 1.0)
+    assert out["pg_history"] == [2.0]
+    assert out["iterations"] == 1 and not out["converged"]
+    # the iteration cap ends the loop after a step: the new iterate is measured
+    fun_and_grad, bounds, u_d = _separable_toy()
+    out = projected_bfgs(fun_and_grad, np.zeros_like(u_d), bounds, 0.01, tol=1e-12,
+                         max_iter=1)
+    pg = out["z"] - clamp(out["z"] - out["g"], bounds.a, bounds.b)
+    assert out["iterations"] == 1 and not out["converged"]
+    assert out["pg_history"] == [out["pg_history"][0], math.sqrt(0.01 * float(np.vdot(pg, pg)))]
+    assert out["pg_history"][1] < out["pg_history"][0]
 
 
 def _assert_same_run(got, ref):
@@ -315,15 +335,15 @@ def test_cost_strictly_convex_on_segments():
     for _ in range(3):
         za = rng.uniform(0.0, 0.5, size=(grid.K, mesh.omega.n_cells))
         zb = rng.uniform(0.0, 0.5, size=(grid.K, mesh.omega.n_cells))
-        fa, fb = prob.cost(za), prob.cost(zb)
-        fm = prob.cost(0.5 * (za + zb))
+        fa, fb = reduced_cost(prob, za), reduced_cost(prob, zb)
+        fm = reduced_cost(prob, 0.5 * (za + zb))
         assert fm < 0.5 * (fa + fb)
 
 
 def test_unconstrained_interior_optimum_first_order():
     # wide bounds: optimum is interior, gradient vanishes, z = -Pi(tr p)/mu
     man, data, params, mesh, grid = _small_problem(M=4, K=6)
-    wide = ProblemData(n=2, forcing=data.forcing, desired_state=data.desired_state,
+    wide = ProblemData(forcing=data.forcing, desired_state=data.desired_state,
                        initial=data.initial, bounds=ControlBounds(-50.0, 50.0, 1.0))
     prob = ReducedProblem(wide, params, mesh, grid)
     res = solve_control_problem(wide, params, mesh, grid, tol=1e-10, prob=prob)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
-                     UseDelta1Error, apply_discrete_caputo, caputo_weights,
-                     lambda_diagnostic, solve_state)
+                     apply_discrete_caputo, caputo_weights, lambda_diagnostic, solve_state)
 from fracopt import assembly, evolution, oracle
 from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
@@ -55,9 +54,9 @@ def test_caputo_weights_invariants_large_K():
 
 
 def test_caputo_weights_gamma_one_raises():
-    with pytest.raises(UseDelta1Error):
+    with pytest.raises(ParameterError, match="delta"):
         caputo_weights(1.0, 4, 0.1)
-    with pytest.raises(UseDelta1Error):
+    with pytest.raises(ParameterError, match="delta"):
         caputo_weights(0.0, 4, 0.1)
 
 
@@ -217,7 +216,7 @@ def test_zero_data_zero_trajectories():
         mesh, params = build_test_mesh(n=1, M=4, s=0.5)
         params = make_params(params.s, gamma)
         grid = TimeGrid(T=1.0, K=5)
-        data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+        data = ProblemData(forcing=zero_f, desired_state=zero_f,
                            initial=zero_u0, bounds=WIDE)
         traj = solve_state(CylinderSystem(mesh, params, grid), data)
         assert np.all(traj.traces == 0.0)
@@ -229,7 +228,7 @@ def test_backward_euler_monotone_decay():
     mesh, params = build_test_mesh(n=2, M=5, s=0.7)
     grid = TimeGrid(T=1.0, K=8)
     md = mode(1, 1)
-    data = ProblemData(n=2, forcing=zero_f, desired_state=zero_f,
+    data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(system, data)
@@ -242,7 +241,7 @@ def test_state_matches_spectral_oracle_under_refinement():
     errs = []
     for (M, K) in ((4, 16), (8, 32)):
         mesh, params, grid = build_setup(2, M, 0.6, 1.0, 0.5, K, Y=1.5)
-        data = ProblemData(n=2, forcing=zero_f, desired_state=zero_f,
+        data = ProblemData(forcing=zero_f, desired_state=zero_f,
                            initial=lambda x: md(x), bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
         traj = solve_state(system, data)
@@ -256,7 +255,7 @@ def test_adjoint_zero_when_state_matches_desired():
     mesh, params = build_test_mesh(n=2, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=4)
     md = mode(2, 2)
-    data = ProblemData(n=2, forcing=lambda x, t: md(x) * np.cos(t),
+    data = ProblemData(forcing=lambda x, t: md(x) * np.cos(t),
                        desired_state=zero_f, initial=lambda x: md(x), bounds=WIDE)
     system = CylinderSystem(mesh, params, grid)
     traj = solve_state(system, data)
@@ -277,7 +276,7 @@ def test_adjoint_approximates_manufactured_adjoint():
     for (M, K) in ((4, 8), (8, 16)):
         man = manufactured_problem(0.5, 1.0, 1.0, n=2)
         mesh, params, grid = build_setup(2, M, 0.5, 1.0, 1.0, K)
-        data = ProblemData(n=2, forcing=man.forcing, desired_state=man.desired_state,
+        data = ProblemData(forcing=man.forcing, desired_state=man.desired_state,
                            initial=man.initial, bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
         z = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
@@ -315,7 +314,7 @@ def test_stability_constant_across_refinements():
     for M in (4, 6, 8):
         mesh, params, grid = build_setup(2, M, 0.4, 1.0, 1.0, 8 * M // 4, Y=1.5)
         f = lambda x, t: md(x) * (1.0 + t)
-        data = ProblemData(n=2, forcing=f, desired_state=zero_f,
+        data = ProblemData(forcing=f, desired_state=zero_f,
                            initial=lambda x: md(x), bounds=WIDE)
         system = CylinderSystem(mesh, params, grid)
         traj = solve_state(system, data)
@@ -340,17 +339,13 @@ def test_lambda_diagnostic_identity_and_closed_form():
         got = lambda_diagnostic(np.ones(grid.K + 1), gamma, grid)
         expected = grid.T ** (1.0 - gamma) / math.gamma(2.0 - gamma)
         assert math.isclose(got, expected, rel_tol=1e-13)
-    # zero history leaves only the forcing term
-    got = lambda_diagnostic(np.zeros(grid.K + 1), 0.5, grid,
-                            forcing_sq=np.full(grid.K, 2.0))
-    assert math.isclose(got, grid.tau * 2.0 * grid.K, rel_tol=1e-14)
 
 
 def test_solve_state_rejects_data_of_another_reaction():
     mesh, params = build_test_mesh(n=1, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=5)
     md = mode(1)
-    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+    data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=lambda x: md(x), bounds=WIDE, reaction=0.7)
     with pytest.raises(ParameterError, match="reaction"):
         solve_state(CylinderSystem(mesh, params, grid), data)
@@ -364,7 +359,7 @@ def test_solve_state_rejects_data_of_another_reaction():
 def test_solve_state_control_shape_mismatch():
     mesh, params = build_test_mesh(n=1, M=4, s=0.5)
     grid = TimeGrid(T=1.0, K=5)
-    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+    data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=zero_u0, bounds=WIDE)
     bad = np.zeros((grid.K + 1, mesh.omega.n_cells))
     with pytest.raises(ParameterError):
@@ -405,11 +400,11 @@ def test_solve_state_rejects_non_finite_initial_datum_and_control():
         out[1] = np.nan
         return out
 
-    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+    data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=nan_u0, bounds=WIDE)
     with pytest.raises(ParameterError, match="state march"):
         solve_state(CylinderSystem(mesh, params, grid), data)
-    data = ProblemData(n=1, forcing=zero_f, desired_state=zero_f,
+    data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=zero_u0, bounds=WIDE)
     control = np.zeros((grid.K, mesh.omega.n_cells))
     control[3, 0] = np.nan

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -9,10 +10,11 @@ from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
 from fracopt import assembly, cli, evolution, harness
 from fracopt.control import project_trace
 from fracopt.harness import (REPORT_COLUMNS, SETTINGS, ConvergenceReport, build_setup,
-                             read_report_csv, run_convergence_time, run_truncation_study,
-                             write_report_csv)
+                             run_convergence_time, run_truncation_study, write_report_csv)
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
+
+from helpers import read_report_csv
 
 
 def test_l2Q_error_reproduces_fe_functions():
@@ -22,7 +24,7 @@ def test_l2Q_error_reproduces_fe_functions():
     interior = om.interior_idx
     coeffs = rng.standard_normal(interior.size)
     discrete = np.tile(coeffs, (grid.K + 1, 1))
-    full = np.zeros(om.n_vertices)
+    full = np.zeros(om.vertices.shape[0])
     full[interior] = coeffs
 
     def exact(x, t):
@@ -200,6 +202,42 @@ def test_config_bad_values_raise_naming_key_value_and_file(tmp_path, entry):
     assert not out.exists()
 
 
+# values that parse but that the config refuses, the kind they are refused
+# for, and the fault the error names
+REFUSED = {"fit_last = 2": ("conv-space", "a slope needs >= 3 levels"),
+           "tol = -1": ("conv-space", "tolerance must be finite"),
+           "max_iter = 0": ("conv-space", "at least one iteration"),
+           "K = 3, 8, 16": ("conv-time", "do not divide"),
+           "Y = 1, 1.5, 2": ("truncation", "4 distinct heights"),
+           "M = 4, 6": ("conv-space", "needs >= 3 levels of M"),
+           "K = 8, 16": ("conv-time", "needs >= 3 levels of K")}
+
+
+@pytest.mark.parametrize("entry", list(REFUSED))
+def test_config_refusals_name_the_file_or_the_command_line(tmp_path, monkeypatch, entry):
+    kind, fault = REFUSED[entry]
+    solves = []
+    monkeypatch.setattr(harness, "_control_solve", lambda *args: solves.append(args))
+    path = tmp_path / "refused.cfg"
+    path.write_text(f"[experiment]\nkind = {kind}\n{entry}\n")
+    with pytest.raises(ParameterError, match=fault) as info:
+        load_config(path)
+    assert str(info.value).endswith(f"in {path}")
+    key, value = (part.strip() for part in entry.split("="))
+    out = tmp_path / "cli"
+    with pytest.raises(ParameterError, match=fault) as info:
+        cli_main([kind, "--" + key.replace("_", "-"), value.replace(" ", ""),
+                  "--out", str(out)])
+    assert str(info.value).endswith("on the command line")
+    assert solves == [] and not out.exists()
+
+
+def test_config_is_frozen():
+    cfg = ExperimentConfig(kind="conv-time")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.K_list = (8,)
+
+
 # one value per setting, lists for K, M, Y and s; none is the default
 SETTING_VALUES = {"kind": "conv-time", "out": "study%1", "s": "0.3, 0.5", "gamma": "0.5",
                   "K": "8, 16", "M": "4, 6", "T": "0.5", "mu": "0.1", "zeta": "2.5",
@@ -233,9 +271,6 @@ def test_conv_time_step_counts_checked_up_front():
         ExperimentConfig(kind="conv-time", K_list=(3, 8))
     with pytest.raises(ParameterError):
         cli_main(["conv-time", "--K", "3,8"])
-    with pytest.raises(ParameterError):
-        run_convergence_time(ExperimentConfig(kind="conv-time", K_list=(2, 4)),
-                             ref_factor=3)
     # other kinds do not use K_list as time levels
     assert ExperimentConfig(kind="conv-space", K_list=(3, 8)).K_list == (3, 8)
     assert ExperimentConfig(kind="conv-time", K_list=(2, 5, 10)).K_list == (2, 5, 10)
@@ -249,8 +284,6 @@ def test_truncation_heights_checked_up_front(heights):
         ExperimentConfig(kind="truncation", Y_list=heights)
     with pytest.raises(ParameterError, match="4 distinct heights"):
         cli_main(["truncation", "--Y", ",".join(map(str, heights))])
-    with pytest.raises(ParameterError, match="4 distinct heights"):
-        run_truncation_study(ExperimentConfig(kind="solve-state", Y_list=heights))
 
 
 def test_truncation_counts_a_repeated_height_once():
@@ -344,11 +377,12 @@ def test_control_solve_adjoint_means_match_step_loop(monkeypatch):
     assert np.max(np.abs(got - loop)) <= 1e-14 * np.max(np.abs(loop))
 
 
-def test_reports_deterministic():
+def test_reports_deterministic(monkeypatch):
+    monkeypatch.setattr(harness, "REF_FACTOR", 2)
     cfg = ExperimentConfig(kind="conv-time", s_list=(0.5,), K_list=(2, 4, 8),
                            M=3, T=0.5, tol=1e-8, out="unused")
-    r1 = run_convergence_time(cfg, ref_factor=2)
-    r2 = run_convergence_time(cfg, ref_factor=2)
+    r1 = run_convergence_time(cfg)
+    r2 = run_convergence_time(cfg)
     for a, b in zip(r1.rows, r2.rows):
         assert a["err_control"] == b["err_control"]
         assert a["cost"] == b["cost"]

@@ -10,6 +10,9 @@ module imports scipy when it is itself imported, and a control solve and a
 truncation study run in a fresh interpreter without loading any of scipy.
 No module but ``assembly.py``, whose sparse oracles number the cylinder's
 nodes, reads an attribute of that numbering: the solve path is the trace.
+Every member of a library module (a top-level def or class, a method or a
+property) is read by name in ``src/fracopt``, ``demos/`` or ``bench/``,
+unless ``TEST_ONLY_MEMBERS`` names it and what keeps it.
 """
 import ast
 import json
@@ -187,6 +190,63 @@ def test_detector_finds_numbering_reads():
                          ids=lambda p: p.name)
 def test_module_reads_no_free_node_numbering(path):
     assert numbering_reads(path.read_text()) == []
+
+
+def unread_members(defining: dict, reading: list) -> list:
+    """``"module:member"`` for each member of ``defining`` that no source in ``reading`` reads.
+
+    ``defining`` maps module names to sources; its members are the
+    top-level ``def``s and classes and the methods and properties of each
+    class, dunder methods excepted. A member counts as read when its name
+    is loaded as an ``ast.Name`` or an ``ast.Attribute`` anywhere in a
+    source of ``reading``. The match is by name only: a member that shares
+    its name with something else that is read (``ReducedProblem.cost`` and
+    ``OptimizeResult.cost``, say) is not caught.
+    """
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, kinds):
+                continue
+            members = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, kinds) and not m.name.startswith("__")]
+            found += [f"{module}:{qual}" for qual, name in members if name not in read]
+    return sorted(found)
+
+
+def test_detector_finds_unread_members():
+    lib = ("def used():\n    return helper()\ndef helper():\n    pass\ndef orphan():\n    pass\n"
+           "class Box:\n    def __init__(self):\n        self.size = 1\n"
+           "    @property\n    def size(self):\n        return 1\n"
+           "    def open(self):\n        pass\n    def shut(self):\n        pass\n"
+           "    class Lid:\n        pass\n")
+    caller = "import lib\nlib.used()\nbox = lib.Box()\nbox.open()\norphan = 2\n"
+    assert unread_members({"lib": lib}, [lib, caller]) == [
+        "lib:Box.Lid", "lib:Box.shut", "lib:Box.size", "lib:orphan"]
+
+
+# Members that nothing in src/, demos/ or bench/ reads, and what keeps each.
+TEST_ONLY_MEMBERS = {
+    "evolution:CylinderSystem.A_free": (
+        "the sparse oracles' assembled stiffness; it is the one caller of "
+        "fracopt.evolution.assemble_stiffness, a span target of bench/tracer.py"),
+}
+
+
+def test_src_keeps_no_member_that_only_tests_read():
+    readers = [p.read_text() for p in MODULES]
+    readers += [p.read_text() for folder in ("demos", "bench")
+                for p in sorted((ROOT / folder).glob("*.py"))]
+    defining = {p.stem: p.read_text() for p in MODULES}
+    assert unread_members(defining, readers) == sorted(TEST_ONLY_MEMBERS)
 
 
 SOLVE_WITHOUT_SCIPY = """

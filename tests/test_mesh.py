@@ -77,7 +77,7 @@ def test_default_zeta_strictly_admissible():
 
 def test_omega_mesh_1d():
     om = build_omega(1, 4)
-    assert om.n_vertices == 5
+    assert om.vertices.shape[0] == 5
     assert om.n_cells == 4
     assert om.h == 0.25
     assert list(om.boundary_vertex_mask) == [True, False, False, False, True]
@@ -85,23 +85,23 @@ def test_omega_mesh_1d():
 
 def test_omega_mesh_2d_interior_cell_count():
     om = build_omega(2, 4)
-    assert om.n_vertices == 25
+    assert om.vertices.shape[0] == 25
     assert om.n_cells == 16
     # every interior vertex belongs to 2^n cells
-    counts = np.bincount(omega_cells(om).ravel(), minlength=om.n_vertices)
+    counts = np.bincount(omega_cells(om).ravel(), minlength=om.vertices.shape[0])
     interior = om.interior_idx
     assert np.all(counts[interior] == 4)
 
 
 def test_omega_mesh_3d_counts():
     om = build_omega(3, 4)
-    assert om.n_vertices == 125
+    assert om.vertices.shape[0] == 125
     assert om.n_cells == 64
     assert om.interior_idx.size == 27
     # every interior vertex belongs to 2^n cells
     cells = omega_cells(om)
     assert cells.shape == (om.n_cells, 8)
-    counts = np.bincount(cells.ravel(), minlength=om.n_vertices)
+    counts = np.bincount(cells.ravel(), minlength=om.vertices.shape[0])
     assert np.all(counts[om.interior_idx] == 8)
     # corners in itertools.product((0, 1), repeat=3) order: (i, j, k) -> 25 i + 5 j + k
     assert cells[0].tolist() == [0, 1, 5, 6, 25, 26, 30, 31]
@@ -126,7 +126,7 @@ def test_build_cylinder_tiny_enumeration():
 def test_trace_nodes_one_per_vertex():
     mesh = build_cylinder(build_omega(2, 3), graded_axis(4, 1.0, 3.15))
     maps = node_maps(mesh)
-    assert maps.trace_global.size == mesh.omega.n_vertices
+    assert maps.trace_global.size == mesh.omega.vertices.shape[0]
     # trace node is Dirichlet exactly when its vertex is on the boundary
     tr_dirichlet = maps.dirichlet_mask[maps.trace_global]
     assert np.array_equal(tr_dirichlet, mesh.omega.boundary_vertex_mask)

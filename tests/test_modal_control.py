@@ -31,7 +31,6 @@ def test_modal_evaluation_matches_nodal(n, gamma, c):
     cost, grad, _, _ = prob.cost_and_gradient(z)
     ref_cost, ref_grad, _, _ = nodal_cost_and_gradient(prob, z)
     assert math.isclose(cost, ref_cost, rel_tol=1e-13)
-    assert math.isclose(prob.cost(z), ref_cost, rel_tol=1e-13)
     assert rel_gap(grad, ref_grad) <= 1e-12
 
     res = solve_control_problem(prob.data, prob.params, prob.mesh, prob.grid, prob=prob)
@@ -100,8 +99,6 @@ def test_control_of_wrong_shape_raises():
     for shape in [(K - 1, n_cells), (K + 1, n_cells), (K, n_cells + 1), (K * n_cells,)]:
         with pytest.raises(ParameterError, match="shape"):
             prob.cost_and_gradient(np.zeros(shape))
-        with pytest.raises(ParameterError, match="shape"):
-            prob.cost(np.zeros(shape))
 
 
 def test_non_finite_start_control_raises():

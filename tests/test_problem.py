@@ -97,9 +97,7 @@ def test_problem_data_validation():
     f = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
     u0 = lambda x: np.zeros(np.atleast_2d(x).shape[0])
     b = ControlBounds(0.0, 0.5, 1.0)
-    ProblemData(n=2, forcing=f, desired_state=f, initial=u0, bounds=b)
+    ProblemData(forcing=f, desired_state=f, initial=u0, bounds=b)
     with pytest.raises(ParameterError):
-        ProblemData(n=0, forcing=f, desired_state=f, initial=u0, bounds=b)
-    with pytest.raises(ParameterError):
-        ProblemData(n=1, forcing=f, desired_state=f, initial=u0, bounds=b,
+        ProblemData(forcing=f, desired_state=f, initial=u0, bounds=b,
                     reaction=-1.0)
