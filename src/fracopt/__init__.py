@@ -21,7 +21,7 @@ from .control import (ControlField, OptimizeResult, ReducedProblem, clamp,
 from .oracle import (ManufacturedSolution, SpectralMode, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
 from .harness import (ConvergenceReport, ExperimentConfig, fit_rate, l2Q_error,
-                      load_config, run_convergence_space, run_convergence_time,
-                      run_experiment, run_truncation_study)
+                      run_convergence_space, run_convergence_time, run_experiment,
+                      run_truncation_study)
 
 __version__ = "0.1.0"

@@ -124,17 +124,27 @@ def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 
     return op[free][:, free].tocsr()
 
 
-def kron_apply(f: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+def kron_apply(f: np.ndarray, x: np.ndarray, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """The n-fold Kronecker power of the 1D factor f along the last axis of x.
 
     That axis holds a row-major lattice of n axes of side f.shape[1]; f is
     applied along each in turn, the last first (sizes explicit: f is empty at M = 1).
+    When ``out`` is given, a C-contiguous array of the result's shape (else
+    ParameterError), the last product is written into it and a view of it returned.
     """
     rows, cols = f.shape
     lead = x.shape[:-1]
-    y = x.reshape(math.prod(lead) * cols ** (n - 1), cols) @ f.T
+    if out is not None and (out.shape != lead + (rows ** n,) or not out.flags.c_contiguous):
+        raise ParameterError(f"out must be a C-contiguous array of shape "
+                             f"{lead + (rows ** n,)}, got {out.shape}")
+    y = x.reshape(math.prod(lead) * cols ** (n - 1), cols)
+    last = None if out is None or n > 1 else out.reshape(y.shape[0], rows)
+    y = np.matmul(y, f.T, out=last)
     for j in range(n - 2, -1, -1):
-        y = f @ y.reshape(lead + (cols ** j, cols, rows ** (n - 1 - j)))
+        shape = lead + (cols ** j, cols, rows ** (n - 1 - j))
+        last = None if out is None or j > 0 else out.reshape(lead + (1, rows, rows ** (n - 1)))
+        y = np.matmul(f, y.reshape(shape), out=last)
     return y.reshape(lead + (rows ** n,))
 
 

@@ -4,15 +4,17 @@ One parser: the positional ``kind`` names the experiment, ``--config``
 reads an optional config file (flat key=value entries under [section]
 headers), and every other flag is a setting of
 :data:`~fracopt.harness.SETTINGS` that overrides the file's value for the
-same key. The exit status is 1 when a control solve did not converge (its
-rows are still written and named on stderr), else 0.
+same key. The file's entries and the flags are checked once, together, so
+a flag may complete a file that alone would be refused. The exit status is
+1 when a control solve did not converge (its rows are still written and
+named on stderr), else 0.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .harness import (RUNNERS, SETTINGS, ExperimentConfig, apply_settings, load_config,
+from .harness import (RUNNERS, SETTINGS, ExperimentConfig, apply_settings, read_config,
                       run_experiment)
 
 
@@ -29,9 +31,9 @@ def main(argv=None) -> int:
     args = vars(parser.parse_args(argv))
 
     path = args.pop("config")
-    config = load_config(path) if path else ExperimentConfig()
-    config = apply_settings(config, {name: value for name, value in args.items()
-                                     if value is not None}, "on the command line")
+    flags = {name: value for name, value in args.items() if value is not None}
+    file_source = [(read_config(path), f"in {path}")] if path else []
+    config = apply_settings(ExperimentConfig(), *file_source, (flags, "on the command line"))
     report = run_experiment(config)
 
     print(f"{config.kind}: {len(report.rows)} row(s) written to {config.out}/report.csv")

@@ -134,10 +134,14 @@ class ReducedProblem:
         """(b_ud, c_ud): loads <u_d^k, phi_i> and the constant terms int (u_d^k)^2.
 
         Both come from one evaluation of u_d per block of steps, with the
-        quadrature of forcing_loads.
+        quadrature of forcing_loads; u_d = None, the zero datum, gives zeros
+        and is not evaluated.
         """
         quad, grid = self.system.quad, self.grid
-        b_ud = np.empty((grid.K, self.system.n_interior))
+        shape = (grid.K, self.system.n_interior)
+        if self.data.desired_state is None:
+            return np.zeros(shape), np.zeros(grid.K)
+        b_ud = np.empty(shape)
         c_ud = np.empty(grid.K)
         vals = None
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):

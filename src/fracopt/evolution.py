@@ -206,26 +206,27 @@ class ModalMarch:
             # reused by every solve: a fresh spectrum per call costs page faults
             self._spec = np.empty_like(self.h_hat)
 
-    def solve(self, g: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, g: np.ndarray | None, x0: np.ndarray | None = None) -> np.ndarray:
         """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes).
 
-        Returns a new (K, n_modes) array, not a view of a work buffer. Loads
-        of any other shape raise ParameterError.
+        g = None stands for zero loads. Returns a new (K, n_modes) array, not
+        a view of a work buffer. Loads of any other shape raise ParameterError.
         """
-        if g.shape != (self.K, self.rate.size):
-            raise ParameterError(f"march loads must have shape {(self.K, self.rate.size)}, "
-                                 f"got {g.shape}")
+        shape = (self.K, self.rate.size)
+        if g is not None and g.shape != shape:
+            raise ParameterError(f"march loads must have shape {shape}, got {g.shape}")
         if self.h_hat is None:
             # each step in place in its row: fresh temporaries per step cost
             # more than the step's arithmetic at a few hundred modes
-            x = np.empty_like(g)
-            prev = np.zeros(g.shape[1:]) if x0 is None else x0
+            x = np.empty(shape)
+            prev = np.zeros(self.rate.size) if x0 is None else x0
             for k in range(self.K):
                 prev = np.multiply(self.c_new, prev, out=x[k])
-                prev += g[k]
+                if g is not None:
+                    prev += g[k]
                 prev /= self.rate
             return x
-        loads = np.array(g.T, order="C")
+        loads = np.zeros(shape[::-1]) if g is None else np.array(g.T, order="C")
         if x0 is not None:
             loads += np.outer(self.c_new * x0, self.weights.a)
         n_fft = 2 * self.K
@@ -275,8 +276,8 @@ def lattice_factors(omega: OmegaMesh):
     return factors
 
 
-def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float):
-    """Schur complements onto y = 0 and harmonic profiles of the axis blocks.
+def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) -> np.ndarray:
+    """Schur complements delta onto y = 0 of the axis blocks, one per rate.
 
     For every rate r the block (r M_y + S_y)/d_s on axis nodes 0..M-1 (the
     top node is Dirichlet) is eliminated from the top down, one interval
@@ -289,23 +290,27 @@ def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float):
     starting from G_{M-1} = r m_ll + s. The expanded form never subtracts
     the large stiffness entries of the graded intervals near y = 0, so
     delta = G_0/d_s keeps full relative precision, which the same sweep over
-    the assembled tridiagonal would lose. Returns (delta, psi), psi[:, j]
-    being the discrete harmonic profile with psi[:, 0] = 1 and
-    psi_{j+1}/psi_j = (s - t)/(s + q).
+    the assembled tridiagonal would lose. Every interval reuses the same
+    work arrays and evaluates the numerator as ((p + q) + (t + t)) s + p q
+    - t t, the order of the expanded form above.
     """
-    M = axis.M
     mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
     r = np.asarray(rates, dtype=float)
     G = r * mll[-1] + s[-1]
-    ratio = np.empty((r.size, M - 1))
-    for j in range(M - 2, -1, -1):
-        p, t = r * mll[j], r * mlr[j]
-        q = r * mrr[j] + G
-        ratio[:, j] = (s[j] - t) / (s[j] + q)
-        G = (s[j] * (p + q + 2.0 * t) + p * q - t * t) / (s[j] + q)
-    psi = np.ones((r.size, M))
-    psi[:, 1:] = np.cumprod(ratio, axis=1)
-    return G / d_s, psi
+    p, t, q, num, tmp = (np.empty_like(G) for _ in range(5))
+    for j in range(axis.M - 2, -1, -1):
+        np.multiply(r, mll[j], out=p)
+        np.multiply(r, mlr[j], out=t)
+        np.multiply(r, mrr[j], out=q)
+        q += G
+        np.add(p, q, out=num)
+        num += np.add(t, t, out=tmp)
+        num *= s[j]
+        num += np.multiply(p, q, out=tmp)
+        num -= np.multiply(t, t, out=tmp)
+        np.divide(num, np.add(q, s[j], out=tmp), out=G)
+    G /= d_s
+    return G
 
 
 class CylinderSystem:
@@ -314,12 +319,11 @@ class CylinderSystem:
     The per-step matrix c_new*M_tr + A is constant because the time step is
     uniform. In the M_Omega-orthonormal lattice basis (see the module
     docstring) it is diagonal after the axis elimination: ``delta[i]`` is
-    the Schur complement of mode i onto y = 0 and ``psi[i]`` its axis
-    profile. ``march`` holds the per-mode time solves with rates delta:
-    for L1 it computes every mode's impulse response here, once (O(n K log
-    K) work, by Newton iteration), so each state or adjoint march is one FFT
-    convolution (O(n K log K)); for backward Euler a step costs one division
-    per mode.
+    the Schur complement of mode i onto y = 0. ``march`` holds the per-mode
+    time solves with rates delta: for L1 it computes every mode's impulse
+    response here, once (O(n K log K) work, by Newton iteration), so each
+    state or adjoint march is one FFT convolution (O(n K log K)); for
+    backward Euler a step costs one division per mode.
 
     Every Omega operator is kept as its 1D factor on the uniform partition
     with m cells and applied per axis as its n-fold Kronecker power
@@ -332,10 +336,10 @@ class CylinderSystem:
     :meth:`mass` applies the interior mass M_int, :meth:`control_loads` the
     control loads B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
     Omega matrix is assembled, and the lattice eigenvalues are the n-fold
-    outer sum of the 1D ones. The state is kept as its trace at y = 0 (per
-    mode the extension is ``psi[i]`` times it). No
-    march reads the assembled free-node stiffness ``A_free``, which the
-    sparse oracles use: it is assembled on first access and then kept.
+    outer sum of the 1D ones. The state is kept as its trace at y = 0; its
+    extension above y = 0 is never formed. No march reads the assembled
+    free-node stiffness ``A_free``, which the sparse oracles use: it is
+    assembled on first access and then kept.
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
@@ -351,8 +355,7 @@ class CylinderSystem:
         self.interior = mesh.omega.interior_idx
         self.phi, lam, self.m1, self.b1, self.c1 = mesh.omega.kept(lattice_factors)
         lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
-        self.delta, self.psi = axis_schur(mesh.axis, params.alpha, lam + reaction,
-                                          params.d_s)
+        self.delta = axis_schur(mesh.axis, params.alpha, lam + reaction, params.d_s)
         self.march = ModalMarch(self.delta, params.gamma, grid.K, grid.tau)
 
     @functools.cached_property
@@ -368,9 +371,9 @@ class CylinderSystem:
         """Modal coefficients phi_i . l of interior loads along the last axis."""
         return kron_apply(self.phi.T, loads, self.n)
 
-    def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
-        """Interior nodal values sum_i coeffs_i phi_i along the last axis."""
-        return kron_apply(self.phi, coeffs, self.n)
+    def from_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given."""
+        return kron_apply(self.phi, coeffs, self.n, out=out)
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
         """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
@@ -396,8 +399,8 @@ class CylinderSystem:
         """Initial trace: the nodal interpolant of u0 at the interior vertices.
 
         It is also the trace of the discrete weighted-harmonic extension of
-        u0: per mode the extension is the axis profile psi_i, equal to 1 at
-        y = 0, and the lattice modes are a complete M_Omega-orthonormal basis.
+        u0: per mode the extension is an axis profile equal to 1 at y = 0,
+        and the lattice modes are a complete M_Omega-orthonormal basis.
         """
         return np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
 
@@ -437,7 +440,7 @@ def state_trajectory(system: CylinderSystem, trace0: np.ndarray,
     """
     traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[0] = trace0
-    traces[1:] = system.from_modal(modal)
+    system.from_modal(modal, out=traces[1:])
     _check_traces(traces[-1], "state march")
     return Trajectory(traces)
 
@@ -447,24 +450,27 @@ def adjoint_trajectory(system: CylinderSystem, modal: np.ndarray) -> Trajectory:
 
     Raises ParameterError when a trace is not finite.
     """
-    traces = np.zeros((system.grid.K + 1, system.n_interior))
-    traces[:-1] = system.from_modal(modal)
+    traces = np.empty((system.grid.K + 1, system.n_interior))
+    traces[-1] = 0.0
+    system.from_modal(modal, out=traces[:-1])
     _check_traces(traces[0], "adjoint march")
     return Trajectory(traces)
 
 
 def state_march(system: CylinderSystem, trace0: np.ndarray,
-                loads: np.ndarray) -> Trajectory:
-    """Forward march: loads[k] is the trace-interior load of step k+1.
+                loads: np.ndarray | None) -> Trajectory:
+    """Forward march: loads[k] is the trace-interior load of step k+1; None means zero loads.
 
     The loads are transformed to modal coordinates once, every mode solves
     its Toeplitz system in time (:class:`ModalMarch`), and the traces are
     transformed back once (:func:`state_trajectory`).
     Raises ParameterError when a trace is not finite.
     """
-    _check_loads(system, loads)
+    if loads is not None:
+        _check_loads(system, loads)
+        loads = system.to_modal(loads)
     w0 = system.to_modal(system.mass(trace0))
-    return state_trajectory(system, trace0, system.march.solve(system.to_modal(loads), w0))
+    return state_trajectory(system, trace0, system.march.solve(loads, w0))
 
 
 def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
@@ -482,9 +488,13 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
 def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
     """Interior-node loads of the step averages f^{k+1}, k = 0..K-1.
 
-    f is evaluated once per block of steps (:func:`step_blocks`).
+    f is evaluated once per block of steps (:func:`step_blocks`); for f =
+    None, the zero datum, the loads are zero and nothing is evaluated.
     """
-    out = np.empty((grid.K, quad.hats.shape[1] ** quad.n))
+    shape = (grid.K, quad.hats.shape[1] ** quad.n)
+    if f is None:
+        return np.zeros(shape)
+    out = np.empty(shape)
     avg = None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
         avg = time_average(f, quad.points, t0, t1, "forcing", out=avg)
@@ -497,19 +507,23 @@ def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Traj
 
     The system fixes mesh, orders, time grid and reaction: data of another
     ``reaction`` raise ParameterError, as does a ``control`` that is not a
-    (K, n_cells) array; it adds B Z^{k+1} to the load of every step. A
-    non-finite control or initial datum raises it from :func:`state_march`.
+    (K, n_cells) array; it adds B Z^{k+1} to the load of every step. With
+    the zero forcing (None) and no control the march has no loads to form.
+    A non-finite control or initial datum raises it from :func:`state_march`.
     """
     if data.reaction != system.reaction:
         raise ParameterError(f"data have the reaction {data.reaction}, but the system "
                              f"was built for {system.reaction}")
-    loads = forcing_loads(data.forcing, system.grid, system.quad)
+    loads = None
+    if data.forcing is not None:
+        loads = forcing_loads(data.forcing, system.grid, system.quad)
     if control is not None:
         control = np.asarray(control, dtype=float)
         shape = (system.grid.K, system.mesh.omega.n_cells)
         if control.shape != shape:
             raise ParameterError(f"control must have shape {shape}, got {control.shape}")
-        loads = loads + system.control_loads(control)
+        z_loads = system.control_loads(control)
+        loads = z_loads if loads is None else loads + z_loads
     return state_march(system, system.initial_field(data.initial), loads)
 
 

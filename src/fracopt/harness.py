@@ -134,42 +134,49 @@ SETTINGS = {
 }
 
 
-def apply_settings(config: ExperimentConfig, entries: dict, where: str) -> ExperimentConfig:
-    """``config`` with ``entries`` (setting name in any case -> text) applied.
+def apply_settings(config: ExperimentConfig, *sources) -> ExperimentConfig:
+    """``config`` with the entries of every source applied, a later source over an earlier.
 
-    ``where`` names the source in errors, e.g. "in exp.cfg" or "on the
-    command line". An unknown name, or a value that does not parse, raises
-    ParameterError naming it, its value and the source; a result that
-    ``ExperimentConfig.__post_init__`` refuses raises its error with the
-    source added.
+    A source is a pair (entries, where): ``entries`` maps setting names in
+    any case to their text, and ``where`` names the source in errors, e.g.
+    "in exp.cfg" or "on the command line". An unknown name, or a value that
+    does not parse, raises ParameterError naming it, its value and its
+    source. The settings of all sources are checked once, together: a
+    result that ``ExperimentConfig.__post_init__`` refuses raises its error
+    with the sources that gave settings added.
     """
     names = {name.lower(): name for name in SETTINGS}
-    unknown = [key for key in entries if key.lower() not in names]
-    if unknown:
-        raise ParameterError(f"unknown setting(s) {', '.join(map(repr, unknown))} {where}")
     updates = {}
-    for key, value in entries.items():
-        try:
-            updates.update(SETTINGS[names[key.lower()]][1](value))
-        except (ValueError, IndexError):
-            raise ParameterError(f"setting {key!r} has invalid value {value!r} {where}") from None
+    for entries, where in sources:
+        unknown = [key for key in entries if key.lower() not in names]
+        if unknown:
+            raise ParameterError(f"unknown setting(s) {', '.join(map(repr, unknown))} {where}")
+        for key, value in entries.items():
+            try:
+                updates.update(SETTINGS[names[key.lower()]][1](value))
+            except (ValueError, IndexError):
+                raise ParameterError(f"setting {key!r} has invalid value {value!r} "
+                                     f"{where}") from None
     try:
         return replace(config, **updates)
     except ParameterError as exc:
-        raise ParameterError(f"{exc} {where}") from None
+        given = " and ".join(where for entries, where in sources if entries)
+        raise ParameterError(f"{exc} {given}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a flat key=value config with [section] headers.
+def read_config(path) -> dict:
+    """The entries of a flat key=value config with [section] headers, unchecked.
 
     Its keys are the names in :data:`SETTINGS`, in any case: the CLI flag
     names (``max_iter`` and ``fit_last`` with underscores) plus ``kind``.
     A value means what it means after its flag, lists included (``K =
-    8, 16`` as ``--K 8,16``). An unknown key, or a value that does not
-    parse, raises ParameterError naming it, its value and the file; so does
-    a file that is not in that format (no section header, a repeated key,
-    a line that is not ``key = value``), naming the file and the fault, and
-    a setting given twice, in any case and sections ([DEFAULT] too), naming both.
+    8, 16`` as ``--K 8,16``); :func:`apply_settings` parses and checks them,
+    so an unknown key, or a value that does not parse, raises
+    ParameterError naming it, its value and the file. A file that is not in
+    that format (no section header, a repeated key, a line that is not
+    ``key = value``) raises it here, naming the file and the fault, and so
+    does a setting given twice, in any case and sections ([DEFAULT] too),
+    naming both.
     """
     parser = configparser.ConfigParser(interpolation=None,  # values as typed, "%" too
                                        default_section="")  # [DEFAULT] is a plain section
@@ -187,7 +194,7 @@ def load_config(path) -> ExperimentConfig:
                 raise ParameterError(f"setting {key!r} is given twice in {path}: "
                                      f"as {place} and as {key!r} in [{section}]")
             merged[key] = value
-    return apply_settings(ExperimentConfig(), merged, f"in {path}")
+    return merged
 
 
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
@@ -321,6 +328,13 @@ def write_report_csv(rows, path):
 
 # -- experiment drivers --------------------------------------------------------
 
+def _check_kind(config: ExperimentConfig, kind: str) -> None:
+    """A runner takes only a config of its own kind, the one whose levels were checked for it."""
+    if config.kind != kind:
+        raise ParameterError(f"the {kind} runner needs a config of kind '{kind}', "
+                             f"got '{config.kind}'")
+
+
 def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int):
     """Solve the manufactured control problem at one (s, M, K); ``case`` labels its row."""
     man = manufactured_problem(s, config.mu, config.T, gamma=config.gamma, n=config.n)
@@ -344,6 +358,7 @@ def _control_solve(case: str, s: float, config: ExperimentConfig, M: int, K: int
 
 def run_convergence_space(config: ExperimentConfig) -> ConvergenceReport:
     """Control/state errors against N at fixed K on the manufactured problem."""
+    _check_kind(config, "conv-space")
     report = ConvergenceReport(case="conv-space")
     for s in config.s_list:
         for M in config.M_list:
@@ -363,6 +378,7 @@ def run_convergence_time(config: ExperimentConfig) -> ConvergenceReport:
     ``REF_FACTOR * max(K_list)`` steps on the same mesh. The exact-solution
     errors are still recorded (err_state column) for reference.
     """
+    _check_kind(config, "conv-time")
     report = ConvergenceReport(case="conv-time")
     for s in config.s_list:
         K_ref = REF_FACTOR * max(config.K_list)
@@ -386,29 +402,37 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     Solves the homogeneous problem with single-mode initial datum for each
     distinct height, every height on one lattice; the largest serves as
     reference and its row is excluded from the fitted exponential slope.
-    The config has checked that there are at least 4 distinct heights.
+    The reference is solved first, and each other height's system and
+    traces are dropped once its error is taken: a study whose arrays all
+    live to its end leaves them on top of the heap, where the allocator
+    returns them to the operating system and the next study faults them in
+    again. Forcing and desired state are the zero datum (None), never
+    evaluated. The config has checked that there are at least 4 distinct
+    heights.
     """
+    _check_kind(config, "truncation")
     report = ConvergenceReport(case="truncation")
     s = config.s_list[0]
     n, M, K = config.n, config.M, config.K
     heights = sorted(set(config.Y_list))
-    f = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
-    data = ProblemData(forcing=f, desired_state=f, initial=mode(*([1] * n)),
+    data = ProblemData(forcing=None, desired_state=None, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
 
     omega = build_omega(n, M)
-    runs = {}
-    for Y in heights:
-        mesh, params, grid = build_setup(n, M, s, config.gamma, config.T, K,
-                                         zeta=config.zeta, Y=Y, omega=omega)
-        system = CylinderSystem(mesh, params, grid)
-        runs[Y] = (solve_state(system, data), system)
-    ref = runs[heights[-1]][0]
+    # every set-up first, so that a height build_setup refuses fails before any solve
+    setups = {Y: build_setup(n, M, s, config.gamma, config.T, K, zeta=config.zeta, Y=Y,
+                             omega=omega) for Y in heights}
+
+    def solve(Y):
+        system = CylinderSystem(*setups[Y])
+        return solve_state(system, data), system
+
+    ref = solve(heights[-1])[0]
     for Y in heights[:-1]:
-        traj, system = runs[Y]
+        traj, system = solve(Y)
         diff = traj.traces - ref.traces
         sq = np.einsum("ki,ki->k", diff, system.mass(diff))
-        err = math.sqrt(grid.tau * float(np.sum(sq[1:])))
+        err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
                             "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
@@ -423,6 +447,7 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
 
 def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
     """Single state solve with the control frozen at the projected exact one."""
+    _check_kind(config, "solve-state")
     report = ConvergenceReport(case="solve-state")
     s = config.s_list[0]
     man = manufactured_problem(s, config.mu, config.T, gamma=config.gamma, n=config.n)
@@ -440,6 +465,7 @@ def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
 
 
 def run_solve_control(config: ExperimentConfig) -> ConvergenceReport:
+    _check_kind(config, "solve-control")
     report = ConvergenceReport(case="solve-control")
     for s in config.s_list:
         report.rows.append(_control_solve("solve-control", s, config, config.M, config.K)[0])
@@ -448,6 +474,7 @@ def run_solve_control(config: ExperimentConfig) -> ConvergenceReport:
 
 def run_oracle_check(config: ExperimentConfig) -> ConvergenceReport:
     """Identity checks of the fractional calculus and the manufactured optimum."""
+    _check_kind(config, "oracle-check")
     report = ConvergenceReport(case="oracle-check")
     gamma = config.gamma if config.gamma < 1.0 else 0.5
     K_fine = 10_000

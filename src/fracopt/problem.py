@@ -126,12 +126,13 @@ class ProblemData:
     solver evaluates them once per block of time steps, so they should be
     written with numpy operations (``np.exp(t)``, not ``math.exp(t)``); a
     result of the wrong shape or with non-finite values raises
-    ParameterError. ``initial`` takes only the points. ``reaction`` is the
-    constant c >= 0 of the elliptic operator.
+    ParameterError. Either may be None, the zero datum: its loads are zero
+    and it is never evaluated. ``initial`` takes only the points.
+    ``reaction`` is the constant c >= 0 of the elliptic operator.
     """
 
-    forcing: Evaluable
-    desired_state: Evaluable
+    forcing: Evaluable | None
+    desired_state: Evaluable | None
     initial: Evaluable
     bounds: ControlBounds
     reaction: float = 0.0

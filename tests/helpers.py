@@ -1,5 +1,6 @@
 """Shared check routines used by the unit tests and the acceptance suite."""
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -11,6 +12,8 @@ import scipy.sparse.linalg as spla
 from fracopt import (build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
                      make_params, weight_integrals)
 from fracopt.assembly import assemble_stiffness, omega_matrices
+from fracopt.evolution import lattice_factors
+from fracopt.harness import ExperimentConfig, apply_settings, read_config
 from fracopt.mesh import default_zeta
 
 
@@ -167,13 +170,46 @@ def node_maps(mesh):
                     trace_global=trace_global, trace_free_pos=trace_free_pos)
 
 
+def axis_recurrence(axis, alpha, rates, d_s):
+    """(delta, psi): the top-down axis elimination with its harmonic profiles.
+
+    The reference of ``evolution.axis_schur``, in the expanded form and
+    operation order it documents, written with fresh temporaries. Row i of
+    ``psi`` is the discrete harmonic profile of rate i on axis nodes
+    0..M-1: psi[:, 0] = 1 and psi_{j+1}/psi_j = (s - t)/(s + q) per
+    interval j.
+    """
+    mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
+    r = np.asarray(rates, dtype=float)
+    G = r * mll[-1] + s[-1]
+    ratio = np.empty((r.size, axis.M - 1))
+    for j in range(axis.M - 2, -1, -1):
+        p, t = r * mll[j], r * mlr[j]
+        q = r * mrr[j] + G
+        ratio[:, j] = (s[j] - t) / (s[j] + q)
+        G = (s[j] * (p + q + 2.0 * t) + p * q - t * t) / (s[j] + q)
+    psi = np.ones((r.size, axis.M))
+    psi[:, 1:] = np.cumprod(ratio, axis=1)
+    return G / d_s, psi
+
+
+def system_recurrence(system):
+    """:func:`axis_recurrence` for the lattice modes and reaction of ``system``."""
+    lam = system.mesh.omega.kept(lattice_factors)[1]
+    lam = functools.reduce(np.add.outer, [lam] * system.n).ravel()
+    return axis_recurrence(system.mesh.axis, system.params.alpha, lam + system.reaction,
+                           system.params.d_s)
+
+
 def free_field(system, coeffs):
     """Free-node fields sum_i coeffs_i phi_i x psi_i of modal trace coefficients.
 
-    ``coeffs`` has the modes on its last axis; the result replaces it by
+    ``coeffs`` has the modes on its last axis and psi_i is mode i's axis
+    profile (:func:`system_recurrence`); the result replaces that axis by
     the free-node vector (interior vertex major, axis node minor).
     """
-    nodal = system.from_modal(coeffs[..., None, :] * system.psi.T)  # (..., M, n_int)
+    psi = system_recurrence(system)[1]
+    nodal = system.from_modal(coeffs[..., None, :] * psi.T)  # (..., M, n_int)
     return np.swapaxes(nodal, -1, -2).reshape(coeffs.shape[:-1] + (-1,))
 
 
@@ -574,3 +610,8 @@ def read_report_csv(path):
                     row[key] = float(val)
             rows.append(row)
     return rows
+
+
+def load_config(path):
+    """The settings of the config file ``path`` over the defaults, as ``--config path`` alone."""
+    return apply_settings(ExperimentConfig(), (read_config(path), f"in {path}"))

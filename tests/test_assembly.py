@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from fracopt import TimeGrid, assemble_stiffness, build_omega, weight_integrals
-from fracopt.assembly import omega_quadrature
+from fracopt.assembly import kron_apply, omega_quadrature
 from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
@@ -269,3 +269,18 @@ def test_tensor_quadrature_matches_assembled_oracle(n, M):
     cell_sum = sp.csr_matrix((ref.weights, (np.arange(ref.weights.size), ref.cell_of)),
                              shape=(ref.weights.size, om.n_cells))
     _matches(quad.cell_integrals(vals), ref_vals @ cell_sum)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kron_apply_into_out_matches_a_fresh_result(n):
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((4, 5))
+    x = rng.standard_normal((3, 2, 5 ** n))
+    fresh = kron_apply(f, x, n)
+    buf = np.full((7, 4 ** n), np.nan)
+    got = kron_apply(f, x.reshape(6, -1), n, out=buf[1:])
+    assert np.shares_memory(got, buf) and np.array_equal(got, buf[1:])
+    assert np.array_equal(buf[1:], fresh.reshape(6, -1)) and np.isnan(buf[0]).all()
+    for bad in (np.empty((6, 4 ** n + 1)), np.empty((6, 2 * 4 ** n))[:, ::2]):
+        with pytest.raises(ParameterError, match="C-contiguous"):
+            kron_apply(f, x.reshape(6, -1), n, out=bad)

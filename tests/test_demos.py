@@ -1,10 +1,11 @@
 """Every demo script runs to completion, and recorded outputs are reproduced.
 
 ``tests/data/space_s*`` holds a recorded ``report.csv`` and ``rates.csv``
-of ``demos/03_convergence_space.py``. Every value must agree to 1e-10
-relative and the iteration counts exactly; ``pg_norm`` is left out, since
-the final projected gradient is at the roundoff floor and moves with
-summation order.
+of ``demos/03_convergence_space.py``, and ``tests/data/truncation_g*`` those
+of ``fracopt truncation`` at its defaults, with ``--gamma 1`` and ``--gamma
+0.5``. Every value must agree to 1e-10 relative (a recorded nan with nan)
+and the iteration counts exactly; ``pg_norm`` is left out, since the final
+projected gradient is at the roundoff floor and moves with summation order.
 """
 import csv
 import os
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fracopt.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
@@ -39,7 +42,8 @@ def assert_matches_recorded(got_path, want_path):
             if col in EXACT:
                 assert row[col] == value, (got_path, col)
             else:
-                assert float(row[col]) == pytest.approx(float(value), rel=1e-10, abs=0.0), \
+                assert float(row[col]) == pytest.approx(float(value), rel=1e-10, abs=0.0,
+                                                        nan_ok=True), \
                     (got_path, row.get("M"), col)
 
 
@@ -54,3 +58,10 @@ def test_demo_runs(demo, tmp_path):
     for case in RECORDED.get(demo.stem, ()):
         for name in ("report.csv", "rates.csv"):
             assert_matches_recorded(tmp_path / "out" / case / name, DATA / case / name)
+
+
+@pytest.mark.parametrize("gamma", ["1", "0.5"])
+def test_truncation_cli_matches_recorded(gamma, tmp_path):
+    assert cli_main(["truncation", "--gamma", gamma, "--out", str(tmp_path)]) == 0
+    for name in ("report.csv", "rates.csv"):
+        assert_matches_recorded(tmp_path / name, DATA / f"truncation_g{gamma}" / name)

@@ -7,15 +7,17 @@ import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
                      apply_discrete_caputo, caputo_weights, lambda_diagnostic, solve_state)
-from fracopt import assembly, evolution, oracle
+from fracopt import assembly, control, evolution, oracle
 from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import manufactured_problem, mode
 from fracopt.problem import ParameterError, make_params
-from fracopt.harness import build_setup, l2Q_error, manufactured_data
+from fracopt.harness import (ExperimentConfig, build_setup, l2Q_error, manufactured_data,
+                             run_truncation_study)
 
-from helpers import build_test_mesh, check_telescoping, extension_field, node_index, node_maps
+from helpers import (build_test_mesh, check_telescoping, extension_field, node_index,
+                     node_maps, system_recurrence)
 
 
 def zero_f(x, t):
@@ -410,3 +412,58 @@ def test_solve_state_rejects_non_finite_initial_datum_and_control():
     control[3, 0] = np.nan
     with pytest.raises(ParameterError, match="state march"):
         solve_state(CylinderSystem(mesh, params, grid), data, control=control)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_none_data_match_a_zero_callable_bit_for_bit(gamma, monkeypatch):
+    man = manufactured_problem(0.4, 1.0, 1.0, gamma=gamma, n=2)
+    mesh, params, grid = build_setup(2, 5, 0.4, gamma, 1.0, 7)
+    zero = dataclasses.replace(manufactured_data(man, 1.0), forcing=zero_f,
+                               desired_state=zero_f)
+    none = dataclasses.replace(zero, forcing=None, desired_state=None)
+    z = np.random.default_rng(3).uniform(man.a, man.b, (grid.K, mesh.omega.n_cells))
+    system = CylinderSystem(mesh, params, grid)
+    ref_probs = ReducedProblem(zero, params, mesh, grid)
+    ref = [solve_state(system, zero).traces, solve_state(system, zero, control=z).traces,
+           *ref_probs.cost_and_gradient(z)]
+    names = ("b_f_hat", "b_ud_hat", "c_ud", "b_f", "b_ud")
+    ref_data = [getattr(ref_probs, name) for name in names]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a None datum was evaluated")
+
+    monkeypatch.setattr(evolution, "time_average", refuse)
+    monkeypatch.setattr(control, "time_average", refuse)
+    prob = ReducedProblem(none, params, mesh, grid)
+    got = [solve_state(system, none).traces, solve_state(system, none, control=z).traces,
+           *prob.cost_and_gradient(z)]
+    assert got[2] == ref[2]
+    for a, b in zip(got[:2] + got[3:], ref[:2] + ref[3:]):
+        assert np.array_equal(a, b)
+    for name, want in zip(names, ref_data):
+        assert np.array_equal(getattr(prob, name), want), name
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_truncation_study_evaluates_no_datum(gamma, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study evaluated a datum")
+
+    monkeypatch.setattr(evolution, "time_average", refuse)
+    monkeypatch.setattr(control, "time_average", refuse)
+    cfg = ExperimentConfig(kind="truncation", s_list=(0.4,), gamma=gamma, n=2, M=4, K=4,
+                           Y_list=(1.0, 1.5, 2.0, 2.5), T=0.5)
+    report = run_truncation_study(cfg)
+    assert len(report.rows) == 3 and all(r["err_state"] > 0.0 for r in report.rows)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("M", [8, 20, 64])
+def test_delta_equals_the_profile_recurrence_bit_for_bit(M, gamma, c):
+    mesh, params = build_test_mesh(n=2, M=M, s=0.35)
+    system = CylinderSystem(mesh, make_params(params.s, gamma), TimeGrid(T=1.0, K=4),
+                            reaction=c)
+    delta, psi = system_recurrence(system)
+    assert np.array_equal(system.delta, delta)
+    assert psi.shape == (system.n_interior, M) and np.all(psi[:, 0] == 1.0)

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
-                     l2Q_error, load_config, run_experiment)
+                     l2Q_error, run_experiment)
 from fracopt import assembly, cli, evolution, harness
 from fracopt.control import project_trace
-from fracopt.harness import (REPORT_COLUMNS, SETTINGS, ConvergenceReport, build_setup,
-                             run_convergence_time, run_truncation_study, write_report_csv)
+from fracopt.harness import (REPORT_COLUMNS, RUNNERS, SETTINGS, ConvergenceReport,
+                             build_setup, run_convergence_time, run_truncation_study,
+                             write_report_csv)
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
-from helpers import read_report_csv
+from helpers import load_config, read_report_csv
 
 
 def test_l2Q_error_reproduces_fe_functions():
@@ -230,6 +231,41 @@ def test_config_refusals_name_the_file_or_the_command_line(tmp_path, monkeypatch
                   "--out", str(out)])
     assert str(info.value).endswith("on the command line")
     assert solves == [] and not out.exists()
+
+
+def test_flags_and_file_are_checked_once_together(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: seen.append(config) or ConvergenceReport(config.kind))
+    path = tmp_path / "two.cfg"
+    path.write_text("[experiment]\nkind = conv-time\nK = 8, 16\n")
+    with pytest.raises(ParameterError, match="needs >= 3 levels of K"):
+        load_config(path)
+    # the flag completes the levels the file alone has too few of
+    assert cli_main(["conv-time", "--config", str(path), "--K", "8,16,32"]) == 0
+    assert seen[-1].K_list == (8, 16, 32) and seen[-1].kind == "conv-time"
+    # and a refusal of the merged settings names both sources
+    path.write_text("[experiment]\nkind = conv-time\nK = 8, 16, 32\n")
+    with pytest.raises(ParameterError, match="needs >= 3 levels of K") as info:
+        cli_main(["conv-time", "--config", str(path), "--K", "8,16"])
+    assert str(info.value).endswith(f"in {path} and on the command line")
+    # a value that does not parse still names its own source
+    path.write_text("[experiment]\nK = eight\n")
+    with pytest.raises(ParameterError, match=f"'eight' in {path}$"):
+        cli_main(["conv-time", "--config", str(path), "--K", "8,16,32"])
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("kind", list(RUNNERS))
+def test_runner_refuses_a_config_of_another_kind(kind, monkeypatch):
+    solves = []
+    for name in ("_control_solve", "solve_state", "manufactured_problem"):
+        monkeypatch.setattr(harness, name, lambda *args, **kw: solves.append(args))
+    other = "solve-state" if kind != "solve-state" else "oracle-check"
+    cfg = ExperimentConfig(kind=other, M=4, K=4, Y_list=(1.0, 2.0))
+    with pytest.raises(ParameterError, match=f"runner needs a config of kind '{kind}'"):
+        RUNNERS[kind](cfg)
+    assert solves == []
 
 
 def test_config_is_frozen():

@@ -41,7 +41,7 @@ def test_modal_matches_sparse(n, gamma, c, K=6, M=None):
     mass = system.to_modal(system.to_modal(M_int(system).toarray()).T)
     assert rel_gap(mass, np.eye(system.n_interior)) <= TOL
 
-    # the modal profiles psi extend the trace as the sparse LU does
+    # the profiles psi of the axis recurrence (helpers) extend the trace as the sparse LU does
     ref_v0 = sparse_initial_field(system, u0)
     assert rel_gap(extension_field(system, u0), ref_v0) <= TOL
     trace0 = system.initial_field(u0)
@@ -151,6 +151,19 @@ def test_modal_march_rejects_loads_of_another_shape(shape, gamma):
         march.solve(np.ones(shape))
     with pytest.raises(ParameterError, match="loads must have shape"):
         march.solve_transposed(np.ones(shape))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_zero_loads_stated_as_none_match_zeros_bit_for_bit(gamma):
+    system = make_system(2, gamma, 0.7, K=40)
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal(system.n_interior)
+    zeros = np.zeros((system.grid.K, system.n_interior))
+    assert np.array_equal(system.march.solve(None, x0), system.march.solve(zeros, x0))
+    assert np.array_equal(system.march.solve(None), zeros)
+    trace0 = system.initial_field(u0)
+    assert np.array_equal(state_march(system, trace0, None).traces,
+                          state_march(system, trace0, zeros).traces)
 
 
 def check_duality(system, trials):
