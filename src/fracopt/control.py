@@ -107,7 +107,7 @@ class ReducedProblem:
     of c1 = phi^T b1, is the modal map of the control loads
     (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
     :meth:`state` and :meth:`adjoint`, which run the nodal marches. The
-    problem builds its own ``system``, of (mesh, params, grid, data.reaction).
+    problem builds its own ``system``, of (mesh, params, grid, data.reaction) of one height.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -116,6 +116,8 @@ class ReducedProblem:
         self.params = params
         self.mesh = mesh
         self.grid = grid
+        if mesh.axis.nodes.ndim > 1:
+            raise ParameterError(f"a control problem needs one height, not {mesh.axis.Y}")
         self.system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
         sysm = self.system
         self.cell_volume = mesh.omega.cell_volume

@@ -184,12 +184,10 @@ class ModalMarch:
     solutions are (K, n_modes) arrays, step k in row k. Every rate must be
     finite with c_new + r_i > 0, or ParameterError is raised.
 
-    For L1 the impulse responses h_i (first columns of T_i^{-1}) are the
-    power-series reciprocals of c_new + r_i - c_new z D(z), computed by
-    Newton iteration in O(n K log K) (:func:`impulse_responses`); only
-    their real FFTs, zero-padded to 2K and stored mode-major, are kept, and
-    a solve is the causal convolution h_i * g_i truncated to K steps.
-    Backward Euler has a one-step memory and keeps its recurrence.
+    For L1 only the real FFTs, zero-padded to 2K and mode-major, of the
+    impulse responses h_i (:func:`impulse_responses`) are kept, and a solve
+    is the causal convolution h_i * g_i truncated to K steps (see the module
+    docstring). Backward Euler keeps its one-step recurrence.
     """
 
     def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
@@ -206,19 +204,21 @@ class ModalMarch:
             # reused by every solve: a fresh spectrum per call costs page faults
             self._spec = np.empty_like(self.h_hat)
 
-    def solve(self, g: np.ndarray | None, x0: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, g: np.ndarray | None, x0: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
         """x_i = T_i^{-1} (g_i + c_new a x0_i) for loads g of shape (K, n_modes).
 
-        g = None stands for zero loads. Returns a new (K, n_modes) array, not
-        a view of a work buffer. Loads of any other shape raise ParameterError.
+        g = None stands for zero loads. Returns a new (K, n_modes) array, or ``out``,
+        never a view of a work buffer. Loads of any other shape raise ParameterError.
         """
         shape = (self.K, self.rate.size)
         if g is not None and g.shape != shape:
-            raise ParameterError(f"march loads must have shape {shape}, got {g.shape}")
+            raise ParameterError(f"march loads must have shape {shape}, got {g.shape}; "
+                                 "only a system of one height takes loads")
         if self.h_hat is None:
             # each step in place in its row: fresh temporaries per step cost
             # more than the step's arithmetic at a few hundred modes
-            x = np.empty(shape)
+            x = np.empty(shape) if out is None else out
             prev = np.zeros(self.rate.size) if x0 is None else x0
             for k in range(self.K):
                 prev = np.multiply(self.c_new, prev, out=x[k])
@@ -232,8 +232,11 @@ class ModalMarch:
         n_fft = 2 * self.K
         spec = np.fft.rfft(loads, n=n_fft, out=self._spec)
         spec *= self.h_hat
-        # a compact copy: a view would pin the 2K-long irfft buffer
-        return np.fft.irfft(spec, n=n_fft)[:, :self.K].T.copy()
+        x = np.fft.irfft(spec, n=n_fft)[:, :self.K].T
+        if out is None:
+            return x.copy()     # compact: a view would pin the 2K-long irfft buffer
+        out[...] = x
+        return out
 
     def solve_transposed(self, g: np.ndarray) -> np.ndarray:
         """x_i = T_i^{-T} g_i: the Toeplitz solve on time-reversed loads, reversed."""
@@ -277,7 +280,7 @@ def lattice_factors(omega: OmegaMesh):
 
 
 def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) -> np.ndarray:
-    """Schur complements delta onto y = 0 of the axis blocks, one per rate.
+    """Schur complements delta onto y = 0 of the axis blocks, one per height and rate.
 
     For every rate r the block (r M_y + S_y)/d_s on axis nodes 0..M-1 (the
     top node is Dirichlet) is eliminated from the top down, one interval
@@ -292,23 +295,24 @@ def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) ->
     delta = G_0/d_s keeps full relative precision, which the same sweep over
     the assembled tridiagonal would lose. Every interval reuses the same
     work arrays and evaluates the numerator as ((p + q) + (t + t)) s + p q
-    - t t, the order of the expanded form above.
+    - t t, the order of the expanded form above. The rates broadcast against
+    the heights of a family: delta is (*heights, n_rates), each row bit-equal to its height's.
     """
-    mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
+    mll, mlr, mrr, s = weight_integrals(axis.nodes[..., :-1], axis.nodes[..., 1:], alpha)
     r = np.asarray(rates, dtype=float)
-    G = r * mll[-1] + s[-1]
+    G = r * mll[..., -1, None] + s[..., -1, None]
     p, t, q, num, tmp = (np.empty_like(G) for _ in range(5))
     for j in range(axis.M - 2, -1, -1):
-        np.multiply(r, mll[j], out=p)
-        np.multiply(r, mlr[j], out=t)
-        np.multiply(r, mrr[j], out=q)
+        np.multiply(r, mll[..., j, None], out=p)
+        np.multiply(r, mlr[..., j, None], out=t)
+        np.multiply(r, mrr[..., j, None], out=q)
         q += G
         np.add(p, q, out=num)
         num += np.add(t, t, out=tmp)
-        num *= s[j]
+        num *= s[..., j, None]
         num += np.multiply(p, q, out=tmp)
         num -= np.multiply(t, t, out=tmp)
-        np.divide(num, np.add(q, s[j], out=tmp), out=G)
+        np.divide(num, np.add(q, s[..., j, None], out=tmp), out=G)
     G /= d_s
     return G
 
@@ -318,20 +322,20 @@ class CylinderSystem:
 
     The per-step matrix c_new*M_tr + A is constant because the time step is
     uniform. In the M_Omega-orthonormal lattice basis (see the module
-    docstring) it is diagonal after the axis elimination: ``delta[i]`` is
-    the Schur complement of mode i onto y = 0. ``march`` holds the per-mode
-    time solves with rates delta: for L1 it computes every mode's impulse
-    response here, once (O(n K log K) work, by Newton iteration), so each
-    state or adjoint march is one FFT convolution (O(n K log K)); for
-    backward Euler a step costs one division per mode.
+    docstring) it is diagonal after the axis elimination: ``delta[..., i]``,
+    of shape (*heights, n_modes), is the Schur complement of mode i onto
+    y = 0. ``march`` holds the per-mode time solves with rates ``delta.ravel()``:
+    for L1 it computes every mode's impulse response here, once (O(n K log K)
+    work, by Newton iteration), so each state or adjoint march is one FFT
+    convolution (O(n K log K)); for backward Euler a step costs one division per mode.
 
     Every Omega operator is kept as its 1D factor on the uniform partition
     with m cells and applied per axis as its n-fold Kronecker power
     (:func:`~fracopt.assembly.kron_apply`): the modes ``phi``, the interior
     P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the (m-1) x m hat-over-cell
     matrix ``b1`` (entries h/2) and the modal control factor ``c1`` =
-    phi^T b1. These and the Gauss rule ``quad`` belong to the lattice
-    (:func:`lattice_factors`, :func:`~fracopt.assembly.omega_quadrature`):
+    phi^T b1. These and the Gauss rule ``quad`` (read on demand) belong to
+    the lattice (:func:`lattice_factors`, :func:`~fracopt.assembly.omega_quadrature`),
     built once per lattice, read-only, and shared by its systems. So
     :meth:`mass` applies the interior mass M_int, :meth:`control_loads` the
     control loads B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
@@ -351,12 +355,13 @@ class CylinderSystem:
         self.reaction = reaction
 
         self.n = mesh.omega.n
-        self.quad = omega_quadrature(mesh.omega)
         self.interior = mesh.omega.interior_idx
         self.phi, lam, self.m1, self.b1, self.c1 = mesh.omega.kept(lattice_factors)
         lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
         self.delta = axis_schur(mesh.axis, params.alpha, lam + reaction, params.d_s)
-        self.march = ModalMarch(self.delta, params.gamma, grid.K, grid.tau)
+        self.march = ModalMarch(self.delta.ravel(), params.gamma, grid.K, grid.tau)
+
+    quad = property(lambda self: omega_quadrature(self.mesh.omega))
 
     @functools.cached_property
     def A_free(self):
@@ -372,8 +377,17 @@ class CylinderSystem:
         return kron_apply(self.phi.T, loads, self.n)
 
     def from_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given."""
-        return kron_apply(self.phi, coeffs, self.n, out=out)
+        """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given.
+
+        ``out`` may be ``coeffs`` itself: then it runs in blocks of ~2**13 values
+        (64 KB), so no work array of their size is freed at the heap top.
+        """
+        if out is None or not np.may_share_memory(coeffs, out):
+            return kron_apply(self.phi, coeffs, self.n, out=out)
+        step = max(1, 2 ** 13 // math.prod(coeffs.shape[1:]))
+        for k in range(0, coeffs.shape[0], step):
+            kron_apply(self.phi, coeffs[k:k + step], self.n, out=out[k:k + step])
+        return out
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
         """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
@@ -413,7 +427,7 @@ class Trajectory:
     function is zero on the boundary ones.
     """
 
-    traces: np.ndarray            # (K+1, n_interior)
+    traces: np.ndarray            # (K+1, *heights, n_interior): no heights for one height
 
 
 def _check_loads(system: CylinderSystem, loads: np.ndarray) -> None:
@@ -432,15 +446,18 @@ def _check_traces(last: np.ndarray, march: str) -> None:
                              "and initial datum")
 
 
-def state_trajectory(system: CylinderSystem, trace0: np.ndarray,
-                     modal: np.ndarray) -> Trajectory:
+def state_trajectory(system: CylinderSystem, trace0: np.ndarray, modal: np.ndarray,
+                     traces: np.ndarray | None = None) -> Trajectory:
     """Nodal state traces: trace0, then the modal coefficients of steps 1..K transformed back.
 
+    Every height of ``system.delta`` starts from trace0. The traces are written
+    into ``traces`` if given, whose rows 1..K may hold ``modal`` itself.
     Raises ParameterError when a trace is not finite.
     """
-    traces = np.empty((system.grid.K + 1, system.n_interior))
+    if traces is None:
+        traces = np.empty((system.grid.K + 1, *system.delta.shape[:-1], system.n_interior))
     traces[0] = trace0
-    system.from_modal(modal, out=traces[1:])
+    system.from_modal(modal.reshape(traces[1:].shape), out=traces[1:])
     _check_traces(traces[-1], "state march")
     return Trajectory(traces)
 
@@ -463,14 +480,17 @@ def state_march(system: CylinderSystem, trace0: np.ndarray,
 
     The loads are transformed to modal coordinates once, every mode solves
     its Toeplitz system in time (:class:`ModalMarch`), and the traces are
-    transformed back once (:func:`state_trajectory`).
+    transformed back once, in place (:func:`state_trajectory`). A height
+    family marches all its heights at once, without loads.
     Raises ParameterError when a trace is not finite.
     """
     if loads is not None:
         _check_loads(system, loads)
         loads = system.to_modal(loads)
-    w0 = system.to_modal(system.mass(trace0))
-    return state_trajectory(system, trace0, system.march.solve(loads, w0))
+    w0 = np.broadcast_to(system.to_modal(system.mass(trace0)), system.delta.shape)
+    traces = np.empty((system.grid.K + 1, *system.delta.shape[:-1], system.n_interior))
+    modal = system.march.solve(loads, w0.ravel(), out=traces[1:].reshape(system.grid.K, -1))
+    return state_trajectory(system, trace0, modal, traces)
 
 
 def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
@@ -508,8 +528,8 @@ def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Traj
     The system fixes mesh, orders, time grid and reaction: data of another
     ``reaction`` raise ParameterError, as does a ``control`` that is not a
     (K, n_cells) array; it adds B Z^{k+1} to the load of every step. With
-    the zero forcing (None) and no control the march has no loads to form.
-    A non-finite control or initial datum raises it from :func:`state_march`.
+    the zero forcing (None) and no control there are no loads, and a height
+    family solves all its heights. Non-finite data raise it in the march.
     """
     if data.reaction != system.reaction:
         raise ParameterError(f"data have the reaction {data.reaction}, but the system "

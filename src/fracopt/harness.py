@@ -198,20 +198,12 @@ def read_config(path) -> dict:
 
 
 def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
-                zeta: float | None = None, Y: float | None = None,
-                omega: OmegaMesh | None = None):
+                zeta: float | None = None, Y=None):
     """Mesh, params and grid for one run (Y and zeta default per theory).
 
-    The cylinder stands on ``omega`` when it is given, so that runs on one
-    lattice share its Gauss rule and 1D factors, or else on a new lattice.
-    A given lattice of another dimension or cell count than ``n`` and ``M``
-    raises ParameterError.
+    A sequence of heights Y makes a cylinder family (:func:`~fracopt.mesh.graded_axis`).
     """
-    if omega is None:
-        omega = build_omega(n, M)
-    elif (omega.n, omega.cells_per_dim) != (n, M):
-        raise ParameterError(f"lattice has n = {omega.n}, M = {omega.cells_per_dim}; "
-                             f"the run needs n = {n}, M = {M}")
+    omega = build_omega(n, M)
     if Y is None:
         # the n_free of the mesh built below: M axis nodes per interior vertex
         Y = select_truncation(max(omega.interior_idx.size * M, 8), s, n)
@@ -399,46 +391,30 @@ def run_convergence_time(config: ExperimentConfig) -> ConvergenceReport:
 def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     """Decay of the trace differences as the cylinder height grows.
 
-    Solves the homogeneous problem with single-mode initial datum for each
-    distinct height, every height on one lattice; the largest serves as
-    reference and its row is excluded from the fitted exponential slope.
-    The reference is solved first, and each other height's system and
-    traces are dropped once its error is taken: a study whose arrays all
-    live to its end leaves them on top of the heap, where the allocator
-    returns them to the operating system and the next study faults them in
-    again. Forcing and desired state are the zero datum (None), never
-    evaluated. The config has checked that there are at least 4 distinct
-    heights.
+    Solves the homogeneous problem with single-mode initial datum once, on
+    one cylinder family of all distinct heights (at least 4, as the config
+    has checked): one axis elimination and one march. The tallest is the
+    reference, whose row the fitted exponential slope excludes. Forcing and
+    desired state are the zero datum (None), so no Gauss rule is built.
     """
     _check_kind(config, "truncation")
     report = ConvergenceReport(case="truncation")
-    s = config.s_list[0]
-    n, M, K = config.n, config.M, config.K
-    heights = sorted(set(config.Y_list))
+    s, n, M, K = config.s_list[0], config.n, config.M, config.K
+    heights = tuple(sorted(set(config.Y_list)))
     data = ProblemData(forcing=None, desired_state=None, initial=mode(*([1] * n)),
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
-
-    omega = build_omega(n, M)
-    # every set-up first, so that a height build_setup refuses fails before any solve
-    setups = {Y: build_setup(n, M, s, config.gamma, config.T, K, zeta=config.zeta, Y=Y,
-                             omega=omega) for Y in heights}
-
-    def solve(Y):
-        system = CylinderSystem(*setups[Y])
-        return solve_state(system, data), system
-
-    ref = solve(heights[-1])[0]
-    for Y in heights[:-1]:
-        traj, system = solve(Y)
-        diff = traj.traces - ref.traces
+    system = CylinderSystem(*build_setup(n, M, s, config.gamma, config.T, K,
+                                         zeta=config.zeta, Y=heights))
+    traces = solve_state(system, data).traces
+    for i, Y in enumerate(heights[:-1]):
+        diff = traces[:, i] - traces[:, -1]
         sq = np.einsum("ki,ki->k", diff, system.mass(diff))
         err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
                             "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
     ys = np.array([r["err_state"] for r in report.rows])
-    Ys = np.array([r["Y"] for r in report.rows])
-    slope = float(np.polyfit(Ys, np.log(ys), 1)[0])
+    slope = float(np.polyfit(heights[:-1], np.log(ys), 1)[0])
     report.slopes.append({"case": "truncation", "s": s, "gamma": config.gamma,
                           "quantity": "err_state_exp", "slope": slope,
                           "levels_used": len(ys)})

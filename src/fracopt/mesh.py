@@ -2,12 +2,12 @@
 
 The cylinder mesh is the tensor product of a uniform partition of
 Omega = (0,1)^n into n-rectangles and a partition of [0, Y] graded toward
-y = 0 by y_m = (m/M)^zeta Y. The solver never numbers the cylinder's nodes;
-the sparse oracles number them in :func:`fracopt.assembly.free_nodes`.
-Meshes are immutable after build. A lattice also keeps its Omega set-up
-(:meth:`OmegaMesh.kept`): its Gauss rule and the 1D factors of its
-operators are built on first use and shared, read-only, by every system
-on it.
+y = 0 by y_m = (m/M)^zeta Y, or a family of them, one per height Y. The
+solver never numbers the cylinder's nodes; the sparse oracles number them
+in :func:`fracopt.assembly.free_nodes`. Meshes are immutable after build.
+A lattice also keeps its Omega set-up (:meth:`OmegaMesh.kept`): its Gauss
+rule and the 1D factors of its operators are built on first use and
+shared, read-only, by every system on it.
 """
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ class GradedAxis:
     """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y; Y >= 1 is the cylinder's height."""
 
     M: int
-    Y: float
+    Y: float | tuple                # a sequence of heights makes a family of partitions
     zeta: float
-    nodes: np.ndarray
+    nodes: np.ndarray               # (*heights, M + 1): one row per height of a family
 
 
 def default_zeta(alpha: float) -> float:
@@ -94,18 +94,20 @@ def default_zeta(alpha: float) -> float:
     return 1.05 * 3.0 / (1.0 - alpha)
 
 
-def graded_axis(M: int, Y: float, zeta: float) -> GradedAxis:
-    """Graded partition of [0, Y], Y >= 1; zeta = 1 gives the uniform partition."""
+def graded_axis(M: int, Y, zeta: float) -> GradedAxis:
+    """Graded partition of [0, Y], Y >= 1, or one per height Y of a family; zeta = 1: uniform."""
     if M < 1:
         raise ParameterError("empty axis mesh: need M >= 1 intervals")
-    if Y < 1.0:
-        raise ParameterError(f"truncation height must satisfy Y >= 1, got {Y}")
+    heights = np.asarray(Y, dtype=float)
+    low = heights.min() if heights.size else np.nan     # an empty family is refused too
+    if not low >= 1.0:
+        raise ParameterError(f"truncation height must satisfy Y >= 1, got {low}")
     if zeta < 1.0:
         raise ParameterError(f"grading exponent must be >= 1, got {zeta}")
     m = np.arange(M + 1, dtype=float)
-    nodes = (m / M) ** zeta * Y
-    nodes[0] = 0.0
-    nodes[-1] = Y
+    nodes = np.multiply.outer(heights, (m / M) ** zeta)
+    nodes[..., 0] = 0.0
+    nodes[..., -1] = heights
     return GradedAxis(M=M, Y=Y, zeta=zeta, nodes=nodes)
 
 

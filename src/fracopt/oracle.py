@@ -149,7 +149,7 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     march = ModalMarch(lam_s, gamma, K_fine, T / K_fine)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
-    coeffs[1:] = march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0)
+    march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0, out=coeffs[1:])
     return ModalTrajectories(times=times, coeffs=coeffs)
 
 

@@ -9,12 +9,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fracopt import (build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
-                     make_params, weight_integrals)
+from fracopt import (ControlBounds, CylinderSystem, ProblemData, build_cylinder, build_omega,
+                     caputo_weights, clamp, graded_axis, make_params, solve_state,
+                     weight_integrals)
 from fracopt.assembly import assemble_stiffness, omega_matrices
 from fracopt.evolution import lattice_factors
-from fracopt.harness import ExperimentConfig, apply_settings, read_config
+from fracopt.harness import (ConvergenceReport, ExperimentConfig, apply_settings,
+                             build_setup, read_config)
 from fracopt.mesh import default_zeta
+from fracopt.oracle import mode
 
 
 def weighted_integral_oracle(y0, y1, alpha):
@@ -594,6 +597,42 @@ def reference_projected_bfgs(fun_and_grad, z0, bounds, weight, tol=1e-9, max_ite
 
 
 # -- reports -------------------------------------------------------------------
+
+def truncation_per_height(config):
+    """The truncation study with one single-height system and one state solve per height.
+
+    The reference of ``run_truncation_study``, which solves all heights at
+    once on a cylinder family: the same data, error formula and fit, every
+    height on its own lattice, the tallest as reference.
+    """
+    s, n, M, K = config.s_list[0], config.n, config.M, config.K
+    heights = sorted(set(config.Y_list))
+    data = ProblemData(forcing=None, desired_state=None, initial=mode(*([1] * n)),
+                       bounds=ControlBounds(-1.0, 1.0, 1.0))
+
+    def solve(Y):
+        system = CylinderSystem(*build_setup(n, M, s, config.gamma, config.T, K,
+                                             zeta=config.zeta, Y=Y))
+        return solve_state(system, data), system
+
+    ref = solve(heights[-1])[0]
+    report = ConvergenceReport(case="truncation")
+    for Y in heights[:-1]:
+        traj, system = solve(Y)
+        diff = traj.traces - ref.traces
+        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
+        err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
+        report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
+                            "M": M, "K": K, "N": system.mesh.n_free,
+                            "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
+    ys = np.array([r["err_state"] for r in report.rows])
+    Ys = np.array([r["Y"] for r in report.rows])
+    report.slopes.append({"case": "truncation", "s": s, "gamma": config.gamma,
+                          "quantity": "err_state_exp",
+                          "slope": float(np.polyfit(Ys, np.log(ys), 1)[0]),
+                          "levels_used": len(ys)})
+    return report
+
 
 def read_report_csv(path):
     with open(path, newline="") as fh:

@@ -13,6 +13,7 @@ from fracopt.control import l2_project, solve_control_problem
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import manufactured_problem, mode
 from fracopt.problem import ParameterError, make_params
+from fracopt.mesh import build_cylinder, graded_axis
 from fracopt.harness import (ExperimentConfig, build_setup, l2Q_error, manufactured_data,
                              run_truncation_study)
 
@@ -467,3 +468,46 @@ def test_delta_equals_the_profile_recurrence_bit_for_bit(M, gamma, c):
     delta, psi = system_recurrence(system)
     assert np.array_equal(system.delta, delta)
     assert psi.shape == (system.n_interior, M) and np.all(psi[:, 0] == 1.0)
+    # a height family holds, row by row, the bits of each height's own system
+    heights = (1.0, mesh.axis.Y, 3.0)
+    family = CylinderSystem(family_mesh(mesh, heights), system.params, system.grid,
+                            reaction=c)
+    assert family.delta.shape == (3, system.n_interior)
+    for Y, row in zip(heights, family.delta):
+        single = CylinderSystem(family_mesh(mesh, Y), system.params, system.grid, reaction=c)
+        assert np.array_equal(row, single.delta)
+
+
+def family_mesh(mesh, heights):
+    """The cylinder of ``mesh``'s lattice and grading at the height(s) ``heights``."""
+    return build_cylinder(mesh.omega, graded_axis(mesh.axis.M, heights, mesh.axis.zeta))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_a_height_family_marches_each_heights_traces_bit_for_bit(n, gamma):
+    mesh = build_test_mesh(n=n, M=8 if n == 1 else 5, s=0.4)[0]
+    params, grid = make_params(0.4, gamma), TimeGrid(T=0.5, K=6)
+    data = ProblemData(forcing=None, desired_state=None, initial=mode(*[1] * n), bounds=WIDE)
+    heights = (1.0, 1.5, 2.5)
+    traces = solve_state(CylinderSystem(family_mesh(mesh, heights), params, grid), data).traces
+    assert traces.shape == (grid.K + 1, 3, mesh.omega.interior_idx.size)
+    for i, Y in enumerate(heights):
+        single = solve_state(CylinderSystem(family_mesh(mesh, Y), params, grid), data)
+        assert np.array_equal(traces[:, i], single.traces)
+
+
+def test_a_height_family_refuses_loads():
+    mesh, params = build_test_mesh(n=2, M=4, s=0.5)
+    mesh, grid = family_mesh(mesh, (1.0, 2.0)), TimeGrid(T=1.0, K=5)
+    data = ProblemData(forcing=None, desired_state=None, initial=mode(1, 1), bounds=WIDE)
+    system = CylinderSystem(mesh, params, grid)
+    control = np.zeros((grid.K, mesh.omega.n_cells))
+    loads = np.zeros((grid.K, system.n_interior))
+    for run in (lambda: solve_state(system, dataclasses.replace(data, forcing=zero_f)),
+                lambda: solve_state(system, data, control=control),
+                lambda: state_march(system, system.initial_field(data.initial), loads),
+                lambda: adjoint_march(system, loads),
+                lambda: ReducedProblem(data, params, mesh, grid)):
+        with pytest.raises(ParameterError, match="one height"):
+            run()

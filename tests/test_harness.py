@@ -15,7 +15,7 @@ from fracopt.harness import (REPORT_COLUMNS, RUNNERS, SETTINGS, ConvergenceRepor
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
-from helpers import load_config, read_report_csv
+from helpers import load_config, read_report_csv, truncation_per_height
 
 
 def test_l2Q_error_reproduces_fe_functions():
@@ -333,28 +333,40 @@ def test_truncation_counts_a_repeated_height_once():
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
-def test_truncation_on_one_lattice_matches_a_lattice_per_height(gamma, monkeypatch):
+def test_truncation_on_one_lattice_matches_a_lattice_per_height(gamma):
+    # the study solves one cylinder family of all heights; the reference
+    # builds one single-height system, on its own lattice, per height
     cfg = ExperimentConfig(kind="truncation", s_list=(0.4,), gamma=gamma, n=2, M=6, K=8,
                            Y_list=(1.0, 1.5, 2.0, 2.5), T=0.5)
-    shared = run_truncation_study(cfg)
-    # the same study with the lattice dropped: every height builds its own
-    monkeypatch.setattr(harness, "build_setup",
-                        lambda *args, omega, build=build_setup, **kw: build(*args, **kw))
-    fresh = run_truncation_study(cfg)
-    assert shared.rows == fresh.rows
-    assert shared.slopes == fresh.slopes
+    family = run_truncation_study(cfg)
+    per_height = truncation_per_height(cfg)
+    assert family.rows == per_height.rows
+    assert family.slopes == per_height.slopes
 
 
-def test_truncation_builds_one_gauss_rule_and_one_set_of_factors(monkeypatch):
+def count_omega_builds(monkeypatch):
+    """The names of the lattice set-up builders, appended on every build."""
     built = []
     for module, name in ((assembly, "_gauss_rule"), (evolution, "lattice_factors")):
         def counted(omega, build=getattr(module, name), name=name):
             built.append(name)
             return build(omega)
         monkeypatch.setattr(module, name, counted)
+    return built
+
+
+def test_truncation_builds_no_gauss_rule_and_one_set_of_factors(monkeypatch):
+    built = count_omega_builds(monkeypatch)
     cfg = ExperimentConfig(kind="truncation", s_list=(0.5,), n=2, M=4, K=4,
                            Y_list=(1.0, 1.5, 2.0, 2.5, 3.0), T=0.5)
     assert len(run_truncation_study(cfg).rows) == 4
+    assert built == ["lattice_factors"]
+
+
+def test_control_solve_builds_one_gauss_rule_and_one_set_of_factors(monkeypatch):
+    built = count_omega_builds(monkeypatch)
+    cfg = ExperimentConfig(kind="solve-control", s_list=(0.5,), n=2, M=4, K=4, T=0.5)
+    assert len(RUNNERS["solve-control"](cfg).rows) == 1
     assert sorted(built) == ["_gauss_rule", "lattice_factors"]
 
 
@@ -369,15 +381,6 @@ def test_height_below_one_is_rejected_before_any_solve(tmp_path, monkeypatch, ki
     with pytest.raises(ParameterError, match="Y >= 1"):
         cli_main([kind, "--M", "4", "--K", "4", "--Y", heights, "--out", str(out)])
     assert solves == [] and not out.exists()
-
-
-@pytest.mark.parametrize("n, M", [(1, 4), (2, 5)])
-def test_build_setup_rejects_a_lattice_of_another_n_or_M(n, M):
-    omega = build_omega(n, M)
-    mesh = build_setup(n, M, 0.5, 1.0, 1.0, 4, omega=omega)[0]
-    assert mesh.omega is omega
-    with pytest.raises(ParameterError, match="lattice has"):
-        build_setup(2, 4, 0.5, 1.0, 1.0, 4, omega=omega)
 
 
 def test_run_experiment_writes_reports(tmp_path):

@@ -29,6 +29,11 @@ def test_graded_axis_endpoints_and_formula(M, zeta, Y):
     m = np.arange(M + 1)
     assert np.allclose(ax.nodes, (m / M) ** zeta * Y, rtol=1e-14)
     assert np.all(np.diff(ax.nodes) > 0.0)
+    # a family holds, row by row, the bits of each height's own axis
+    family = graded_axis(M, (1.0, Y, 2.0 * Y), zeta)
+    assert family.Y == (1.0, Y, 2.0 * Y) and family.nodes.shape == (3, M + 1)
+    for height, row in zip(family.Y, family.nodes):
+        assert np.array_equal(row, graded_axis(M, height, zeta).nodes)
 
 
 def test_graded_axis_interval_sum():
@@ -61,6 +66,11 @@ def test_graded_axis_errors():
     for Y in (0.999, 0.5, 0.0, -1.0):
         with pytest.raises(ParameterError, match="Y >= 1"):
             graded_axis(8, Y, 2.0)
+    # a family names its height below 1
+    for heights, low in [((1.0, 0.5, 2.0), "0.5"), ([2.0, 3.0, 0.999], "0.999"),
+                         ((1.5, -1.0), "-1.0"), ((), "nan")]:
+        with pytest.raises(ParameterError, match=f"Y >= 1, got {low}$"):
+            graded_axis(8, heights, 2.0)
 
 
 def test_default_zeta_values():
