@@ -13,9 +13,13 @@ Kronecker power of phi, holds the M_Omega-orthonormal lattice modes,
 phi^T m1 phi = I (see :mod:`fracopt.evolution`). With a trace tr = Phi w_hat
 and b_hat = Phi^T b for any interior load b, Parseval gives the tracking cost
 
-    tau/2 sum_k (|w_hat^k|^2 - 2 <w_hat^k, b_ud_hat^k> + c_ud^k),
+    tau/2 (|w_hat - b_ud_hat|^2 + c_res),   c_res = sum_k c_ud^k - |b_ud_hat|^2,
 
-and the adjoint load M_int tr V - b_ud becomes w_hat - b_ud_hat. The
+and the adjoint load M_int tr V - b_ud becomes the same residual w_hat -
+b_ud_hat. The constant c_res is formed once; what varies with the control
+is a sum of squares, so nothing cancels in it. Expanding the square instead
+left about 170 eps |J| of roundoff in J at the optimum of a small problem
+with mu = 1e-2, above the line search's allowance of 8 eps |J|. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
 axis, and the gradient's B_int^T Phi p_hat is the power of c1^T. So a
 cost-and-gradient evaluation does one state and one adjoint march and no
@@ -91,16 +95,18 @@ class ReducedProblem:
 
     Assembles the forcing and desired-state step averages once and keeps
     their modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, the
-    constant terms ``c_ud``, w0_hat = Phi^T M_int tr V^0 and sum_k c_ud^k.
+    constant terms ``c_ud``, w0_hat = Phi^T M_int tr V^0 and c_res =
+    sum_k c_ud^k - |b_ud_hat|^2. A zero forcing (None) has no loads:
+    b_f_hat is None and an evaluation adds nothing for it.
     The nodal loads ``b_f`` and ``b_ud`` are not kept: each is built on
     first read, by the same computation, for the nodal marches of
     :meth:`state` and :meth:`adjoint`.
     :meth:`cost_and_gradient` stays in modal trace coefficients:
 
     1. w_hat = T^{-1}(b_f_hat + C1 z; w0_hat), one state march;
-    2. J = tau/2 (|w_hat|^2 - 2 <w_hat, b_ud_hat> + sum_k c_ud^k)
-       + mu tau |cell|/2 |z|^2, by Parseval (Phi^T M_int Phi = I);
-    3. p_hat = T^{-T}(w_hat - b_ud_hat), one adjoint march;
+    2. J = tau/2 (|w_hat - b_ud_hat|^2 + c_res) + mu tau |cell|/2 |z|^2,
+       by Parseval (Phi^T M_int Phi = I);
+    3. p_hat = T^{-T}(w_hat - b_ud_hat), one adjoint march on the same residual;
     4. grad = mu z + C1^T p_hat/|cell|,
 
     and returns (J, grad, w_hat, p_hat); C1 = Phi^T B_int, the n-fold power
@@ -127,10 +133,12 @@ class ReducedProblem:
         b_ud, self.c_ud = self._desired_state_data()
         self.b_ud_hat = sysm.to_modal(b_ud)
         del b_ud
-        self.b_f_hat = sysm.to_modal(forcing_loads(data.forcing, grid, sysm.quad))
+        self.b_f_hat = None
+        if data.forcing is not None:
+            self.b_f_hat = sysm.to_modal(forcing_loads(data.forcing, grid, sysm.quad))
         self.trace0 = sysm.initial_field(data.initial)
         self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
-        self.c_ud_sum = float(np.sum(self.c_ud))
+        self.c_res = float(np.sum(self.c_ud)) - float(np.vdot(self.b_ud_hat, self.b_ud_hat))
 
     def _desired_state_data(self):
         """(b_ud, c_ud): loads <u_d^k, phi_i> and the constant terms int (u_d^k)^2.
@@ -168,7 +176,9 @@ class ReducedProblem:
                             bounds=self.data.bounds, grid=self.grid, omega=self.mesh.omega)
 
     def state(self, zvals: np.ndarray) -> Trajectory:
-        loads = self.b_f + self.system.control_loads(zvals)
+        loads = self.system.control_loads(zvals)
+        if self.data.forcing is not None:
+            loads += self.b_f
         return state_march(self.system, self.trace0, loads)
 
     def adjoint(self, state: Trajectory) -> Trajectory:
@@ -189,17 +199,19 @@ class ReducedProblem:
         if np.shape(zvals) != shape:
             raise ParameterError(f"control must have shape {shape}, got {np.shape(zvals)}")
         loads = self.system.control_to_modal(zvals)
-        loads += self.b_f_hat
+        if self.b_f_hat is not None:
+            loads += self.b_f_hat
         w_hat = self.system.march.solve(loads, self.w0_hat)
         del loads
-        track = (float(np.vdot(w_hat, w_hat)) - 2.0 * float(np.vdot(w_hat, self.b_ud_hat))
-                 + self.c_ud_sum)
+        residual = w_hat - self.b_ud_hat
+        track = float(np.vdot(residual, residual)) + self.c_res
         reg = self.cell_volume * float(np.vdot(zvals, zvals))
         cost = 0.5 * self.grid.tau * track + 0.5 * self.data.bounds.mu * self.grid.tau * reg
         if not math.isfinite(cost):
             # NaN or inf anywhere in the control or the state reaches the cost
             raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
-        p_hat = self.system.march.solve_transposed(w_hat - self.b_ud_hat)
+        p_hat = self.system.march.solve_transposed(residual)
+        del residual        # before the control-sized gradient arrays are made
         grad = self.system.modal_to_control(p_hat)
         grad /= self.cell_volume
         grad += self.data.bounds.mu * zvals

@@ -39,8 +39,8 @@ lower-triangular Toeplitz matrix is again lower-triangular Toeplitz, so
 x = h_i * g is the causal convolution of the load with the first column
 h_i of the inverse, the mode's impulse response, truncated to K steps: the
 power series of 1/(c_new + delta_i - c_new z D(z)), D(z) = sum_j d_j z^j.
-For L1 the impulse responses are computed once per system, by Newton
-iteration on that reciprocal (O(n K log K), :func:`impulse_responses`),
+For L1 the impulse responses are computed once per system and distinct
+rate, by Newton iteration on that reciprocal (O(n K log K), :func:`impulse_responses`),
 and every march is then one FFT product (O(n K log K)); backward Euler
 keeps its one-step recurrence (O(n K)).
 The adjoint march solves with the transpose T_i^T = J T_i J (J reverses
@@ -187,7 +187,9 @@ class ModalMarch:
     For L1 only the real FFTs, zero-padded to 2K and mode-major, of the
     impulse responses h_i (:func:`impulse_responses`) are kept, and a solve
     is the causal convolution h_i * g_i truncated to K steps (see the module
-    docstring). Backward Euler keeps its one-step recurrence.
+    docstring). A response and its FFT depend on the rate alone, so they are
+    computed once per distinct rate and expanded to the modes. Backward
+    Euler keeps its one-step recurrence.
     """
 
     def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
@@ -199,8 +201,9 @@ class ModalMarch:
             raise ParameterError("march rates must be finite with c_new + rate > 0")
         self.h_hat = None
         if self.weights is not None:
+            rate, modes = np.unique(self.rate, return_inverse=True)
             self.h_hat = np.fft.rfft(
-                impulse_responses(self.rate, self.c_new, self.weights.diffs, K), n=2 * K)
+                impulse_responses(rate, self.c_new, self.weights.diffs, K), n=2 * K)[modes]
             # reused by every solve: a fresh spectrum per call costs page faults
             self._spec = np.empty_like(self.h_hat)
 
@@ -282,39 +285,56 @@ def lattice_factors(omega: OmegaMesh):
 def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) -> np.ndarray:
     """Schur complements delta onto y = 0 of the axis blocks, one per height and rate.
 
-    For every rate r the block (r M_y + S_y)/d_s on axis nodes 0..M-1 (the
-    top node is Dirichlet) is eliminated from the top down, one interval
-    at a time. Interval j has local mass (m_ll, m_lr, m_rr) and stiffness
-    s; with p = r m_ll, t = r m_lr and q = r m_rr + G_{j+1}, the Schur
-    complement of the intervals j..M-1 onto node j is
+    The block of rate r > 0 is (r M_y + S_y)/d_s on axis nodes 0..M-1 of
+    [0, Y] (the top node is Dirichlet). Under y = Y y^ the weighted mass
+    scales by Y^{alpha+1} and the stiffness by Y^{alpha-1}, so with delta_1
+    the complement on the unit partition y^_m = (m/M)^zeta (``axis.unit``),
 
-        G_j = r m_ll + s - (s - t)^2/(s + q) = (s (p + q + 2t) + p q - t^2)/(s + q),
+        delta(Y, r) = Y^{alpha-1} delta_1(Y^2 r).
 
-    starting from G_{M-1} = r m_ll + s. The expanded form never subtracts
-    the large stiffness entries of the graded intervals near y = 0, so
-    delta = G_0/d_s keeps full relative precision, which the same sweep over
-    the assembled tridiagonal would lose. Every interval reuses the same
-    work arrays and evaluates the numerator as ((p + q) + (t + t)) s + p q
-    - t t, the order of the expanded form above. The rates broadcast against
-    the heights of a family: delta is (*heights, n_rates), each row bit-equal to its height's.
+    delta depends on the rate alone, so the sweep runs once per distinct
+    rate (equal lattice eigenvalues give equal bits), on the flat vector
+    x = Y^2 r over every height of a family and every distinct rate; the
+    result is scaled by Y^{alpha-1}/d_s and expanded back to one entry per
+    rate. Interval j of the unit partition has local mass (a, b, e) =
+    (m_ll, m_lr, m_rr) and stiffness s, and the complement of the intervals
+    j..M-1 onto node j follows from G_{M-1} = a x + s by
+
+        G_j = (G_{j+1} (s + a x) + x (s (a + e + 2b) + (a e - b^2) x))/(G_{j+1} + s + e x).
+
+    Every term is positive (a e > b^2, since the local mass is positive
+    definite), so no step subtracts, as a sweep over the assembled
+    tridiagonal would with the large stiffness entries of the graded
+    intervals near y = 0. Each step adds only its own few roundings, and
+    the map from G_{j+1} to G_j has relative condition below 1, so earlier
+    ones do not grow. The two per-interval constants are scalars computed
+    once; a e - b^2 is the one subtraction, and it costs less than one bit:
+    a e < 1.5 (a e - b^2) on the default graded partitions for alpha in
+    [-0.95, 0.9]. delta is (*heights, n_rates), and each row is bit-equal
+    to its height's own.
     """
-    mll, mlr, mrr, s = weight_integrals(axis.nodes[..., :-1], axis.nodes[..., 1:], alpha)
-    r = np.asarray(rates, dtype=float)
-    G = r * mll[..., -1, None] + s[..., -1, None]
-    p, t, q, num, tmp = (np.empty_like(G) for _ in range(5))
+    a, b, e, s = (v.tolist() for v in weight_integrals(axis.unit[:-1], axis.unit[1:], alpha))
+    r, modes = np.unique(np.asarray(rates, dtype=float), return_inverse=True)
+    Y = np.asarray(axis.Y, dtype=float)
+    x = np.multiply.outer(Y * Y, r).ravel()
+    G = x * a[-1] + s[-1]
+    num, den = np.empty_like(G), np.empty_like(G)
     for j in range(axis.M - 2, -1, -1):
-        np.multiply(r, mll[..., j, None], out=p)
-        np.multiply(r, mlr[..., j, None], out=t)
-        np.multiply(r, mrr[..., j, None], out=q)
-        q += G
-        np.add(p, q, out=num)
-        num += np.add(t, t, out=tmp)
-        num *= s[..., j, None]
-        num += np.multiply(p, q, out=tmp)
-        num -= np.multiply(t, t, out=tmp)
-        np.divide(num, np.add(q, s[..., j, None], out=tmp), out=G)
-    G /= d_s
-    return G
+        # num and den of the step above, each a sum of positive terms
+        np.multiply(x, a[j] * e[j] - b[j] * b[j], out=num)
+        num += s[j] * (a[j] + e[j] + 2.0 * b[j])
+        num *= x
+        np.multiply(x, a[j], out=den)
+        den += s[j]
+        den *= G
+        num += den
+        np.multiply(x, e[j], out=den)
+        den += s[j]
+        den += G
+        np.divide(num, den, out=G)
+    G = G.reshape(*Y.shape, r.size)
+    G *= (Y ** (alpha - 1.0) / d_s)[..., None]
+    return G[..., modes]
 
 
 class CylinderSystem:
@@ -325,9 +345,10 @@ class CylinderSystem:
     docstring) it is diagonal after the axis elimination: ``delta[..., i]``,
     of shape (*heights, n_modes), is the Schur complement of mode i onto
     y = 0. ``march`` holds the per-mode time solves with rates ``delta.ravel()``:
-    for L1 it computes every mode's impulse response here, once (O(n K log K)
-    work, by Newton iteration), so each state or adjoint march is one FFT
-    convolution (O(n K log K)); for backward Euler a step costs one division per mode.
+    for L1 it computes the impulse response of every distinct rate here, once
+    (O(n K log K) work, by Newton iteration), so each state or adjoint march
+    is one FFT convolution (O(n K log K)); for backward Euler a step costs
+    one division per mode.
 
     Every Omega operator is kept as its 1D factor on the uniform partition
     with m cells and applied per axis as its n-fold Kronecker power

@@ -85,6 +85,7 @@ class GradedAxis:
     Y: float | tuple                # a sequence of heights makes a family of partitions
     zeta: float
     nodes: np.ndarray               # (*heights, M + 1): one row per height of a family
+    unit: np.ndarray                # (M + 1,): (m/M)^zeta, the partition every height scales
 
 
 def default_zeta(alpha: float) -> float:
@@ -104,11 +105,11 @@ def graded_axis(M: int, Y, zeta: float) -> GradedAxis:
         raise ParameterError(f"truncation height must satisfy Y >= 1, got {low}")
     if zeta < 1.0:
         raise ParameterError(f"grading exponent must be >= 1, got {zeta}")
-    m = np.arange(M + 1, dtype=float)
-    nodes = np.multiply.outer(heights, (m / M) ** zeta)
+    unit = (np.arange(M + 1, dtype=float) / M) ** zeta
+    nodes = np.multiply.outer(heights, unit)
     nodes[..., 0] = 0.0
     nodes[..., -1] = heights
-    return GradedAxis(M=M, Y=Y, zeta=zeta, nodes=nodes)
+    return GradedAxis(M=M, Y=Y, zeta=zeta, nodes=nodes, unit=unit)
 
 
 @dataclass(frozen=True)

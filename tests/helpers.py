@@ -196,6 +196,39 @@ def axis_recurrence(axis, alpha, rates, d_s):
     return G / d_s, psi
 
 
+def axis_schur_mp(M, Y, zeta, alpha, rates, d_s):
+    """Schur complements onto y = 0 of the axis blocks, in mpmath (dps 40), as floats.
+
+    The partition y_m = Y (m/M)^zeta, the weighted integrals (closed-form
+    moments) and the elimination of the assembled tridiagonal block (r M_y
+    + S_y)/d_s on axis nodes 0..M-1, from the top down, all run at 40
+    digits, far beyond any cancellation in them.
+    """
+    import mpmath as mp
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        y = [mp.mpf(Y) * (mp.mpf(m) / M) ** mp.mpf(zeta) for m in range(M + 1)]
+        mass, stiff = [], []
+        for y0, y1 in zip(y[:-1], y[1:]):
+            h2 = (y1 - y0) ** 2
+            i0, i1, i2 = ((y1 ** (a + k) - y0 ** (a + k)) / (a + k) for k in (1, 2, 3))
+            mass.append(((y1 * y1 * i0 - 2 * y1 * i1 + i2) / h2,
+                         ((y0 + y1) * i1 - i2 - y0 * y1 * i0) / h2,
+                         (i2 - 2 * y0 * i1 + y0 * y0 * i0) / h2))
+            stiff.append(i0 / h2)
+        out = []
+        for r in rates:
+            r = mp.mpf(r)
+            # node j's diagonal collects interval j's left end and interval j-1's right end
+            diag = [r * mass[j][0] + stiff[j] + (r * mass[j - 1][2] + stiff[j - 1] if j else 0)
+                    for j in range(M)]
+            G = diag[-1]
+            for j in range(M - 2, -1, -1):
+                G = diag[j] - (r * mass[j][1] - stiff[j]) ** 2 / G
+            out.append(float(G / mp.mpf(d_s)))
+    return np.array(out)
+
+
 def system_recurrence(system):
     """:func:`axis_recurrence` for the lattice modes and reaction of ``system``."""
     lam = system.mesh.omega.kept(lattice_factors)[1]

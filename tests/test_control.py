@@ -7,6 +7,7 @@ import pytest
 
 from fracopt import (ControlBounds, ProblemData, TimeGrid, build_omega, clamp,
                      l2_project, projected_bfgs, solve_control_problem, vi_residual)
+from fracopt import control
 from fracopt.control import ReducedProblem, control_norm, project_trace
 from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
@@ -121,6 +122,43 @@ def test_gradient_matches_finite_differences(gamma):
             fd = (reduced_cost(prob, z + eps * d) - reduced_cost(prob, z - eps * d)) / (2 * eps)
             best = min(best, abs(fd - directional) / abs(directional))
         assert best <= 1e-5
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_cost_keeps_its_roundoff_below_the_line_search_allowance(gamma):
+    # J is quadratic, so the trapezoid rule on the gradient gives its exact
+    # change: what is left is roundoff, which must stay well below the
+    # Armijo allowance (8 eps |J|) at the optimum, where it is decided
+    man, data, params, mesh, grid = _small_problem(gamma=gamma, M=6, K=16, mu=1e-2)
+    prob = ReducedProblem(data, params, mesh, grid)
+    z = solve_control_problem(data, params, mesh, grid, tol=1e-10, prob=prob).control.values
+    f, g = prob.cost_and_gradient(z)[:2]
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(50):
+        s = rng.standard_normal(z.shape)
+        s *= 1e-7 / math.sqrt(prob.weight * float(np.vdot(s, s)))
+        f1, g1 = prob.cost_and_gradient(z + s)[:2]
+        worst = max(worst, abs(f1 - f - 0.5 * prob.weight * float(np.vdot(g + g1, s))))
+    assert worst <= 32 * np.finfo(float).eps * abs(f)
+
+
+def test_no_forcing_matches_a_zero_forcing_callable(monkeypatch):
+    man, data, params, mesh, grid = _small_problem(gamma=0.5, M=5, K=6)
+    zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
+    z = np.random.default_rng(6).uniform(man.a, man.b, (grid.K, mesh.omega.n_cells))
+    ref = ReducedProblem(dataclasses.replace(data, forcing=zero), params, mesh, grid)
+    ref = ref.cost_and_gradient(z)[:2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("forcing loads were built for a None forcing")
+
+    monkeypatch.setattr(control, "forcing_loads", refuse)
+    prob = ReducedProblem(dataclasses.replace(data, forcing=None), params, mesh, grid)
+    assert prob.b_f_hat is None
+    f, g = prob.cost_and_gradient(z)[:2]
+    assert math.isclose(f, ref[0], rel_tol=1e-15)
+    assert np.abs(g - ref[1]).max() <= 1e-15 * np.abs(ref[1]).max()
 
 
 def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
