@@ -8,8 +8,8 @@ decay exp(-lambda^s t).
 import numpy as np
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
-                     build_cylinder, build_omega, default_zeta, graded_axis,
-                     make_params, select_truncation, solve_state)
+                     FractionalParams, build_cylinder, build_omega, default_zeta,
+                     graded_axis, select_truncation, solve_state)
 from fracopt.harness import l2Q_error
 from fracopt.oracle import mode
 
@@ -26,7 +26,7 @@ zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
 for M in (4, 8, 16):
     N_est = (M - 1) ** 2 * M
     Y = select_truncation(max(N_est, 8), s, 2)
-    params = make_params(s, 1.0)
+    params = FractionalParams(s, 1.0)
     zeta = default_zeta(params.alpha)
     mesh = build_cylinder(build_omega(2, M), graded_axis(M, Y, zeta))
     grid = TimeGrid(T=T, K=K)

@@ -10,7 +10,7 @@ piecewise-constant controls with a projected quasi-Newton method.
 """
 
 from .problem import (ControlBounds, FractionalParams, ParameterError,
-                      ProblemData, TimeGrid, make_params, select_truncation)
+                      ProblemData, TimeGrid, select_truncation)
 from .mesh import (CylinderMesh, GradedAxis, OmegaMesh, build_cylinder,
                    build_omega, default_zeta, graded_axis)
 from .assembly import assemble_stiffness, omega_quadrature, weight_integrals

@@ -105,20 +105,19 @@ def free_nodes(mesh: CylinderMesh) -> np.ndarray:
     return (mesh.omega.interior_idx[:, None] * Mp1 + np.arange(mesh.axis.M)).ravel()
 
 
-def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams, c: float = 0.0):
+def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams):
     """Weighted CSR stiffness of a_Y on free nodes (Dirichlet rows/cols removed).
 
-    Tensor form: (1/d_s) [ S_Omega x M_y + M_Omega x (S_y + c M_y) ] where
-    the axis factors carry the y^alpha weight in closed form.
+    Tensor form: (1/d_s) [ S_Omega x M_y + M_Omega x (S_y + c M_y) ] with
+    c = ``params.reaction``, where the axis factors carry the y^alpha weight
+    in closed form.
     """
-    if c < 0.0:
-        raise ParameterError(f"reaction coefficient must be >= 0, got {c}")
     import scipy.sparse as sp
     m_w, s_w = omega_matrices(mesh.omega)
     m_y, s_y = axis_matrices(mesh.axis, params.alpha)
     op = sp.kron(s_w, m_y) + sp.kron(m_w, s_y)
-    if c != 0.0:
-        op = op + c * sp.kron(m_w, m_y)
+    if params.reaction != 0.0:
+        op = op + params.reaction * sp.kron(m_w, m_y)
     op = (op / params.d_s).tocsr()
     free = free_nodes(mesh)
     return op[free][:, free].tocsr()

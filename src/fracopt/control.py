@@ -113,7 +113,8 @@ class ReducedProblem:
     of c1 = phi^T b1, is the modal map of the control loads
     (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
     :meth:`state` and :meth:`adjoint`, which run the nodal marches. The
-    problem builds its own ``system``, of (mesh, params, grid, data.reaction) of one height.
+    problem builds its own ``system``, of (mesh, params, grid) of one height; the
+    reaction is ``params.reaction``.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -124,7 +125,7 @@ class ReducedProblem:
         self.grid = grid
         if mesh.axis.nodes.ndim > 1:
             raise ParameterError(f"a control problem needs one height, not {mesh.axis.Y}")
-        self.system = CylinderSystem(mesh, params, grid, reaction=data.reaction)
+        self.system = CylinderSystem(mesh, params, grid)
         sysm = self.system
         self.cell_volume = mesh.omega.cell_volume
         self.weight = grid.tau * self.cell_volume

@@ -338,7 +338,7 @@ def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) ->
 
 
 class CylinderSystem:
-    """Operators of one (mesh, params, grid) and their modal step solve.
+    """Operators of one (mesh, params, grid) and their modal step solve; c is ``params.reaction``.
 
     The per-step matrix c_new*M_tr + A is constant because the time step is
     uniform. In the M_Omega-orthonormal lattice basis (see the module
@@ -368,18 +368,16 @@ class CylinderSystem:
     Supported case: unit cube, uniform lattice, A = I, constant c >= 0.
     """
 
-    def __init__(self, mesh: CylinderMesh, params: FractionalParams,
-                 grid: TimeGrid, reaction: float = 0.0):
+    def __init__(self, mesh: CylinderMesh, params: FractionalParams, grid: TimeGrid):
         self.mesh = mesh
         self.params = params
         self.grid = grid
-        self.reaction = reaction
 
         self.n = mesh.omega.n
         self.interior = mesh.omega.interior_idx
         self.phi, lam, self.m1, self.b1, self.c1 = mesh.omega.kept(lattice_factors)
         lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
-        self.delta = axis_schur(mesh.axis, params.alpha, lam + reaction, params.d_s)
+        self.delta = axis_schur(mesh.axis, params.alpha, lam + params.reaction, params.d_s)
         self.march = ModalMarch(self.delta.ravel(), params.gamma, grid.K, grid.tau)
 
     quad = property(lambda self: omega_quadrature(self.mesh.omega))
@@ -387,7 +385,7 @@ class CylinderSystem:
     @functools.cached_property
     def A_free(self):
         """Assembled weighted stiffness on the free nodes (sparse CSR)."""
-        return assemble_stiffness(self.mesh, self.params, c=self.reaction)
+        return assemble_stiffness(self.mesh, self.params)
 
     @property
     def n_interior(self) -> int:
@@ -546,15 +544,13 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
 def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Trajectory:
     """Fully discrete state solve of ``system`` for given data and (optional) control.
 
-    The system fixes mesh, orders, time grid and reaction: data of another
-    ``reaction`` raise ParameterError, as does a ``control`` that is not a
-    (K, n_cells) array; it adds B Z^{k+1} to the load of every step. With
-    the zero forcing (None) and no control there are no loads, and a height
-    family solves all its heights. Non-finite data raise it in the march.
+    The system fixes mesh, orders and reaction (``system.params``) and the
+    time grid; ``data`` gives the forcing and the initial datum. A
+    ``control`` that is not a (K, n_cells) array raises ParameterError; it
+    adds B Z^{k+1} to the load of every step. With the zero forcing (None)
+    and no control there are no loads, and a height family solves all its
+    heights. Non-finite data raise ParameterError in the march.
     """
-    if data.reaction != system.reaction:
-        raise ParameterError(f"data have the reaction {data.reaction}, but the system "
-                             f"was built for {system.reaction}")
     loads = None
     if data.forcing is not None:
         loads = forcing_loads(data.forcing, system.grid, system.quad)

@@ -23,8 +23,8 @@ from .evolution import CylinderSystem, solve_state
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
 from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
-from .problem import (ControlBounds, ParameterError, ProblemData, TimeGrid,
-                      make_params, select_truncation)
+from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData,
+                      TimeGrid, select_truncation)
 
 REPORT_COLUMNS = ["case", "s", "gamma", "M", "K", "N", "zeta", "Y",
                   "err_control", "err_state", "cost", "iters", "pg_norm"]
@@ -207,7 +207,7 @@ def build_setup(n: int, M: int, s: float, gamma: float, T: float, K: int,
     if Y is None:
         # the n_free of the mesh built below: M axis nodes per interior vertex
         Y = select_truncation(max(omega.interior_idx.size * M, 8), s, n)
-    params = make_params(s, gamma)
+    params = FractionalParams(s, gamma)
     if zeta is None:
         zeta = default_zeta(params.alpha)
     mesh = build_cylinder(omega, graded_axis(M, Y, zeta))
@@ -492,8 +492,7 @@ def run_oracle_check(config: ExperimentConfig) -> ConvergenceReport:
     md = mode(*([1] * config.n))
     coarse = spectral_solve_state([md], [1.0], None, gamma, 0.5, config.T, K_fine=256)
     fine = spectral_solve_state([md], [1.0], None, gamma, 0.5, config.T, K_fine=512)
-    checks.append(("spectral-self-convergence-diff",
-                   abs(coarse.final[0] - fine.final[0])))
+    checks.append(("spectral-self-convergence-diff", abs(coarse[-1, 0] - fine[-1, 0])))
 
     for name, value in checks:
         report.rows.append({"case": name, "s": config.s_list[0], "gamma": gamma,

@@ -4,13 +4,15 @@ The cylinder mesh is the tensor product of a uniform partition of
 Omega = (0,1)^n into n-rectangles and a partition of [0, Y] graded toward
 y = 0 by y_m = (m/M)^zeta Y, or a family of them, one per height Y. The
 solver never numbers the cylinder's nodes; the sparse oracles number them
-in :func:`fracopt.assembly.free_nodes`. Meshes are immutable after build.
+in :func:`fracopt.assembly.free_nodes`. A mesh takes only its inputs,
+checks them and sets its derived arrays when built, read-only.
 A lattice also keeps its Omega set-up (:meth:`OmegaMesh.kept`): its Gauss
 rule and the 1D factors of its operators are built on first use and
 shared, read-only, by every system on it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +22,28 @@ from .problem import ParameterError
 
 @dataclass(frozen=True)
 class OmegaMesh:
-    """Uniform mesh of the unit cube (0,1)^n into cubes of side h."""
+    """Uniform mesh of (0,1)^n of side h; vertices, and cells by lowest corner, row-major."""
 
     n: int
     cells_per_dim: int
-    vertices: np.ndarray           # ((cells_per_dim + 1)^n, n)
-    boundary_vertex_mask: np.ndarray
+    vertices: np.ndarray = field(init=False, repr=False, compare=False)  # ((m + 1)^n, n)
+    boundary_vertex_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ParameterError(f"dimension must be >= 1, got {self.n}")
+        if not self.cells_per_dim >= 1:
+            raise ParameterError(f"need cells_per_dim >= 1, got {self.cells_per_dim}")
+        n, m = self.n, self.cells_per_dim
+        coords = np.meshgrid(*[np.linspace(0.0, 1.0, m + 1)] * n, indexing="ij")
+        vertices = np.stack([x.ravel() for x in coords], axis=1)
+        boundary = np.ones((m + 1,) * n, dtype=bool)
+        boundary[(slice(1, -1),) * n] = False
+        boundary = boundary.ravel()
+        vertices.flags.writeable = boundary.flags.writeable = False
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "boundary_vertex_mask", boundary)
 
     def kept(self, build):
         """build(self), computed on the first call with ``build`` and returned on every later one.
@@ -58,34 +75,40 @@ class OmegaMesh:
 
 
 def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
-    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim.
-
-    Vertices, and cells by their lowest corner, are numbered row-major.
-    """
-    if n < 1:
-        raise ParameterError(f"dimension must be >= 1, got {n}")
-    if cells_per_dim < 1:
-        raise ParameterError("need at least one cell per dimension")
-    m = cells_per_dim
-    shape = (m + 1,) * n
-    coords = np.meshgrid(*[np.linspace(0.0, 1.0, m + 1)] * n, indexing="ij")
-    vertices = np.stack([x.ravel() for x in coords], axis=1)
-    boundary = np.ones(shape, dtype=bool)
-    boundary[(slice(1, -1),) * n] = False
-    boundary = boundary.ravel()
-    vertices.flags.writeable = boundary.flags.writeable = False
-    return OmegaMesh(n=n, cells_per_dim=m, vertices=vertices, boundary_vertex_mask=boundary)
+    """Uniform lattice mesh of (0,1)^n with spacing 1/cells_per_dim."""
+    return OmegaMesh(n, cells_per_dim)
 
 
 @dataclass(frozen=True)
 class GradedAxis:
-    """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y; Y >= 1 is the cylinder's height."""
+    """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y; Y >= 1 is the cylinder's height.
+
+    A sequence of heights makes a family of partitions, one per height. M >= 1,
+    every Y and zeta >= 1 (1: uniform) must be finite; ``unit`` is (m/M)^zeta.
+    """
 
     M: int
-    Y: float | tuple                # a sequence of heights makes a family of partitions
+    Y: float | tuple
     zeta: float
-    nodes: np.ndarray               # (*heights, M + 1): one row per height of a family
-    unit: np.ndarray                # (M + 1,): (m/M)^zeta, the partition every height scales
+    unit: np.ndarray = field(init=False, repr=False, compare=False)    # (M + 1,)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)   # (*heights, M + 1)
+
+    def __post_init__(self):
+        if not self.M >= 1:
+            raise ParameterError(f"empty axis mesh: need M >= 1 intervals, got {self.M}")
+        heights = np.asarray(self.Y, dtype=float)
+        low = heights.min() if heights.size else np.nan     # an empty family is refused too
+        if not low >= 1.0:
+            raise ParameterError(f"truncation height must satisfy Y >= 1, got {low}")
+        if not np.isfinite(heights).all():
+            raise ParameterError(f"truncation height must be finite, got {heights.max()}")
+        if not (math.isfinite(self.zeta) and self.zeta >= 1.0):
+            raise ParameterError(f"grading exponent must be finite and >= 1, got {self.zeta}")
+        unit = (np.arange(self.M + 1, dtype=float) / self.M) ** self.zeta
+        nodes = np.multiply.outer(heights, unit)
+        unit.flags.writeable = nodes.flags.writeable = False
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def default_zeta(alpha: float) -> float:
@@ -96,20 +119,8 @@ def default_zeta(alpha: float) -> float:
 
 
 def graded_axis(M: int, Y, zeta: float) -> GradedAxis:
-    """Graded partition of [0, Y], Y >= 1, or one per height Y of a family; zeta = 1: uniform."""
-    if M < 1:
-        raise ParameterError("empty axis mesh: need M >= 1 intervals")
-    heights = np.asarray(Y, dtype=float)
-    low = heights.min() if heights.size else np.nan     # an empty family is refused too
-    if not low >= 1.0:
-        raise ParameterError(f"truncation height must satisfy Y >= 1, got {low}")
-    if zeta < 1.0:
-        raise ParameterError(f"grading exponent must be >= 1, got {zeta}")
-    unit = (np.arange(M + 1, dtype=float) / M) ** zeta
-    nodes = np.multiply.outer(heights, unit)
-    nodes[..., 0] = 0.0
-    nodes[..., -1] = heights
-    return GradedAxis(M=M, Y=Y, zeta=zeta, nodes=nodes, unit=unit)
+    """Graded partition of [0, Y], Y >= 1, or one per height Y of a family."""
+    return GradedAxis(M, Y, zeta)
 
 
 @dataclass(frozen=True)

@@ -103,23 +103,13 @@ def caputo_right(gprime: Callable, gamma: float, t, T: float) -> np.ndarray:
 
 # -- per-mode evolution -------------------------------------------------------
 
-@dataclass
-class ModalTrajectories:
-    """Per-mode solution samples on a fine uniform grid."""
-
-    times: np.ndarray
-    coeffs: np.ndarray             # (K_fine + 1, n_modes)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.coeffs[-1]
-
-
 def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
                          gamma: float, s: float, T: float,
-                         K_fine: int = 1024) -> ModalTrajectories:
+                         K_fine: int = 1024) -> np.ndarray:
     """Reference evolution of d_t^gamma u_k + lambda_k^s u_k = g_k e^t.
 
+    Returns the (K_fine + 1, n_modes) coefficients at the times
+    ``linspace(0, T, K_fine + 1)``, row j at time j T/K_fine.
     ``forcing`` is None (no forcing) or an array of amplitudes g_k, one per
     mode. With gamma = 1 the closed form
 
@@ -143,14 +133,13 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     if gamma >= 1.0:
         part = amps / (1.0 + lam_s)
         t = times[:, None]
-        coeffs = (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
-        return ModalTrajectories(times=times, coeffs=coeffs)
+        return (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
 
     march = ModalMarch(lam_s, gamma, K_fine, T / K_fine)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
     march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0, out=coeffs[1:])
-    return ModalTrajectories(times=times, coeffs=coeffs)
+    return coeffs
 
 
 # -- manufactured optimal control problem -------------------------------------

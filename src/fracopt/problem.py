@@ -4,13 +4,13 @@ The state equation is a parabolic problem with Caputo time derivative of
 order ``gamma`` in (0, 1] and a spectral fractional diffusion of order
 ``s`` in (0, 1) on Omega = (0, 1)^n, realized through a degenerate elliptic
 extension on the cylinder Omega x (0, Y) with weight y^alpha, alpha = 1 - 2s.
-Everything in this module is immutable after construction and safe to share
-between threads.
+Every type here takes only its inputs, checks them (ParameterError) and sets
+what derives from them at construction; all are immutable and thread-safe.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,35 +22,34 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class FractionalParams:
-    """Fractional orders and derived constants; the cylinder height is ``mesh.axis.Y``.
+    """Orders and reaction of the operator d_t^gamma + L^s, L = -Laplace + c; Y is ``mesh.axis.Y``.
 
     Attributes
     ----------
     s : spatial fractional order, 0 < s < 1.
     gamma : temporal order, 0 < gamma <= 1 (gamma = 1 is the classical case).
-    alpha : extension weight exponent, always 1 - 2*s.
-    d_s : normalization constant 2^alpha * Gamma(1-s) / Gamma(s).
+    reaction : the constant c >= 0, finite.
+    alpha, d_s : derived at construction (and by ``dataclasses.replace``), not
+        compared: 1 - 2s and 2^alpha Gamma(1-s)/Gamma(s), which is 1 at s = 1/2.
     """
 
     s: float
     gamma: float
-    alpha: float
-    d_s: float
+    reaction: float = 0.0
+    alpha: float = field(init=False, compare=False)
+    d_s: float = field(init=False, compare=False)
 
-
-def make_params(s: float, gamma: float) -> FractionalParams:
-    """Validate (s, gamma) and attach the derived constants.
-
-    alpha = 1 - 2s and d_s = 2^alpha Gamma(1-s)/Gamma(s); for s = 1/2 the
-    weight disappears (alpha = 0) and d_s = 1 exactly.
-    """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"spatial order s must lie in (0, 1), got {s}")
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"temporal order gamma must lie in (0, 1], got {gamma}")
-    alpha = 1.0 - 2.0 * s
-    d_s = 2.0 ** alpha * math.gamma(1.0 - s) / math.gamma(s)
-    return FractionalParams(s=s, gamma=gamma, alpha=alpha, d_s=d_s)
+    def __post_init__(self):
+        if not 0.0 < self.s < 1.0:
+            raise ParameterError(f"spatial order s must lie in (0, 1), got {self.s}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ParameterError(f"temporal order gamma must lie in (0, 1], got {self.gamma}")
+        if not (math.isfinite(self.reaction) and self.reaction >= 0.0):
+            raise ParameterError(f"reaction c must be finite and >= 0, got {self.reaction}")
+        alpha = 1.0 - 2.0 * self.s
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "d_s", 2.0 ** alpha * math.gamma(1.0 - self.s)
+                           / math.gamma(self.s))
 
 
 def select_truncation(N: int, s: float, n: int) -> float:
@@ -84,8 +83,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.K < 1:
             raise ParameterError(f"need at least one time step, got K = {self.K}")
-        if self.T <= 0.0:
-            raise ParameterError(f"final time must be positive, got T = {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ParameterError(f"final time must be finite and positive, got T = {self.T}")
 
     @property
     def tau(self) -> float:
@@ -109,8 +108,8 @@ class ControlBounds:
         # projection maps admissible controls to admissible controls.
         if not self.a <= 0.0 <= self.b:
             raise ParameterError(f"bounds must satisfy a <= 0 <= b, got [{self.a}, {self.b}]")
-        if self.mu <= 0.0:
-            raise ParameterError(f"regularization weight must be positive, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ParameterError(f"regularization weight must be finite and > 0, got {self.mu}")
 
 
 Evaluable = Callable[..., np.ndarray]
@@ -127,16 +126,11 @@ class ProblemData:
     written with numpy operations (``np.exp(t)``, not ``math.exp(t)``); a
     result of the wrong shape or with non-finite values raises
     ParameterError. Either may be None, the zero datum: its loads are zero
-    and it is never evaluated. ``initial`` takes only the points.
-    ``reaction`` is the constant c >= 0 of the elliptic operator.
+    and it is never evaluated. ``initial`` takes only the points. The
+    reaction c of the operator is the system's, ``FractionalParams.reaction``.
     """
 
     forcing: Evaluable | None
     desired_state: Evaluable | None
     initial: Evaluable
     bounds: ControlBounds
-    reaction: float = 0.0
-
-    def __post_init__(self):
-        if self.reaction < 0.0:
-            raise ParameterError(f"reaction coefficient must be >= 0, got {self.reaction}")

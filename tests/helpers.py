@@ -9,9 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fracopt import (ControlBounds, CylinderSystem, ProblemData, build_cylinder, build_omega,
-                     caputo_weights, clamp, graded_axis, make_params, solve_state,
-                     weight_integrals)
+from fracopt import (ControlBounds, CylinderSystem, FractionalParams, ProblemData,
+                     build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
+                     solve_state, weight_integrals)
 from fracopt.assembly import assemble_stiffness, omega_matrices
 from fracopt.evolution import lattice_factors
 from fracopt.harness import (ConvergenceReport, ExperimentConfig, apply_settings,
@@ -70,7 +70,7 @@ def check_weight_integrals(rng, cases=12, tol=1e-10):
 
 
 def build_test_mesh(n=2, M=6, s=0.6, Y=1.5, zeta=None):
-    params = make_params(s, 1.0)
+    params = FractionalParams(s, 1.0)
     if zeta is None:
         zeta = default_zeta(params.alpha)
     mesh = build_cylinder(build_omega(n, M), graded_axis(M, Y, zeta))
@@ -233,7 +233,7 @@ def system_recurrence(system):
     """:func:`axis_recurrence` for the lattice modes and reaction of ``system``."""
     lam = system.mesh.omega.kept(lattice_factors)[1]
     lam = functools.reduce(np.add.outer, [lam] * system.n).ravel()
-    return axis_recurrence(system.mesh.axis, system.params.alpha, lam + system.reaction,
+    return axis_recurrence(system.mesh.axis, system.params.alpha, lam + system.params.reaction,
                            system.params.d_s)
 
 

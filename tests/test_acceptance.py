@@ -14,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
-                     apply_discrete_caputo, caputo_weights, clamp,
-                     make_params, select_truncation, solve_state)
+from fracopt import (ControlBounds, CylinderSystem, FractionalParams, ProblemData,
+                     TimeGrid, apply_discrete_caputo, caputo_weights, clamp,
+                     select_truncation, solve_state)
 from fracopt.control import ReducedProblem, control_norm, project_trace, vi_residual
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.harness import (ExperimentConfig, build_setup, manufactured_data,
@@ -142,7 +142,7 @@ def test_criterion_6_discrete_optimality(space_sweep):
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_criterion_7_duality_identity(gamma):
     mesh, params = build_test_mesh(n=2, M=4, s=0.3)
-    params = make_params(params.s, gamma)
+    params = FractionalParams(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     rng = np.random.default_rng(23)
@@ -190,7 +190,7 @@ def test_criterion_9_oracle_agreement():
         lam_s = md.lam ** s
         errs = []
         for M in (4, 8, 16):
-            params = make_params(s, 1.0)
+            params = FractionalParams(s, 1.0)
             mesh = build_cylinder(build_omega(2, M),
                                   graded_axis(M, Y, default_zeta(params.alpha)))
             grid = TimeGrid(T=T, K=K)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -60,8 +61,9 @@ def test_operator_symmetry_and_spd():
 def test_stiffness_scaling_in_ds():
     mesh, params = build_test_mesh(n=1, M=6, s=0.7)
     A = assemble_stiffness(mesh, params)
-    halved = params.__class__(s=params.s, gamma=params.gamma, alpha=params.alpha,
-                              d_s=params.d_s / 2.0)
+    # FractionalParams derives d_s from s, so the halved constant is a stand-in
+    halved = types.SimpleNamespace(alpha=params.alpha, d_s=params.d_s / 2.0,
+                                   reaction=params.reaction)
     A2 = assemble_stiffness(mesh, halved)
     gap = abs(A2 - 2.0 * A)
     assert gap.max() <= 1e-12 * abs(A).max()

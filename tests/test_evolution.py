@@ -12,7 +12,7 @@ from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
 from fracopt.evolution import adjoint_march, state_march
 from fracopt.oracle import manufactured_problem, mode
-from fracopt.problem import ParameterError, make_params
+from fracopt.problem import FractionalParams, ParameterError
 from fracopt.mesh import build_cylinder, default_zeta, graded_axis
 from fracopt.harness import (ExperimentConfig, build_setup, l2Q_error, manufactured_data,
                              run_truncation_study)
@@ -155,14 +155,14 @@ def test_initialize_state_energy_bounded_across_refinements():
 
 def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch):
     mesh, params = build_test_mesh(n=2, M=5, s=0.4)
-    params = make_params(params.s, 0.5)
+    params = FractionalParams(params.s, 0.5, reaction=0.7)
     grid = TimeGrid(T=1.0, K=4)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the modal march does not need the assembled stiffness")
 
     monkeypatch.setattr(evolution, "assemble_stiffness", refuse)
-    system = CylinderSystem(mesh, params, grid, reaction=0.7)
+    system = CylinderSystem(mesh, params, grid)
     md = mode(1, 2)
     trace0 = system.initial_field(lambda x: md(x))
     loads = np.ones((grid.K, system.n_interior))
@@ -171,7 +171,7 @@ def test_system_marches_without_stiffness_and_assembles_it_on_demand(monkeypatch
     monkeypatch.undo()
     # A_free is assembled on first use, kept, and gives the assembled energy
     v0 = extension_field(system, lambda x: md(x))
-    A = assemble_stiffness(mesh, params, c=0.7)
+    A = assemble_stiffness(mesh, params)
     assert math.isclose(float(v0 @ (system.A_free @ v0)), float(v0 @ (A @ v0)), rel_tol=1e-14)
     assert system.A_free is system.A_free
 
@@ -193,9 +193,9 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
         monkeypatch.setitem(sys.modules, name, None)
     oracle._jacobi_rule.cache_clear()
     mesh, params = build_test_mesh(n=n, M=5, s=0.4)
-    params = make_params(params.s, gamma)
+    params = FractionalParams(params.s, gamma)
     grid = TimeGrid(T=1.0, K=4)
-    system = CylinderSystem(mesh, params, grid, reaction=0.7)
+    system = CylinderSystem(mesh, dataclasses.replace(params, reaction=0.7), grid)
     md = mode(*([1] * n))
     trace0 = system.initial_field(lambda x: md(x))
     loads = system.control_loads(np.ones((grid.K, mesh.omega.n_cells)))
@@ -217,7 +217,7 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
 def test_zero_data_zero_trajectories():
     for gamma in (1.0, 0.5):
         mesh, params = build_test_mesh(n=1, M=4, s=0.5)
-        params = make_params(params.s, gamma)
+        params = FractionalParams(params.s, gamma)
         grid = TimeGrid(T=1.0, K=5)
         data = ProblemData(forcing=zero_f, desired_state=zero_f,
                            initial=zero_u0, bounds=WIDE)
@@ -297,7 +297,7 @@ def test_adjoint_approximates_manufactured_adjoint():
 def test_duality_identity(gamma):
     rng = np.random.default_rng(100 + int(10 * gamma))
     mesh, params = build_test_mesh(n=2, M=4, s=0.3)
-    params = make_params(params.s, gamma)
+    params = FractionalParams(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     for _ in range(5):
@@ -344,17 +344,13 @@ def test_lambda_diagnostic_identity_and_closed_form():
         assert math.isclose(got, expected, rel_tol=1e-13)
 
 
-def test_solve_state_rejects_data_of_another_reaction():
+def test_solve_state_of_a_reaction_equals_the_control_problems_state():
     mesh, params = build_test_mesh(n=1, M=4, s=0.5)
-    grid = TimeGrid(T=1.0, K=5)
+    params, grid = dataclasses.replace(params, reaction=0.7), TimeGrid(T=1.0, K=5)
     md = mode(1)
     data = ProblemData(forcing=zero_f, desired_state=zero_f,
-                       initial=lambda x: md(x), bounds=WIDE, reaction=0.7)
-    with pytest.raises(ParameterError, match="reaction"):
-        solve_state(CylinderSystem(mesh, params, grid), data)
-    # the system of that reaction solves it, as the control problem's does
-    system = CylinderSystem(mesh, params, grid, reaction=0.7)
-    traj = solve_state(system, data)
+                       initial=lambda x: md(x), bounds=WIDE)
+    traj = solve_state(CylinderSystem(mesh, params, grid), data)
     ref = ReducedProblem(data, params, mesh, grid).state(np.zeros((grid.K, mesh.omega.n_cells)))
     assert np.array_equal(traj.traces, ref.traces)
 
@@ -375,7 +371,7 @@ def test_solve_state_control_shape_mismatch():
 def test_marches_reject_non_finite_traces(gamma, step):
     # the first, a middle and the last step of the state march
     mesh, params = build_test_mesh(n=2, M=4, s=0.5)
-    params = make_params(params.s, gamma)
+    params = FractionalParams(params.s, gamma)
     grid = TimeGrid(T=1.0, K=6)
     system = CylinderSystem(mesh, params, grid)
     loads = np.zeros((grid.K, system.n_interior))
@@ -464,18 +460,17 @@ def test_truncation_study_evaluates_no_datum(gamma, monkeypatch):
 @pytest.mark.parametrize("M", [8, 20, 64])
 def test_delta_matches_the_profile_recurrence(M, gamma, c):
     mesh, params = build_test_mesh(n=2, M=M, s=0.35)
-    system = CylinderSystem(mesh, make_params(params.s, gamma), TimeGrid(T=1.0, K=4),
-                            reaction=c)
+    system = CylinderSystem(mesh, FractionalParams(params.s, gamma, reaction=c),
+                            TimeGrid(T=1.0, K=4))
     delta, psi = system_recurrence(system)
     assert np.abs(system.delta / delta - 1.0).max() <= 8e-15
     assert psi.shape == (system.n_interior, M) and np.all(psi[:, 0] == 1.0)
     # a height family holds, row by row, the bits of each height's own system
     heights = (1.0, mesh.axis.Y, 3.0)
-    family = CylinderSystem(family_mesh(mesh, heights), system.params, system.grid,
-                            reaction=c)
+    family = CylinderSystem(family_mesh(mesh, heights), system.params, system.grid)
     assert family.delta.shape == (3, system.n_interior)
     for Y, row in zip(heights, family.delta):
-        single = CylinderSystem(family_mesh(mesh, Y), system.params, system.grid, reaction=c)
+        single = CylinderSystem(family_mesh(mesh, Y), system.params, system.grid)
         assert np.array_equal(row, single.delta)
 
 
@@ -485,7 +480,7 @@ def test_delta_matches_the_profile_recurrence(M, gamma, c):
 def test_delta_is_as_accurate_as_the_profile_recurrence(s, M, Y):
     # against 40-digit elimination of the assembled block, over each
     # lattice's range of rates: the unit-height sweep loses nothing
-    params = make_params(s, 1.0)
+    params = FractionalParams(s, 1.0)
     axis = graded_axis(M, Y, default_zeta(params.alpha))
     lam = evolution.lattice_modes(M)[1]
     eps = np.finfo(float).eps
@@ -508,7 +503,7 @@ def family_mesh(mesh, heights):
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_a_height_family_marches_each_heights_traces_bit_for_bit(n, gamma):
     mesh = build_test_mesh(n=n, M=8 if n == 1 else 5, s=0.4)[0]
-    params, grid = make_params(0.4, gamma), TimeGrid(T=0.5, K=6)
+    params, grid = FractionalParams(0.4, gamma), TimeGrid(T=0.5, K=6)
     data = ProblemData(forcing=None, desired_state=None, initial=mode(*[1] * n), bounds=WIDE)
     heights = (1.0, 1.5, 2.5)
     traces = solve_state(CylinderSystem(family_mesh(mesh, heights), params, grid), data).traces

@@ -485,6 +485,21 @@ def test_cli_rejects_grading_exponent_below_one(tmp_path, kind):
     assert not (out / "report.csv").exists()
 
 
+# each reached a march or a data evaluation before it failed
+NON_FINITE = [("zeta", "nan", "grading exponent"), ("T", "nan", "final time"),
+              ("T", "inf", "final time"), ("Y", "inf", "truncation height"),
+              ("mu", "nan", "regularization weight")]
+
+
+@pytest.mark.parametrize("name, value, what", NON_FINITE)
+def test_cli_rejects_non_finite_inputs_naming_them(tmp_path, name, value, what):
+    out = tmp_path / "cli"
+    with pytest.raises(ParameterError, match=f"{what} .* {value}$"):
+        cli_main(["solve-control", "--M", "4", "--K", "4", f"--{name}", value,
+                  "--out", str(out)])
+    assert not (out / "report.csv").exists()
+
+
 @pytest.mark.parametrize("name, value", UNREACHABLE_STOPS + [("tol", "inf"), ("tol", "0")])
 def test_config_rejects_unreachable_stopping_rule(name, value):
     with pytest.raises(ParameterError, match=name):

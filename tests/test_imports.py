@@ -258,7 +258,7 @@ codes = [main(["solve-control", "--s", "0.4", "--M", "4", "--K", "8", "--gamma",
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import fracopt
 mesh = fracopt.build_cylinder(fracopt.build_omega(2, 3), fracopt.graded_axis(3, 1.5, 1.2))
-stiff = fracopt.assemble_stiffness(mesh, fracopt.make_params(0.4, 1.0))
+stiff = fracopt.assemble_stiffness(mesh, fracopt.FractionalParams(0.4, 1.0))
 print(json.dumps({"codes": codes, "loaded": loaded, "format": stiff.format,
                   "shape": list(stiff.shape), "free": int(mesh.n_free)}))
 """

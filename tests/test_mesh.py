@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracopt import (assemble_stiffness, build_cylinder, build_omega, default_zeta,
-                     graded_axis, make_params)
+from fracopt import (FractionalParams, assemble_stiffness, build_cylinder, build_omega,
+                     default_zeta, graded_axis)
 from fracopt.assembly import free_nodes
 from fracopt.problem import ParameterError
 
@@ -157,7 +157,7 @@ def test_node_count_product():
 
 @pytest.mark.parametrize("n,Ms", [(1, (1, 2, 5, 16)), (2, (1, 2, 4, 7)), (3, (1, 2, 3, 5))])
 def test_free_nodes_match_dirichlet_geometry_and_stiffness_size(n, Ms):
-    params = make_params(0.4, 1.0)
+    params = FractionalParams(0.4, 1.0)
     for M in Ms:
         mesh = build_cylinder(build_omega(n, M), graded_axis(M, 1.5, 2.0))
         # the free nodes are exactly the non-Dirichlet ones, in ascending order

@@ -17,8 +17,8 @@ from helpers import B_int, M_int, build_test_mesh, nodal_cost_and_gradient, rel_
 def make_problem(n, gamma, c):
     man = manufactured_problem(0.5, 1.0, 1.0, gamma=gamma, n=n)
     mesh, params, grid = build_setup(n, 8 if n == 1 else 4, 0.5, gamma, 1.0, 6)
-    data = dataclasses.replace(manufactured_data(man, 1.0), reaction=c)
-    return ReducedProblem(data, params, mesh, grid)
+    params = dataclasses.replace(params, reaction=c)
+    return ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.7])

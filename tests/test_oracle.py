@@ -34,11 +34,13 @@ def test_eigenfunction_orthonormality_under_quadrature():
 
 def test_spectral_homogeneous_decay():
     md = mode(1, 1)
-    out = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 1.0, K_fine=32)
+    coeffs = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 1.0, K_fine=32)
     lam_s = md.lam ** 0.6
-    assert np.allclose(out.coeffs[:, 0], np.exp(-lam_s * out.times), rtol=1e-12)
-    out = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 0.37, K_fine=32)
-    assert out.final[0] == pytest.approx(math.exp(-lam_s * 0.37), rel=1e-12)
+    times = np.linspace(0.0, 1.0, 33)
+    assert coeffs.shape == (33, 1)
+    assert np.allclose(coeffs[:, 0], np.exp(-lam_s * times), rtol=1e-12)
+    coeffs = spectral_solve_state([md], [1.0], None, 1.0, 0.6, 0.37, K_fine=32)
+    assert coeffs[-1, 0] == pytest.approx(math.exp(-lam_s * 0.37), rel=1e-12)
 
 
 def test_spectral_exponential_forcing_reproduces_exp():
@@ -46,16 +48,15 @@ def test_spectral_exponential_forcing_reproduces_exp():
     md = mode(2, 2)
     for s in (0.2, 0.7):
         lam_s = md.lam ** s
-        out = spectral_solve_state([md], [1.0], [1.0 + lam_s], 1.0, s, 1.0, K_fine=16)
-        assert np.allclose(out.coeffs[:, 0], np.exp(out.times), rtol=1e-12)
+        coeffs = spectral_solve_state([md], [1.0], [1.0 + lam_s], 1.0, s, 1.0, K_fine=16)
+        assert np.allclose(coeffs[:, 0], np.exp(np.linspace(0.0, 1.0, 17)), rtol=1e-12)
 
 
 def test_spectral_l1_self_convergence():
     md = mode(1, 1)
     vals = []
     for K_fine in (64, 128, 256):
-        out = spectral_solve_state([md], [1.0], None, 0.5, 0.5, 1.0, K_fine=K_fine)
-        vals.append(out.final[0])
+        vals.append(spectral_solve_state([md], [1.0], None, 0.5, 0.5, 1.0, K_fine=K_fine)[-1, 0])
     d1 = abs(vals[1] - vals[0])
     d2 = abs(vals[2] - vals[1])
     assert d2 * 1.3 <= d1
@@ -70,12 +71,11 @@ def test_spectral_solution_satisfies_stability_bound():
     for md in (mode(1, 1), mode(2, 2), mode(3, 1)):
         lam_s = md.lam ** s
         amp = 1.0
-        out = spectral_solve_state([md], [1.0], [amp], gamma, s, T, K_fine=K_fine)
-        u = out.coeffs[:, 0]
+        u = spectral_solve_state([md], [1.0], [amp], gamma, s, T, K_fine=K_fine)[:, 0]
         lhs = lambda_diagnostic(u ** 2, gamma, grid) \
             + grid.tau * float(np.sum(lam_s * u[1:] ** 2))
         # Lambda^2 = I^{1-gamma}||u0||^2-part is 1 for unit data; forcing in H^{-s}
-        forcing_sq = (amp * np.exp(out.times[1:])) ** 2 / lam_s
+        forcing_sq = (amp * np.exp(grid.nodes[1:])) ** 2 / lam_s
         rhs = 1.0 + grid.tau * float(np.sum(forcing_sq))
         ratios.append(lhs / rhs)
     assert max(ratios) <= 4.0 * min(ratios)
