@@ -10,19 +10,19 @@ from fracopt import (ControlBounds, FractionalParams, GradedAxis, OmegaMesh, Par
 NAN, INF = float("nan"), float("inf")
 
 
-def test_params_half():
+def test_make_params_half():
     p = FractionalParams(0.5, 1.0)
     assert p.alpha == 0.0
     assert p.d_s == 1.0
     assert p.reaction == 0.0
 
 
-def test_params_alpha():
+def test_make_params_alpha():
     p = FractionalParams(0.8, 1.0)
     assert math.isclose(p.alpha, -0.6, rel_tol=0, abs_tol=1e-15)
 
 
-def test_params_quarter_normalization():
+def test_make_params_quarter_normalization():
     # gamma-function route validated against integer factorials
     assert math.gamma(5) == 24.0
     assert math.gamma(7) == 720.0
@@ -35,7 +35,7 @@ def test_params_quarter_normalization():
 @pytest.mark.parametrize("s,gamma,Y", [(0.0, 1.0, 1.0), (1.0, 1.0, 1.0),
                                        (0.5, 0.0, 1.0), (0.5, 1.5, 1.0),
                                        (0.5, 1.0, 0.5)])
-def test_params_domain_errors(s, gamma, Y):
+def test_make_params_domain_errors(s, gamma, Y):
     # the orders are the params' to check, the height the mesh axis's
     with pytest.raises(ParameterError):
         graded_axis(4, Y, default_zeta(FractionalParams(s, gamma).alpha))
