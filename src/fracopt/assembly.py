@@ -18,9 +18,12 @@ serve the test oracles and ``CylinderSystem.A_free``; each imports
 :func:`free_nodes`.
 The lattice keeps its rule (:func:`omega_quadrature`), so every system on
 one lattice evaluates its space-time data at the one read-only
-``OmegaQuadrature.points`` array, once per block of time steps
-(:func:`step_blocks`, :func:`time_average`): a data callable may keep its
-spatial factor between calls as long as it checks that array.
+``OmegaQuadrature.points`` array. A plain data callable is called once per
+block of time steps (:func:`step_blocks`, :func:`time_average`). A
+separable datum (:class:`~fracopt.problem.Separable`) has each spatial
+factor evaluated once per use (:func:`at_points`, :func:`factor_values`)
+and its time profiles once per step block or once per grid
+(:func:`step_means`).
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
-from .problem import FractionalParams, ParameterError, TimeGrid
+from .problem import FractionalParams, ParameterError, TimeGrid, separable
 
 
 def weight_integrals(y0, y1, alpha: float):
@@ -234,39 +237,92 @@ def step_blocks(grid: TimeGrid, n_points: int):
         yield slice(start, stop), k * grid.tau, (k + 1) * grid.tau
 
 
-def evaluate_data(f, points: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """f(points, t) for a (q, 1) column of times, as a checked (q, n_points) array.
+def _checked(vals, shape, what: str) -> np.ndarray:
+    """vals as a float array broadcast to ``shape``.
 
-    Raises ParameterError naming ``what`` when the result does not
-    broadcast to (q, n_points) or holds a non-finite value; errors raised
-    by f itself propagate unchanged.
+    Raises ParameterError naming ``what`` when vals does not broadcast to
+    ``shape`` or holds a non-finite value.
     """
-    shape = (t.shape[0], points.shape[0])
-    vals = np.asarray(f(points, t), dtype=float)
+    vals = np.asarray(vals, dtype=float)
     try:
         vals = np.broadcast_to(vals, shape)
     except ValueError:
         raise ParameterError(f"{what} returned shape {vals.shape}, which does not "
-                             f"broadcast to (times, points) = {shape}") from None
+                             f"broadcast to {shape}") from None
     if not np.isfinite(vals).all():
         raise ParameterError(f"{what} returned non-finite values")
     return vals
 
 
-def time_average(f, points: np.ndarray, t0, t1, what: str = "data",
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Averages of f(points, .) over the steps [t0, t1] by the 2-point Gauss rule.
+def time_profiles(terms, t: np.ndarray, what: str) -> np.ndarray:
+    """(len(t), J): the time profiles g_j of J separable terms at a 1D array of times, checked."""
+    return np.stack([_checked(term.time(t), t.shape, what) for term in terms], axis=1)
 
-    ``t0`` and ``t1`` are float arrays of shape (m,). f is called once,
-    with the (2m, 1) column of all Gauss times and the same ``points`` array
-    on every call; the two Gauss rows are averaged into one array of shape
-    (m, n_points). That array is fresh, or ``out[:m]`` when ``out`` is
-    given: a block loop passes the previous block's averages back, so all
-    its blocks share one buffer.
-    """
+
+def factor_values(terms, points: np.ndarray, what: str) -> np.ndarray:
+    """(J, n_points): the spatial factors phi_j of J separable terms at the points, checked."""
+    return np.stack([_checked(term.space(points), points.shape[:1], what) for term in terms])
+
+
+def _gauss_times(t0, t1) -> np.ndarray:
+    """The 2-point Gauss times of the steps [t0, t1]: first every step's left one, then its right one."""
     span = t1 - t0
-    times = np.concatenate([t0 + span * _GAUSS2_P[0], t0 + span * _GAUSS2_P[1]])
-    vals = evaluate_data(f, points, times[:, None], what)
+    return np.concatenate([t0 + span * _GAUSS2_P[0], t0 + span * _GAUSS2_P[1]])
+
+
+def step_means(terms, grid: TimeGrid, what: str) -> np.ndarray:
+    """(K, J): the 2-point Gauss averages over every step of the terms' time profiles."""
+    k = np.arange(grid.K)
+    g = time_profiles(terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
+    avg = g[:grid.K] + g[grid.K:]
+    avg *= 0.5
+    return avg
+
+
+def at_points(f, points: np.ndarray, what: str):
+    """f at fixed ``points`` as a function of time: ``values(t)``, (q, n_points) for a (q, 1) column t.
+
+    A plain callable is called as f(points, t) on every call; errors it
+    raises propagate unchanged. A separable f
+    (:func:`~fracopt.problem.separable`) has each spatial factor phi_j
+    evaluated here, once; a call then writes sum_j psi_j(g_j(t) phi_j) into
+    one buffer that every later call reuses, and returns a view of it (a
+    second term takes a temporary per call). The values are checked
+    (ParameterError naming ``what`` for a wrong shape or a non-finite value).
+    """
+    sep = separable(f)
+    if sep is None:
+        return lambda t: _checked(f(points, t), (t.shape[0], points.shape[0]), what)
+    factors = factor_values(sep.terms, points, what)
+    buf = np.empty((0, points.shape[0]))
+
+    def values(t):
+        nonlocal buf
+        if buf.shape[0] < t.shape[0]:
+            buf = np.empty((t.shape[0], points.shape[0]))
+        vals = buf[:t.shape[0]]
+        for j, (term, phi) in enumerate(zip(sep.terms, factors)):
+            part = np.multiply(_checked(term.time(t), t.shape, what), phi,
+                               out=vals if j == 0 else None)
+            if term.psi is not None:
+                term.psi(part)
+            if j > 0:
+                vals += part
+        return vals
+
+    return values
+
+
+def time_average(values, t0, t1, out: np.ndarray | None = None) -> np.ndarray:
+    """Averages over the steps [t0, t1] by the 2-point Gauss rule of ``values`` (:func:`at_points`).
+
+    ``t0`` and ``t1`` are float arrays of shape (m,). ``values`` is called
+    once, with the (2m, 1) column of all Gauss times; the two Gauss rows
+    are averaged into one array of shape (m, n_points). That array is
+    fresh, or ``out[:m]`` when ``out`` is given: a block loop passes the
+    previous block's averages back, so all its blocks share one buffer.
+    """
+    vals = values(_gauss_times(t0, t1)[:, None])
     m = t0.size
     avg = np.add(vals[:m], vals[m:], out=None if out is None else out[:m])
     avg *= 0.5

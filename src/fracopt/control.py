@@ -13,11 +13,14 @@ Kronecker power of phi, holds the M_Omega-orthonormal lattice modes,
 phi^T m1 phi = I (see :mod:`fracopt.evolution`). With a trace tr = Phi w_hat
 and b_hat = Phi^T b for any interior load b, Parseval gives the tracking cost
 
-    tau/2 (|w_hat - b_ud_hat|^2 + c_res),   c_res = sum_k c_ud^k - |b_ud_hat|^2,
+    tau/2 (|w_hat - b_ud_hat|^2 + c_res),   c_res = sum_k ||u_d^k - P u_d^k||_q^2,
 
-and the adjoint load M_int tr V - b_ud becomes the same residual w_hat -
-b_ud_hat. The constant c_res is formed once; what varies with the control
-is a sum of squares, so nothing cancels in it. Expanding the square instead
+with P the Gauss-rule projection onto the interior Q1 space, and the
+adjoint load M_int tr V - b_ud becomes the same residual w_hat - b_ud_hat.
+The constant c_res is formed once. For a desired state of linear separable
+terms it is a sum of non-negative terms; for any other it is sum_k
+||u_d^k||_q^2 - |b_ud_hat|^2. What varies with the control is a sum of
+squares, so nothing cancels in it. Expanding the square instead
 left about 170 eps |J| of roundoff in J at the optimum of a small problem
 with mu = 1e-2, above the line search's allowance of 8 eps |J|. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
@@ -35,11 +38,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import omega_quadrature, step_blocks, time_average
+from .assembly import at_points, omega_quadrature, step_blocks, step_means, time_average
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
-                        forcing_loads, state_march, state_trajectory)
+                        forcing_loads, modal_factors, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
-from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
+from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid,
+                      separable)
 
 
 @dataclass
@@ -70,13 +74,16 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh) -> np.ndarray:
 
     Values are the exact means over each space-time cell, computed with the
     lattice's 3-point tensor Gauss rule per cell and the 2-point rule per
-    step; r is evaluated once per block of steps.
+    step; r is evaluated once per block of steps, a separable r's spatial
+    factors once (:func:`~fracopt.assembly.at_points`).
     """
     quad = omega_quadrature(omega)
+    values = at_points(r, quad.points, "exact solution")
     out = np.empty((grid.K, omega.n_cells))
+    avg = None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        vals = time_average(r, quad.points, t0, t1, "exact solution")
-        out[steps] = quad.cell_integrals(vals) / omega.cell_volume
+        avg = time_average(values, t0, t1, out=avg)
+        out[steps] = quad.cell_integrals(avg) / omega.cell_volume
     return out
 
 
@@ -93,14 +100,14 @@ def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
 class ReducedProblem:
     """Reduced cost of the discrete control problem with precomputed data.
 
-    Assembles the forcing and desired-state step averages once and keeps
-    their modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, the
-    constant terms ``c_ud``, w0_hat = Phi^T M_int tr V^0 and c_res =
-    sum_k c_ud^k - |b_ud_hat|^2. A zero forcing (None) has no loads:
+    Loads the forcing and desired-state step averages once and keeps their
+    modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, w0_hat = Phi^T
+    M_int tr V^0 and the constant c_res = sum_k ||u_d^k - P u_d^k||_q^2
+    (:meth:`_desired_state_data`). A zero forcing (None) has no loads:
     b_f_hat is None and an evaluation adds nothing for it.
     The nodal loads ``b_f`` and ``b_ud`` are not kept: each is built on
-    first read, by the same computation, for the nodal marches of
-    :meth:`state` and :meth:`adjoint`.
+    first read (:func:`~fracopt.evolution.forcing_loads`), for the nodal
+    marches of :meth:`state` and :meth:`adjoint`.
     :meth:`cost_and_gradient` stays in modal trace coefficients:
 
     1. w_hat = T^{-1}(b_f_hat + C1 z; w0_hat), one state march;
@@ -130,37 +137,36 @@ class ReducedProblem:
         self.cell_volume = mesh.omega.cell_volume
         self.weight = grid.tau * self.cell_volume
 
-        # each nodal load array is dropped once transformed, before the next is built
-        b_ud, self.c_ud = self._desired_state_data()
-        self.b_ud_hat = sysm.to_modal(b_ud)
-        del b_ud
         self.b_f_hat = None
         if data.forcing is not None:
-            self.b_f_hat = sysm.to_modal(forcing_loads(data.forcing, grid, sysm.quad))
+            self.b_f_hat = forcing_loads(data.forcing, grid, sysm.quad, basis=sysm.to_modal)
+        self.b_ud_hat, self.c_res = self._desired_state_data()
         self.trace0 = sysm.initial_field(data.initial)
         self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
-        self.c_res = float(np.sum(self.c_ud)) - float(np.vdot(self.b_ud_hat, self.b_ud_hat))
 
     def _desired_state_data(self):
-        """(b_ud, c_ud): loads <u_d^k, phi_i> and the constant terms int (u_d^k)^2.
+        """(b_ud_hat, c_res): the modal loads of u_d and the constant of the tracking cost.
 
-        Both come from one evaluation of u_d per block of steps, with the
-        quadrature of forcing_loads; u_d = None, the zero datum, gives zeros
-        and is not evaluated.
+        c_res = sum_k ||u_d^k - P u_d^k||_q^2, P the Gauss-rule projection onto
+        the interior Q1 space. For a u_d of linear separable terms g_j phi_j,
+        b_ud_hat = gbar b_hat and c_res = sum_k gbar_k^T G gbar_k, with gbar
+        the step averages of the g_j and (b_hat, G) from
+        :func:`~fracopt.evolution.modal_factors`: a sum of non-negative terms.
+        Any other u_d is evaluated at the Gauss points once per block of
+        steps (:func:`~fracopt.evolution.forcing_loads`), and c_res = sum_k
+        c_ud^k - |b_ud_hat|^2 with c_ud^k = int (u_d^k)^2 from the same
+        values. u_d = None, the zero datum, gives zeros and is not evaluated.
         """
-        quad, grid = self.system.quad, self.grid
-        shape = (grid.K, self.system.n_interior)
-        if self.data.desired_state is None:
-            return np.zeros(shape), np.zeros(grid.K)
-        b_ud = np.empty(shape)
-        c_ud = np.empty(grid.K)
-        vals = None
-        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-            vals = time_average(self.data.desired_state, quad.points, t0, t1,
-                                "desired state", out=vals)
-            b_ud[steps] = quad.loads(vals)
-            c_ud[steps] = np.square(vals) @ quad.weights
-        return b_ud, c_ud
+        sysm, grid, u_d = self.system, self.grid, self.data.desired_state
+        sep = separable(u_d)
+        if sep is not None and sep.linear:
+            b_hat, gram = modal_factors(sep.terms, self.mesh.omega, sysm.quad, "desired state")
+            gbar = step_means(sep.terms, grid, "desired state")
+            return gbar @ b_hat, float(np.sum((gbar @ gram) * gbar))
+        c_ud = np.zeros(grid.K)
+        b_ud_hat = forcing_loads(u_d, grid, sysm.quad, "desired state",
+                                 basis=sysm.to_modal, squares=c_ud)
+        return b_ud_hat, float(np.sum(c_ud)) - float(np.vdot(b_ud_hat, b_ud_hat))
 
     @cached_property
     def b_f(self) -> np.ndarray:
@@ -170,7 +176,8 @@ class ReducedProblem:
     @cached_property
     def b_ud(self) -> np.ndarray:
         """Nodal desired-state loads, (K, n_interior); built on first read."""
-        return self._desired_state_data()[0]
+        return forcing_loads(self.data.desired_state, self.grid, self.system.quad,
+                             "desired state")
 
     def new_control(self, values) -> ControlField:
         return ControlField(values=np.asarray(values, dtype=float),

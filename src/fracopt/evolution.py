@@ -56,10 +56,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (OmegaQuadrature, assemble_stiffness, kron_apply,
-                       omega_quadrature, step_blocks, time_average, weight_integrals)
+from .assembly import (OmegaQuadrature, assemble_stiffness, at_points, factor_values,
+                       kron_apply, omega_quadrature, step_blocks, step_means,
+                       time_average, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
-from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid
+from .problem import (FractionalParams, ParameterError, ProblemData, Separable, TimeGrid,
+                      separable)
 
 
 @dataclass(frozen=True)
@@ -524,21 +526,68 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
     return adjoint_trajectory(system, system.march.solve_transposed(system.to_modal(loads)))
 
 
-def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature) -> np.ndarray:
-    """Interior-node loads of the step averages f^{k+1}, k = 0..K-1.
+def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing",
+                  basis=None, squares: np.ndarray | None = None) -> np.ndarray:
+    """Interior-node loads of the step averages f^{k+1}, k = 0..K-1, as a (K, n_interior) array.
 
-    f is evaluated once per block of steps (:func:`step_blocks`); for f =
-    None, the zero datum, the loads are zero and nothing is evaluated.
+    ``basis``, a map of loads along their last axis such as a system's
+    ``to_modal``, gives them in its coordinates instead. A linear term
+    g(t) phi(x) of a separable f (:func:`~fracopt.problem.separable`) costs
+    one Gauss-rule load of phi times the step averages of g. Every other
+    term, and a plain callable f, is evaluated at the Gauss points once per
+    block of steps (:func:`step_blocks`), each spatial factor once per call
+    (:func:`~fracopt.assembly.at_points`). ``squares``, a (K,) array,
+    receives the Gauss-rule integrals of (f^{k+1})^2 from the same values,
+    so then every term is evaluated at the points. For f = None, the zero
+    datum, the loads are zero, ``squares`` is left as it is and nothing is
+    evaluated.
+    ``what`` names f in errors.
     """
     shape = (grid.K, quad.hats.shape[1] ** quad.n)
     if f is None:
         return np.zeros(shape)
-    out = np.empty(shape)
-    avg = None
-    for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-        avg = time_average(f, quad.points, t0, t1, "forcing", out=avg)
-        out[steps] = quad.loads(avg)
+    sep = separable(f) if squares is None else None
+    linear, rest = (), f
+    if sep is not None:
+        linear = tuple(term for term in sep.terms if term.psi is None)
+        others = tuple(term for term in sep.terms if term.psi is not None)
+        rest = Separable(others) if others else None
+    out = None
+    if rest is not None:
+        values = at_points(rest, quad.points, what)
+        out = np.empty(shape)
+        avg = None
+        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+            avg = time_average(values, t0, t1, out=avg)
+            out[steps] = quad.loads(avg)
+            if squares is not None:
+                squares[steps] = np.square(avg) @ quad.weights
+        out = out if basis is None else basis(out)
+    if linear:
+        b_phi = quad.loads(factor_values(linear, quad.points, what))
+        loads = step_means(linear, grid, what) @ (b_phi if basis is None else basis(b_phi))
+        out = loads if out is None else np.add(out, loads, out=out)
     return out
+
+
+def modal_factors(terms, omega: OmegaMesh, quad: OmegaQuadrature, what: str):
+    """(b_hat, gram) of the spatial factors phi_j of J linear separable terms on ``omega``.
+
+    Each phi_j is evaluated once, at the points of ``quad``, the lattice's
+    Gauss rule. b_hat (J, n_interior) holds Phi^T b_j, the modal
+    coefficients of the Gauss-rule loads b_j of phi_j. That rule is exact on
+    products of two Q1 functions and Phi Phi^T = M_int^{-1}, so Phi b_hat[j]
+    holds the nodal values of P phi_j, the projection of phi_j onto the
+    interior Q1 space in the rule's inner product. gram (J, J) is the Gram
+    matrix of the residuals, (phi_i - P phi_i, phi_j - P phi_j)_q: a sum of
+    non-negative terms on its diagonal.
+    """
+    phi = omega.kept(lattice_factors)[0]
+    vals = factor_values(terms, quad.points, what)
+    b_hat = kron_apply(phi.T, quad.loads(vals), quad.n)
+    resid = quad.values(kron_apply(phi, b_hat, quad.n))
+    resid -= vals
+    return b_hat, (resid * quad.weights) @ resid.T
 
 
 def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Trajectory:

@@ -4,10 +4,11 @@ Everything here bypasses the cylinder discretization: eigenpairs of the
 Dirichlet Laplacian on the unit cube (0,1)^n are known in closed form,
 so fractional powers act diagonally and the evolution reduces to scalar
 problems per mode. This module is the ground truth the finite element
-solver is tested against. The manufactured control problem's data are a
-time profile times one sine product; the sine product is computed once per
-points array and reused while that array is unchanged. The Caputo profiles
-of those data use a Gauss-Jacobi rule computed with numpy alone.
+solver is tested against. The manufactured control problem's data are
+separable (:class:`~fracopt.problem.Separable`): time profiles times one
+sine product, which the control and part of the forcing clip to the
+bounds. The Caputo profiles of those data use a Gauss-Jacobi rule computed
+with numpy alone.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evolution import ModalMarch, caputo_weights
-from .problem import ParameterError
+from .problem import ParameterError, Separable, Term
 
 
 @dataclass(frozen=True)
@@ -160,75 +161,41 @@ class ManufacturedSolution:
     lam: float
     a: float
     b: float
-    state: Callable
-    adjoint: Callable
-    control: Callable
-    forcing: Callable
-    desired_state: Callable
+    state: Separable
+    adjoint: Separable
+    control: Separable
+    forcing: Separable
+    desired_state: Separable
     initial: Callable
-
-
-def _memo_factor(md: SpectralMode) -> Callable:
-    """x -> md(x, normalized=False), remembered for the last float64 points.
-
-    The solver hands every data call the same quadrature points, so one
-    entry suffices. A hit needs the same shape and the same bits as a copy
-    kept at the miss, so an array mutated in place, or another array,
-    gets fresh values. The returned factor is read-only and shared.
-    """
-    last = [None]          # (copy of the points, factor), replaced as one tuple
-
-    def factor(x):
-        hit = last[0]
-        cacheable = isinstance(x, np.ndarray) and x.dtype == np.float64
-        if (cacheable and hit is not None and x.shape == hit[0].shape
-                and np.array_equal(x.view(np.uint64), hit[0].view(np.uint64))):
-            return hit[1]
-        val = md(x, normalized=False)
-        val.flags.writeable = False
-        if cacheable:
-            last[0] = (x.copy(), val)
-        return val
-
-    return factor
 
 
 def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
                          n: int = 2) -> ManufacturedSolution:
     """The single-mode optimum of :class:`ManufacturedSolution`.
 
-    Every callable separates into a time column times the spatial factor
-    sin(2 pi x_1)[sin(2 pi x_2)], which is computed once per points array
-    (:func:`_memo_factor`); each callable then makes one full (q, m) pass
-    per separable term, and the control one more for its clip.
+    State, adjoint, control, forcing and desired state are
+    :class:`~fracopt.problem.Separable`: each term is a time profile times
+    the spatial factor sin(2 pi x_1)[sin(2 pi x_2)], and the control and
+    the forcing's control part pass it through the clip to [a, b]. So the
+    solver evaluates that factor once per lattice and use, and loads the
+    linear terms in O(N + K). The state, adjoint and desired state are one
+    linear term each, the control one clip term, and the forcing the sum of
+    a linear term and a clip term. Called with (points, t), each evaluates
+    its factor anew. mu and T must be finite and positive, else
+    ParameterError.
     """
     if not 0.0 < s < 1.0:
         raise ParameterError(f"spatial order s must lie in (0, 1), got {s}")
-    if mu <= 0.0 or T <= 0.0:
-        raise ParameterError("mu and T must be positive")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ParameterError(f"regularization weight mu must be finite and > 0, got {mu}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ParameterError(f"final time must be finite and positive, got T = {T}")
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"temporal order gamma must lie in (0, 1], got {gamma}")
     md = mode(*([2] * n))
     lam_s = md.lam ** s
     a, b = 0.0, 0.5
-    shape = _memo_factor(md)
-
-    # t is a scalar or a (q, 1) column of times; results broadcast to (q, m)
-    def u_exact(x, t):
-        return np.exp(t) * shape(x)
-
-    def p_exact(x, t):
-        return -mu * (T - t) * np.exp(t) * shape(x)
-
-    def clipped(t, factor):
-        z = (T - t) * np.exp(t) * factor
-        return np.clip(z, a, b, out=z)
-
-    def z_exact(x, t):
-        return clipped(t, shape(x))
-
-    def u0(x):
-        return shape(x).copy()
+    shape = functools.partial(md, normalized=False)
 
     if gamma >= 1.0:
         def state_time(t):            # d_t e^t
@@ -243,21 +210,29 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
         def adjoint_time(t):
             return caputo_right(lambda r: (T - r - 1.0) * np.exp(r), gamma, t, T)
 
-    def forcing(x, t):
-        factor = shape(x)
-        f = (state_time(t) + lam_s * np.exp(t)) * factor
-        f -= clipped(t, factor)
-        return f
+    def control_time(t):              # -p/mu over the sine product
+        return (T - t) * np.exp(t)
 
-    def desired_state(x, t):
-        # u_d = u - (d^gamma_{T-t} p + L^s p)
-        return (np.exp(t) + mu * adjoint_time(t)
-                + mu * lam_s * (T - t) * np.exp(t)) * shape(x)
+    def clip(v):
+        return np.clip(v, a, b, out=v)
 
-    return ManufacturedSolution(mu=mu, T=T, lam=md.lam, a=a, b=b, state=u_exact,
-                                adjoint=p_exact,
-                                control=z_exact, forcing=forcing,
-                                desired_state=desired_state, initial=u0)
+    def minus_clip(v):
+        return np.negative(clip(v), out=v)
+
+    def forcing_time(t):              # f = d^gamma u + L^s u - z
+        return state_time(t) + lam_s * np.exp(t)
+
+    def desired_time(t):              # u_d = u - (d^gamma_{T-t} p + L^s p)
+        return np.exp(t) + mu * adjoint_time(t) + mu * lam_s * (T - t) * np.exp(t)
+
+    return ManufacturedSolution(
+        mu=mu, T=T, lam=md.lam, a=a, b=b,
+        state=Separable((Term(np.exp, shape),)),
+        adjoint=Separable((Term(lambda t: -mu * (T - t) * np.exp(t), shape),)),
+        control=Separable((Term(control_time, shape, clip),)),
+        forcing=Separable((Term(forcing_time, shape), Term(control_time, shape, minus_clip))),
+        desired_state=Separable((Term(desired_time, shape),)),
+        initial=shape)
 
 
 # -- fractional integration by parts ------------------------------------------

@@ -9,6 +9,7 @@ what derives from them at construction; all are immutable and thread-safe.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -116,6 +117,58 @@ Evaluable = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
+class Term:
+    """One term psi(g(t) phi(x)) of a :class:`Separable` datum.
+
+    ``time`` is g: it maps an array of times to an array of their shape.
+    ``space`` is phi: it maps (m, n) points to m values. ``psi`` is None
+    for a linear term; otherwise it is a pointwise map that overwrites the
+    array of products g(t) phi(x) it is given and returns it, such as
+    ``lambda v: np.clip(v, a, b, out=v)``.
+    """
+
+    time: Callable
+    space: Callable
+    psi: Callable | None = None
+
+
+@dataclass(frozen=True)
+class Separable:
+    """A datum sum_j psi_j(g_j(t) phi_j(x)) of :class:`Term`s, callable as f(points, t).
+
+    The solver reads the terms: a linear term costs one Gauss-rule load of
+    phi times the step averages of g, and every other term has phi
+    evaluated once at the Gauss points, then psi(g phi) formed per block of
+    steps. Called, it evaluates every factor anew.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        if not self.terms:
+            raise ParameterError("a separable datum needs at least one term")
+
+    def __call__(self, points, t):
+        total = None
+        for term in self.terms:
+            vals = term.time(t) * term.space(points)
+            if term.psi is not None:
+                vals = term.psi(vals)
+            total = vals if total is None else total + vals
+        return total
+
+    @property
+    def linear(self) -> bool:
+        return all(term.psi is None for term in self.terms)
+
+
+def separable(f) -> Separable | None:
+    """The :class:`Separable` that f is, or wraps by ``functools.wraps``; else None."""
+    f = inspect.unwrap(f)
+    return f if isinstance(f, Separable) else None
+
+
+@dataclass(frozen=True)
 class ProblemData:
     """Data functions of the control problem on Omega = (0,1)^n; n is the lattice's, ``omega.n``.
 
@@ -126,11 +179,17 @@ class ProblemData:
     written with numpy operations (``np.exp(t)``, not ``math.exp(t)``); a
     result of the wrong shape or with non-finite values raises
     ParameterError. Either may be None, the zero datum: its loads are zero
-    and it is never evaluated. ``initial`` takes only the points. The
-    reaction c of the operator is the system's, ``FractionalParams.reaction``.
+    and it is never evaluated. Either may also be a :class:`Separable`, or
+    a ``functools.wraps`` wrapper of one. The solver then reads its terms
+    instead of calling it: each time profile g gets arrays of step times,
+    and each spatial factor phi the lattice's Gauss points, once per load
+    or error norm; their values must be finite, and psi must map finite
+    values to finite values. ``initial`` takes
+    only the points. The reaction c of the operator is the system's,
+    ``FractionalParams.reaction``.
     """
 
-    forcing: Evaluable | None
-    desired_state: Evaluable | None
+    forcing: Evaluable | Separable | None
+    desired_state: Evaluable | Separable | None
     initial: Evaluable
     bounds: ControlBounds

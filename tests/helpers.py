@@ -452,8 +452,9 @@ def nodal_cost_and_gradient(prob, zvals):
     system, mu = prob.system, prob.data.bounds.mu
     state = prob.state(zvals)
     tr = state.traces[1:]
+    c_ud = loop_desired_state_data(prob.data.desired_state, prob.grid, prob.mesh.omega)[1]
     track = float(np.einsum("ki,ki->", tr, (M_int(system) @ tr.T).T)
-                  - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(prob.c_ud))
+                  - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(c_ud))
     reg = prob.cell_volume * float(np.sum(np.square(zvals)))
     cost = 0.5 * prob.grid.tau * track + 0.5 * mu * prob.grid.tau * reg
     adj = prob.adjoint(state)
@@ -483,7 +484,10 @@ def loop_forcing_loads(f, grid, omega):
 
 
 def loop_desired_state_data(u_d, grid, omega):
-    """(b_ud, c_ud) of ReducedProblem, one step at a time."""
+    """(b_ud, c_ud): loads of the step averages u_d^k and Gauss-rule integrals of their squares.
+
+    One step at a time.
+    """
     quad, interior = assembled_quadrature(omega), omega.interior_idx
     b_ud = np.empty((grid.K, interior.size))
     c_ud = np.empty(grid.K)
@@ -492,6 +496,23 @@ def loop_desired_state_data(u_d, grid, omega):
         b_ud[k] = (quad.scatter @ vals)[interior]
         c_ud[k] = float(quad.weights @ np.square(vals))
     return b_ud, c_ud
+
+
+def loop_residual_constant(u_d, grid, omega):
+    """c_res = sum_k ||u_d^k - P u_d^k||_q^2 of ReducedProblem, one step at a time.
+
+    P u_d^k solves the assembled interior mass system for the loads of the
+    step average, and is evaluated at the points by the sparse basis.
+    """
+    quad, interior = assembled_quadrature(omega), omega.interior_idx
+    mass = omega_matrices(omega)[0][interior][:, interior].tocsc()
+    basis_int = quad.basis[:, interior].tocsr()
+    total = 0.0
+    for k in range(grid.K):
+        vals = step_average(u_d, quad.points, k, grid.tau)
+        coeffs = spla.spsolve(mass, (quad.scatter @ vals)[interior])
+        total += float(quad.weights @ np.square(basis_int @ coeffs - vals))
+    return total
 
 
 def loop_l2_project(r, grid, omega):

@@ -1,20 +1,25 @@
-"""Batched space-time data evaluation against the per-step loops it replaced."""
+"""Batched space-time data evaluation against the per-step loops it replaced.
+
+Separable data (the manufactured problem's) are also checked against the
+same data passed as plain callables, which take the pointwise path.
+"""
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from fracopt import TimeGrid, build_omega, l2_project, l2Q_error
-from fracopt.assembly import omega_quadrature, step_blocks, time_average
+from fracopt import TimeGrid, build_omega, l2_project, l2Q_error, solve_control_problem
+from fracopt.assembly import at_points, omega_quadrature, step_blocks, time_average
 from fracopt.control import ReducedProblem
 from fracopt.evolution import forcing_loads
 from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
-from fracopt.problem import ParameterError
+from fracopt.problem import ParameterError, Separable, Term
 
 from helpers import (loop_desired_state_data, loop_forcing_loads, loop_l2_project,
-                     loop_l2Q_error, rel_gap)
+                     loop_l2Q_error, loop_residual_constant, rel_gap)
 
 # cells per dimension: the 1D lattice is finer so that its step blocks stay short
 CELLS = {1: 16, 2: 4}
@@ -23,6 +28,17 @@ CELLS = {1: 16, 2: 4}
 def block_steps(n_points):
     """Steps per data evaluation for a rule with n_points points."""
     return next(step_blocks(TimeGrid(T=1.0, K=10 ** 9), n_points))[0].stop
+
+
+def plain(f):
+    """f as a plain callable: the solver evaluates it at the points, block by block."""
+    return lambda x, t: f(x, t)
+
+
+def plain_data(man, mu=1.0):
+    """The manufactured data with forcing and desired state as plain callables."""
+    return dataclasses.replace(manufactured_data(man, mu), forcing=plain(man.forcing),
+                               desired_state=plain(man.desired_state))
 
 
 @pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1", "1024"])
@@ -41,9 +57,10 @@ def test_batched_data_matches_step_loops(n, gamma, steps):
     ref_f = loop_forcing_loads(man.forcing, grid, omega)
     assert rel_gap(forcing_loads(man.forcing, grid, quad), ref_f) <= 1e-13
     assert rel_gap(prob.b_f, ref_f) <= 1e-13
-    b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, omega)
+    b_ud = loop_desired_state_data(man.desired_state, grid, omega)[0]
     assert rel_gap(prob.b_ud, b_ud) <= 1e-13
-    assert rel_gap(prob.c_ud, c_ud) <= 1e-13
+    assert math.isclose(prob.c_res, loop_residual_constant(man.desired_state, grid, omega),
+                        rel_tol=1e-13)
     assert rel_gap(l2_project(man.control, grid, omega),
                    loop_l2_project(man.control, grid, omega)) <= 1e-13
 
@@ -61,20 +78,37 @@ def test_time_average_into_a_shared_buffer():
     quad = omega_quadrature(build_omega(2, 4))
     man = manufactured_problem(0.5, 1.0, 1.0, gamma=0.5, n=2)
     t0 = np.arange(7) * 0.1
-    fresh = time_average(man.forcing, quad.points, t0, t0 + 0.1)
-    buf = np.full((9, quad.points.shape[0]), np.nan)
-    got = time_average(man.forcing, quad.points, t0, t0 + 0.1, out=buf)
-    assert np.shares_memory(got, buf) and got.shape == fresh.shape
-    assert np.array_equal(got, fresh)
-    assert np.isnan(buf[7:]).all()
+    for forcing in (plain(man.forcing), man.forcing):
+        values = at_points(forcing, quad.points, "forcing")
+        fresh = time_average(values, t0, t0 + 0.1)
+        buf = np.full((9, quad.points.shape[0]), np.nan)
+        got = time_average(values, t0, t0 + 0.1, out=buf)
+        assert np.shares_memory(got, buf) and got.shape == fresh.shape
+        assert np.array_equal(got, fresh)
+        assert np.isnan(buf[7:]).all()
+        ref = 0.5 * (forcing(quad.points, t0[:, None] + 0.1 * (0.5 - 0.5 / math.sqrt(3.0)))
+                     + forcing(quad.points, t0[:, None] + 0.1 * (0.5 + 0.5 / math.sqrt(3.0))))
+        assert rel_gap(got, ref) <= 1e-15
+
+
+def test_separable_values_reuse_one_buffer():
+    quad = omega_quadrature(build_omega(2, 4))
+    man = manufactured_problem(0.5, 1.0, 1.0, gamma=0.5, n=2)
+    values = at_points(man.forcing, quad.points, "forcing")
+    t = np.linspace(0.0, 1.0, 6)[:, None]
+    first = values(t).copy()
+    assert np.shares_memory(values(t[:4]), values(t))
+    assert np.array_equal(values(t), first)
+    assert np.array_equal(first, man.forcing(quad.points, t))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_nodal_loads_are_built_on_first_read(gamma):
-    # three step blocks, the last one short
+    # three step blocks, the last one short; plain callables take the block path
     mesh, params, grid = build_setup(2, 4, 0.5, gamma, 1.0, 500)
     man = manufactured_problem(0.5, 1.0, 1.0, gamma=gamma, n=2)
-    prob = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
+    data = plain_data(man)
+    prob = ReducedProblem(data, params, mesh, grid)
     assert "b_f" not in vars(prob) and "b_ud" not in vars(prob)
     sysm = prob.system
     # the modal data come from the same nodal loads, bit for bit
@@ -82,14 +116,73 @@ def test_nodal_loads_are_built_on_first_read(gamma):
     assert np.array_equal(prob.b_ud_hat, sysm.to_modal(prob.b_ud))
     assert "b_f" in vars(prob) and "b_ud" in vars(prob)
     assert prob.b_f is prob.b_f
-    assert np.array_equal(prob.b_f, forcing_loads(man.forcing, grid, sysm.quad))
-    again = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
+    assert np.array_equal(prob.b_f, forcing_loads(data.forcing, grid, sysm.quad))
+    again = ReducedProblem(data, params, mesh, grid)
     assert np.array_equal(prob.b_ud, again.b_ud)
-    assert np.array_equal(prob.c_ud, again.c_ud)
+    assert prob.c_res == again.c_res
     assert rel_gap(prob.b_f, loop_forcing_loads(man.forcing, grid, mesh.omega)) <= 1e-13
     b_ud, c_ud = loop_desired_state_data(man.desired_state, grid, mesh.omega)
     assert rel_gap(prob.b_ud, b_ud) <= 1e-13
-    assert rel_gap(prob.c_ud, c_ud) <= 1e-13
+    b_ud_hat = sysm.to_modal(b_ud)
+    ref = float(np.sum(c_ud)) - float(np.vdot(b_ud_hat, b_ud_hat))
+    assert math.isclose(prob.c_res, ref, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("M", [4, 7])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_separable_loads_match_plain_callables(gamma, M):
+    # K = 500 ends on a short step block at both M
+    mesh, params, grid = build_setup(2, M, 0.5, gamma, 1.0, 500)
+    assert grid.K % block_steps(omega_quadrature(mesh.omega).points.shape[0])
+    man = manufactured_problem(0.5, 1.0, 1.0, gamma=gamma, n=2)
+    sep = ReducedProblem(manufactured_data(man, 1.0), params, mesh, grid)
+    ref = ReducedProblem(plain_data(man), params, mesh, grid)
+    assert rel_gap(sep.b_f_hat, ref.b_f_hat) <= 1e-13
+    assert rel_gap(sep.b_ud_hat, ref.b_ud_hat) <= 1e-13
+    # the plain path forms c_res as sum_k ||u_d^k||^2 - |b_ud_hat|^2, whose
+    # cancellation costs up to 1.5e-13 of c_res at M = 7 (sum_k ||u_d^k||^2 is
+    # 460 c_res there): it is held to 1e-13 of the sum it cancels, and the
+    # separable sum of squares to 1e-13 of c_res against the per-step loop
+    c_ud = loop_desired_state_data(man.desired_state, grid, mesh.omega)[1]
+    assert abs(sep.c_res - ref.c_res) <= 1e-13 * float(np.sum(c_ud))
+    assert math.isclose(sep.c_res, loop_residual_constant(man.desired_state, grid, mesh.omega),
+                        rel_tol=1e-13)
+    assert rel_gap(sep.b_f, ref.b_f) <= 1e-13
+    assert rel_gap(sep.b_ud, ref.b_ud) <= 1e-13
+
+
+@pytest.mark.parametrize("M,K,gamma", [(8, 64, 1.0), (12, 256, 0.5)])
+def test_modal_state_error_matches_pointwise(M, K, gamma):
+    mesh, params, grid = build_setup(2, M, 0.4, gamma, 1.0, K)
+    man = manufactured_problem(0.4, 1.0, 1.0, gamma=gamma, n=2)
+    data = manufactured_data(man, 1.0)
+    res = solve_control_problem(data, params, mesh, grid)
+    got = l2Q_error(res.state.traces, man.state, grid, mesh.omega)
+    ref = l2Q_error(res.state.traces, plain(man.state), grid, mesh.omega)
+    assert math.isclose(got, ref, rel_tol=1e-12)
+
+
+def test_wrapped_separable_data_take_the_separable_path_bit_for_bit():
+    def traced(f):
+        @functools.wraps(f)
+        def wrapper(*args, **kwargs):
+            raise AssertionError("a wrapped separable datum was called")
+        return wrapper
+
+    mesh, params, grid = build_setup(2, 5, 0.5, 0.5, 1.0, 40)
+    man = manufactured_problem(0.5, 1.0, 1.0, gamma=0.5, n=2)
+    data = manufactured_data(man, 1.0)
+    wrapped = dataclasses.replace(data, forcing=traced(data.forcing),
+                                  desired_state=traced(data.desired_state))
+    ref = ReducedProblem(data, params, mesh, grid)
+    got = ReducedProblem(wrapped, params, mesh, grid)
+    assert np.array_equal(got.b_f_hat, ref.b_f_hat)
+    assert np.array_equal(got.b_ud_hat, ref.b_ud_hat)
+    assert got.c_res == ref.c_res
+    z = np.random.default_rng(2).uniform(man.a, man.b, (grid.K, mesh.omega.n_cells))
+    cost, grad = got.cost_and_gradient(z)[:2]
+    ref_cost, ref_grad = ref.cost_and_gradient(z)[:2]
+    assert cost == ref_cost and np.array_equal(grad, ref_grad)
 
 
 def _wrong_shape(x, t):
@@ -102,7 +195,17 @@ def _non_finite(x, t):
     return vals
 
 
-@pytest.mark.parametrize("bad", [_wrong_shape, _non_finite], ids=["shape", "non-finite"])
+_unit = lambda x: np.ones(np.atleast_2d(x).shape[0])
+_nan_profile = Separable((Term(lambda t: t * np.nan, _unit),))
+_long_factor = Separable((Term(np.exp, lambda x: np.ones(np.atleast_2d(x).shape[0] + 1)),))
+_inf_clip = Separable((Term(np.exp, lambda x: np.full(np.atleast_2d(x).shape[0], np.inf),
+                            lambda v: np.clip(v, 0.0, 1.0, out=v)),))
+
+
+@pytest.mark.parametrize("bad", [_wrong_shape, _non_finite, _nan_profile, _long_factor,
+                                 _inf_clip],
+                         ids=["shape", "non-finite", "separable-profile", "separable-shape",
+                              "separable-clip-factor"])
 @pytest.mark.parametrize("which", ["forcing", "desired state", "exact solution"])
 def test_bad_data_raises_naming_it(which, bad):
     man = manufactured_problem(0.5, 1.0, 1.0, n=2)

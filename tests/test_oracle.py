@@ -273,7 +273,7 @@ def test_manufactured_memo_matches_direct_formula_bitwise(n, gamma):
     column = np.linspace(0.0, man.T, 6)[:, None]
     for t in (column, 0.3, man.T):
         check(x, t)
-        check(x, t)    # second call: the memo
+        check(x, t)    # a second call gives the same bits
 
     # an in-place change gives fresh values, down to the sign of a zero
     x[0, 0] = -0.0
@@ -296,26 +296,32 @@ def test_manufactured_initial_is_a_private_copy():
     assert_bitwise_manufactured(man, 0.4, 1.0, x, np.array([[0.0], [0.4]]))
 
 
-def test_manufactured_factor_computed_once_per_points_array(monkeypatch):
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_control_solve_evaluates_each_factor_a_fixed_number_of_times(gamma, monkeypatch):
+    from fracopt.harness import ExperimentConfig, _control_solve
     from fracopt.oracle import SpectralMode
-    calls = []
     direct = SpectralMode.__call__
+    calls = []
 
     def counted(self, points, normalized=True):
-        calls.append(points)
+        calls.append(np.shape(points))
         return direct(self, points, normalized)
 
     monkeypatch.setattr(SpectralMode, "__call__", counted)
-    man = manufactured_problem(0.4, 1.0, 1.0, n=2)
-    # the lattice's points are read-only, so a writable copy stands in for a
-    # caller's array that changes between calls
-    points = omega_quadrature(build_omega(2, 6)).points.copy()
-    t = np.array([[0.1], [0.2]])
-    for _ in range(3):
-        for f in (man.forcing, man.desired_state, man.state, man.control, man.adjoint):
-            f(points, t)
-        man.initial(points)
-    assert len(calls) == 1
-    points[0, 0] += 1e-3
-    man.state(points, t)
-    assert len(calls) == 2
+    config = ExperimentConfig(s_list=(0.4,), gamma=gamma, M=4, K=8)
+    counts = []
+    # one step block, and three with the last one short
+    for K in (8, 500):
+        calls.clear()
+        row = _control_solve("solve-control", 0.4, config, 4, K)[0]
+        assert row["converged"]
+        counts.append(len(calls))
+    # the initial trace; the forcing's linear and clip terms; the desired
+    # state's loads and projection; the two error norms
+    assert counts == [6, 6]
+
+@pytest.mark.parametrize("mu,T,named", [(math.nan, 1.0, "nan"), (0.4, math.inf, "inf"),
+                                        (0.4, math.nan, "nan"), (-1.0, 1.0, "-1.0")])
+def test_manufactured_problem_refuses_non_finite_mu_and_T(mu, T, named):
+    with pytest.raises(ParameterError, match=named):
+        manufactured_problem(0.4, mu, T)
