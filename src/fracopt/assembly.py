@@ -23,7 +23,7 @@ block of time steps (:func:`step_blocks`, :func:`time_average`). A
 separable datum (:class:`~fracopt.problem.Separable`) has each spatial
 factor evaluated once per use (:func:`at_points`, :func:`factor_values`)
 and its time profiles once per step block or once per grid
-(:func:`step_means`).
+(:func:`step_means`). Only this module and :mod:`fracopt.evolution` read its terms.
 """
 from __future__ import annotations
 

@@ -17,10 +17,9 @@ and b_hat = Phi^T b for any interior load b, Parseval gives the tracking cost
 
 with P the Gauss-rule projection onto the interior Q1 space, and the
 adjoint load M_int tr V - b_ud becomes the same residual w_hat - b_ud_hat.
-The constant c_res is formed once. For a desired state of linear separable
-terms it is a sum of non-negative terms; for any other it is sum_k
-||u_d^k||_q^2 - |b_ud_hat|^2. What varies with the control is a sum of
-squares, so nothing cancels in it. Expanding the square instead
+c_res is formed once, with b_ud_hat, as a sum of non-negative terms
+(:func:`~fracopt.evolution.modal_projection`), and what varies with the
+control is a sum of squares, so nothing cancels. Expanding the square instead
 left about 170 eps |J| of roundoff in J at the optimum of a small problem
 with mu = 1e-2, above the line search's allowance of 8 eps |J|. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
@@ -38,12 +37,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import at_points, omega_quadrature, step_blocks, step_means, time_average
+from .assembly import at_points, omega_quadrature, step_blocks, time_average
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
-                        forcing_loads, modal_factors, state_march, state_trajectory)
+                        forcing_loads, modal_projection, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
-from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid,
-                      separable)
+from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
 
 
 @dataclass
@@ -102,9 +100,10 @@ class ReducedProblem:
 
     Loads the forcing and desired-state step averages once and keeps their
     modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, w0_hat = Phi^T
-    M_int tr V^0 and the constant c_res = sum_k ||u_d^k - P u_d^k||_q^2
-    (:meth:`_desired_state_data`). A zero forcing (None) has no loads:
-    b_f_hat is None and an evaluation adds nothing for it.
+    M_int tr V^0 and the constant c_res = sum_k ||u_d^k - P u_d^k||_q^2, the last
+    two from one projection of u_d (:func:`~fracopt.evolution.modal_projection`).
+    A zero forcing (None) has no loads: b_f_hat is None and an evaluation
+    adds nothing for it.
     The nodal loads ``b_f`` and ``b_ud`` are not kept: each is built on
     first read (:func:`~fracopt.evolution.forcing_loads`), for the nodal
     marches of :meth:`state` and :meth:`adjoint`.
@@ -140,33 +139,10 @@ class ReducedProblem:
         self.b_f_hat = None
         if data.forcing is not None:
             self.b_f_hat = forcing_loads(data.forcing, grid, sysm.quad, basis=sysm.to_modal)
-        self.b_ud_hat, self.c_res = self._desired_state_data()
+        self.b_ud_hat, self.c_res = modal_projection(data.desired_state, grid, mesh.omega,
+                                                     sysm.quad, "desired state")
         self.trace0 = sysm.initial_field(data.initial)
         self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
-
-    def _desired_state_data(self):
-        """(b_ud_hat, c_res): the modal loads of u_d and the constant of the tracking cost.
-
-        c_res = sum_k ||u_d^k - P u_d^k||_q^2, P the Gauss-rule projection onto
-        the interior Q1 space. For a u_d of linear separable terms g_j phi_j,
-        b_ud_hat = gbar b_hat and c_res = sum_k gbar_k^T G gbar_k, with gbar
-        the step averages of the g_j and (b_hat, G) from
-        :func:`~fracopt.evolution.modal_factors`: a sum of non-negative terms.
-        Any other u_d is evaluated at the Gauss points once per block of
-        steps (:func:`~fracopt.evolution.forcing_loads`), and c_res = sum_k
-        c_ud^k - |b_ud_hat|^2 with c_ud^k = int (u_d^k)^2 from the same
-        values. u_d = None, the zero datum, gives zeros and is not evaluated.
-        """
-        sysm, grid, u_d = self.system, self.grid, self.data.desired_state
-        sep = separable(u_d)
-        if sep is not None and sep.linear:
-            b_hat, gram = modal_factors(sep.terms, self.mesh.omega, sysm.quad, "desired state")
-            gbar = step_means(sep.terms, grid, "desired state")
-            return gbar @ b_hat, float(np.sum((gbar @ gram) * gbar))
-        c_ud = np.zeros(grid.K)
-        b_ud_hat = forcing_loads(u_d, grid, sysm.quad, "desired state",
-                                 basis=sysm.to_modal, squares=c_ud)
-        return b_ud_hat, float(np.sum(c_ud)) - float(np.vdot(b_ud_hat, b_ud_hat))
 
     @cached_property
     def b_f(self) -> np.ndarray:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .assembly import (OmegaQuadrature, assemble_stiffness, at_points, factor_values,
                        kron_apply, omega_quadrature, step_blocks, step_means,
-                       time_average, weight_integrals)
+                       time_average, time_profiles, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import (FractionalParams, ParameterError, ProblemData, Separable, TimeGrid,
                       separable)
@@ -527,7 +527,7 @@ def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
 
 
 def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing",
-                  basis=None, squares: np.ndarray | None = None) -> np.ndarray:
+                  basis=None) -> np.ndarray:
     """Interior-node loads of the step averages f^{k+1}, k = 0..K-1, as a (K, n_interior) array.
 
     ``basis``, a map of loads along their last axis such as a system's
@@ -536,17 +536,13 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing
     one Gauss-rule load of phi times the step averages of g. Every other
     term, and a plain callable f, is evaluated at the Gauss points once per
     block of steps (:func:`step_blocks`), each spatial factor once per call
-    (:func:`~fracopt.assembly.at_points`). ``squares``, a (K,) array,
-    receives the Gauss-rule integrals of (f^{k+1})^2 from the same values,
-    so then every term is evaluated at the points. For f = None, the zero
-    datum, the loads are zero, ``squares`` is left as it is and nothing is
-    evaluated.
-    ``what`` names f in errors.
+    (:func:`~fracopt.assembly.at_points`). For f = None, the zero datum,
+    the loads are zero and nothing is evaluated. ``what`` names f in errors.
     """
     shape = (grid.K, quad.hats.shape[1] ** quad.n)
     if f is None:
         return np.zeros(shape)
-    sep = separable(f) if squares is None else None
+    sep = separable(f)
     linear, rest = (), f
     if sep is not None:
         linear = tuple(term for term in sep.terms if term.psi is None)
@@ -560,8 +556,6 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
             avg = time_average(values, t0, t1, out=avg)
             out[steps] = quad.loads(avg)
-            if squares is not None:
-                squares[steps] = np.square(avg) @ quad.weights
         out = out if basis is None else basis(out)
     if linear:
         b_phi = quad.loads(factor_values(linear, quad.points, what))
@@ -570,24 +564,51 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing
     return out
 
 
-def modal_factors(terms, omega: OmegaMesh, quad: OmegaQuadrature, what: str):
-    """(b_hat, gram) of the spatial factors phi_j of J linear separable terms on ``omega``.
+def modal_projection(f, grid: TimeGrid, omega: OmegaMesh, quad: OmegaQuadrature, what: str,
+                     ends: bool = False):
+    """(b_hat, c): the modal loads of f's step data and their distance from the Q1 space.
 
-    Each phi_j is evaluated once, at the points of ``quad``, the lattice's
-    Gauss rule. b_hat (J, n_interior) holds Phi^T b_j, the modal
-    coefficients of the Gauss-rule loads b_j of phi_j. That rule is exact on
-    products of two Q1 functions and Phi Phi^T = M_int^{-1}, so Phi b_hat[j]
-    holds the nodal values of P phi_j, the projection of phi_j onto the
-    interior Q1 space in the rule's inner product. gram (J, J) is the Gram
-    matrix of the residuals, (phi_i - P phi_i, phi_j - P phi_j)_q: a sum of
-    non-negative terms on its diagonal.
+    The step data f^k, k = 0..K-1, are the step averages f^{k+1} of
+    :func:`forcing_loads`, or with ``ends`` the values f(t_{k+1}). b_hat
+    (K, n_interior) holds Phi^T b^k, the modal coefficients of their loads
+    in ``quad``, the Gauss rule of ``omega``. That rule is exact on products
+    of two Q1 functions and Phi Phi^T = M_int^{-1}, so Phi b_hat[k] holds
+    P f^k, the rule's projection of f^k onto the interior Q1 space, and
+    c = sum_k ||f^k - P f^k||_q^2. A trace tr_k in that space is then, by
+    Galerkin orthogonality, at a distance of non-negative parts:
+
+        ||tr_k - f^k||_q^2 = |Phi^T M_int tr_k - b_hat[k]|^2 + ||f^k - P f^k||_q^2.
+
+    Linear separable terms g_j phi_j (:func:`~fracopt.problem.separable`)
+    take O(N + K) work: b_hat = g b_phi and c = sum_k g_k^T G g_k, with G
+    the Gram matrix of the phi_j - P phi_j. Any other f is evaluated at the
+    Gauss points once per block of steps (:func:`step_blocks`). f = None,
+    the zero datum, gives zeros and is not evaluated. ``what`` names f in errors.
     """
-    phi = omega.kept(lattice_factors)[0]
-    vals = factor_values(terms, quad.points, what)
-    b_hat = kron_apply(phi.T, quad.loads(vals), quad.n)
-    resid = quad.values(kron_apply(phi, b_hat, quad.n))
-    resid -= vals
-    return b_hat, (resid * quad.weights) @ resid.T
+    phi, n = omega.kept(lattice_factors)[0], quad.n
+
+    def project(vals, out=None):
+        """The modal loads of point values along the last axis, and P vals - vals."""
+        b = kron_apply(phi.T, quad.loads(vals), n, out=out)
+        resid = quad.values(kron_apply(phi, b, n))
+        resid -= vals
+        return b, resid
+
+    shape = (grid.K, phi.shape[1] ** n)
+    if f is None:
+        return np.zeros(shape), 0.0
+    sep = separable(f)
+    if sep is not None and sep.linear:
+        b_phi, resid = project(factor_values(sep.terms, quad.points, what))
+        g = (time_profiles(sep.terms, np.arange(1, grid.K + 1) * grid.tau, what) if ends
+             else step_means(sep.terms, grid, what))
+        return g @ b_phi, float(np.sum((g @ ((resid * quad.weights) @ resid.T)) * g))
+    values, b_hat, c, avg = at_points(f, quad.points, what), np.empty(shape), 0.0, None
+    for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+        vals = values(t1[:, None]) if ends else (avg := time_average(values, t0, t1, out=avg))
+        resid = project(vals, out=b_hat[steps])[1]
+        c += float(np.sum(np.square(resid, out=resid) @ quad.weights))
+    return b_hat, c
 
 
 def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Trajectory:

@@ -16,15 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import at_points, kron_apply, omega_quadrature, step_blocks, time_profiles
+from .assembly import at_points, kron_apply, omega_quadrature, step_blocks
 from .control import (ReducedProblem, check_stopping, control_norm, l2_project,
                       project_trace, solve_control_problem, vi_residual)
-from .evolution import CylinderSystem, lattice_factors, modal_factors, solve_state
+from .evolution import CylinderSystem, lattice_factors, modal_projection, solve_state
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
 from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
 from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData,
-                      TimeGrid, select_truncation, separable)
+                      TimeGrid, select_truncation)
 
 REPORT_COLUMNS = ["case", "s", "gamma", "M", "K", "N", "zeta", "Y",
                   "err_control", "err_state", "cost", "iters", "pg_norm"]
@@ -232,10 +232,11 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     the right endpoints t_k; space is integrated by the 3-point Gauss rule:
     ``quad`` when given, else the lattice's
     (:func:`~fracopt.assembly.omega_quadrature`, built once per lattice).
-    A state whose exact value is separable with linear terms only takes the
-    modal form of :func:`_modal_state_error`. Otherwise the exact function
-    is evaluated once per block of steps (a separable one's spatial factors
-    once, :func:`~fracopt.assembly.at_points`).
+    A state error is sqrt(tau (|Phi^T M_int tr - b_hat|^2 + c)), with (b_hat, c)
+    the exact state's projection at t_1..t_K (:func:`~fracopt.evolution.modal_projection`):
+    no point value of the trace is formed, and no term cancels. A control
+    error evaluates the exact function once per block of steps (a separable
+    one's spatial factors once, :func:`~fracopt.assembly.at_points`).
     """
     if quad is None:
         quad = omega_quadrature(omega)
@@ -245,47 +246,24 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
         if discrete.shape != (K + 1, interior.size):
             raise ParameterError(
                 f"state history must have shape {(K + 1, interior.size)}, got {discrete.shape}")
-        sep = separable(exact)
-        if sep is not None and sep.linear:
-            return _modal_state_error(discrete[1:], sep.terms, grid, omega, quad)
-        values = lambda steps: quad.values(discrete[1:][steps])
-    elif kind == "control":
-        if discrete.shape != (K, omega.n_cells):
-            raise ParameterError(
-                f"control must have shape {(K, omega.n_cells)}, got {discrete.shape}")
-        # indexing reads the read-only cell_of in place; np.take would copy it
-        values = lambda steps: discrete[steps][:, quad.cell_of]
-    else:
+        b_hat, c = modal_projection(exact, grid, omega, quad, "exact solution", ends=True)
+        phi, _, m1, _, _ = omega.kept(lattice_factors)
+        resid = kron_apply(phi.T, kron_apply(m1, discrete[1:], omega.n), omega.n)
+        resid -= b_hat
+        return math.sqrt(grid.tau * (float(np.vdot(resid, resid)) + c))
+    if kind != "control":
         raise ParameterError(f"unknown field kind '{kind}'")
+    if discrete.shape != (K, omega.n_cells):
+        raise ParameterError(
+            f"control must have shape {(K, omega.n_cells)}, got {discrete.shape}")
     exact_at = at_points(exact, quad.points, "exact solution")
     acc = 0.0
     for steps, _, t1 in step_blocks(grid, quad.points.shape[0]):
-        diff = values(steps)
+        # indexing reads the read-only cell_of in place; np.take would copy it
+        diff = discrete[steps][:, quad.cell_of]
         diff -= exact_at(t1[:, None])
         acc += grid.tau * float(np.sum(np.square(diff, out=diff) @ quad.weights))
     return math.sqrt(acc)
-
-
-def _modal_state_error(traces: np.ndarray, terms, grid: TimeGrid, omega: OmegaMesh,
-                       quad) -> float:
-    """The state error of traces (steps 1..K) against sum_j g_j(t) phi_j, by Galerkin orthogonality.
-
-    With w_hat_k = Phi^T M_int tr_k and (b_hat, G) of
-    :func:`~fracopt.evolution.modal_factors`, per step
-
-        err_q(t_k)^2 = |w_hat_k - g(t_k) b_hat|^2 + g(t_k)^T G g(t_k),
-
-    the first term the distance to the projection P of the exact state and
-    the second its distance from the Q1 space: both are sums of
-    non-negative terms, and no point value of either field is formed.
-    """
-    phi, _, m1, _, _ = omega.kept(lattice_factors)
-    b_hat, gram = modal_factors(terms, omega, quad, "exact solution")
-    g = time_profiles(terms, np.arange(1, grid.K + 1) * grid.tau, "exact solution")
-    resid = kron_apply(phi.T, kron_apply(m1, traces, omega.n), omega.n)
-    resid -= g @ b_hat
-    sq = float(np.vdot(resid, resid)) + float(np.sum((g @ gram) * g))
-    return math.sqrt(grid.tau * sq)
 
 
 def fit_rate(xs, ys) -> float:
