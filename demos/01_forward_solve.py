@@ -10,6 +10,7 @@ import numpy as np
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, TimeGrid,
                      FractionalParams, build_cylinder, build_omega, default_zeta,
                      graded_axis, select_truncation, solve_state)
+from fracopt.evolution import state_trajectory
 from fracopt.harness import l2Q_error
 from fracopt.oracle import mode
 
@@ -34,7 +35,8 @@ for M in (4, 8, 16):
     data = ProblemData(forcing=zero, desired_state=zero,
                        initial=lambda x: md(x), bounds=ControlBounds(-1, 1, 1.0))
     system = CylinderSystem(mesh, params, grid)
-    traj = solve_state(system, data)
+    # the march runs in modal coefficients; the nodal traces are formed here
+    traj = state_trajectory(system, system.initial_field(data.initial), solve_state(system, data))
 
     exact = lambda x, t: np.exp(-lam_s * t) * md(x)
     err = l2Q_error(traj.traces, exact, grid, mesh.omega)

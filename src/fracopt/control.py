@@ -24,16 +24,15 @@ left about 170 eps |J| of roundoff in J at the optimum of a small problem
 with mu = 1e-2, above the line search's allowance of 8 eps |J|. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
 axis, and the gradient's B_int^T Phi p_hat is the power of c1^T. So a
-cost-and-gradient evaluation does one state and one adjoint march and no
-nodal transform; the result's nodal traces are formed once, by the marches'
-back-transform (:func:`~fracopt.evolution.state_trajectory`,
-:func:`~fracopt.evolution.adjoint_trajectory`).
+cost-and-gradient evaluation does one modal state and one modal adjoint march
+(:func:`~fracopt.evolution.state_march`, :func:`~fracopt.evolution.adjoint_march`)
+and no nodal transform; the result's nodal traces are formed once, at the end
+(:func:`~fracopt.evolution.state_trajectory`, :func:`~fracopt.evolution.adjoint_trajectory`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -96,17 +95,14 @@ def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
 
 
 class ReducedProblem:
-    """Reduced cost of the discrete control problem with precomputed data.
+    """Reduced cost of the discrete control problem with precomputed modal data.
 
-    Loads the forcing and desired-state step averages once and keeps their
-    modal data b_f_hat = Phi^T b_f, b_ud_hat = Phi^T b_ud, w0_hat = Phi^T
-    M_int tr V^0 and the constant c_res = sum_k ||u_d^k - P u_d^k||_q^2, the last
-    two from one projection of u_d (:func:`~fracopt.evolution.modal_projection`).
-    A zero forcing (None) has no loads: b_f_hat is None and an evaluation
-    adds nothing for it.
-    The nodal loads ``b_f`` and ``b_ud`` are not kept: each is built on
-    first read (:func:`~fracopt.evolution.forcing_loads`), for the nodal
-    marches of :meth:`state` and :meth:`adjoint`.
+    Loads the forcing and desired-state step averages once and keeps only
+    their modal data b_f_hat = Phi^T b_f (:func:`~fracopt.evolution.forcing_loads`),
+    b_ud_hat = Phi^T b_ud, w0_hat = Phi^T M_int tr V^0 and the constant c_res =
+    sum_k ||u_d^k - P u_d^k||_q^2, the second and the last from one projection
+    of u_d (:func:`~fracopt.evolution.modal_projection`). A zero forcing (None)
+    has no loads: b_f_hat is None and an evaluation adds nothing for it.
     :meth:`cost_and_gradient` stays in modal trace coefficients:
 
     1. w_hat = T^{-1}(b_f_hat + C1 z; w0_hat), one state march;
@@ -117,10 +113,9 @@ class ReducedProblem:
 
     and returns (J, grad, w_hat, p_hat); C1 = Phi^T B_int, the n-fold power
     of c1 = phi^T b1, is the modal map of the control loads
-    (:meth:`CylinderSystem.control_to_modal`). Nodal traces are formed by
-    :meth:`state` and :meth:`adjoint`, which run the nodal marches. The
-    problem builds its own ``system``, of (mesh, params, grid) of one height; the
-    reaction is ``params.reaction``.
+    (:meth:`CylinderSystem.control_to_modal`). The problem builds its own
+    ``system``, of (mesh, params, grid) of one height; the reaction is
+    ``params.reaction``.
     """
 
     def __init__(self, data: ProblemData, params: FractionalParams,
@@ -138,36 +133,15 @@ class ReducedProblem:
 
         self.b_f_hat = None
         if data.forcing is not None:
-            self.b_f_hat = forcing_loads(data.forcing, grid, sysm.quad, basis=sysm.to_modal)
+            self.b_f_hat = forcing_loads(data.forcing, sysm)
         self.b_ud_hat, self.c_res = modal_projection(data.desired_state, grid, mesh.omega,
                                                      sysm.quad, "desired state")
         self.trace0 = sysm.initial_field(data.initial)
         self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
 
-    @cached_property
-    def b_f(self) -> np.ndarray:
-        """Nodal forcing loads, (K, n_interior); built on first read."""
-        return forcing_loads(self.data.forcing, self.grid, self.system.quad)
-
-    @cached_property
-    def b_ud(self) -> np.ndarray:
-        """Nodal desired-state loads, (K, n_interior); built on first read."""
-        return forcing_loads(self.data.desired_state, self.grid, self.system.quad,
-                             "desired state")
-
     def new_control(self, values) -> ControlField:
         return ControlField(values=np.asarray(values, dtype=float),
                             bounds=self.data.bounds, grid=self.grid, omega=self.mesh.omega)
-
-    def state(self, zvals: np.ndarray) -> Trajectory:
-        loads = self.system.control_loads(zvals)
-        if self.data.forcing is not None:
-            loads += self.b_f
-        return state_march(self.system, self.trace0, loads)
-
-    def adjoint(self, state: Trajectory) -> Trajectory:
-        loads = self.system.mass(state.traces[1:]) - self.b_ud
-        return adjoint_march(self.system, loads)
 
     def cost_and_gradient(self, zvals: np.ndarray):
         """(cost, gradient, w_hat, p_hat) at the control values ``zvals``.
@@ -177,7 +151,7 @@ class ReducedProblem:
         to :func:`~fracopt.evolution.state_trajectory` and
         :func:`~fracopt.evolution.adjoint_trajectory` for nodal traces.
         A control of another shape than (K, n_cells), or one that makes the
-        cost non-finite, raises ParameterError.
+        state or the cost non-finite, raises ParameterError.
         """
         shape = (self.grid.K, self.mesh.omega.n_cells)
         if np.shape(zvals) != shape:
@@ -185,16 +159,16 @@ class ReducedProblem:
         loads = self.system.control_to_modal(zvals)
         if self.b_f_hat is not None:
             loads += self.b_f_hat
-        w_hat = self.system.march.solve(loads, self.w0_hat)
+        w_hat = state_march(self.system, self.w0_hat, loads)
         del loads
         residual = w_hat - self.b_ud_hat
         track = float(np.vdot(residual, residual)) + self.c_res
         reg = self.cell_volume * float(np.vdot(zvals, zvals))
         cost = 0.5 * self.grid.tau * track + 0.5 * self.data.bounds.mu * self.grid.tau * reg
         if not math.isfinite(cost):
-            # NaN or inf anywhere in the control or the state reaches the cost
+            # an overflow: a NaN or inf in the state has stopped the state march
             raise ParameterError(f"reduced cost is not finite ({cost}); check the control")
-        p_hat = self.system.march.solve_transposed(residual)
+        p_hat = adjoint_march(self.system, residual)
         del residual        # before the control-sized gradient arrays are made
         grad = self.system.modal_to_control(p_hat)
         grad /= self.cell_volume

@@ -2,7 +2,7 @@
 
 For gamma = 1 the step operator is backward Euler; for gamma in (0, 1) it is
 the L1 scheme with weights a_j = (j+1)^{1-gamma} - j^{1-gamma}. Only trace
-values enter the fractional memory, so the marches keep trace histories.
+values enter the fractional memory, so the marches keep modal trace histories.
 
 Every step solves the same cylinder system, and the marches solve it by
 fast diagonalization (Lynch-Rice-Thomas) in the M_Omega-orthonormal
@@ -231,9 +231,14 @@ class ModalMarch:
                     prev += g[k]
                 prev /= self.rate
             return x
-        loads = np.zeros(shape[::-1]) if g is None else np.array(g.T, order="C")
-        if x0 is not None:
-            loads += np.outer(self.c_new * x0, self.weights.a)
+        if g is not None:
+            loads = np.array(g.T, order="C")
+            if x0 is not None:
+                loads += np.outer(self.c_new * x0, self.weights.a)
+        elif x0 is not None:    # the initial value's load alone, not added into zeros
+            loads = np.outer(self.c_new * x0, self.weights.a)
+        else:
+            loads = np.zeros(shape[::-1])
         n_fft = 2 * self.K
         spec = np.fft.rfft(loads, n=n_fft, out=self._spec)
         spec *= self.h_hat
@@ -360,8 +365,8 @@ class CylinderSystem:
     phi^T b1. These and the Gauss rule ``quad`` (read on demand) belong to
     the lattice (:func:`lattice_factors`, :func:`~fracopt.assembly.omega_quadrature`),
     built once per lattice, read-only, and shared by its systems. So
-    :meth:`mass` applies the interior mass M_int, :meth:`control_loads` the
-    control loads B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
+    :meth:`mass` applies the interior mass M_int, :meth:`control_to_modal` the
+    modal control loads Phi^T B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
     Omega matrix is assembled, and the lattice eigenvalues are the n-fold
     outer sum of the 1D ones. The state is kept as its trace at y = 0; its
     extension above y = 0 is never formed. No march reads the assembled
@@ -398,17 +403,8 @@ class CylinderSystem:
         return kron_apply(self.phi.T, loads, self.n)
 
     def from_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given.
-
-        ``out`` may be ``coeffs`` itself: then it runs in blocks of ~2**13 values
-        (64 KB), so no work array of their size is freed at the heap top.
-        """
-        if out is None or not np.may_share_memory(coeffs, out):
-            return kron_apply(self.phi, coeffs, self.n, out=out)
-        step = max(1, 2 ** 13 // math.prod(coeffs.shape[1:]))
-        for k in range(0, coeffs.shape[0], step):
-            kron_apply(self.phi, coeffs[k:k + step], self.n, out=out[k:k + step])
-        return out
+        """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given."""
+        return kron_apply(self.phi, coeffs, self.n, out=out)
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
         """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
@@ -421,10 +417,6 @@ class CylinderSystem:
     def mass(self, x: np.ndarray) -> np.ndarray:
         """M_int x: the interior Omega mass applied to interior values along the last axis."""
         return kron_apply(self.m1, x, self.n)
-
-    def control_loads(self, z: np.ndarray) -> np.ndarray:
-        """B_int z: interior loads sum_c z_c int_c phi_i of cell values along the last axis."""
-        return kron_apply(self.b1, z, self.n)
 
     def cell_integrals(self, trace: np.ndarray) -> np.ndarray:
         """B_int^T tr: per-cell integrals of interior trace values along the last axis."""
@@ -451,97 +443,80 @@ class Trajectory:
     traces: np.ndarray            # (K+1, *heights, n_interior): no heights for one height
 
 
-def _check_loads(system: CylinderSystem, loads: np.ndarray) -> None:
-    shape = (system.grid.K, system.n_interior)
-    if loads.shape != shape:
-        raise ParameterError(f"loads must have shape {shape}, got {loads.shape}")
-
-
-def _check_traces(last: np.ndarray, march: str) -> None:
-    # Only the march's last computed step is scanned: a NaN or inf in a load
-    # or in the initial trace reaches it, through the backward Euler recurrence
-    # or the L1 convolution (an FFT spreads it to every step), and the dense
-    # sine-basis products back from modal coordinates carry it to the nodes.
-    if not np.isfinite(last).all():
-        raise ParameterError(f"{march} produced non-finite traces; check its loads "
+def _check_finite(step: np.ndarray, march: str) -> None:
+    # Only the step the march computes last is scanned: a NaN or inf in a
+    # load or in the initial value reaches it, through the backward Euler
+    # recurrence or the L1 convolution (an FFT spreads it to every step).
+    if not np.isfinite(step).all():
+        raise ParameterError(f"{march} produced values that are not finite; check its loads "
                              "and initial datum")
 
 
-def state_trajectory(system: CylinderSystem, trace0: np.ndarray, modal: np.ndarray,
-                     traces: np.ndarray | None = None) -> Trajectory:
-    """Nodal state traces: trace0, then the modal coefficients of steps 1..K transformed back.
+def state_march(system: CylinderSystem, w0_hat: np.ndarray,
+                loads: np.ndarray | None) -> np.ndarray:
+    """Forward march in modal coordinates: the coefficients of steps 1..K, (K, *heights, n_modes).
 
-    Every height of ``system.delta`` starts from trace0. The traces are written
-    into ``traces`` if given, whose rows 1..K may hold ``modal`` itself.
-    Raises ParameterError when a trace is not finite.
+    ``w0_hat`` = Phi^T M_int tr^0 holds the modal coefficients of the initial
+    trace, the start of every height of ``system.delta``. ``loads`` (K, n_modes)
+    holds in row k the modal load Phi^T b^{k+1} of step k+1, and None means
+    zero loads; only a system of one height takes loads. Every mode solves
+    its Toeplitz system in time (:class:`ModalMarch`). Nodal traces are
+    :func:`state_trajectory` of the result. Raises ParameterError when the
+    last step is not finite.
     """
-    if traces is None:
-        traces = np.empty((system.grid.K + 1, *system.delta.shape[:-1], system.n_interior))
+    w0 = np.broadcast_to(w0_hat, system.delta.shape).ravel()
+    w_hat = system.march.solve(loads, w0).reshape(system.grid.K, *system.delta.shape)
+    _check_finite(w_hat[-1], "state march")
+    return w_hat
+
+
+def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> np.ndarray:
+    """Backward march with terminal value zero: the coefficients of steps 0..K-1, (K, n_modes).
+
+    Row j of ``loads``, modal like those of :func:`state_march`, drives step j. Per
+    mode this solves with the transpose of the forward Toeplitz matrix (the
+    forward solve on time-reversed loads), so it is the exact transpose of
+    :func:`state_march`. Nodal traces are :func:`adjoint_trajectory` of the
+    result. Raises ParameterError when step 0 is not finite.
+    """
+    p_hat = system.march.solve_transposed(loads)
+    _check_finite(p_hat[0], "adjoint march")
+    return p_hat
+
+
+def state_trajectory(system: CylinderSystem, trace0: np.ndarray, w_hat: np.ndarray) -> Trajectory:
+    """Nodal state traces: trace0, then the coefficients w_hat of steps 1..K transformed back."""
+    traces = np.empty((system.grid.K + 1, *system.delta.shape[:-1], system.n_interior))
     traces[0] = trace0
-    system.from_modal(modal.reshape(traces[1:].shape), out=traces[1:])
-    _check_traces(traces[-1], "state march")
+    system.from_modal(w_hat, out=traces[1:])
     return Trajectory(traces)
 
 
-def adjoint_trajectory(system: CylinderSystem, modal: np.ndarray) -> Trajectory:
-    """Nodal adjoint traces: the modal coefficients of steps 0..K-1 transformed back, then zero.
-
-    Raises ParameterError when a trace is not finite.
-    """
+def adjoint_trajectory(system: CylinderSystem, p_hat: np.ndarray) -> Trajectory:
+    """Nodal adjoint traces: the coefficients p_hat of steps 0..K-1 transformed back, then zero."""
     traces = np.empty((system.grid.K + 1, system.n_interior))
     traces[-1] = 0.0
-    system.from_modal(modal, out=traces[:-1])
-    _check_traces(traces[0], "adjoint march")
+    system.from_modal(p_hat, out=traces[:-1])
     return Trajectory(traces)
 
 
-def state_march(system: CylinderSystem, trace0: np.ndarray,
-                loads: np.ndarray | None) -> Trajectory:
-    """Forward march: loads[k] is the trace-interior load of step k+1; None means zero loads.
+def forcing_loads(f, system: CylinderSystem, what: str = "forcing") -> np.ndarray:
+    """Modal loads Phi^T b^{k+1} of the step averages f^{k+1}, k = 0..K-1, as a (K, n_modes) array.
 
-    The loads are transformed to modal coordinates once, every mode solves
-    its Toeplitz system in time (:class:`ModalMarch`), and the traces are
-    transformed back once, in place (:func:`state_trajectory`). A height
-    family marches all its heights at once, without loads.
-    Raises ParameterError when a trace is not finite.
-    """
-    if loads is not None:
-        _check_loads(system, loads)
-        loads = system.to_modal(loads)
-    w0 = np.broadcast_to(system.to_modal(system.mass(trace0)), system.delta.shape)
-    traces = np.empty((system.grid.K + 1, *system.delta.shape[:-1], system.n_interior))
-    modal = system.march.solve(loads, w0.ravel(), out=traces[1:].reshape(system.grid.K, -1))
-    return state_trajectory(system, trace0, modal, traces)
-
-
-def adjoint_march(system: CylinderSystem, loads: np.ndarray) -> Trajectory:
-    """Backward march with terminal value zero; loads[j] drives step j.
-
-    Per mode this solves with the transpose of the forward Toeplitz matrix
-    (the forward solve on time-reversed loads), so it is the exact
-    transpose of :func:`state_march`, in the same modal coordinates.
-    Raises ParameterError when a trace is not finite.
-    """
-    _check_loads(system, loads)
-    return adjoint_trajectory(system, system.march.solve_transposed(system.to_modal(loads)))
-
-
-def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing",
-                  basis=None) -> np.ndarray:
-    """Interior-node loads of the step averages f^{k+1}, k = 0..K-1, as a (K, n_interior) array.
-
-    ``basis``, a map of loads along their last axis such as a system's
-    ``to_modal``, gives them in its coordinates instead. A linear term
-    g(t) phi(x) of a separable f (:func:`~fracopt.problem.separable`) costs
-    one Gauss-rule load of phi times the step averages of g. Every other
-    term, and a plain callable f, is evaluated at the Gauss points once per
-    block of steps (:func:`step_blocks`), each spatial factor once per call
+    b^{k+1} are the interior-node loads in ``system.quad``, the lattice's
+    Gauss rule. A linear term g(t) phi(x) of a separable f
+    (:func:`~fracopt.problem.separable`) costs one Gauss-rule load of phi
+    times the step averages of g. Every other term, and a plain callable f,
+    is evaluated at the Gauss points once per block of steps
+    (:func:`step_blocks`), each spatial factor once per call
     (:func:`~fracopt.assembly.at_points`). For f = None, the zero datum,
     the loads are zero and nothing is evaluated. ``what`` names f in errors.
     """
-    shape = (grid.K, quad.hats.shape[1] ** quad.n)
+    grid = system.grid
+    shape = (grid.K, system.n_interior)
     if f is None:
         return np.zeros(shape)
+    quad = system.quad
     sep = separable(f)
     linear, rest = (), f
     if sep is not None:
@@ -556,10 +531,10 @@ def forcing_loads(f, grid: TimeGrid, quad: OmegaQuadrature, what: str = "forcing
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
             avg = time_average(values, t0, t1, out=avg)
             out[steps] = quad.loads(avg)
-        out = out if basis is None else basis(out)
+        out = system.to_modal(out)
     if linear:
-        b_phi = quad.loads(factor_values(linear, quad.points, what))
-        loads = step_means(linear, grid, what) @ (b_phi if basis is None else basis(b_phi))
+        b_phi = system.to_modal(quad.loads(factor_values(linear, quad.points, what)))
+        loads = step_means(linear, grid, what) @ b_phi
         out = loads if out is None else np.add(out, loads, out=out)
     return out
 
@@ -611,27 +586,30 @@ def modal_projection(f, grid: TimeGrid, omega: OmegaMesh, quad: OmegaQuadrature,
     return b_hat, c
 
 
-def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> Trajectory:
-    """Fully discrete state solve of ``system`` for given data and (optional) control.
+def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> np.ndarray:
+    """Fully discrete state solve: the modal coefficients of steps 1..K (:func:`state_march`).
 
     The system fixes mesh, orders and reaction (``system.params``) and the
     time grid; ``data`` gives the forcing and the initial datum. A
     ``control`` that is not a (K, n_cells) array raises ParameterError; it
-    adds B Z^{k+1} to the load of every step. With the zero forcing (None)
-    and no control there are no loads, and a height family solves all its
-    heights. Non-finite data raise ParameterError in the march.
+    adds Phi^T B_int Z^{k+1} to the modal load of every step. With the zero
+    forcing (None) and no control there are no loads, and a height family
+    solves all its heights. Nodal traces are :func:`state_trajectory` of the
+    result, from ``system.initial_field(data.initial)``. Non-finite data
+    raise ParameterError in the march.
     """
     loads = None
     if data.forcing is not None:
-        loads = forcing_loads(data.forcing, system.grid, system.quad)
+        loads = forcing_loads(data.forcing, system)
     if control is not None:
         control = np.asarray(control, dtype=float)
         shape = (system.grid.K, system.mesh.omega.n_cells)
         if control.shape != shape:
             raise ParameterError(f"control must have shape {shape}, got {control.shape}")
-        z_loads = system.control_loads(control)
+        z_loads = system.control_to_modal(control)
         loads = z_loads if loads is None else loads + z_loads
-    return state_march(system, system.initial_field(data.initial), loads)
+    w0_hat = system.to_modal(system.mass(system.initial_field(data.initial)))
+    return state_march(system, w0_hat, loads)
 
 
 def lambda_diagnostic(trace_sq, gamma: float, grid: TimeGrid) -> float:

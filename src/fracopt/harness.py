@@ -19,7 +19,8 @@ import numpy as np
 from .assembly import at_points, kron_apply, omega_quadrature, step_blocks
 from .control import (ReducedProblem, check_stopping, control_norm, l2_project,
                       project_trace, solve_control_problem, vi_residual)
-from .evolution import CylinderSystem, lattice_factors, modal_projection, solve_state
+from .evolution import (CylinderSystem, lattice_factors, modal_projection, solve_state,
+                        state_trajectory)
 from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
 from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
@@ -230,8 +231,8 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     piecewise-bilinear state. ``kind='control'``: discrete is the
     (K, n_cells) piecewise-constant field. The exact function is sampled at
     the right endpoints t_k; space is integrated by the 3-point Gauss rule:
-    ``quad`` when given, else the lattice's
-    (:func:`~fracopt.assembly.omega_quadrature`, built once per lattice).
+    ``quad`` when given, which must be a rule of omega's lattice (else
+    ParameterError), or the lattice's (:func:`~fracopt.assembly.omega_quadrature`).
     A state error is sqrt(tau (|Phi^T M_int tr - b_hat|^2 + c)), with (b_hat, c)
     the exact state's projection at t_1..t_K (:func:`~fracopt.evolution.modal_projection`):
     no point value of the trace is formed, and no term cancels. A control
@@ -240,6 +241,10 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     """
     if quad is None:
         quad = omega_quadrature(omega)
+    elif (quad.n, quad.weights1.size // 3) != (omega.n, omega.cells_per_dim):
+        raise ParameterError(f"quad is a rule on the lattice n = {quad.n}, M = "
+                             f"{quad.weights1.size // 3}, not on omega's n = {omega.n}, "
+                             f"M = {omega.cells_per_dim}")
     K = grid.K
     if kind == "state":
         interior = omega.interior_idx
@@ -402,8 +407,11 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
     Solves the homogeneous problem with single-mode initial datum once, on
     one cylinder family of all distinct heights (at least 4, as the config
     has checked): one axis elimination and one march. The tallest is the
-    reference, whose row the fitted exponential slope excludes. Forcing and
-    desired state are the zero datum (None), so no Gauss rule is built.
+    reference, whose row the fitted exponential slope excludes. A row's
+    error is the l2(L2) norm of the trace difference, read by Parseval
+    (Phi^T M_int Phi = I) from the modal coefficients w_hat of the march:
+    sqrt(tau sum_k |w_hat_k(Y) - w_hat_k(Y_max)|^2), with no nodal trace formed.
+    Forcing and desired state are the zero datum (None), so no Gauss rule is built.
     """
     _check_kind(config, "truncation")
     report = ConvergenceReport(case="truncation")
@@ -413,11 +421,10 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
                        bounds=ControlBounds(-1.0, 1.0, 1.0))
     system = CylinderSystem(*build_setup(n, M, s, config.gamma, config.T, K,
                                          zeta=config.zeta, Y=heights))
-    traces = solve_state(system, data).traces
+    w_hat = solve_state(system, data)
     for i, Y in enumerate(heights[:-1]):
-        diff = traces[:, i] - traces[:, -1]
-        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
-        err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
+        diff = w_hat[:, i] - w_hat[:, -1]
+        err = math.sqrt(system.grid.tau * float(np.vdot(diff, diff)))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
                             "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
@@ -440,7 +447,8 @@ def run_solve_state(config: ExperimentConfig) -> ConvergenceReport:
     data = manufactured_data(man, config.mu)
     system = CylinderSystem(mesh, params, grid)
     zvals = np.clip(l2_project(man.control, grid, mesh.omega), man.a, man.b)
-    traj = solve_state(system, data, control=zvals)
+    traj = state_trajectory(system, system.initial_field(data.initial),
+                            solve_state(system, data, control=zvals))
     err_u = l2Q_error(traj.traces, man.state, grid, mesh.omega)
     report.rows.append({"case": "solve-state", "s": s, "gamma": config.gamma,
                         "M": config.M, "K": config.K, "N": mesh.n_free,

@@ -12,8 +12,9 @@ import scipy.sparse.linalg as spla
 from fracopt import (ControlBounds, CylinderSystem, FractionalParams, ProblemData,
                      build_cylinder, build_omega, caputo_weights, clamp, graded_axis,
                      solve_state, weight_integrals)
-from fracopt.assembly import assemble_stiffness, omega_matrices
-from fracopt.evolution import lattice_factors
+from fracopt.assembly import assemble_stiffness, kron_apply, omega_matrices
+from fracopt.evolution import (adjoint_march, adjoint_trajectory, forcing_loads,
+                               lattice_factors, state_march, state_trajectory)
 from fracopt.harness import (ConvergenceReport, ExperimentConfig, apply_settings,
                              build_setup, read_config)
 from fracopt.mesh import default_zeta
@@ -274,6 +275,11 @@ def control_load_matrix(omega):
                          shape=(omega.vertices.shape[0], ncells))
 
 
+def control_loads(system, z):
+    """B_int z: interior loads sum_c z_c int_c phi_i of cell values along the last axis."""
+    return kron_apply(system.b1, z, system.n)
+
+
 def M_int(system):
     """Assembled Q1 mass on the interior Omega vertices: the reference of system.mass."""
     m_w, _ = omega_matrices(system.mesh.omega)
@@ -281,7 +287,7 @@ def M_int(system):
 
 
 def B_int(system):
-    """Assembled control loads on the interior vertices: the reference of system.control_loads."""
+    """Assembled control loads on the interior vertices: the reference of control_loads."""
     return control_load_matrix(system.mesh.omega)[system.interior].tocsr()
 
 
@@ -441,6 +447,53 @@ def rel_gap(got, ref):
     return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
 
 
+# -- nodal compositions of the modal march path ------------------------------
+
+def nodal_loads(system, b_hat):
+    """Interior-node loads M_int Phi b_hat of modal loads b_hat = Phi^T b (Phi Phi^T M_int = I)."""
+    return system.mass(system.from_modal(b_hat))
+
+
+def nodal_forcing_loads(f, system, what="forcing"):
+    """Interior-node loads of the step averages of f: nodal_loads of forcing_loads."""
+    return nodal_loads(system, forcing_loads(f, system, what))
+
+
+def nodal_state_march(system, trace0, loads):
+    """state_trajectory o state_march o to_modal: the march from a nodal trace0 and nodal loads.
+
+    loads (K, n_interior) are interior-node loads, or None for zero loads.
+    """
+    loads = None if loads is None else system.to_modal(loads)
+    w0_hat = system.to_modal(system.mass(trace0))
+    return state_trajectory(system, trace0, state_march(system, w0_hat, loads))
+
+
+def nodal_adjoint_march(system, loads):
+    """adjoint_trajectory o adjoint_march o to_modal, for interior-node loads."""
+    return adjoint_trajectory(system, adjoint_march(system, system.to_modal(loads)))
+
+
+def nodal_solve_state(system, data, control=None):
+    """The nodal traces of solve_state, steps 0..K."""
+    trace0 = system.initial_field(data.initial)
+    return state_trajectory(system, trace0, solve_state(system, data, control=control))
+
+
+def nodal_state(prob, zvals):
+    """State of ReducedProblem at zvals by the nodal march: loads B_int z plus the forcing's."""
+    loads = control_loads(prob.system, zvals)
+    if prob.data.forcing is not None:
+        loads += nodal_forcing_loads(prob.data.forcing, prob.system)
+    return nodal_state_march(prob.system, prob.trace0, loads)
+
+
+def nodal_adjoint(prob, state):
+    """Adjoint of ReducedProblem for a nodal state: the nodal march on M_int tr V - b_ud."""
+    b_ud = nodal_forcing_loads(prob.data.desired_state, prob.system, "desired state")
+    return nodal_adjoint_march(prob.system, prob.system.mass(state.traces[1:]) - b_ud)
+
+
 def nodal_cost_and_gradient(prob, zvals):
     """(cost, gradient, state, adjoint) of ReducedProblem through the nodal marches.
 
@@ -450,14 +503,15 @@ def nodal_cost_and_gradient(prob, zvals):
     the modal evaluation.
     """
     system, mu = prob.system, prob.data.bounds.mu
-    state = prob.state(zvals)
+    state = nodal_state(prob, zvals)
     tr = state.traces[1:]
+    b_ud = nodal_forcing_loads(prob.data.desired_state, system, "desired state")
     c_ud = loop_desired_state_data(prob.data.desired_state, prob.grid, prob.mesh.omega)[1]
     track = float(np.einsum("ki,ki->", tr, (M_int(system) @ tr.T).T)
-                  - 2.0 * np.einsum("ki,ki->", tr, prob.b_ud) + np.sum(c_ud))
+                  - 2.0 * np.einsum("ki,ki->", tr, b_ud) + np.sum(c_ud))
     reg = prob.cell_volume * float(np.sum(np.square(zvals)))
     cost = 0.5 * prob.grid.tau * track + 0.5 * mu * prob.grid.tau * reg
-    adj = prob.adjoint(state)
+    adj = nodal_adjoint(prob, state)
     grad = mu * zvals + (B_int(system).T @ adj.traces[:-1].T).T / prob.cell_volume
     return cost, grad, state, adj
 
@@ -656,8 +710,8 @@ def truncation_per_height(config):
     """The truncation study with one single-height system and one state solve per height.
 
     The reference of ``run_truncation_study``, which solves all heights at
-    once on a cylinder family: the same data, error formula and fit, every
-    height on its own lattice, the tallest as reference.
+    once on a cylinder family: the same data, modal error formula and fit,
+    every height on its own lattice, the tallest as reference.
     """
     s, n, M, K = config.s_list[0], config.n, config.M, config.K
     heights = sorted(set(config.Y_list))
@@ -672,10 +726,9 @@ def truncation_per_height(config):
     ref = solve(heights[-1])[0]
     report = ConvergenceReport(case="truncation")
     for Y in heights[:-1]:
-        traj, system = solve(Y)
-        diff = traj.traces - ref.traces
-        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
-        err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
+        w_hat, system = solve(Y)
+        diff = w_hat - ref
+        err = math.sqrt(system.grid.tau * float(np.vdot(diff, diff)))
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
                             "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})

@@ -16,9 +16,8 @@ import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, FractionalParams, ProblemData,
                      TimeGrid, apply_discrete_caputo, caputo_weights, clamp,
-                     select_truncation, solve_state)
+                     select_truncation)
 from fracopt.control import ReducedProblem, control_norm, project_trace, vi_residual
-from fracopt.evolution import adjoint_march, state_march
 from fracopt.harness import (ExperimentConfig, build_setup, manufactured_data,
                              run_convergence_space, run_convergence_time,
                              run_truncation_study)
@@ -26,7 +25,8 @@ from fracopt.mesh import (build_cylinder, build_omega, default_zeta, graded_axis
 from fracopt.oracle import manufactured_problem, mode
 
 from helpers import (build_test_mesh, check_operator_symmetry, check_spd_rayleigh,
-                     check_telescoping, check_weight_integrals)
+                     check_telescoping, check_weight_integrals, control_loads,
+                     nodal_adjoint_march, nodal_solve_state, nodal_state_march)
 
 S_VALUES = (0.2, 0.4, 0.6, 0.8)
 
@@ -150,10 +150,10 @@ def test_criterion_7_duality_identity(gamma):
     for _ in range(5):
         zeta = rng.standard_normal((grid.K, mesh.omega.n_cells))
         eta = rng.standard_normal((grid.K, mesh.omega.n_cells))
-        V = state_march(system, np.zeros(system.n_interior),
-                        system.control_loads(zeta))
-        P = adjoint_march(system, system.control_loads(eta))
-        lhs = grid.tau * float(np.sum(system.control_loads(eta) * V.traces[1:]))
+        V = nodal_state_march(system, np.zeros(system.n_interior),
+                              control_loads(system, zeta))
+        P = nodal_adjoint_march(system, control_loads(system, eta))
+        lhs = grid.tau * float(np.sum(control_loads(system, eta) * V.traces[1:]))
         rhs = grid.tau * float(np.sum(zeta * system.cell_integrals(P.traces[:-1])))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     ok = worst <= 1e-10
@@ -199,7 +199,7 @@ def test_criterion_9_oracle_agreement():
                                initial=lambda x: md(x),
                                bounds=ControlBounds(-1.0, 1.0, 1.0))
             system = CylinderSystem(mesh, params, grid)
-            traj = solve_state(system, data)
+            traj = nodal_solve_state(system, data)
             quad = system.quad
             diff = quad.values(traj.traces[-1]) - math.exp(-lam_s * T) * md(quad.points)
             errs.append(math.sqrt(float(quad.weights @ diff ** 2)))

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracopt import TimeGrid, assemble_stiffness, build_omega, weight_integrals
+from fracopt import (CylinderSystem, FractionalParams, TimeGrid, assemble_stiffness, build_omega,
+                     weight_integrals)
 from fracopt.assembly import kron_apply, omega_quadrature
-from fracopt.evolution import forcing_loads
 from fracopt.problem import ParameterError
 
 from helpers import (assemble_trace_mass, assembled_quadrature, build_test_mesh,
                      check_operator_symmetry,
                      check_spd_rayleigh, check_weight_integrals, control_load_matrix,
-                     node_index, node_maps)
+                     nodal_forcing_loads, node_index, node_maps)
 
 
 def test_weight_integrals_unweighted():
@@ -146,11 +146,12 @@ def test_trace_mass_row_sums_2d():
 def vertex_loads(f, grid, mesh):
     """Loads of the step averages of f at every Omega vertex, steps 0..K-1.
 
-    The interior entries come from forcing_loads; the boundary vertices,
-    which carry no load, stay zero.
+    The interior entries are the modal forcing_loads taken back to the
+    nodes; the boundary vertices, which carry no load, stay zero.
     """
+    system = CylinderSystem(mesh, FractionalParams(0.5, 1.0), grid)
     out = np.zeros((grid.K, mesh.omega.vertices.shape[0]))
-    out[:, mesh.omega.interior_idx] = forcing_loads(f, grid, omega_quadrature(mesh.omega))
+    out[:, mesh.omega.interior_idx] = nodal_forcing_loads(f, system)
     return out
 
 

@@ -13,7 +13,8 @@ from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import reference_projected_bfgs, step_average
+from helpers import (nodal_adjoint, nodal_solve_state, nodal_state, reference_projected_bfgs,
+                     step_average)
 
 
 def test_clamp_examples():
@@ -93,8 +94,7 @@ def test_reduced_cost_double_path():
     got = reduced_cost(prob, zvals)
 
     # independent recomputation: fresh state solve, norms via quadrature values
-    from fracopt.evolution import solve_state
-    traj = solve_state(prob.system, data, control=zvals)
+    traj = nodal_solve_state(prob.system, data, control=zvals)
     quad = prob.system.quad
     acc = 0.0
     for k in range(1, grid.K + 1):
@@ -167,7 +167,7 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
     prob = ReducedProblem(data, params, mesh, grid)
     rng = np.random.default_rng(4)
     z = rng.uniform(0.0, 0.5, size=(grid.K, mesh.omega.n_cells))
-    traj = prob.state(z)
+    traj = nodal_state(prob, z)
     quad = prob.system.quad
 
     def u_d(x, t):
@@ -348,8 +348,8 @@ def test_vi_residual_fixed_point_and_perturbation():
     prob = ReducedProblem(data, params, mesh, grid)
     rng = np.random.default_rng(9)
     z = rng.uniform(0.0, 0.5, size=(grid.K, mesh.omega.n_cells))
-    traj = prob.state(z)
-    adj = prob.adjoint(traj)
+    traj = nodal_state(prob, z)
+    adj = nodal_adjoint(prob, traj)
     p_means = np.stack([project_trace(adj.traces[k], prob.system)
                         for k in range(grid.K)])
     fixed = clamp(-p_means / data.bounds.mu, man.a, man.b)

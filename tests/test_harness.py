@@ -5,17 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracopt import (ExperimentConfig, TimeGrid, build_omega, fit_rate,
-                     l2Q_error, run_experiment)
+from fracopt import (ControlBounds, ExperimentConfig, ProblemData, TimeGrid, build_omega,
+                     fit_rate, l2Q_error, run_experiment)
 from fracopt import assembly, cli, evolution, harness
 from fracopt.control import project_trace
 from fracopt.harness import (REPORT_COLUMNS, RUNNERS, SETTINGS, ConvergenceReport,
                              build_setup, run_convergence_time, run_truncation_study,
                              write_report_csv)
+from fracopt.oracle import mode
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
-from helpers import load_config, read_report_csv, truncation_per_height
+from helpers import load_config, nodal_solve_state, read_report_csv, truncation_per_height
 
 
 def test_l2Q_error_reproduces_fe_functions():
@@ -74,6 +75,22 @@ def test_l2Q_error_triangle_inequality():
     nb = l2Q_error(b, zero, grid, om)
     nab = l2Q_error(a + b, zero, grid, om)
     assert nab <= na + nb + 1e-12
+
+
+@pytest.mark.parametrize("kind", ["state", "control"])
+def test_l2Q_error_refuses_a_rule_of_another_lattice(kind):
+    om, grid = build_omega(2, 8), TimeGrid(T=1.0, K=3)
+    discrete = np.zeros((grid.K + 1, om.interior_idx.size) if kind == "state"
+                        else (grid.K, om.n_cells))
+    zero = lambda x, t: np.zeros(np.atleast_2d(x).shape[0])
+    for n, M in ((2, 6), (1, 8)):
+        quad = assembly.omega_quadrature(build_omega(n, M))
+        named = rf"lattice n = {n}, M = {M}, not on omega's n = 2, M = 8"
+        with pytest.raises(ParameterError, match=named):
+            l2Q_error(discrete, zero, grid, om, kind=kind, quad=quad)
+    # a rule of an equal lattice, built for another OmegaMesh, is one of omega's
+    quad = assembly.omega_quadrature(build_omega(2, 8))
+    assert l2Q_error(discrete, zero, grid, om, kind=kind, quad=quad) == 0.0
 
 
 def test_fit_rate_exact_and_noisy():
@@ -342,6 +359,29 @@ def test_truncation_on_one_lattice_matches_a_lattice_per_height(gamma):
     per_height = truncation_per_height(cfg)
     assert family.rows == per_height.rows
     assert family.slopes == per_height.slopes
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_truncation_reads_the_nodal_mass_norms_from_modal_coefficients(gamma, monkeypatch):
+    cfg = ExperimentConfig(kind="truncation", s_list=(0.4,), gamma=gamma, n=2, M=6, K=8,
+                           Y_list=(1.0, 1.5, 2.0, 2.5), T=0.5)
+    calls = []
+    from_modal = evolution.CylinderSystem.from_modal
+    monkeypatch.setattr(evolution.CylinderSystem, "from_modal",
+                        lambda self, *args, **kw: calls.append(1) or from_modal(self, *args, **kw))
+    report = run_truncation_study(cfg)
+    assert calls == []
+    monkeypatch.undo()
+    # the nodal form: M_int-norms of the trace differences, from nodal traces
+    system = evolution.CylinderSystem(*build_setup(2, 6, 0.4, gamma, 0.5, 8, Y=cfg.Y_list))
+    data = ProblemData(forcing=None, desired_state=None, initial=mode(1, 1),
+                       bounds=ControlBounds(-1.0, 1.0, 1.0))
+    traces = nodal_solve_state(system, data).traces
+    for i, row in enumerate(report.rows):
+        diff = traces[:, i] - traces[:, -1]
+        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
+        err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
+        assert math.isclose(row["err_state"], err, rel_tol=1e-12)
 
 
 def count_omega_builds(monkeypatch):

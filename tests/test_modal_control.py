@@ -11,7 +11,8 @@ from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import B_int, M_int, build_test_mesh, nodal_cost_and_gradient, rel_gap
+from helpers import (B_int, M_int, build_test_mesh, control_loads, nodal_cost_and_gradient,
+                     rel_gap)
 
 
 def make_problem(n, gamma, c):
@@ -56,7 +57,7 @@ def test_control_maps_match_sparse(n, M):
     # the nodal applies of the 1D factors against the assembled matrices
     x = rng.standard_normal((3, system.n_interior))
     assert rel_gap(system.mass(x), (M_int(system) @ x.T).T) <= 1e-13
-    assert rel_gap(system.control_loads(z), (B_int(system) @ z.T).T) <= 1e-13
+    assert rel_gap(control_loads(system, z), (B_int(system) @ z.T).T) <= 1e-13
     assert rel_gap(system.cell_integrals(x), (B_int(system).T @ x.T).T) <= 1e-13
 
 
@@ -74,6 +75,22 @@ def test_solve_forms_nodal_traces_once(monkeypatch):
     assert res.iterations > 1
     # the final state and the final adjoint
     assert len(calls) == 2
+
+
+def test_each_evaluation_runs_one_state_and_one_adjoint_march(monkeypatch):
+    prob = make_problem(2, 0.5, 0.0)
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kw: calls.append(name) or fn(*args, **kw)
+
+    for name in ("state_march", "adjoint_march"):
+        monkeypatch.setattr(control, name, counted(name, getattr(control, name)))
+    monkeypatch.setattr(ReducedProblem, "cost_and_gradient",
+                        counted("eval", ReducedProblem.cost_and_gradient))
+    res = solve_control_problem(prob.data, prob.params, prob.mesh, prob.grid, prob=prob)
+    assert res.iterations > 1
+    assert calls == ["eval", "state_march", "adjoint_march"] * (len(calls) // 3)
 
 
 def test_result_belongs_to_returned_control_after_rejected_trial(monkeypatch):
