@@ -41,8 +41,9 @@ h_i of the inverse, the mode's impulse response, truncated to K steps: the
 power series of 1/(c_new + delta_i - c_new z D(z)), D(z) = sum_j d_j z^j.
 For L1 the impulse responses are computed once per system and distinct
 rate, by Newton iteration on that reciprocal (O(n K log K), :func:`impulse_responses`),
-and every march is then one FFT product (O(n K log K)); backward Euler
-keeps its one-step recurrence (O(n K)).
+and their spectra are kept once per distinct rate. Every march is then one
+FFT product (O(n K log K)), taken a block of modes at a time through work
+buffers of one block; backward Euler keeps its one-step recurrence (O(n K)).
 The adjoint march solves with the transpose T_i^T = J T_i J (J reverses
 time), i.e. the same convolution applied to the time-reversed loads, so it
 is the exact transpose of the forward march and the discrete duality
@@ -174,6 +175,11 @@ def impulse_responses(rate: np.ndarray, c_new: float, diffs: np.ndarray,
     return h
 
 
+# time samples per block of modes in an L1 solve: a block's work buffers take
+# a few hundred KB, whatever K and the number of modes
+_BLOCK_SAMPLES = 2 ** 14
+
+
 class ModalMarch:
     """Per-mode time-stepping solves T_i x_i = g_i for all modes at once.
 
@@ -186,12 +192,16 @@ class ModalMarch:
     solutions are (K, n_modes) arrays, step k in row k. Every rate must be
     finite with c_new + r_i > 0, or ParameterError is raised.
 
-    For L1 only the real FFTs, zero-padded to 2K and mode-major, of the
-    impulse responses h_i (:func:`impulse_responses`) are kept, and a solve
-    is the causal convolution h_i * g_i truncated to K steps (see the module
-    docstring). A response and its FFT depend on the rate alone, so they are
-    computed once per distinct rate and expanded to the modes. Backward
-    Euler keeps its one-step recurrence.
+    For L1 a solve is the causal convolution h_i * g_i truncated to K steps
+    (see the module docstring), one real FFT of length 2K per mode. A
+    response h_i (:func:`impulse_responses`) depends on the rate alone, so
+    ``h_hat`` keeps the FFT of one response per distinct rate, and mode i
+    reads row ``rate_index[i]``. A solve runs over blocks of ``block`` modes,
+    about 2^14 time samples each (one mode from K = 16384 on), through three
+    work buffers of one block that the march owns: the loads, their spectrum
+    and the 2K-long inverse. So a solve allocates its result and nothing of
+    the family's size, and each mode's FFTs, hence its bits, do not depend on
+    the block. Backward Euler keeps its one-step recurrence.
     """
 
     def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
@@ -203,11 +213,16 @@ class ModalMarch:
             raise ParameterError("march rates must be finite with c_new + rate > 0")
         self.h_hat = None
         if self.weights is not None:
-            rate, modes = np.unique(self.rate, return_inverse=True)
+            rate, self.rate_index = np.unique(self.rate, return_inverse=True)
             self.h_hat = np.fft.rfft(
-                impulse_responses(rate, self.c_new, self.weights.diffs, K), n=2 * K)[modes]
-            # reused by every solve: a fresh spectrum per call costs page faults
-            self._spec = np.empty_like(self.h_hat)
+                impulse_responses(rate, self.c_new, self.weights.diffs, K), n=2 * K)
+            self.block = min(self.rate.size, max(1, _BLOCK_SAMPLES // K))
+            # reused by every block of every solve: fresh ones cost page faults.
+            # Two extra columns let the inverse's buffer first hold, read as
+            # complex, the block's rows of h_hat.
+            self._loads = np.empty((self.block, K))
+            self._loads_hat = np.empty((self.block, K + 1), dtype=complex)
+            self._inverse = np.empty((self.block, 2 * K + 2))
 
     def solve(self, g: np.ndarray | None, x0: np.ndarray | None = None,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -220,10 +235,10 @@ class ModalMarch:
         if g is not None and g.shape != shape:
             raise ParameterError(f"march loads must have shape {shape}, got {g.shape}; "
                                  "only a system of one height takes loads")
+        x = np.empty(shape) if out is None else out
         if self.h_hat is None:
             # each step in place in its row: fresh temporaries per step cost
             # more than the step's arithmetic at a few hundred modes
-            x = np.empty(shape) if out is None else out
             prev = np.zeros(self.rate.size) if x0 is None else x0
             for k in range(self.K):
                 prev = np.multiply(self.c_new, prev, out=x[k])
@@ -231,26 +246,36 @@ class ModalMarch:
                     prev += g[k]
                 prev /= self.rate
             return x
-        if g is not None:
-            loads = np.array(g.T, order="C")
-            if x0 is not None:
-                loads += np.outer(self.c_new * x0, self.weights.a)
-        elif x0 is not None:    # the initial value's load alone, not added into zeros
-            loads = np.outer(self.c_new * x0, self.weights.a)
-        else:
-            loads = np.zeros(shape[::-1])
-        n_fft = 2 * self.K
-        spec = np.fft.rfft(loads, n=n_fft, out=self._spec)
-        spec *= self.h_hat
-        x = np.fft.irfft(spec, n=n_fft)[:, :self.K].T
-        if out is None:
-            return x.copy()     # compact: a view would pin the 2K-long irfft buffer
-        out[...] = x
-        return out
+        K, n_fft = self.K, 2 * self.K
+        c_x0 = None if x0 is None else self.c_new * x0
+        for start in range(0, shape[1], self.block):
+            modes = slice(start, min(start + self.block, shape[1]))
+            rows = modes.stop - start
+            loads, spec, inv = self._loads[:rows], self._loads_hat[:rows], self._inverse[:rows]
+            if g is not None:
+                loads[...] = g[:, modes].T
+                if c_x0 is not None:
+                    loads += np.multiply.outer(c_x0[modes], self.weights.a, out=inv[:, :K])
+            elif c_x0 is not None:  # the initial value's load alone, not added into zeros
+                np.multiply.outer(c_x0[modes], self.weights.a, out=loads)
+            else:
+                loads.fill(0.0)
+            np.fft.rfft(loads, n=n_fft, out=spec)
+            # mode="clip" writes into out directly; the default "raise" buffers
+            spec *= np.take(self.h_hat, self.rate_index[modes], axis=0,
+                            out=inv.view(complex), mode="clip")
+            np.fft.irfft(spec, n=n_fft, out=inv[:, :n_fft])
+            x[:, modes] = inv[:, :K].T
+        return x
 
     def solve_transposed(self, g: np.ndarray) -> np.ndarray:
-        """x_i = T_i^{-T} g_i: the Toeplitz solve on time-reversed loads, reversed."""
-        return self.solve(g[::-1])[::-1]
+        """x_i = T_i^{-T} g_i: the Toeplitz solve on time-reversed loads, reversed.
+
+        The solve writes into a reversed view of a new C-contiguous (K, n_modes) array.
+        """
+        x = np.empty((self.K, self.rate.size))
+        self.solve(g[::-1], out=x[::-1])
+        return x
 
 
 def lattice_modes(m: int):

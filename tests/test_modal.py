@@ -1,11 +1,12 @@
 """Modal fast-diagonalization step solve against the assembled sparse path."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracopt import CylinderSystem, ParameterError, TimeGrid, apply_discrete_caputo
-from fracopt.evolution import ModalMarch, impulse_responses, state_march
+from fracopt.evolution import ModalMarch, adjoint_march, impulse_responses, state_march
 from fracopt.problem import FractionalParams
 
 from helpers import (M_int, build_test_mesh, control_loads, extension_field, free_field,
@@ -130,7 +131,85 @@ def test_impulse_response_matches_recurrence(rates, K, gamma):
     got = impulse_responses(march.rate, march.c_new, march.weights.diffs, K)
     assert got.shape == (rates.size, K)
     assert rel_gap(got, ref) <= 1e-13
-    assert rel_gap(march.h_hat, np.fft.rfft(ref, n=2 * K)) <= 1e-13
+    # one spectrum per distinct rate, read by each mode through its index
+    assert march.h_hat.shape[0] == np.unique(march.rate).size
+    assert rel_gap(march.h_hat[march.rate_index], np.fft.rfft(ref, n=2 * K)) <= 1e-13
+
+
+def convolution_reference(march, g, x0):
+    """The L1 solve as direct causal convolutions with the recurrence's impulse responses."""
+    h = recurrence_impulse_responses(march.rate, march.c_new, march.weights.diffs, march.K)
+    loads = np.outer(march.c_new * x0, march.weights.a)
+    if g is not None:
+        loads += g.T
+    return np.array([np.convolve(hi, li)[:march.K] for hi, li in zip(h, loads)]).T
+
+
+# 2^14 // K modes per block: a few modes, one block, one block and one more mode
+@pytest.mark.parametrize("K", [16, 1024, 4096])
+@pytest.mark.parametrize("modes", ["few", "block", "block+1"])
+def test_l1_blocks_match_recurrence(modes, K):
+    block = 2 ** 14 // K
+    n = {"few": 3, "block": block, "block+1": block + 1}[modes]
+    rng = np.random.default_rng(K + n)
+    # rates of a test system, repeated so that modes share spectra
+    rates = rng.choice(system_rates(2).ravel(), size=n)
+    march = ModalMarch(rates, 0.5, K, 1.0 / K)
+    assert march.block == min(n, block)
+    assert march.h_hat.shape[0] == np.unique(march.rate).size
+    x0 = rng.standard_normal(n)
+    loads = rng.standard_normal((K, n))
+    assert rel_gap(march.solve(loads, x0), convolution_reference(march, loads, x0)) <= 1e-13
+    assert rel_gap(march.solve(None, x0), convolution_reference(march, None, x0)) <= 1e-13
+    assert np.array_equal(march.solve(None), np.zeros((K, n)))
+
+
+@pytest.mark.parametrize("K", [16, 1024])
+def test_height_family_march_matches_recurrence(K):
+    """A family's zero-load march, in blocks that cross heights, against the recurrence."""
+    mesh, params = build_test_mesh(n=2, M=6, s=0.35, Y=(1.5, 2.0, 3.0))
+    params = FractionalParams(params.s, 0.5, reaction=0.7)
+    family = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=K))
+    w0_hat = family.to_modal(family.mass(family.initial_field(u0)))
+    got = state_march(family, w0_hat, None)
+    x0 = np.broadcast_to(w0_hat, family.delta.shape).ravel()
+    ref = convolution_reference(family.march, None, x0).reshape(got.shape)
+    assert rel_gap(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_transposed_solve_is_compact_and_bit_equal_to_the_reversed_solve(gamma):
+    K, n = 300, 40
+    rng = np.random.default_rng(11)
+    march = ModalMarch(rng.uniform(0.0, 50.0, n), gamma, K, 1.0 / K)
+    loads = rng.standard_normal((K, n))
+    got = march.solve_transposed(loads)
+    assert got.flags.c_contiguous and got.flags.owndata
+    assert np.array_equal(got, march.solve(loads[::-1].copy())[::-1])
+    system = make_system(2, gamma, 0.7, K=K)
+    p_hat = adjoint_march(system, rng.standard_normal((K, system.n_interior)))
+    assert p_hat.flags.c_contiguous
+
+
+def test_l1_solve_allocates_its_result_and_one_block():
+    """A solve allocates nothing of the family's size but its result."""
+    K, n = 1024, 200
+    rng = np.random.default_rng(2)
+    march = ModalMarch(rng.uniform(0.0, 50.0, n), 0.5, K, 1.0 / K)
+    loads, x0 = rng.standard_normal((K, n)), rng.standard_normal(n)
+    block_bytes = (2 ** 14 // K) * (2 * K + 2) * 8     # one 2K-long buffer of 16 modes
+    for solve in (lambda: march.solve(loads, x0), lambda: march.solve(None, x0),
+                  lambda: march.solve_transposed(loads)):
+        solve()     # FFT plans and caches, made once per process
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            x = solve()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 2 * block_bytes
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
