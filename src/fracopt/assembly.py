@@ -28,7 +28,7 @@ and its time profiles once per step block or once per grid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,16 +150,16 @@ def kron_apply(f: np.ndarray, x: np.ndarray, n: int,
     return y.reshape(lead + (rows ** n,))
 
 
-@dataclass(frozen=True)
-class OmegaQuadrature:
+class OmegaQuadrature(NamedTuple):
     """3-point Gauss rule on every Omega cell (degree-5 exact): a tensor power of the 1D rule.
 
     The 1D rule on the m cells of (0, 1) has 3m points, cell by cell, with
     weights ``weights1``; ``hats`` (3m, m-1) holds the interior hat
-    functions at those points. The Omega rule lists its (3m)^n points in
-    row-major tensor order, the last axis fastest, as the lattice numbers its
-    vertices and cells. Loads, point values and cell sums are Kronecker
-    powers of 1D factors, applied per axis (:func:`kron_apply`).
+    functions at those points, and ``means1`` (m, 3m) takes point values to
+    cell means (each cell's weights over h). The Omega rule lists its (3m)^n
+    points in row-major tensor order, the last axis fastest, as the lattice
+    numbers its vertices and cells, and each map of point values is the
+    Kronecker power of a 1D factor, applied per axis (:func:`kron_apply`).
     """
 
     n: int
@@ -168,19 +168,7 @@ class OmegaQuadrature:
     cell_of: np.ndarray     # (nq,) cell index of each point
     weights1: np.ndarray    # (3m,)
     hats: np.ndarray        # (3m, m-1)
-
-    def loads(self, vals: np.ndarray) -> np.ndarray:
-        """Interior loads sum_q w_q phi_i(x_q) vals_q of point values along the last axis."""
-        return kron_apply(self.hats.T * self.weights1, vals, self.n)
-
-    def values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Point values sum_i coeffs_i phi_i(x_q) of interior coefficients along the last axis."""
-        return kron_apply(self.hats, coeffs, self.n)
-
-    def cell_integrals(self, vals: np.ndarray) -> np.ndarray:
-        """Per-cell weighted sums of point values along the last axis."""
-        cells = np.repeat(np.eye(self.hats.shape[1] + 1), 3, axis=1)
-        return kron_apply(cells * self.weights1, vals, self.n)
+    means1: np.ndarray      # (m, 3m)
 
 
 _GAUSS3_P = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -190,7 +178,8 @@ _GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 def omega_quadrature(omega: OmegaMesh) -> OmegaQuadrature:
     """The Gauss rule of ``omega``: built on the first call, then the same object for that lattice.
 
-    Its arrays are read-only, since every system on the lattice shares them.
+    Its arrays are read-only (:meth:`~fracopt.mesh.OmegaMesh.kept`), since
+    every system on the lattice shares them.
     """
     return omega.kept(_gauss_rule)
 
@@ -206,14 +195,12 @@ def _gauss_rule(omega: OmegaMesh) -> OmegaQuadrature:
     hats[np.arange(3 * m), cell1 + 1] = xi
     tensor = lambda v: np.meshgrid(*[v] * n, indexing="ij")
     points1 = np.linspace(0.0, 1.0, m + 1)[cell1] + h * xi
-    quad = OmegaQuadrature(
+    return OmegaQuadrature(
         n=n, points=np.stack([x.ravel() for x in tensor(points1)], axis=1),
         weights=np.prod(tensor(weights1), axis=0).ravel(),
         cell_of=np.ravel_multi_index(tuple(tensor(cell1)), (m,) * n).ravel(),
-        weights1=weights1, hats=hats[:, 1:-1])
-    for a in (quad.points, quad.weights, quad.cell_of, quad.weights1, quad.hats):
-        a.flags.writeable = False
-    return quad
+        weights1=weights1, hats=hats[:, 1:-1],
+        means1=np.repeat(np.eye(m), 3, axis=1) * np.tile(_GAUSS3_W, m))
 
 
 _GAUSS2_P = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])

@@ -23,7 +23,8 @@ control is a sum of squares, so nothing cancels. Expanding the square instead
 left about 170 eps |J| of roundoff in J at the optimum of a small problem
 with mu = 1e-2, above the line search's allowance of 8 eps |J|. The
 control loads enter as Phi^T B_int z, the power of c1 = phi^T b1 applied per
-axis, and the gradient's B_int^T Phi p_hat is the power of c1^T. So a
+axis, the gradient's B_int^T Phi p_hat is the power of c1^T and the
+initial trace's Phi^{-1} tr = Phi^T M_int tr the power of phi^T m1. So a
 cost-and-gradient evaluation does one modal state and one modal adjoint march
 (:func:`~fracopt.evolution.state_march`, :func:`~fracopt.evolution.adjoint_march`)
 and no nodal transform; the result's nodal traces are formed once, at the end
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import at_points, omega_quadrature, step_blocks, time_average
+from .assembly import at_points, kron_apply, omega_quadrature, step_blocks, time_average
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
                         forcing_loads, modal_projection, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
@@ -71,8 +72,9 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh) -> np.ndarray:
 
     Values are the exact means over each space-time cell, computed with the
     lattice's 3-point tensor Gauss rule per cell and the 2-point rule per
-    step; r is evaluated once per block of steps, a separable r's spatial
-    factors once (:func:`~fracopt.assembly.at_points`).
+    step, in one per-axis apply (``OmegaQuadrature.means1``); r is evaluated
+    once per block of steps, a separable r's spatial factors once
+    (:func:`~fracopt.assembly.at_points`).
     """
     quad = omega_quadrature(omega)
     values = at_points(r, quad.points, "exact solution")
@@ -80,7 +82,7 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh) -> np.ndarray:
     avg = None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
         avg = time_average(values, t0, t1, out=avg)
-        out[steps] = quad.cell_integrals(avg) / omega.cell_volume
+        kron_apply(quad.means1, avg, omega.n, out=out[steps])
     return out
 
 
@@ -89,9 +91,12 @@ def project_trace(trace_int: np.ndarray, system: CylinderSystem) -> np.ndarray:
 
     ``trace_int`` holds interior values along its last axis, as every apply
     of the system does; a (K, n_interior) array gives the means of K traces
-    in one product.
+    in one apply of B_int^T/|cell|. Another last axis raises ParameterError.
     """
-    return system.cell_integrals(trace_int) / system.mesh.omega.cell_volume
+    if np.shape(trace_int)[-1:] != (system.n_interior,):
+        raise ParameterError(f"traces need a last axis of n_interior = {system.n_interior}, "
+                             f"got shape {np.shape(trace_int)}")
+    return kron_apply(system.factors.means, trace_int, system.n)
 
 
 class ReducedProblem:
@@ -99,7 +104,7 @@ class ReducedProblem:
 
     Loads the forcing and desired-state step averages once and keeps only
     their modal data b_f_hat = Phi^T b_f (:func:`~fracopt.evolution.forcing_loads`),
-    b_ud_hat = Phi^T b_ud, w0_hat = Phi^T M_int tr V^0 and the constant c_res =
+    b_ud_hat = Phi^T b_ud, w0_hat = Phi^{-1} tr V^0 and the constant c_res =
     sum_k ||u_d^k - P u_d^k||_q^2, the second and the last from one projection
     of u_d (:func:`~fracopt.evolution.modal_projection`). A zero forcing (None)
     has no loads: b_f_hat is None and an evaluation adds nothing for it.
@@ -135,9 +140,9 @@ class ReducedProblem:
         if data.forcing is not None:
             self.b_f_hat = forcing_loads(data.forcing, sysm)
         self.b_ud_hat, self.c_res = modal_projection(data.desired_state, grid, mesh.omega,
-                                                     sysm.quad, "desired state")
+                                                     "desired state")
         self.trace0 = sysm.initial_field(data.initial)
-        self.w0_hat = sysm.to_modal(sysm.mass(self.trace0))
+        self.w0_hat = sysm.nodal_to_modal(self.trace0)
 
     def new_control(self, values) -> ControlField:
         return ControlField(values=np.asarray(values, dtype=float),
@@ -179,9 +184,13 @@ class ReducedProblem:
 def vi_residual(control: ControlField, p_cell_means: np.ndarray) -> float:
     """Distance of z from the projection-formula fixed point.
 
-    Returns ||z - clamp(-Pi(tr p)/mu, a, b)||_{l2(L2)}; zero exactly when the
-    discrete variational inequality holds cellwise.
+    Returns ||z - clamp(-Pi(tr p)/mu, a, b)||_{l2(L2)} for cell means of shape (K, n_cells)
+    (else ParameterError); zero exactly when the discrete variational inequality holds cellwise.
     """
+    shape = (control.grid.K, control.omega.n_cells)
+    if np.shape(p_cell_means) != shape:
+        raise ParameterError(f"adjoint cell means must have shape (K, n_cells) = {shape}, "
+                             f"got {np.shape(p_cell_means)}")
     b = control.bounds
     target = clamp(-p_cell_means / b.mu, b.a, b.b)
     return control_norm(control.values - target, control.grid, control.omega)

@@ -15,10 +15,10 @@ eigenpairs are closed-form:
 
 and on (0, 1)^n the Q1 modes are the products phi_k1 x ... x phi_kn with
 eigenvalue lambda_k1 + ... + lambda_kn. The elements are tensor products,
-so every Omega operator the solver needs (the modes, the interior mass,
-the control loads and their transpose) is the n-fold Kronecker power of a
-1D factor: :class:`CylinderSystem` keeps the 1D factors only and applies
-them one axis at a time. In this basis the step
+so every Omega map the solver applies (the modes and their inverse, the
+modal loads of controls and of Gauss-point values, and their transposes)
+is the n-fold Kronecker power of one 1D factor: the lattice keeps only those
+(:class:`LatticeFactors`, :class:`PointFactors`), applied per axis. In this basis the step
 matrix splits into one tridiagonal axis problem per mode i,
 
     T_i = ((lambda_i + c) M_y + S_y)/d_s  on axis nodes 0..M-1,  plus c_new at (0, 0),
@@ -54,10 +54,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (OmegaQuadrature, assemble_stiffness, at_points, factor_values,
+from .assembly import (assemble_stiffness, at_points, factor_values,
                        kron_apply, omega_quadrature, step_blocks, step_means,
                        time_average, time_profiles, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
@@ -295,23 +296,37 @@ def lattice_modes(m: int):
     return phi, lam
 
 
-def lattice_factors(omega: OmegaMesh):
-    """The 1D factors (phi, lam, m1, b1, c1) of the lattice's operators, read-only.
+class LatticeFactors(NamedTuple):
+    """The 1D factors of a lattice's maps, with m1 = (h/6) tridiag(1, 4, 1) the interior P1
+    mass and b1 the (m-1) x m hat-over-cell matrix (entries h/2); phi^T m1 phi = I."""
 
-    ``phi`` and ``lam`` are the modes and eigenvalues of :func:`lattice_modes`,
-    ``m1`` = (h/6) tridiag(1, 4, 1) the interior P1 mass, ``b1`` the
-    (m-1) x m hat-over-cell matrix (entries h/2) and ``c1`` = phi^T b1 the
-    modal control factor. A system takes them through ``omega.kept``, so
-    they are built once per lattice and shared by every system on it.
-    """
+    phi: np.ndarray         # (m-1, m-1): the modes of lattice_modes
+    lam: np.ndarray         # (m-1,): their eigenvalues
+    phi_inv: np.ndarray     # (m-1, m-1): phi^T m1, nodal values to modal coefficients
+    c1: np.ndarray          # (m-1, m): phi^T b1, cell values to modal control loads
+    means: np.ndarray       # (m, m-1): b1^T/h, nodal values to cell means
+
+
+def lattice_factors(omega: OmegaMesh) -> LatticeFactors:
+    """The lattice's factors: a system reads them through ``omega.kept``, built once per lattice."""
     m, h = omega.cells_per_dim, omega.h
     phi, lam = lattice_modes(m)
     m1 = h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1))
     b1 = 0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1))
-    factors = (phi, lam, m1, b1, phi.T @ b1)
-    for a in factors:
-        a.flags.writeable = False
-    return factors
+    return LatticeFactors(phi, lam, phi.T @ m1, phi.T @ b1, b1.T / h)
+
+
+class PointFactors(NamedTuple):
+    """The 1D factors between the modes and the Gauss rule's points, of ``hats`` and weights w1."""
+
+    loads: np.ndarray       # (m-1, 3m): phi^T hats^T w1, point values to modal loads Phi^T B_q
+    values: np.ndarray      # (3m, m-1): hats phi, modal coefficients to point values
+
+
+def point_factors(omega: OmegaMesh) -> PointFactors:
+    """The lattice's point factors, built with its Gauss rule on the first data read."""
+    quad, phi = omega_quadrature(omega), omega.kept(lattice_factors).phi
+    return PointFactors(phi.T @ (quad.hats.T * quad.weights1), quad.hats @ phi)
 
 
 def axis_schur(axis: GradedAxis, alpha: float, rates: np.ndarray, d_s: float) -> np.ndarray:
@@ -382,18 +397,12 @@ class CylinderSystem:
     is one FFT convolution (O(n K log K)); for backward Euler a step costs
     one division per mode.
 
-    Every Omega operator is kept as its 1D factor on the uniform partition
-    with m cells and applied per axis as its n-fold Kronecker power
-    (:func:`~fracopt.assembly.kron_apply`): the modes ``phi``, the interior
-    P1 mass ``m1`` = (h/6) tridiag(1, 4, 1), the (m-1) x m hat-over-cell
-    matrix ``b1`` (entries h/2) and the modal control factor ``c1`` =
-    phi^T b1. These and the Gauss rule ``quad`` (read on demand) belong to
-    the lattice (:func:`lattice_factors`, :func:`~fracopt.assembly.omega_quadrature`),
-    built once per lattice, read-only, and shared by its systems. So
-    :meth:`mass` applies the interior mass M_int, :meth:`control_to_modal` the
-    modal control loads Phi^T B_int and :meth:`cell_integrals` B_int^T; no n-dimensional
-    Omega matrix is assembled, and the lattice eigenvalues are the n-fold
-    outer sum of the 1D ones. The state is kept as its trace at y = 0; its
+    Every Omega map is the n-fold Kronecker power of a 1D factor, applied
+    per axis (:func:`~fracopt.assembly.kron_apply`). The ``factors``
+    (:func:`lattice_factors`) and the Gauss rule ``quad`` (read on demand)
+    belong to the lattice, read-only and shared by its systems. So no
+    n-dimensional Omega matrix is assembled, and the lattice eigenvalues are
+    the n-fold outer sum of the 1D ones. The state is kept as its trace at y = 0; its
     extension above y = 0 is never formed. No march reads the assembled
     free-node stiffness ``A_free``, which the sparse oracles use: it is
     assembled on first access and then kept.
@@ -407,8 +416,8 @@ class CylinderSystem:
 
         self.n = mesh.omega.n
         self.interior = mesh.omega.interior_idx
-        self.phi, lam, self.m1, self.b1, self.c1 = mesh.omega.kept(lattice_factors)
-        lam = functools.reduce(np.add.outer, [lam] * self.n).ravel()
+        self.factors = mesh.omega.kept(lattice_factors)
+        lam = functools.reduce(np.add.outer, [self.factors.lam] * self.n).ravel()
         self.delta = axis_schur(mesh.axis, params.alpha, lam + params.reaction, params.d_s)
         self.march = ModalMarch(self.delta.ravel(), params.gamma, grid.K, grid.tau)
 
@@ -423,29 +432,21 @@ class CylinderSystem:
     def n_interior(self) -> int:
         return self.interior.size
 
-    def to_modal(self, loads: np.ndarray) -> np.ndarray:
-        """Modal coefficients phi_i . l of interior loads along the last axis."""
-        return kron_apply(self.phi.T, loads, self.n)
-
     def from_modal(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Interior nodal values sum_i coeffs_i phi_i along the last axis, into ``out`` if given."""
-        return kron_apply(self.phi, coeffs, self.n, out=out)
+        return kron_apply(self.factors.phi, coeffs, self.n, out=out)
+
+    def nodal_to_modal(self, values: np.ndarray) -> np.ndarray:
+        """Modal coefficients Phi^{-1} x = Phi^T M_int x of interior values x on the last axis."""
+        return kron_apply(self.factors.phi_inv, values, self.n)
 
     def control_to_modal(self, z: np.ndarray) -> np.ndarray:
-        """Modal coefficients of the control loads, to_modal(B_int z), along the last axis."""
-        return kron_apply(self.c1, z, self.n)
+        """Modal coefficients Phi^T B_int z of the control loads along the last axis."""
+        return kron_apply(self.factors.c1, z, self.n)
 
     def modal_to_control(self, coeffs: np.ndarray) -> np.ndarray:
         """B_int^T from_modal(coeffs) along the last axis: the transpose of control_to_modal."""
-        return kron_apply(self.c1.T, coeffs, self.n)
-
-    def mass(self, x: np.ndarray) -> np.ndarray:
-        """M_int x: the interior Omega mass applied to interior values along the last axis."""
-        return kron_apply(self.m1, x, self.n)
-
-    def cell_integrals(self, trace: np.ndarray) -> np.ndarray:
-        """B_int^T tr: per-cell integrals of interior trace values along the last axis."""
-        return kron_apply(self.b1.T, trace, self.n)
+        return kron_apply(self.factors.c1.T, coeffs, self.n)
 
     def initial_field(self, u0) -> np.ndarray:
         """Initial trace: the nodal interpolant of u0 at the interior vertices.
@@ -481,7 +482,7 @@ def state_march(system: CylinderSystem, w0_hat: np.ndarray,
                 loads: np.ndarray | None) -> np.ndarray:
     """Forward march in modal coordinates: the coefficients of steps 1..K, (K, *heights, n_modes).
 
-    ``w0_hat`` = Phi^T M_int tr^0 holds the modal coefficients of the initial
+    ``w0_hat`` = Phi^{-1} tr^0 holds the modal coefficients of the initial
     trace, the start of every height of ``system.delta``. ``loads`` (K, n_modes)
     holds in row k the modal load Phi^T b^{k+1} of step k+1, and None means
     zero loads; only a system of one height takes loads. Every mode solves
@@ -529,74 +530,70 @@ def forcing_loads(f, system: CylinderSystem, what: str = "forcing") -> np.ndarra
     """Modal loads Phi^T b^{k+1} of the step averages f^{k+1}, k = 0..K-1, as a (K, n_modes) array.
 
     b^{k+1} are the interior-node loads in ``system.quad``, the lattice's
-    Gauss rule. A linear term g(t) phi(x) of a separable f
-    (:func:`~fracopt.problem.separable`) costs one Gauss-rule load of phi
-    times the step averages of g. Every other term, and a plain callable f,
-    is evaluated at the Gauss points once per block of steps
-    (:func:`step_blocks`), each spatial factor once per call
-    (:func:`~fracopt.assembly.at_points`). For f = None, the zero datum,
-    the loads are zero and nothing is evaluated. ``what`` names f in errors.
+    Gauss rule; point values reach the modes in one apply (:class:`PointFactors`).
+    The linear terms g(t) phi(x) of a separable f (:func:`~fracopt.problem.separable`)
+    fill the result: one modal load of phi times the step averages of g.
+    Every other term, and a plain callable f, is evaluated at the Gauss
+    points once per block of steps (:func:`step_blocks`), each spatial factor
+    once per call (:func:`~fracopt.assembly.at_points`), and added into the
+    block's rows. For f = None, the zero datum, the loads are zero and
+    nothing is evaluated. ``what`` names f in errors.
     """
-    grid = system.grid
-    shape = (grid.K, system.n_interior)
+    grid, omega = system.grid, system.mesh.omega
+    out = np.zeros((grid.K, system.n_interior))
     if f is None:
-        return np.zeros(shape)
-    quad = system.quad
+        return out
+    quad, loads = system.quad, omega.kept(point_factors).loads
     sep = separable(f)
     linear, rest = (), f
     if sep is not None:
         linear = tuple(term for term in sep.terms if term.psi is None)
         others = tuple(term for term in sep.terms if term.psi is not None)
         rest = Separable(others) if others else None
-    out = None
+    if linear:
+        b_phi = kron_apply(loads, factor_values(linear, quad.points, what), system.n)
+        np.matmul(step_means(linear, grid, what), b_phi, out=out)
     if rest is not None:
-        values = at_points(rest, quad.points, what)
-        out = np.empty(shape)
-        avg = None
+        values, avg = at_points(rest, quad.points, what), None
         for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
             avg = time_average(values, t0, t1, out=avg)
-            out[steps] = quad.loads(avg)
-        out = system.to_modal(out)
-    if linear:
-        b_phi = system.to_modal(quad.loads(factor_values(linear, quad.points, what)))
-        loads = step_means(linear, grid, what) @ b_phi
-        out = loads if out is None else np.add(out, loads, out=out)
+            out[steps] += kron_apply(loads, avg, system.n)
     return out
 
 
-def modal_projection(f, grid: TimeGrid, omega: OmegaMesh, quad: OmegaQuadrature, what: str,
-                     ends: bool = False):
+def modal_projection(f, grid: TimeGrid, omega: OmegaMesh, what: str, ends: bool = False):
     """(b_hat, c): the modal loads of f's step data and their distance from the Q1 space.
 
     The step data f^k, k = 0..K-1, are the step averages f^{k+1} of
     :func:`forcing_loads`, or with ``ends`` the values f(t_{k+1}). b_hat
     (K, n_interior) holds Phi^T b^k, the modal coefficients of their loads
-    in ``quad``, the Gauss rule of ``omega``. That rule is exact on products
-    of two Q1 functions and Phi Phi^T = M_int^{-1}, so Phi b_hat[k] holds
-    P f^k, the rule's projection of f^k onto the interior Q1 space, and
+    in the Gauss rule of ``omega``. That rule is exact on products of two Q1
+    functions and Phi Phi^T = M_int^{-1}, so Phi b_hat[k] holds P f^k, the
+    rule's projection of f^k onto the interior Q1 space, and
     c = sum_k ||f^k - P f^k||_q^2. A trace tr_k in that space is then, by
     Galerkin orthogonality, at a distance of non-negative parts:
 
-        ||tr_k - f^k||_q^2 = |Phi^T M_int tr_k - b_hat[k]|^2 + ||f^k - P f^k||_q^2.
+        ||tr_k - f^k||_q^2 = |Phi^{-1} tr_k - b_hat[k]|^2 + ||f^k - P f^k||_q^2.
 
+    Point values reach b_hat, and b_hat those of P f^k, in one apply each (:class:`PointFactors`).
     Linear separable terms g_j phi_j (:func:`~fracopt.problem.separable`)
     take O(N + K) work: b_hat = g b_phi and c = sum_k g_k^T G g_k, with G
     the Gram matrix of the phi_j - P phi_j. Any other f is evaluated at the
     Gauss points once per block of steps (:func:`step_blocks`). f = None,
     the zero datum, gives zeros and is not evaluated. ``what`` names f in errors.
     """
-    phi, n = omega.kept(lattice_factors)[0], quad.n
+    shape = (grid.K, (omega.cells_per_dim - 1) ** omega.n)
+    if f is None:
+        return np.zeros(shape), 0.0
+    quad, factors = omega_quadrature(omega), omega.kept(point_factors)
 
     def project(vals, out=None):
         """The modal loads of point values along the last axis, and P vals - vals."""
-        b = kron_apply(phi.T, quad.loads(vals), n, out=out)
-        resid = quad.values(kron_apply(phi, b, n))
+        b = kron_apply(factors.loads, vals, omega.n, out=out)
+        resid = kron_apply(factors.values, b, omega.n)
         resid -= vals
         return b, resid
 
-    shape = (grid.K, phi.shape[1] ** n)
-    if f is None:
-        return np.zeros(shape), 0.0
     sep = separable(f)
     if sep is not None and sep.linear:
         b_phi, resid = project(factor_values(sep.terms, quad.points, what))
@@ -633,7 +630,7 @@ def solve_state(system: CylinderSystem, data: ProblemData, control=None) -> np.n
             raise ParameterError(f"control must have shape {shape}, got {control.shape}")
         z_loads = system.control_to_modal(control)
         loads = z_loads if loads is None else loads + z_loads
-    w0_hat = system.to_modal(system.mass(system.initial_field(data.initial)))
+    w0_hat = system.nodal_to_modal(system.initial_field(data.initial))
     return state_march(system, w0_hat, loads)
 
 

@@ -230,12 +230,12 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     ``kind='state'``: discrete is the (K+1, n_interior) trace history of the
     piecewise-bilinear state. ``kind='control'``: discrete is the
     (K, n_cells) piecewise-constant field. The exact function is sampled at
-    the right endpoints t_k; space is integrated by the 3-point Gauss rule:
-    ``quad`` when given, which must be a rule of omega's lattice (else
-    ParameterError), or the lattice's (:func:`~fracopt.assembly.omega_quadrature`).
-    A state error is sqrt(tau (|Phi^T M_int tr - b_hat|^2 + c)), with (b_hat, c)
-    the exact state's projection at t_1..t_K (:func:`~fracopt.evolution.modal_projection`):
-    no point value of the trace is formed, and no term cancels. A control
+    the right endpoints t_k; space is integrated by the lattice's 3-point Gauss
+    rule (:func:`~fracopt.assembly.omega_quadrature`); a ``quad`` given must be a
+    rule of that lattice (else ParameterError). A state error is sqrt(tau
+    (|Phi^{-1} tr - b_hat|^2 + c)), with (b_hat, c) the exact state's projection at
+    t_1..t_K (:func:`~fracopt.evolution.modal_projection`): no point value of the
+    trace is formed, and no term cancels. A control
     error evaluates the exact function once per block of steps (a separable
     one's spatial factors once, :func:`~fracopt.assembly.at_points`).
     """
@@ -251,9 +251,8 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
         if discrete.shape != (K + 1, interior.size):
             raise ParameterError(
                 f"state history must have shape {(K + 1, interior.size)}, got {discrete.shape}")
-        b_hat, c = modal_projection(exact, grid, omega, quad, "exact solution", ends=True)
-        phi, _, m1, _, _ = omega.kept(lattice_factors)
-        resid = kron_apply(phi.T, kron_apply(m1, discrete[1:], omega.n), omega.n)
+        b_hat, c = modal_projection(exact, grid, omega, "exact solution", ends=True)
+        resid = kron_apply(omega.kept(lattice_factors).phi_inv, discrete[1:], omega.n)
         resid -= b_hat
         return math.sqrt(grid.tau * (float(np.vdot(resid, resid)) + c))
     if kind != "control":

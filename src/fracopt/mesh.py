@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ParameterError
+from .problem import ParameterError, check_count
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,8 @@ class OmegaMesh:
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.n}")
-        if not self.cells_per_dim >= 1:
-            raise ParameterError(f"need cells_per_dim >= 1, got {self.cells_per_dim}")
+        check_count(self.n, "dimension n")
+        check_count(self.cells_per_dim, "cells_per_dim")
         n, m = self.n, self.cells_per_dim
         coords = np.meshgrid(*[np.linspace(0.0, 1.0, m + 1)] * n, indexing="ij")
         vertices = np.stack([x.ravel() for x in coords], axis=1)
@@ -48,13 +46,15 @@ class OmegaMesh:
     def kept(self, build):
         """build(self), computed on the first call with ``build`` and returned on every later one.
 
-        This is how the lattice keeps its Omega set-up for its lifetime:
-        :func:`fracopt.assembly.omega_quadrature` and
-        :func:`fracopt.evolution.lattice_factors` build it once per lattice
-        object, as read-only arrays that every system on it shares.
+        This is how the lattice keeps its Omega set-up for its lifetime: its Gauss
+        rule and 1D factors are built once per lattice object, as tuples whose
+        arrays, made read-only here, every system on it shares.
         """
         if build not in self._kept:
             self._kept[build] = build(self)
+            for a in self._kept[build]:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
         return self._kept[build]
 
     @property
@@ -83,8 +83,8 @@ def build_omega(n: int, cells_per_dim: int) -> OmegaMesh:
 class GradedAxis:
     """Partition of [0, Y] with nodes y_m = (m/M)^zeta * Y; Y >= 1 is the cylinder's height.
 
-    A sequence of heights makes a family of partitions, one per height. M >= 1,
-    every Y and zeta >= 1 (1: uniform) must be finite; ``unit`` is (m/M)^zeta.
+    A sequence of heights makes a family of partitions, one per height. M >= 1
+    must be an integer, every Y and zeta >= 1 (1: uniform) finite; ``unit`` is (m/M)^zeta.
     """
 
     M: int
@@ -94,8 +94,7 @@ class GradedAxis:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)   # (*heights, M + 1)
 
     def __post_init__(self):
-        if not self.M >= 1:
-            raise ParameterError(f"empty axis mesh: need M >= 1 intervals, got {self.M}")
+        check_count(self.M, "axis intervals M")
         heights = np.asarray(self.Y, dtype=float)
         low = heights.min() if heights.size else np.nan     # an empty family is refused too
         if not low >= 1.0:

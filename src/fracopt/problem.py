@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +20,12 @@ import numpy as np
 
 class ParameterError(ValueError):
     """A problem parameter lies outside its admissible range."""
+
+
+def check_count(value, name: str) -> None:
+    """Raise ParameterError naming ``name`` unless value is an integer >= 1 (numpy's too)."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ParameterError(f"need {name} >= 1, an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +83,13 @@ def select_truncation(N: int, s: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform partition of [0, T] into K steps."""
+    """Uniform partition of [0, T] into K steps; K >= 1 an integer, T > 0 finite."""
 
     T: float
     K: int
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ParameterError(f"need at least one time step, got K = {self.K}")
+        check_count(self.K, "time steps K")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ParameterError(f"final time must be finite and positive, got T = {self.T}")
 

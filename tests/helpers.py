@@ -14,7 +14,7 @@ from fracopt import (ControlBounds, CylinderSystem, FractionalParams, ProblemDat
                      solve_state, weight_integrals)
 from fracopt.assembly import assemble_stiffness, kron_apply, omega_matrices
 from fracopt.evolution import (adjoint_march, adjoint_trajectory, forcing_loads,
-                               lattice_factors, state_march, state_trajectory)
+                               state_march, state_trajectory)
 from fracopt.harness import (ConvergenceReport, ExperimentConfig, apply_settings,
                              build_setup, read_config)
 from fracopt.mesh import default_zeta
@@ -232,7 +232,7 @@ def axis_schur_mp(M, Y, zeta, alpha, rates, d_s):
 
 def system_recurrence(system):
     """:func:`axis_recurrence` for the lattice modes and reaction of ``system``."""
-    lam = system.mesh.omega.kept(lattice_factors)[1]
+    lam = system.factors.lam
     lam = functools.reduce(np.add.outer, [lam] * system.n).ravel()
     return axis_recurrence(system.mesh.axis, system.params.alpha, lam + system.params.reaction,
                            system.params.d_s)
@@ -253,7 +253,7 @@ def free_field(system, coeffs):
 def extension_field(system, u0):
     """Discrete weighted-harmonic extension of u0 from its modal profiles, as a free-node vector."""
     u0v = np.asarray(u0(system.mesh.omega.vertices[system.interior]), dtype=float)
-    return free_field(system, system.to_modal(system.mass(u0v)))
+    return free_field(system, system.nodal_to_modal(u0v))
 
 
 # -- assembled Omega operators: the references for the per-axis applies -----
@@ -275,13 +275,35 @@ def control_load_matrix(omega):
                          shape=(omega.vertices.shape[0], ncells))
 
 
+def m1_b1(omega):
+    """The 1D interior P1 mass (h/6) tridiag(1, 4, 1) and hat-over-cell matrix (entries h/2)."""
+    m, h = omega.cells_per_dim, omega.h
+    return (h / 6.0 * (4.0 * np.eye(m - 1) + np.eye(m - 1, k=1) + np.eye(m - 1, k=-1)),
+            0.5 * h * (np.eye(m - 1, m) + np.eye(m - 1, m, k=1)))
+
+
+def mass(system, x):
+    """M_int x: the interior Omega mass applied per axis to interior values along the last axis."""
+    return kron_apply(m1_b1(system.mesh.omega)[0], x, system.n)
+
+
+def cell_integrals(system, x):
+    """B_int^T x: per-cell integrals of interior trace values along the last axis."""
+    return kron_apply(m1_b1(system.mesh.omega)[1].T, x, system.n)
+
+
 def control_loads(system, z):
     """B_int z: interior loads sum_c z_c int_c phi_i of cell values along the last axis."""
-    return kron_apply(system.b1, z, system.n)
+    return kron_apply(m1_b1(system.mesh.omega)[1], z, system.n)
+
+
+def to_modal(system, loads):
+    """Phi^T loads: the modal coefficients phi_i . l of interior loads along the last axis."""
+    return kron_apply(system.factors.phi.T, loads, system.n)
 
 
 def M_int(system):
-    """Assembled Q1 mass on the interior Omega vertices: the reference of system.mass."""
+    """Assembled Q1 mass on the interior Omega vertices: the reference of :func:`mass`."""
     m_w, _ = omega_matrices(system.mesh.omega)
     return m_w[system.interior][:, system.interior].tocsr()
 
@@ -315,6 +337,22 @@ class AssembledQuadrature:
     def scatter(self) -> sp.csr_matrix:
         """Weighted transposed basis (n_vertices, nq)."""
         return self.basis.T.multiply(self.weights).tocsr()
+
+
+def quad_loads(quad, vals):
+    """Interior loads sum_q w_q phi_i(x_q) vals_q of point values along the last axis."""
+    return kron_apply(quad.hats.T * quad.weights1, vals, quad.n)
+
+
+def quad_values(quad, coeffs):
+    """Point values sum_i coeffs_i phi_i(x_q) of interior coefficients along the last axis."""
+    return kron_apply(quad.hats, coeffs, quad.n)
+
+
+def quad_cell_integrals(quad, vals):
+    """Per-cell weighted sums of point values along the last axis."""
+    cells = np.repeat(np.eye(quad.hats.shape[1] + 1), 3, axis=1)
+    return kron_apply(cells * quad.weights1, vals, quad.n)
 
 
 def assembled_quadrature(omega):
@@ -442,6 +480,13 @@ def recurrence_impulse_responses(rate, c_new, diffs, K):
     return h.T
 
 
+def matches(got, want, rtol=1e-14):
+    """Same shape, entrywise within rtol of the largest reference entry (empty allowed)."""
+    assert got.shape == want.shape
+    gap = np.max(np.abs(got - want), initial=0.0)
+    assert gap <= rtol * np.max(np.abs(want), initial=0.0)
+
+
 def rel_gap(got, ref):
     """Largest entrywise difference relative to the largest reference entry."""
     return float(np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref)))
@@ -451,7 +496,7 @@ def rel_gap(got, ref):
 
 def nodal_loads(system, b_hat):
     """Interior-node loads M_int Phi b_hat of modal loads b_hat = Phi^T b (Phi Phi^T M_int = I)."""
-    return system.mass(system.from_modal(b_hat))
+    return mass(system, system.from_modal(b_hat))
 
 
 def nodal_forcing_loads(f, system, what="forcing"):
@@ -464,14 +509,14 @@ def nodal_state_march(system, trace0, loads):
 
     loads (K, n_interior) are interior-node loads, or None for zero loads.
     """
-    loads = None if loads is None else system.to_modal(loads)
-    w0_hat = system.to_modal(system.mass(trace0))
+    loads = None if loads is None else to_modal(system, loads)
+    w0_hat = system.nodal_to_modal(trace0)
     return state_trajectory(system, trace0, state_march(system, w0_hat, loads))
 
 
 def nodal_adjoint_march(system, loads):
     """adjoint_trajectory o adjoint_march o to_modal, for interior-node loads."""
-    return adjoint_trajectory(system, adjoint_march(system, system.to_modal(loads)))
+    return adjoint_trajectory(system, adjoint_march(system, to_modal(system, loads)))
 
 
 def nodal_solve_state(system, data, control=None):
@@ -491,7 +536,7 @@ def nodal_state(prob, zvals):
 def nodal_adjoint(prob, state):
     """Adjoint of ReducedProblem for a nodal state: the nodal march on M_int tr V - b_ud."""
     b_ud = nodal_forcing_loads(prob.data.desired_state, prob.system, "desired state")
-    return nodal_adjoint_march(prob.system, prob.system.mass(state.traces[1:]) - b_ud)
+    return nodal_adjoint_march(prob.system, mass(prob.system, state.traces[1:]) - b_ud)
 
 
 def nodal_cost_and_gradient(prob, zvals):

@@ -11,9 +11,9 @@ from fracopt.assembly import kron_apply, omega_quadrature
 from fracopt.problem import ParameterError
 
 from helpers import (assemble_trace_mass, assembled_quadrature, build_test_mesh,
-                     check_operator_symmetry,
-                     check_spd_rayleigh, check_weight_integrals, control_load_matrix,
-                     nodal_forcing_loads, node_index, node_maps)
+                     check_operator_symmetry, check_spd_rayleigh, check_weight_integrals,
+                     control_load_matrix, matches, nodal_forcing_loads, node_index, node_maps,
+                     quad_cell_integrals, quad_loads, quad_values)
 
 
 def test_weight_integrals_unweighted():
@@ -229,20 +229,13 @@ def test_lattice_keeps_one_read_only_gauss_rule():
     # nothing is kept across lattices: an equal lattice builds its own rule
     other = omega_quadrature(build_omega(2, 3))
     assert other is not quad and np.array_equal(other.points, quad.points)
-    for name in ("points", "weights", "cell_of", "weights1", "hats"):
+    for name in ("points", "weights", "cell_of", "weights1", "hats", "means1"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(quad, name)[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         quad.points[0, 0] = 0.5
     with pytest.raises(ValueError, match="read-only"):
         om.vertices[0, 0] = 0.5
-
-
-def _matches(got, want, rtol=1e-14):
-    """Same shape, entrywise within rtol of the largest reference entry (empty allowed)."""
-    assert got.shape == want.shape
-    gap = np.max(np.abs(got - want), initial=0.0)
-    assert gap <= rtol * np.max(np.abs(want), initial=0.0)
 
 
 @pytest.mark.parametrize("M", [1, 2, 5, 12])
@@ -266,12 +259,12 @@ def test_tensor_quadrature_matches_assembled_oracle(n, M):
     vals = rng.standard_normal((3, quad.points.shape[0]))
     ref_vals = np.empty_like(vals)
     ref_vals[:, ref_of] = vals
-    _matches(quad.loads(vals), (ref.scatter[interior] @ ref_vals.T).T)
+    matches(quad_loads(quad, vals), (ref.scatter[interior] @ ref_vals.T).T)
     coeffs = rng.standard_normal((3, interior.size))
-    _matches(quad.values(coeffs), (ref.basis[:, interior] @ coeffs.T).T[:, ref_of])
+    matches(quad_values(quad, coeffs), (ref.basis[:, interior] @ coeffs.T).T[:, ref_of])
     cell_sum = sp.csr_matrix((ref.weights, (np.arange(ref.weights.size), ref.cell_of)),
                              shape=(ref.weights.size, om.n_cells))
-    _matches(quad.cell_integrals(vals), ref_vals @ cell_sum)
+    matches(quad_cell_integrals(quad, vals), ref_vals @ cell_sum)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

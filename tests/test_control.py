@@ -13,8 +13,8 @@ from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import (nodal_adjoint, nodal_solve_state, nodal_state, reference_projected_bfgs,
-                     step_average)
+from helpers import (nodal_adjoint, nodal_solve_state, nodal_state, quad_values,
+                     reference_projected_bfgs, step_average)
 
 
 def test_clamp_examples():
@@ -98,7 +98,7 @@ def test_reduced_cost_double_path():
     quad = prob.system.quad
     acc = 0.0
     for k in range(1, grid.K + 1):
-        uvals = quad.values(traj.traces[k])
+        uvals = quad_values(quad, traj.traces[k])
         udvals = step_average(data.desired_state, quad.points, k - 1, grid.tau)
         acc += grid.tau * float(quad.weights @ (uvals - udvals) ** 2)
     ref = 0.5 * acc + 0.5 * data.bounds.mu * grid.tau * mesh.omega.cell_volume \
@@ -172,7 +172,7 @@ def test_gradient_reduces_to_mu_z_when_tracking_vanishes():
 
     def u_d(x, t):
         k = np.minimum(np.ceil(t[:, 0] / grid.tau - 1e-12).astype(int), grid.K)
-        return quad.values(traj.traces[k])
+        return quad_values(quad, traj.traces[k])
 
     matched = ProblemData(forcing=data.forcing, desired_state=u_d,
                           initial=data.initial, bounds=data.bounds)
@@ -364,6 +364,22 @@ def test_vi_residual_fixed_point_and_perturbation():
     pert *= delta / pert_norm
     zp = prob.new_control(fixed + pert)
     assert math.isclose(vi_residual(zp, p_means), delta, rel_tol=1e-12)
+
+
+def test_cell_mean_readers_refuse_other_shapes():
+    man, data, params, mesh, grid = _small_problem(M=4, K=4)
+    prob = ReducedProblem(data, params, mesh, grid)
+    zc = prob.new_control(np.full((4, 16), 0.25))
+    assert math.isclose(vi_residual(zc, np.full((4, 16), -0.1)), 0.15, rel_tol=1e-12)
+    # one step's means used to broadcast to every step; a short last axis raised numpy's error
+    for bad in (np.full(16, -0.1), np.zeros((4, 15)), np.zeros((3, 16))):
+        with pytest.raises(ParameterError, match=r"\(K, n_cells\) = \(4, 16\)"):
+            vi_residual(zc, bad)
+    n_int = prob.system.n_interior
+    assert project_trace(np.zeros((4, n_int)), prob.system).shape == (4, 16)
+    for bad in (np.zeros(5), np.zeros((4, n_int + 1)), np.zeros((n_int, 4)), np.float64(1.0)):
+        with pytest.raises(ParameterError, match=f"last axis of n_interior = {n_int}"):
+            project_trace(bad, prob.system)
 
 
 def test_cost_strictly_convex_on_segments():

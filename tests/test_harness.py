@@ -16,7 +16,7 @@ from fracopt.oracle import mode
 from fracopt.problem import ParameterError
 from fracopt.cli import main as cli_main
 
-from helpers import load_config, nodal_solve_state, read_report_csv, truncation_per_height
+from helpers import (load_config, mass, nodal_solve_state, read_report_csv, truncation_per_height)
 
 
 def test_l2Q_error_reproduces_fe_functions():
@@ -379,7 +379,7 @@ def test_truncation_reads_the_nodal_mass_norms_from_modal_coefficients(gamma, mo
     traces = nodal_solve_state(system, data).traces
     for i, row in enumerate(report.rows):
         diff = traces[:, i] - traces[:, -1]
-        sq = np.einsum("ki,ki->k", diff, system.mass(diff))
+        sq = np.einsum("ki,ki->k", diff, mass(system, diff))
         err = math.sqrt(system.grid.tau * float(np.sum(sq[1:])))
         assert math.isclose(row["err_state"], err, rel_tol=1e-12)
 
@@ -387,7 +387,8 @@ def test_truncation_reads_the_nodal_mass_norms_from_modal_coefficients(gamma, mo
 def count_omega_builds(monkeypatch):
     """The names of the lattice set-up builders, appended on every build."""
     built = []
-    for module, name in ((assembly, "_gauss_rule"), (evolution, "lattice_factors")):
+    for module, name in ((assembly, "_gauss_rule"), (evolution, "lattice_factors"),
+                         (evolution, "point_factors")):
         def counted(omega, build=getattr(module, name), name=name):
             built.append(name)
             return build(omega)
@@ -407,7 +408,7 @@ def test_control_solve_builds_one_gauss_rule_and_one_set_of_factors(monkeypatch)
     built = count_omega_builds(monkeypatch)
     cfg = ExperimentConfig(kind="solve-control", s_list=(0.5,), n=2, M=4, K=4, T=0.5)
     assert len(RUNNERS["solve-control"](cfg).rows) == 1
-    assert sorted(built) == ["_gauss_rule", "lattice_factors"]
+    assert sorted(built) == ["_gauss_rule", "lattice_factors", "point_factors"]
 
 
 @pytest.mark.parametrize("kind, heights", [("truncation", "2,1.5,1,0.5"),

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from fracopt import CylinderSystem, ParameterError, TimeGrid, apply_discrete_caputo
-from fracopt.evolution import ModalMarch, adjoint_march, impulse_responses, state_march
+from fracopt.evolution import (ModalMarch, adjoint_march, impulse_responses, point_factors,
+                               state_march)
 from fracopt.problem import FractionalParams
 
-from helpers import (M_int, build_test_mesh, control_loads, extension_field, free_field,
-                     nodal_adjoint_march, nodal_state_march, node_maps,
+from helpers import (build_test_mesh, cell_integrals, control_loads, extension_field, free_field,
+                     M_int, nodal_adjoint_march, nodal_state_march, node_maps,
                      recurrence_impulse_responses, rel_gap, sparse_adjoint_march,
-                     sparse_initial_field, sparse_state_march, sparse_trace_schur)
+                     sparse_initial_field, sparse_state_march, sparse_trace_schur, to_modal)
 
 TOL = 1e-11
 
@@ -38,9 +39,9 @@ def test_modal_matches_sparse(n, gamma, c, K=6, M=None):
 
     # delta_i diagonalizes the assembled Schur complement onto y = 0
     schur = sparse_trace_schur(system)
-    modal = system.to_modal(system.to_modal(schur).T)
+    modal = to_modal(system, to_modal(system, schur).T)
     assert rel_gap(modal, np.diag(system.delta)) <= TOL
-    mass = system.to_modal(system.to_modal(M_int(system).toarray()).T)
+    mass = to_modal(system, to_modal(system, M_int(system).toarray()).T)
     assert rel_gap(mass, np.eye(system.n_interior)) <= TOL
 
     # the profiles psi of the axis recurrence (helpers) extend the trace as the sparse LU does
@@ -54,7 +55,7 @@ def test_modal_matches_sparse(n, gamma, c, K=6, M=None):
     traj = nodal_state_march(system, trace0, loads)
     ref_traces, ref_fields = sparse_state_march(system, trace0, loads)
     assert rel_gap(traj.traces, ref_traces) <= TOL
-    fields = free_field(system, system.to_modal(system.mass(traj.traces[1:])))
+    fields = free_field(system, system.nodal_to_modal(traj.traces[1:]))
     assert rel_gap(fields, ref_fields[1:]) <= TOL
 
     loads = rng.standard_normal(shape)
@@ -74,11 +75,13 @@ def test_systems_on_one_lattice_share_its_read_only_factors():
     mesh, params = build_test_mesh(n=2, M=5, s=0.4)
     a = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=4))
     b = CylinderSystem(mesh, FractionalParams(0.7, 0.5, reaction=1.0), TimeGrid(T=0.5, K=6))
-    assert b.quad is a.quad
-    for name in ("phi", "m1", "b1", "c1"):
-        assert getattr(b, name) is getattr(a, name)
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(a, name)[0, 0] = 1.0
+    assert b.quad is a.quad and b.factors is a.factors
+    points = mesh.omega.kept(point_factors)
+    assert mesh.omega.kept(point_factors) is points
+    for factors in (a.factors, points):
+        for name in factors._fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(factors, name)[...] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         a.quad.points[0] = 0.0
 
@@ -170,7 +173,7 @@ def test_height_family_march_matches_recurrence(K):
     mesh, params = build_test_mesh(n=2, M=6, s=0.35, Y=(1.5, 2.0, 3.0))
     params = FractionalParams(params.s, 0.5, reaction=0.7)
     family = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=K))
-    w0_hat = family.to_modal(family.mass(family.initial_field(u0)))
+    w0_hat = family.nodal_to_modal(family.initial_field(u0))
     got = state_march(family, w0_hat, None)
     x0 = np.broadcast_to(w0_hat, family.delta.shape).ravel()
     ref = convolution_reference(family.march, None, x0).reshape(got.shape)
@@ -241,7 +244,7 @@ def test_zero_loads_stated_as_none_match_zeros_bit_for_bit(gamma):
     zeros = np.zeros((system.grid.K, system.n_interior))
     assert np.array_equal(system.march.solve(None, x0), system.march.solve(zeros, x0))
     assert np.array_equal(system.march.solve(None), zeros)
-    w0_hat = system.to_modal(system.mass(system.initial_field(u0)))
+    w0_hat = system.nodal_to_modal(system.initial_field(u0))
     assert np.array_equal(state_march(system, w0_hat, None), state_march(system, w0_hat, zeros))
 
 
@@ -254,7 +257,7 @@ def check_duality(system, trials):
         V = nodal_state_march(system, np.zeros(system.n_interior), control_loads(system, zeta))
         P = nodal_adjoint_march(system, control_loads(system, eta))
         lhs = grid.tau * float(np.sum(control_loads(system, eta) * V.traces[1:]))
-        rhs = grid.tau * float(np.sum(zeta * system.cell_integrals(P.traces[:-1])))
+        rhs = grid.tau * float(np.sum(zeta * cell_integrals(system, P.traces[:-1])))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 

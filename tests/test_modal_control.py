@@ -1,18 +1,22 @@
 """The optimizer's modal cost and gradient against the nodal evaluation."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracopt import CylinderSystem, TimeGrid, control, solve_control_problem
-from fracopt.control import ReducedProblem
+from fracopt.assembly import kron_apply
+from fracopt.control import ReducedProblem, project_trace
+from fracopt.evolution import forcing_loads, point_factors
 from fracopt.harness import build_setup, manufactured_data
 from fracopt.oracle import manufactured_problem
 from fracopt.problem import ParameterError
 
-from helpers import (B_int, M_int, build_test_mesh, control_loads, nodal_cost_and_gradient,
-                     rel_gap)
+from helpers import (B_int, build_test_mesh, cell_integrals, control_loads, M_int, mass,
+                     matches, nodal_cost_and_gradient, quad_cell_integrals, quad_loads,
+                     quad_values, rel_gap, to_modal)
 
 
 def make_problem(n, gamma, c):
@@ -50,15 +54,15 @@ def test_control_maps_match_sparse(n, M):
     rng = np.random.default_rng(M)
     z = rng.standard_normal((3, mesh.omega.n_cells))
     p_hat = rng.standard_normal((3, system.n_interior))
-    ref = system.to_modal((B_int(system) @ z.T).T)
+    ref = to_modal(system, (B_int(system) @ z.T).T)
     assert rel_gap(system.control_to_modal(z), ref) <= 1e-13
     ref = (B_int(system).T @ system.from_modal(p_hat).T).T
     assert rel_gap(system.modal_to_control(p_hat), ref) <= 1e-13
     # the nodal applies of the 1D factors against the assembled matrices
     x = rng.standard_normal((3, system.n_interior))
-    assert rel_gap(system.mass(x), (M_int(system) @ x.T).T) <= 1e-13
+    assert rel_gap(mass(system, x), (M_int(system) @ x.T).T) <= 1e-13
     assert rel_gap(control_loads(system, z), (B_int(system) @ z.T).T) <= 1e-13
-    assert rel_gap(system.cell_integrals(x), (B_int(system).T @ x.T).T) <= 1e-13
+    assert rel_gap(cell_integrals(system, x), (B_int(system).T @ x.T).T) <= 1e-13
 
 
 def test_solve_forms_nodal_traces_once(monkeypatch):
@@ -133,3 +137,46 @@ def test_non_finite_cost_raises(bad):
     z[-1, 0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ParameterError, match="not finite"):
         prob.cost_and_gradient(z)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 12])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composite_maps_match_the_chains_they_replace(n, M):
+    mesh, params = build_test_mesh(n=n, M=M)
+    system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=3))
+    quad, points = system.quad, mesh.omega.kept(point_factors)
+    rng = np.random.default_rng(10 * n + M)
+    vals = rng.standard_normal((3, quad.points.shape[0]))
+    coeffs = rng.standard_normal((3, system.n_interior))
+    x = rng.standard_normal((3, system.n_interior))
+    # point values -> modal loads, and modal coefficients -> point values
+    tol = 1e-13
+    matches(kron_apply(points.loads, vals, n), to_modal(system, quad_loads(quad, vals)), tol)
+    matches(kron_apply(points.values, coeffs, n),
+            quad_values(quad, system.from_modal(coeffs)), tol)
+    # nodal values -> modal coefficients, nodal values -> cell means, point values -> cell means
+    matches(system.nodal_to_modal(x), to_modal(system, mass(system, x)), tol)
+    volume = mesh.omega.cell_volume
+    matches(project_trace(x, system), cell_integrals(system, x) / volume, tol)
+    matches(kron_apply(quad.means1, vals, n), quad_cell_integrals(quad, vals) / volume, tol)
+
+
+def test_forcing_loads_peak_at_their_result_and_one_block():
+    """The modal rows are written in place: no nodal (K, n_interior) array is formed."""
+    man = manufactured_problem(0.4, 1.0, 1.0, gamma=0.5, n=2)
+    mesh, params, grid = build_setup(2, 12, 0.4, 0.5, 1.0, 1024)
+    system = CylinderSystem(mesh, params, grid)
+    n_points = system.quad.points.shape[0]
+    # a block's Gauss-time values (two rows per step), its averages, and one more of slack
+    block_bytes = 4 * (2 ** 16 // (2 * n_points)) * n_points * 8
+    forcing_loads(man.forcing, system)      # the first call builds the rule and the factors
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loads = forcing_loads(man.forcing, system)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loads.shape == (1024, 121)
+    assert peak <= loads.nbytes + block_bytes

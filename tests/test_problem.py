@@ -69,7 +69,8 @@ def test_params_take_only_their_inputs_and_derive_the_rest():
     (0, 1.0, 2.0, "M >= 1"), (4, 0.5, 2.0, "Y >= 1"), (4, NAN, 2.0, "Y >= 1, got nan"),
     (4, INF, 2.0, "finite, got inf"), (4, (1.0, INF), 2.0, "finite, got inf"),
     (4, 1.0, 0.5, "grading exponent"), (4, 1.0, NAN, "grading exponent .* nan"),
-    (4, 1.0, INF, "grading exponent .* inf")])
+    (4, 1.0, INF, "grading exponent .* inf"), (2.5, 1.0, 1.5, "M >= 1, an integer, got 2.5"),
+    (NAN, 1.0, 2.0, "M >= 1, an integer, got nan"), ("4", 1.0, 2.0, "M >= 1")])
 def test_graded_axis_refuses_bad_inputs_at_construction(M, Y, zeta, what):
     with pytest.raises(ParameterError, match=what):
         GradedAxis(M, Y, zeta)
@@ -89,7 +90,10 @@ def test_graded_axis_takes_only_its_inputs_and_derives_the_rest():
 
 
 @pytest.mark.parametrize("n, cells, what", [(0, 4, "dimension"), (2, 0, "cell"),
-                                            (-1, 4, "dimension"), (2, -3, "cell")])
+                                            (-1, 4, "dimension"), (2, -3, "cell"),
+                                            (2, 2.5, "cells_per_dim >= 1, an integer, got 2.5"),
+                                            (1.5, 3, "dimension n >= 1, an integer, got 1.5"),
+                                            (2, NAN, "cells_per_dim"), (2.0, 3, "dimension n")])
 def test_omega_mesh_refuses_bad_inputs_at_construction(n, cells, what):
     with pytest.raises(ParameterError, match=what):
         OmegaMesh(n, cells)
@@ -147,8 +151,13 @@ def test_time_grid():
     nodes = g.nodes
     assert nodes[0] == 0.0 and nodes[-1] == 2.0
     assert np.allclose(np.diff(nodes), g.tau)
-    with pytest.raises(ParameterError):
-        TimeGrid(T=1.0, K=0)
+    for K in (0, 2.5, NAN, 4.0, INF):
+        with pytest.raises(ParameterError, match=f"time steps K >= 1, an integer, got {K}"):
+            TimeGrid(T=1.0, K=K)
+    # numpy integers are integers
+    assert TimeGrid(T=1.0, K=np.int64(4)).tau == 0.25
+    assert GradedAxis(np.int32(4), 1.0, 2.0).nodes.size == 5
+    assert OmegaMesh(np.int64(2), np.int64(3)).n_cells == 9
     for T in (0.0, NAN, INF):
         with pytest.raises(ParameterError, match=f"final time .* {T}"):
             TimeGrid(T=T, K=4)
