@@ -12,7 +12,7 @@ import numpy as np
 from fracopt import TimeGrid, apply_discrete_caputo, caputo_weights, lambda_diagnostic
 from fracopt.harness import build_setup, l2Q_error, manufactured_data
 from fracopt.control import ReducedProblem, solve_control_problem
-from fracopt.oracle import caputo_left, manufactured_problem
+from fracopt.oracle import caputo_state_profile, manufactured_problem
 
 gamma = 0.5
 
@@ -27,11 +27,12 @@ got = c_new * (9 * tau) - h_known
 exact = (9 * tau) ** (1 - gamma) / math.gamma(2 - gamma)
 print(f"discrete Caputo of t at t_9: {got:.12f} (exact {exact:.12f})")
 
-# Caputo derivative of e^t from the quadrature oracle vs its power series
-t = 0.8
-series = sum(t ** (m + 1 - gamma) / math.gamma(m + 2 - gamma) for m in range(40))
-print(f"d^{gamma} e^t at t={t}: {caputo_left(np.exp, gamma, t):.12f} "
-      f"(series {series:.12f})")
+# Caputo derivative of e^t in closed form vs the L1 operator on fine samples
+t, K_fine = 0.8, 4096
+samples = np.exp(np.linspace(0.0, t, K_fine + 1))
+c_new, h_known = apply_discrete_caputo(caputo_weights(gamma, K_fine, t / K_fine), samples[:-1])
+print(f"d^{gamma} e^t at t={t}: {float(caputo_state_profile(t, gamma)):.12f} "
+      f"(L1 on {K_fine} steps {c_new * samples[-1] - h_known:.12f})")
 
 # stability functional of a decaying trace history
 grid = TimeGrid(T=1.0, K=64)

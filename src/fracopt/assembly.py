@@ -260,10 +260,8 @@ def _gauss_times(t0, t1) -> np.ndarray:
 def step_means(terms, grid: TimeGrid, what: str) -> np.ndarray:
     """(K, J): the 2-point Gauss averages over every step of the terms' time profiles."""
     k = np.arange(grid.K)
-    g = time_profiles(terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
-    avg = g[:grid.K] + g[grid.K:]
-    avg *= 0.5
-    return avg
+    return time_average(lambda t: time_profiles(terms, t[:, 0], what),
+                        k * grid.tau, (k + 1) * grid.tau)
 
 
 def at_points(f, points: np.ndarray, what: str):

@@ -255,12 +255,16 @@ class ModalMarch:
             loads, spec, inv = self._loads[:rows], self._loads_hat[:rows], self._inverse[:rows]
             if g is not None:
                 loads[...] = g[:, modes].T
-                if c_x0 is not None:
-                    loads += np.multiply.outer(c_x0[modes], self.weights.a, out=inv[:, :K])
-            elif c_x0 is not None:  # the initial value's load alone, not added into zeros
-                np.multiply.outer(c_x0[modes], self.weights.a, out=loads)
-            else:
+            elif c_x0 is None:
                 loads.fill(0.0)
+            if c_x0 is not None:
+                # the initial value's load c_new a x0 by a rank-1 matmul into contiguous
+                # memory, which allocates nothing: np.multiply.outer, or an add from a
+                # strided view, takes a temporary of the block's size
+                x0_load = loads if g is None else inv.reshape(-1)[:loads.size].reshape(rows, K)
+                np.matmul(c_x0[modes, None], self.weights.a[None, :], out=x0_load)
+                if g is not None:
+                    loads += x0_load
             np.fft.rfft(loads, n=n_fft, out=spec)
             # mode="clip" writes into out directly; the default "raise" buffers
             spec *= np.take(self.h_hat, self.rate_index[modes], axis=0,

@@ -21,11 +21,12 @@ from .control import (ReducedProblem, check_stopping, control_norm, l2_project,
                       project_trace, solve_control_problem, vi_residual)
 from .evolution import (CylinderSystem, lattice_factors, modal_projection, solve_state,
                         state_trajectory)
-from .mesh import OmegaMesh, build_cylinder, build_omega, default_zeta, graded_axis
-from .oracle import (caputo_left, caputo_right, fractional_ibp_check,
+from .mesh import (GradedAxis, OmegaMesh, build_cylinder, build_omega, default_zeta,
+                   graded_axis)
+from .oracle import (caputo_adjoint_profile, caputo_state_profile, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
 from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData,
-                      TimeGrid, select_truncation)
+                      TimeGrid, check_count, select_truncation)
 
 REPORT_COLUMNS = ["case", "s", "gamma", "M", "K", "N", "zeta", "Y",
                   "err_control", "err_state", "cost", "iters", "pg_norm"]
@@ -36,7 +37,11 @@ REF_FACTOR = 8
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The settings of one run; frozen, so that ``__post_init__`` checks every config once."""
+    """The settings of one run; frozen, so that ``__post_init__`` checks every config once.
+
+    Every value is checked at construction, whatever the kind, so a study
+    refuses a bad level before it solves a good one.
+    """
 
     kind: str = "solve-control"
     s_list: tuple = (0.4,)
@@ -57,9 +62,21 @@ class ExperimentConfig:
     out: str = "out"
 
     def __post_init__(self):
+        if self.kind not in RUNNERS:
+            raise ParameterError(f"unknown experiment kind '{self.kind}'")
         for name in ("s_list", "K_list", "M_list", "Y_list"):
             if not getattr(self, name):
                 raise ParameterError(f"{name} must be nonempty")
+        # every value, whatever the kind, by the check of the type that reads it
+        for s in self.s_list:
+            FractionalParams(s, self.gamma)
+        for K in (self.K, *self.K_list):
+            TimeGrid(self.T, K)
+        ControlBounds(0.0, 0.0, self.mu)
+        check_count(self.n, "dimension n")
+        heights = self.Y_list if self.Y is None else (self.Y, *self.Y_list)
+        for M in (self.M, *self.M_list):
+            GradedAxis(M, heights, 1.0 if self.zeta is None else self.zeta)
         check_stopping(self.tol, self.max_iter)
         if self.fit_last < 3:
             raise ParameterError(f"a slope needs >= 3 levels, got fit_last = {self.fit_last}")
@@ -271,11 +288,13 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
 
 
 def fit_rate(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs), all finite and > 0 (else ParameterError)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:
         raise ParameterError(f"need at least 3 points for a rate fit, got {xs.size}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ParameterError(f"rate fit needs finite values, got {xs} and {ys}")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ParameterError("rate fit needs strictly positive values")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
@@ -293,7 +312,6 @@ class ConvergenceReport:
         rows = [r for r in self.rows
                 if r["s"] == s
                 and isinstance(r.get(quantity), (int, float))
-                and r[quantity] == r[quantity]
                 and r.get("converged", True)]
         if len(rows) < 3:
             raise ParameterError(f"need >= 3 converged rows to fit {quantity}, have {len(rows)}")
@@ -486,13 +504,8 @@ def run_oracle_check(config: ExperimentConfig) -> ConvergenceReport:
         shape = float(mode(*([2] * config.n))(pts, normalized=False)[0])
         res_state = res_adj = 0.0
         for t in ts:
-            if config.gamma >= 1.0:
-                du = math.exp(t)
-                dp = (1.0 - (man.T - t)) * math.exp(t) * (-man.mu)
-            else:
-                du = float(caputo_left(np.exp, config.gamma, t))
-                dp = -man.mu * float(caputo_right(
-                    lambda r: (man.T - r - 1.0) * np.exp(r), config.gamma, t, man.T))
+            du = float(caputo_state_profile(t, config.gamma))
+            dp = -man.mu * float(caputo_adjoint_profile(t, config.gamma, man.T))
             u = float(man.state(pts, t)[0])
             p = float(man.adjoint(pts, t)[0])
             z = float(man.control(pts, t)[0])
@@ -526,8 +539,6 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ConvergenceReport:
-    if config.kind not in RUNNERS:
-        raise ParameterError(f"unknown experiment kind '{config.kind}'")
     report = RUNNERS[config.kind](config)
     out = Path(config.out)
     write_report_csv(report.rows, out / "report.csv")

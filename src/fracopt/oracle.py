@@ -7,8 +7,8 @@ problems per mode. This module is the ground truth the finite element
 solver is tested against. The manufactured control problem's data are
 separable (:class:`~fracopt.problem.Separable`): time profiles times one
 sine product, which the control and part of the forcing clip to the
-bounds. The Caputo profiles of those data use a Gauss-Jacobi rule computed
-with numpy alone.
+bounds. The Caputo derivatives of its two time profiles, e^t and
+(T - t) e^t, are Kummer functions, summed here as series.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evolution import ModalMarch, caputo_weights
-from .problem import ParameterError, Separable, Term
+from .problem import (ControlBounds, FractionalParams, ParameterError, Separable, Term,
+                      TimeGrid, check_count)
 
 
 @dataclass(frozen=True)
@@ -45,61 +46,51 @@ class SpectralMode:
 
 
 def mode(*indices: int) -> SpectralMode:
-    if any(k < 1 for k in indices):
-        raise ParameterError(f"mode indices must be positive, got {indices}")
+    if not indices or any(k < 1 for k in indices):
+        raise ParameterError(f"a mode needs one or more positive indices, got {indices}")
     lam = math.pi ** 2 * sum(k * k for k in indices)
     return SpectralMode(indices=tuple(indices), lam=lam)
 
 
-# -- Caputo derivatives of smooth profiles via Gauss-Jacobi quadrature -------
+# -- Caputo derivatives of the manufactured time profiles, in closed form -----
 
-@functools.lru_cache(maxsize=32)
-def _jacobi_rule(gamma: float, nquad: int = 24):
-    """Nodes u and weights w of the nquad-point Gauss rule for u^{-gamma} on [0, 1].
+def _kummer(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Kummer's M(a, b, x) = sum_k (a)_k / (b)_k x^k / k! at x >= 0 (DLMF 13.2.2).
 
-    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
-    Jacobi matrix of P^(0,-gamma)(2u - 1), the weights 1/(1-gamma) times the
-    squared first components of its eigenvectors. Cached because every Caputo
-    evaluation needs it; read-only since it is shared.
+    Summed until every term is below roundoff of the sum of their sizes. For
+    a = 1 and for a = -gamma every term after the first has one sign, so the
+    series is summed without cancellation between its terms.
     """
-    if nquad < 1:
-        raise ParameterError(f"a Gauss-Jacobi rule needs nquad >= 1, got {nquad}")
-    # the recurrence of P^(0,b), b = -gamma, on [-1, 1], halved and shifted to [0, 1]
-    k = np.arange(nquad, dtype=float)
-    s = 2.0 * k - gamma
-    diag = 0.5 + 0.5 * gamma ** 2 / (s * (s + 2.0))
-    k, s = k[1:], s[1:]
-    sub = k * (k - gamma) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    u, vecs = np.linalg.eigh(np.diag(diag) + np.diag(sub, -1))
-    w = vecs[0] ** 2 / (1.0 - gamma)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+    term, total, size = np.ones_like(x), np.ones_like(x), np.ones_like(x)
+    k = 0
+    while np.any(np.abs(term) > 2.0 ** -53 * size):
+        term = term * x * ((a + k) / ((b + k) * (k + 1)))
+        total += term
+        size += np.abs(term)
+        k += 1
+    return total
 
 
-def caputo_left(fprime: Callable, gamma: float, t) -> np.ndarray:
-    """Left Caputo derivative of order gamma at times t, given f'.
-
-    Evaluates (1/Gamma(1-gamma)) int_0^t (t-r)^{-gamma} f'(r) dr with the
-    substitution r = t(1-u), which turns the weak singularity into the
-    Gauss-Jacobi weight u^{-gamma}, integrated by its 24-point rule.
-    """
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"order must lie in (0, 1), got {gamma}")
-    u, w = _jacobi_rule(gamma)
+def caputo_state_profile(t, gamma: float) -> np.ndarray:
+    """d_t^gamma e^t = t^{1-gamma} M(1, 2-gamma, t) / Gamma(2-gamma); e^t itself at gamma = 1."""
     t = np.asarray(t, dtype=float)
-    tt = np.atleast_1d(t)
-    vals = fprime(tt[:, None] * (1.0 - u[None, :]))
-    out = tt ** (1.0 - gamma) * (vals @ w) / math.gamma(1.0 - gamma)
-    return out.reshape(t.shape) if t.ndim else float(out[0])
+    if gamma >= 1.0:
+        return np.exp(t)
+    return t ** (1.0 - gamma) * _kummer(1.0, 2.0 - gamma, t) / math.gamma(2.0 - gamma)
 
 
-def caputo_right(gprime: Callable, gamma: float, t, T: float) -> np.ndarray:
-    """Right Caputo derivative toward T: -(1/Gamma(1-gamma)) int_t^T (xi-t)^{-gamma} g'.
+def caputo_adjoint_profile(t, gamma: float, T: float) -> np.ndarray:
+    """The right Caputo derivative toward T of (T - t) e^t, (1 - (T - t)) e^t at gamma = 1.
 
-    It is the left derivative of the reflection r -> g(T - r), whose
-    derivative is -g'(T - r), taken at T - t.
+    It is the left derivative of r e^{T-r} at r = T - t: by Kummer's
+    transformation (DLMF 13.2.39), e^t r^{1-gamma} M(-gamma, 2-gamma, r) / Gamma(2-gamma).
     """
-    return caputo_left(lambda r: -gprime(T - r), gamma, np.subtract(T, t))
+    t = np.asarray(t, dtype=float)
+    if gamma >= 1.0:
+        return (1.0 - (T - t)) * np.exp(t)
+    r = T - t
+    return np.exp(t) * r ** (1.0 - gamma) * _kummer(-gamma, 2.0 - gamma, r) \
+        / math.gamma(2.0 - gamma)
 
 
 # -- per-mode evolution -------------------------------------------------------
@@ -120,6 +111,7 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     grid, through the same per-mode solve
     (:class:`fracopt.evolution.ModalMarch`) as the finite element marches.
     """
+    check_count(K_fine, "fine time steps K_fine")
     lam_s = np.array([m.lam ** s for m in modes])
     nm = lam_s.size
     u0 = np.asarray(u0_coeffs, dtype=float)
@@ -181,34 +173,18 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
     linear terms in O(N + K). The state, adjoint and desired state are one
     linear term each, the control one clip term, and the forcing the sum of
     a linear term and a clip term. Called with (points, t), each evaluates
-    its factor anew. mu and T must be finite and positive, else
-    ParameterError.
+    its factor anew. mu and T must be finite and positive and n an integer
+    >= 1, else ParameterError.
     """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"spatial order s must lie in (0, 1), got {s}")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ParameterError(f"regularization weight mu must be finite and > 0, got {mu}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ParameterError(f"final time must be finite and positive, got T = {T}")
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"temporal order gamma must lie in (0, 1], got {gamma}")
+    a, b = 0.0, 0.5
+    # checked by the types that read them
+    FractionalParams(s, gamma)
+    TimeGrid(T, 1)
+    ControlBounds(a, b, mu)
+    check_count(n, "dimension n")
     md = mode(*([2] * n))
     lam_s = md.lam ** s
-    a, b = 0.0, 0.5
     shape = functools.partial(md, normalized=False)
-
-    if gamma >= 1.0:
-        def state_time(t):            # d_t e^t
-            return np.exp(t)
-
-        def adjoint_time(t):          # right derivative of (T-t) e^t
-            return (1.0 - (T - t)) * np.exp(t)
-    else:
-        def state_time(t):
-            return caputo_left(np.exp, gamma, t)
-
-        def adjoint_time(t):
-            return caputo_right(lambda r: (T - r - 1.0) * np.exp(r), gamma, t, T)
 
     def control_time(t):              # -p/mu over the sine product
         return (T - t) * np.exp(t)
@@ -220,10 +196,11 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
         return np.negative(clip(v), out=v)
 
     def forcing_time(t):              # f = d^gamma u + L^s u - z
-        return state_time(t) + lam_s * np.exp(t)
+        return caputo_state_profile(t, gamma) + lam_s * np.exp(t)
 
     def desired_time(t):              # u_d = u - (d^gamma_{T-t} p + L^s p)
-        return np.exp(t) + mu * adjoint_time(t) + mu * lam_s * (T - t) * np.exp(t)
+        return (np.exp(t) + mu * caputo_adjoint_profile(t, gamma, T)
+                + mu * lam_s * (T - t) * np.exp(t))
 
     return ManufacturedSolution(
         mu=mu, T=T, lam=md.lam, a=a, b=b,

@@ -7,7 +7,7 @@ import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
                      apply_discrete_caputo, caputo_weights, lambda_diagnostic, solve_state)
-from fracopt import assembly, control, evolution, oracle
+from fracopt import assembly, control, evolution
 from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
 from fracopt.oracle import manufactured_problem, mode
@@ -189,10 +189,9 @@ def test_system_assembles_no_omega_matrix(monkeypatch, n, gamma):
             monkeypatch.setattr(module, name, refuse, raising=False)
     # and no scipy.sparse or scipy.special anywhere on the way from data to
     # errors: an import of either raises, and no module binds one at import
-    # time (tests/test_imports.py); the Gauss-Jacobi rule is rebuilt under it
+    # time (tests/test_imports.py)
     for name in ("scipy.sparse", "scipy.special"):
         monkeypatch.setitem(sys.modules, name, None)
-    oracle._jacobi_rule.cache_clear()
     mesh, params = build_test_mesh(n=n, M=5, s=0.4)
     params = FractionalParams(params.s, gamma)
     grid = TimeGrid(T=1.0, K=4)

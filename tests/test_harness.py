@@ -104,6 +104,21 @@ def test_fit_rate_exact_and_noisy():
         fit_rate([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ParameterError):
         fit_rate(xs, [1.0, -1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            fit_rate([1.0, 2.0, 3.0], [1.0, bad, 2.0])
+        with pytest.raises(ParameterError, match="finite"):
+            fit_rate([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_report_fit_refuses_a_non_finite_row(bad):
+    report = ConvergenceReport(case="conv-space")
+    report.rows = [{"s": 0.4, "N": N, "err_control": err}
+                   for N, err in ((10, 1.0), (20, bad), (40, 0.25), (80, 0.125))]
+    with pytest.raises(ParameterError, match="finite"):
+        report.fit("err_control", "N", s=0.4, gamma=1.0, last=4)
+    assert report.slopes == []
 
 
 def test_report_csv_round_trip(tmp_path):
@@ -228,7 +243,14 @@ REFUSED = {"fit_last = 2": ("conv-space", "a slope needs >= 3 levels"),
            "K = 3, 8, 16": ("conv-time", "do not divide"),
            "Y = 1, 1.5, 2": ("truncation", "4 distinct heights"),
            "M = 4, 6": ("conv-space", "needs >= 3 levels of M"),
-           "K = 8, 16": ("conv-time", "needs >= 3 levels of K")}
+           "K = 8, 16": ("conv-time", "needs >= 3 levels of K"),
+           # a bad level is refused before the good ones before it are solved
+           "s = 0.4, 1.5": ("conv-space", "spatial order s"),
+           "M = 32, 48, 0": ("conv-space", "M >= 1"),
+           "gamma = 2.0": ("solve-control", "temporal order gamma"),
+           "n = 0": ("solve-state", "dimension n"),
+           "mu = -1.0": ("truncation", "regularization weight"),
+           "zeta = 0.5": ("solve-state", "grading exponent")}
 
 
 @pytest.mark.parametrize("entry", list(REFUSED))
@@ -526,7 +548,7 @@ def test_cli_rejects_grading_exponent_below_one(tmp_path, kind):
     assert not (out / "report.csv").exists()
 
 
-# each reached a march or a data evaluation before it failed
+# each is refused when the config is built, before any solve
 NON_FINITE = [("zeta", "nan", "grading exponent"), ("T", "nan", "final time"),
               ("T", "inf", "final time"), ("Y", "inf", "truncation height"),
               ("mu", "nan", "regularization weight")]
@@ -535,10 +557,27 @@ NON_FINITE = [("zeta", "nan", "grading exponent"), ("T", "nan", "final time"),
 @pytest.mark.parametrize("name, value, what", NON_FINITE)
 def test_cli_rejects_non_finite_inputs_naming_them(tmp_path, name, value, what):
     out = tmp_path / "cli"
-    with pytest.raises(ParameterError, match=f"{what} .* {value}$"):
+    with pytest.raises(ParameterError, match=f"{what} .* {value} on the command line$"):
         cli_main(["solve-control", "--M", "4", "--K", "4", f"--{name}", value,
                   "--out", str(out)])
     assert not (out / "report.csv").exists()
+
+
+# settings that no run can use, whatever its kind, and the fault the error names
+BAD_SETTINGS = [({"s_list": (1.5,)}, "spatial order s"), ({"gamma": 2.0}, "temporal order gamma"),
+                ({"T": math.nan}, "final time"), ({"n": 0}, "dimension n"), ({"n": 2.5}, "dimension n"),
+                ({"mu": -1.0}, "regularization weight"), ({"zeta": 0.5}, "grading exponent"),
+                ({"kind": "nope"}, "unknown experiment kind"), ({"K": 0}, "time steps K"),
+                ({"K_list": (8, 0, 16)}, "time steps K"), ({"M": 0}, "M >= 1"),
+                ({"kind": "conv-space", "M_list": (0, 1, 2)}, "M >= 1"),
+                ({"Y": 0.5}, "Y >= 1"), ({"kind": "solve-control", "Y_list": (1.0, 0.5)}, "Y >= 1")]
+
+
+@pytest.mark.parametrize("kwargs, fault", BAD_SETTINGS,
+                         ids=[",".join(f"{k}={v}" for k, v in kw.items()) for kw, _ in BAD_SETTINGS])
+def test_config_refuses_every_bad_value_at_construction(kwargs, fault):
+    with pytest.raises(ParameterError, match=fault):
+        ExperimentConfig(**kwargs)
 
 
 @pytest.mark.parametrize("name, value", UNREACHABLE_STOPS + [("tol", "inf"), ("tol", "0")])

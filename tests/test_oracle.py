@@ -7,7 +7,7 @@ from fracopt import (build_omega, fractional_ibp_check, manufactured_problem, mo
                      spectral_solve_state)
 from fracopt.assembly import omega_quadrature
 from fracopt.evolution import lambda_diagnostic
-from fracopt.oracle import _jacobi_rule, caputo_left, caputo_right
+from fracopt.oracle import caputo_adjoint_profile, caputo_state_profile
 from fracopt.problem import ParameterError, TimeGrid
 
 
@@ -83,58 +83,26 @@ def test_spectral_solution_satisfies_stability_bound():
 
 
 def test_caputo_left_closed_forms():
-    # d^gamma of t is t^{1-gamma}/Gamma(2-gamma)
-    for gamma in (0.3, 0.5, 0.8):
-        got = caputo_left(lambda r: np.ones_like(r), gamma, 0.7)
-        assert got == pytest.approx(0.7 ** (1 - gamma) / math.gamma(2 - gamma), rel=1e-13)
-    # d^gamma e^t via the power series sum_m t^{m+1-gamma}/Gamma(m+2-gamma)
-    gamma, t = 0.5, 0.9
-    series = sum(t ** (m + 1 - gamma) / math.gamma(m + 2 - gamma) for m in range(40))
-    assert caputo_left(np.exp, gamma, t) == pytest.approx(series, rel=1e-12)
-
-
-RULE_GAMMAS = (0.1, 0.3, 0.5, 0.7, 0.9)
-RULE_SIZES = (1, 2, 8, 24)
-
-
-@pytest.mark.parametrize("nquad", RULE_SIZES)
-@pytest.mark.parametrize("gamma", RULE_GAMMAS)
-def test_jacobi_rule_exact_on_monomials(gamma, nquad):
-    # Gauss: int_0^1 u^{-gamma} u^k du = 1/(k+1-gamma) for every k < 2 nquad
-    u, w = _jacobi_rule(gamma, nquad)
-    assert u.shape == w.shape == (nquad,)
-    assert np.all((u > 0.0) & (u < 1.0)) and np.all(w > 0.0)
-    for k in range(2 * nquad):
-        want = 1.0 / (k + 1 - gamma)
-        assert abs(w @ u ** k - want) <= 1e-13 * want, k
-
-
-@pytest.mark.parametrize("nquad", RULE_SIZES)
-@pytest.mark.parametrize("gamma", RULE_GAMMAS)
-def test_jacobi_rule_matches_scipy(gamma, nquad):
-    from scipy.special import roots_jacobi
-    x, w_ref = roots_jacobi(nquad, 0.0, -gamma)
-    u, w = _jacobi_rule(gamma, nquad)
-    assert np.abs(u - 0.5 * (x + 1.0)).max() <= 1e-14
-    assert np.abs(w - w_ref * 0.5 ** (1.0 - gamma)).max() <= 1e-11 * w.sum()
-
-
-def test_caputo_rejects_empty_rule():
-    for nquad in (0, -3):
-        with pytest.raises(ParameterError, match="nquad"):
-            _jacobi_rule(0.5, nquad)
+    # d^gamma e^t is the power series sum_m t^{m+1-gamma}/Gamma(m+2-gamma)
+    for gamma, t in ((0.5, 0.9), (0.2, 0.3), (0.8, 1.7)):
+        series = sum(t ** (m + 1 - gamma) / math.gamma(m + 2 - gamma) for m in range(40))
+        assert caputo_state_profile(t, gamma) == pytest.approx(series, rel=1e-14)
+    # at gamma = 1 it is e^t itself, to the bit
+    t = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(caputo_state_profile(t, 1.0), np.exp(t))
 
 
 def test_caputo_right_matches_reversed_left():
-    # right derivative toward T equals the left derivative of the reflection
+    # the right derivative toward T of (T - t) e^t is the left derivative of the
+    # reflection r e^{T-r} at r = T - t: e^T sum_m (-1)^m (m+1) r^{m+1-gamma}/Gamma(m+2-gamma)
     gamma, T = 0.4, 1.0
-    g = lambda r: (T - r) * np.exp(r)
-    gp = lambda r: (T - r - 1.0) * np.exp(r)
-    refl_p = lambda u: -gp(T - u)       # d/du g(T-u)
     for t in (0.2, 0.6):
-        got = caputo_right(gp, gamma, t, T)
-        ref = caputo_left(refl_p, gamma, T - t)
-        assert got == pytest.approx(ref, rel=1e-12)
+        r = T - t
+        ref = math.exp(T) * sum((-1) ** m * (m + 1) * r ** (m + 1 - gamma)
+                                / math.gamma(m + 2 - gamma) for m in range(40))
+        assert caputo_adjoint_profile(t, gamma, T) == pytest.approx(ref, rel=1e-13)
+    t = np.linspace(0.0, T, 9)
+    assert np.array_equal(caputo_adjoint_profile(t, 1.0, T), (1.0 - (T - t)) * np.exp(t))
 
 
 def test_manufactured_problem_structure():
@@ -179,13 +147,8 @@ def test_manufactured_satisfies_optimality_system(gamma):
     pts = np.array([[0.35, 0.35]])
     shape = float(np.sin(2 * np.pi * 0.35) ** 2)
     for t in (0.1, 0.5, 0.9):
-        if gamma >= 1.0:
-            du = math.exp(t)
-            dp = -mu * (1.0 - (T - t)) * math.exp(t)
-        else:
-            du = float(caputo_left(np.exp, gamma, t))
-            dp = -mu * float(caputo_right(lambda r: (T - r - 1.0) * np.exp(r),
-                                          gamma, t, T))
+        du = float(caputo_state_profile(t, gamma))
+        dp = -mu * float(caputo_adjoint_profile(t, gamma, T))
         u = float(man.state(pts, t)[0])
         p = float(man.adjoint(pts, t)[0])
         z = float(man.control(pts, t)[0])
@@ -232,16 +195,31 @@ def test_spectral_solve_state_shape_errors():
                              1.0, 0.5, 1.0)
 
 
+# counts the oracle cannot use, and the fault the error names
+BAD_COUNTS = {"n = 0": (lambda: manufactured_problem(0.4, 1.0, 1.0, n=0), "dimension n"),
+              "n = 2.5": (lambda: manufactured_problem(0.4, 1.0, 1.0, n=2.5), "dimension n"),
+              "no mode index": (lambda: mode(), "one or more positive indices"),
+              "mode index 0": (lambda: mode(1, 0), "one or more positive indices"),
+              "K_fine = 0": (lambda: spectral_solve_state([mode(1)], [1.0], None, 0.5, 0.5,
+                                                          1.0, K_fine=0), "K_fine"),
+              "K_fine = 0, gamma = 1": (lambda: spectral_solve_state([mode(1)], [1.0], None,
+                                                                     1.0, 0.5, 1.0, K_fine=0),
+                                        "K_fine")}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_oracle_refuses_counts_it_cannot_use(case):
+    call, fault = BAD_COUNTS[case]
+    with pytest.raises(ParameterError, match=fault):
+        call()
+
+
 def direct_manufactured(man, s, gamma, x, t):
     """The manufactured data of orders s and gamma, the sine product recomputed by SpectralMode."""
     S = mode(*([2] * x.shape[1]))(x, normalized=False)
     T, mu, lam_s = man.T, man.mu, man.lam ** s
-    if gamma >= 1.0:
-        state_time = np.exp(t)
-        adjoint_time = (1.0 - (T - t)) * np.exp(t)
-    else:
-        state_time = caputo_left(np.exp, gamma, t)
-        adjoint_time = caputo_right(lambda r: (T - r - 1.0) * np.exp(r), gamma, t, T)
+    state_time = caputo_state_profile(t, gamma)
+    adjoint_time = caputo_adjoint_profile(t, gamma, T)
     control = np.minimum(man.b, np.maximum(man.a, (T - t) * np.exp(t) * S))
     return {
         "state": np.exp(t) * S,

@@ -1,15 +1,22 @@
-"""Property tests: the modal Gauss-rule projection against the per-step loops, on drawn data.
+"""Property tests on drawn data.
 
-Each example draws a lattice (n, M), a time grid, a plain datum whose time
-and space are coupled, and random traces. The datum takes the
-step-block path of :func:`~fracopt.evolution.modal_projection`; the loops of
-``helpers`` evaluate it pointwise, one step at a time. The composite 1D
-maps are drawn on their own: random nodal values return through Phi^{-1},
-and the modal loads of random point values match the assembled rule's.
+The modal Gauss-rule projection against the per-step loops: each example
+draws a lattice (n, M), a time grid, a plain datum whose time and space are
+coupled, and random traces. The datum takes the step-block path of
+:func:`~fracopt.evolution.modal_projection`; the loops of ``helpers``
+evaluate it pointwise, one step at a time. The composite 1D maps are drawn
+on their own: random nodal values return through Phi^{-1}, and the modal
+loads of random point values match the assembled rule's.
+
+The closed-form Caputo profiles of the manufactured optimum against
+``mpmath.hyp1f1`` at 40 digits, at drawn orders and times, and against
+their defining integrals at a few fixed points.
 """
 import math
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracopt import ControlBounds, CylinderSystem, ProblemData, TimeGrid, l2Q_error
@@ -17,6 +24,7 @@ from fracopt.assembly import kron_apply
 from fracopt.control import ReducedProblem
 from fracopt.evolution import point_factors
 from fracopt.harness import build_setup
+from fracopt.oracle import caputo_adjoint_profile, caputo_state_profile
 
 from helpers import (assembled_quadrature, build_test_mesh, loop_l2Q_error,
                      loop_residual_constant, matches, to_modal)
@@ -75,3 +83,63 @@ def test_composite_maps_invert_and_load_like_the_assembled_rule(n, M, seed):
     ref_vals[:, ref_of] = vals
     want = to_modal(system, (ref.scatter[omega.interior_idx] @ ref_vals.T).T)
     matches(kron_apply(omega.kept(point_factors).loads, vals, n), want, 1e-12)
+
+
+def caputo_references(gamma, T, t):
+    """d^gamma e^t and the right derivative toward T of (T - t) e^t, by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        g, T, t = mpmath.mpf(gamma), mpmath.mpf(T), mpmath.mpf(t)
+        r = T - t
+        state = t ** (1 - g) * mpmath.hyp1f1(1, 2 - g, t) / mpmath.gamma(2 - g)
+        adjoint = mpmath.exp(t) * r ** (1 - g) * mpmath.hyp1f1(-g, 2 - g, r) / mpmath.gamma(2 - g)
+        return float(state), float(adjoint)
+
+
+def caputo_errors(gamma, T, t):
+    """The errors of both closed forms, relative to max(|value|, e^t)."""
+    state, adjoint = caputo_references(gamma, T, t)
+    return (abs(float(caputo_state_profile(t, gamma)) - state) / max(abs(state), math.exp(t)),
+            abs(float(caputo_adjoint_profile(t, gamma, T)) - adjoint)
+            / max(abs(adjoint), math.exp(t)))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True, database=None)
+@given(gamma=st.floats(0.01, 1.0), T=st.floats(0.0, 25.0, exclude_min=True),
+       fraction=st.floats(0.0, 1.0))
+def test_closed_form_caputo_profiles_match_hyp1f1(gamma, T, fraction):
+    assert max(caputo_errors(gamma, T, fraction * T)) <= 1e-14
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_closed_form_caputo_profiles_on_a_grid(gamma, T):
+    # seven interior times; over this grid a 24-point Gauss-Jacobi rule was off
+    # by up to 1.5e-15 (state) and 9.6e-14 (adjoint)
+    for t in np.linspace(0.0, T, 9)[1:-1]:
+        assert max(caputo_errors(gamma, T, t)) <= 1.5e-15, t
+
+
+@pytest.mark.parametrize("gamma, T, t", [(0.5, 1.0, 0.3), (0.2, 3.0, 2.0), (0.9, 2.0, 0.7),
+                                         (0.05, 25.0, 12.5)])
+def test_closed_form_caputo_profiles_match_their_integrals(gamma, T, t):
+    """The defining integrals, with sigma = (xi - t)^{1-gamma} (or (t - xi)^{1-gamma}).
+
+    The substitution turns (1/Gamma(1-gamma)) int |xi - t|^{-gamma} f'(xi) dxi into
+    the smooth int_0^{d^{1-gamma}} f'(xi(sigma)) dsigma / Gamma(2-gamma) over a
+    distance d, which mpmath.quad integrates to its working precision.
+    """
+    with mpmath.workdps(40):
+        g, T, t = mpmath.mpf(gamma), mpmath.mpf(T), mpmath.mpf(t)
+        p = 1 / (1 - g)
+
+        def integral(fprime, xi, d):
+            return mpmath.quad(lambda sig: fprime(xi(sig ** p)), [0, d ** (1 - g)]) \
+                / mpmath.gamma(2 - g)
+
+        state = integral(mpmath.exp, lambda u: t - u, t)
+        adjoint = -integral(lambda xi: (T - xi - 1) * mpmath.exp(xi), lambda u: t + u, T - t)
+        state, adjoint, scale = float(state), float(adjoint), float(mpmath.exp(t))
+    assert abs(float(caputo_state_profile(float(t), gamma)) - state) \
+        <= 1e-14 * max(abs(state), scale)
+    assert abs(float(caputo_adjoint_profile(float(t), gamma, float(T))) - adjoint) \
+        <= 1e-14 * max(abs(adjoint), scale)
