@@ -1,38 +1,39 @@
-"""Fractional time derivative: L1 weights, diagnostics, and gamma < 1 control.
+"""Fractional time derivative: the L1 operator, diagnostics, and gamma < 1 control.
 
-Shows the L1 scheme's exactness on linear-in-time sequences, evaluates the
-stability functional Lambda_gamma^2, and solves a gamma = 0.5 control
-problem whose data were calibrated with the exact Caputo profiles so the
-closed-form optimum is still known.
+Shows the L1 weights, which are also the discrete Caputo operator on a whole
+history, its exactness on linear-in-time sequences and its gamma = 1 case,
+backward Euler; evaluates the stability functional Lambda_gamma^2; and solves
+a gamma = 0.5 control problem whose data were calibrated with the exact
+Caputo profiles so the closed-form optimum is still known.
 """
 import math
 
 import numpy as np
 
-from fracopt import TimeGrid, apply_discrete_caputo, caputo_weights, lambda_diagnostic
+from fracopt import TimeGrid, caputo_weights, lambda_diagnostic
 from fracopt.harness import build_setup, l2Q_error, manufactured_data
 from fracopt.control import ReducedProblem, solve_control_problem
 from fracopt.oracle import caputo_state_profile, manufactured_problem
 
 gamma = 0.5
 
-# L1 weights and exactness on phi(t) = t
+# L1 weights, and the operator they define applied to phi(t) = t
 K, tau = 16, 1.0 / 16
-w = caputo_weights(gamma, K, tau)
-print(f"L1 weights (gamma={gamma}): a_0={w.a[0]}, a_1={w.a[1]:.6f}, "
-      f"a_2={w.a[2]:.6f}, scale={w.scale:.4f}")
-hist = tau * np.arange(9, dtype=float)
-c_new, h_known = apply_discrete_caputo(w, hist)
-got = c_new * (9 * tau) - h_known
+caputo = caputo_weights(gamma, K, tau)
+print(f"L1 weights (gamma={gamma}): a_0={caputo.a[0]}, a_1={caputo.a[1]:.6f}, "
+      f"a_2={caputo.a[2]:.6f}, scale={caputo.scale:.4f}")
+hist = tau * np.arange(10, dtype=float)
 exact = (9 * tau) ** (1 - gamma) / math.gamma(2 - gamma)
-print(f"discrete Caputo of t at t_9: {got:.12f} (exact {exact:.12f})")
+print(f"discrete Caputo of t at t_9: {caputo(hist)[9]:.12f} (exact {exact:.12f})")
+euler = caputo_weights(1.0, K, tau)
+print(f"gamma = 1, backward Euler: a_0..a_2 = {euler.a[:3].tolist()}, "
+      f"derivative of t at t_9 {euler(hist)[9]:.12f}")
 
 # Caputo derivative of e^t in closed form vs the L1 operator on fine samples
 t, K_fine = 0.8, 4096
 samples = np.exp(np.linspace(0.0, t, K_fine + 1))
-c_new, h_known = apply_discrete_caputo(caputo_weights(gamma, K_fine, t / K_fine), samples[:-1])
 print(f"d^{gamma} e^t at t={t}: {float(caputo_state_profile(t, gamma)):.12f} "
-      f"(L1 on {K_fine} steps {c_new * samples[-1] - h_known:.12f})")
+      f"(L1 on {K_fine} steps {caputo_weights(gamma, K_fine, t / K_fine)(samples)[-1]:.12f})")
 
 # stability functional of a decaying trace history
 grid = TimeGrid(T=1.0, K=64)

@@ -1,8 +1,8 @@
 """Time discretization: Caputo L1 weights, state and adjoint marches.
 
-For gamma = 1 the step operator is backward Euler; for gamma in (0, 1) it is
-the L1 scheme with weights a_j = (j+1)^{1-gamma} - j^{1-gamma}. Only trace
-values enter the fractional memory, so the marches keep modal trace histories.
+The discrete Caputo derivative of order gamma in (0, 1] is the L1 scheme, weights
+a_j = (j+1)^{1-gamma} - j^{1-gamma} (:class:`CaputoWeights`), backward Euler at gamma = 1.
+Only trace values enter the fractional memory, so the marches keep modal trace histories.
 
 Every step solves the same cylinder system, and the marches solve it by
 fast diagonalization (Lynch-Rice-Thomas) in the M_Omega-orthonormal
@@ -68,11 +68,11 @@ from .problem import (FractionalParams, ParameterError, ProblemData, Separable, 
 
 @dataclass(frozen=True)
 class CaputoWeights:
-    """L1 weights a_j = (j+1)^{1-gamma} - j^{1-gamma}, j = 0..K-1.
+    """L1 weights a_j = (j+1)^{1-gamma} - j^{1-gamma}, j = 0..K-1, and the operator they define.
 
-    ``scale`` is 1/(Gamma(2-gamma) tau^gamma); the weights are positive,
-    strictly decreasing from a_0 = 1, and telescope so that
-    sum_{j<k}(a_j - a_{j+1}) + a_k = 1 for every k.
+    ``scale`` is 1/(Gamma(2-gamma) tau^gamma). The weights fall from a_0 = 1,
+    strictly for gamma < 1, and telescope: sum_{j<k}(a_j - a_{j+1}) + a_k = 1
+    for every k. At gamma = 1 they are a = (1, 0, ..., 0), scale 1/tau: backward Euler.
     """
 
     a: np.ndarray
@@ -83,36 +83,33 @@ class CaputoWeights:
         """a_j - a_{j+1} for j = 0..K-2."""
         return self.a[:-1] - self.a[1:]
 
+    def __call__(self, history) -> np.ndarray:
+        """delta^gamma of a history phi^0..phi^n, n <= K, on the first axis; row 0 is zero.
+
+        Row k is scale (phi^k - a_{k-1} phi^0 - sum_{j<k-1} d_j phi^{k-1-j}), d = ``diffs``.
+        """
+        phi = np.asarray(history, dtype=float)
+        n = len(phi) - 1 if phi.ndim else -1
+        if not 0 <= n <= self.a.size:
+            raise ParameterError(f"a history needs 1 to K + 1 entries, got shape {phi.shape}")
+        out = np.zeros(phi.shape)
+        out[1:] = self.scale * (phi[1:] - np.multiply.outer(self.a[:n], phi[0]))
+        if n > 1 and phi.size:
+            # the memory sum of row k is entry k-2 of the convolution d * phi[1:]
+            memory = np.apply_along_axis(np.convolve, 0, phi[1:], self.diffs[:n - 1])
+            out[2:] -= self.scale * memory[:n - 1]
+        return out
+
 
 def caputo_weights(gamma: float, K: int, tau: float) -> CaputoWeights:
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(
-            f"gamma = {gamma} is outside (0, 1); use the classical difference delta^1")
+    if not 0.0 < gamma <= 1.0:
+        raise ParameterError(f"gamma = {gamma} is outside (0, 1]")
     if K < 1 or tau <= 0.0:
         raise ParameterError(f"invalid time grid: K = {K}, tau = {tau}")
-    j = np.arange(K, dtype=float)
-    a = (j + 1.0) ** (1.0 - gamma) - j ** (1.0 - gamma)
+    a = np.diff(np.arange(K + 1.0) ** (1.0 - gamma))
+    a[0] = 1.0      # 1^0 - 0^0 would be 0 at gamma = 1
     scale = 1.0 / (math.gamma(2.0 - gamma) * tau ** gamma)
     return CaputoWeights(a=a, scale=scale)
-
-
-def apply_discrete_caputo(weights: CaputoWeights, history: np.ndarray):
-    """Affine decomposition of the L1 operator at the next step.
-
-    ``history`` holds phi^0..phi^k along its first axis. Returns
-    (c_new, h_known) such that delta^gamma phi^{k+1} = c_new * phi^{k+1} -
-    h_known, with c_new = 1/(Gamma(2-gamma) tau^gamma).
-    """
-    history = np.asarray(history, dtype=float)
-    if history.shape[0] < 1:
-        raise ParameterError("empty history: need at least phi^0")
-    k = history.shape[0] - 1
-    acc = weights.a[k] * history[0]
-    if k >= 1:
-        d = weights.diffs[:k]
-        # sum_j d_j phi^{k-j} pairs d_0..d_{k-1} with phi^k..phi^1
-        acc = acc + np.tensordot(d, history[k:0:-1], axes=(0, 0))
-    return weights.scale, weights.scale * acc
 
 
 # steps of the direct recurrence before the Newton doublings take over
@@ -187,9 +184,8 @@ class ModalMarch:
     Mode i of rate r_i runs x_k = (c_new (sum_{j<k} d_j x_{k-1-j}) + g_k)/
     (c_new + r_i), k = 0..K-1, i.e. it solves the lower-triangular Toeplitz
     system with diagonal c_new + r_i and sub-diagonals -c_new d_j, where
-    d_j = a_j - a_{j+1}: the L1 weights and scale for gamma < 1, and for
-    backward Euler (gamma = 1) c_new = 1/tau and a = (1, 0, ..., 0). An
-    initial value x^0 enters as the extra load c_new a_k x^0. Loads and
+    d_j = a_j - a_{j+1} and c_new = scale of the ``weights`` (:class:`CaputoWeights`).
+    An initial value x^0 enters as the extra load c_new a_k x^0. Loads and
     solutions are (K, n_modes) arrays, step k in row k. Every rate must be
     finite with c_new + r_i > 0, or ParameterError is raised.
 
@@ -202,22 +198,23 @@ class ModalMarch:
     work buffers of one block that the march owns: the loads, their spectrum
     and the 2K-long inverse. So a solve allocates its result and nothing of
     the family's size, and each mode's FFTs, hence its bits, do not depend on
-    the block. Backward Euler keeps its one-step recurrence.
+    the block. Backward Euler keeps its one-step recurrence, which is faster.
     """
 
     def __init__(self, rates: np.ndarray, gamma: float, K: int, tau: float):
         self.K = K
-        self.weights = caputo_weights(gamma, K, tau) if gamma < 1.0 else None
-        self.c_new = 1.0 / tau if self.weights is None else self.weights.scale
+        self.weights = caputo_weights(gamma, K, tau)
+        self.c_new = self.weights.scale
         self.rate = self.c_new + np.asarray(rates, dtype=float)
         if not (np.isfinite(self.rate).all() and (self.rate > 0.0).all()):
             raise ParameterError("march rates must be finite with c_new + rate > 0")
         self.h_hat = None
-        if self.weights is not None:
+        if gamma < 1.0:
             rate, self.rate_index = np.unique(self.rate, return_inverse=True)
             self.h_hat = np.fft.rfft(
                 impulse_responses(rate, self.c_new, self.weights.diffs, K), n=2 * K)
-            self.block = min(self.rate.size, max(1, _BLOCK_SAMPLES // K))
+            # at least 1, so that a lattice without interior nodes (no modes) steps too
+            self.block = max(1, min(self.rate.size, _BLOCK_SAMPLES // K))
             # reused by every block of every solve: fresh ones cost page faults.
             # Two extra columns let the inverse's buffer first hold, read as
             # complex, the block's rows of h_hat.
@@ -395,11 +392,8 @@ class CylinderSystem:
     uniform. In the M_Omega-orthonormal lattice basis (see the module
     docstring) it is diagonal after the axis elimination: ``delta[..., i]``,
     of shape (*heights, n_modes), is the Schur complement of mode i onto
-    y = 0. ``march`` holds the per-mode time solves with rates ``delta.ravel()``:
-    for L1 it computes the impulse response of every distinct rate here, once
-    (O(n K log K) work, by Newton iteration), so each state or adjoint march
-    is one FFT convolution (O(n K log K)); for backward Euler a step costs
-    one division per mode.
+    y = 0. ``march`` holds the per-mode time solves with rates ``delta.ravel()``
+    (:class:`ModalMarch`), whose set-up runs here, once.
 
     Every Omega map is the n-fold Kronecker power of a 1D factor, applied
     per axis (:func:`~fracopt.assembly.kron_apply`). The ``factors``

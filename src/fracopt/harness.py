@@ -68,43 +68,39 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ParameterError(f"{name} must be nonempty")
         # every value, whatever the kind, by the check of the type that reads it
-        for s in self.s_list:
-            FractionalParams(s, self.gamma)
         for K in (self.K, *self.K_list):
             TimeGrid(self.T, K)
         ControlBounds(0.0, 0.0, self.mu)
         check_count(self.n, "dimension n")
         heights = self.Y_list if self.Y is None else (self.Y, *self.Y_list)
-        for M in (self.M, *self.M_list):
-            GradedAxis(M, heights, 1.0 if self.zeta is None else self.zeta)
+        for s in self.s_list:
+            alpha = FractionalParams(s, self.gamma).alpha
+            zeta = default_zeta(alpha) if self.zeta is None else self.zeta    # build_setup's
+            for M in (self.M, *self.M_list):
+                GradedAxis(M, heights, zeta)
+                if zeta * math.log2(M) > 511:
+                    raise ParameterError(f"the graded axis underflows at s = {s}, M = {M}, zeta = "
+                                         f"{zeta:.6g}: (1/M)^(2 zeta) is below the smallest "
+                                         f"normal double; set a smaller grading exponent (--zeta)")
         check_stopping(self.tol, self.max_iter)
         if self.fit_last < 3:
             raise ParameterError(f"a slope needs >= 3 levels, got fit_last = {self.fit_last}")
-        if self.kind == "conv-time":
-            _check_time_levels(self.K_list)
+        # every K of conv-time divides the step count of its reference solve
+        K_ref = REF_FACTOR * max(self.K_list)
+        bad = [K for K in self.K_list if K_ref % K]
+        if self.kind == "conv-time" and bad:
+            raise ParameterError(f"step counts {bad} do not divide the reference "
+                                 f"{REF_FACTOR} * max(K_list) = {K_ref}")
         # a rate study fits its slope through the rows of its levels
         levels = {"conv-space": ("M", self.M_list), "conv-time": ("K", self.K_list)}
         if self.kind in levels and len(levels[self.kind][1]) < 3:
             name, values = levels[self.kind]
             raise ParameterError(f"{self.kind} needs >= 3 levels of {name} to fit a rate, "
                                  f"got {name} = {values}")
-        if self.kind == "truncation":
-            _check_heights(self.Y_list)
-
-
-def _check_time_levels(K_list) -> None:
-    """Every K must divide the reference step count REF_FACTOR * max(K_list)."""
-    K_ref = REF_FACTOR * max(K_list)
-    bad = [K for K in K_list if K < 1 or K_ref % K]
-    if bad:
-        raise ParameterError(f"step counts {bad} do not divide the reference "
-                             f"{REF_FACTOR} * max(K_list) = {K_ref}")
-
-
-def _check_heights(Y_list) -> None:
-    """The truncation fit needs >= 3 rows below the tallest height: >= 4 distinct heights."""
-    if len(set(Y_list)) < 4:
-        raise ParameterError(f"truncation needs at least 4 distinct heights, got {tuple(Y_list)}")
+        # the truncation fit needs >= 3 rows below the tallest height
+        if self.kind == "truncation" and len(set(self.Y_list)) < 4:
+            raise ParameterError(f"truncation needs at least 4 distinct heights, "
+                                 f"got {tuple(self.Y_list)}")
 
 
 def _parse_list(text, cast=float):
@@ -115,19 +111,17 @@ def _field(name, cast):
     return lambda text: {name: cast(text)}
 
 
-def _levels(name):
-    """``K`` or ``M``: the list of levels, and the single level from its first entry."""
+def _levels(name, cast=int):
+    """``K``, ``M`` or ``Y``: the list of levels, and the single level from its first entry."""
     def parse(text):
-        levels = _parse_list(text, int)
+        levels = _parse_list(text, cast)
         return {f"{name}_list": levels, name: levels[0]}
     return parse
 
 
-def _heights(text):
-    """``Y``: the list of heights, and the height itself when only one is given."""
-    heights = _parse_list(text)
-    return {"Y_list": heights, "Y": heights[0]} if len(heights) == 1 else {"Y_list": heights}
-
+# the settings that take a comma list, and the kinds that read every entry of one
+LISTS = {"s": ("solve-control", "conv-space", "conv-time", "oracle-check"),
+         "M": ("conv-space",), "K": ("conv-time",), "Y": ("truncation",)}
 
 # The one list of settings: name -> (help, parser of its text into
 # ExperimentConfig field updates). A config file's keys are these names in
@@ -144,7 +138,7 @@ SETTINGS = {
     "T": ("final time", _field("T", float)),
     "mu": ("regularization weight", _field("mu", float)),
     "zeta": ("grading exponent override", _field("zeta", float)),
-    "Y": ("cylinder height (comma list for truncation)", _heights),
+    "Y": ("cylinder height (comma list for truncation)", _levels("Y", float)),
     "tol": ("projected-gradient tolerance", _field("tol", float)),
     "n": ("spatial dimension n >= 1 of Omega = (0,1)^n", _field("n", int)),
     "max_iter": ("iteration cap of the optimizer", _field("max_iter", int)),
@@ -161,25 +155,36 @@ def apply_settings(config: ExperimentConfig, *sources) -> ExperimentConfig:
     does not parse, raises ParameterError naming it, its value and its
     source. The settings of all sources are checked once, together: a
     result that ``ExperimentConfig.__post_init__`` refuses raises its error
-    with the sources that gave settings added.
+    with the sources that gave settings added. So does a list for a setting
+    that the kind reads once (:data:`LISTS`), naming the kind and the source.
     """
     names = {name.lower(): name for name in SETTINGS}
-    updates = {}
+    updates, lists = {}, {}
     for entries, where in sources:
         unknown = [key for key in entries if key.lower() not in names]
         if unknown:
             raise ParameterError(f"unknown setting(s) {', '.join(map(repr, unknown))} {where}")
         for key, value in entries.items():
+            name = names[key.lower()]
             try:
-                updates.update(SETTINGS[names[key.lower()]][1](value))
+                update = SETTINGS[name][1](value)
             except (ValueError, IndexError):
                 raise ParameterError(f"setting {key!r} has invalid value {value!r} "
                                      f"{where}") from None
+            updates.update(update)
+            if name in LISTS:
+                lists[name] = (key, value, where, len(update[f"{name}_list"]))
     try:
-        return replace(config, **updates)
+        config = replace(config, **updates)
     except ParameterError as exc:
         given = " and ".join(where for entries, where in sources if entries)
         raise ParameterError(f"{exc} {given}") from None
+    for name, (key, value, where, count) in lists.items():
+        if count > 1 and config.kind not in LISTS[name]:
+            raise ParameterError(f"setting {key!r} = {value!r} is a list of {count}, but "
+                                 f"{config.kind} reads one value (a list is read only by "
+                                 f"{', '.join(LISTS[name])}) {where}")
+    return config
 
 
 def read_config(path) -> dict:
@@ -287,8 +292,8 @@ def l2Q_error(discrete: np.ndarray, exact, grid: TimeGrid, omega: OmegaMesh,
     return math.sqrt(acc)
 
 
-def fit_rate(xs, ys) -> float:
-    """Least-squares slope of log(ys) against log(xs), all finite and > 0 (else ParameterError)."""
+def _fit_points(xs, ys):
+    """xs and ys as arrays: at least 3 points, all finite and > 0, else ParameterError."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 3:
@@ -296,7 +301,13 @@ def fit_rate(xs, ys) -> float:
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ParameterError(f"rate fit needs finite values, got {xs} and {ys}")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise ParameterError("rate fit needs strictly positive values")
+        raise ParameterError(f"rate fit needs strictly positive values, got {xs} and {ys}")
+    return xs, ys
+
+
+def fit_rate(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs), all finite and > 0 (else ParameterError)."""
+    xs, ys = _fit_points(xs, ys)
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -445,8 +456,8 @@ def run_truncation_study(config: ExperimentConfig) -> ConvergenceReport:
         report.rows.append({"case": "truncation", "s": s, "gamma": config.gamma,
                             "M": M, "K": K, "N": system.mesh.n_free,
                             "zeta": system.mesh.axis.zeta, "Y": Y, "err_state": err})
-    ys = np.array([r["err_state"] for r in report.rows])
-    slope = float(np.polyfit(heights[:-1], np.log(ys), 1)[0])
+    xs, ys = _fit_points(heights[:-1], [r["err_state"] for r in report.rows])
+    slope = float(np.polyfit(xs, np.log(ys), 1)[0])
     report.slopes.append({"case": "truncation", "s": s, "gamma": config.gamma,
                           "quantity": "err_state_exp", "slope": slope,
                           "levels_used": len(ys)})

@@ -234,26 +234,20 @@ def fractional_ibp_check(f_samples, g_samples, gamma: float, times) -> float:
             = int_0^T f d_{T-t}^gamma g + g(T) (I^{1-gamma}_t f)(T)
 
     are evaluated from uniform samples: L1 differences for the Caputo
-    derivatives, trapezoid for the products, and exact kernel integration of
-    the piecewise-linear interpolants for the fractional integrals.
+    derivatives (:class:`~fracopt.evolution.CaputoWeights`), trapezoid for the
+    products, and exact kernel integration of the piecewise-linear
+    interpolants for the fractional integrals. gamma must lie in (0, 1).
     """
+    if not 0.0 < gamma < 1.0:
+        raise ParameterError(f"the integration-by-parts check needs gamma in (0, 1), got {gamma}")
     f = np.asarray(f_samples, dtype=float)
     g = np.asarray(g_samples, dtype=float)
     times = np.asarray(times, dtype=float)
-    K = times.size - 1
     tau = times[1] - times[0]
-    w = caputo_weights(gamma, K, tau)
+    caputo = caputo_weights(gamma, times.size - 1, tau)
 
-    def l1_derivative(vals):
-        out = np.zeros(K + 1)
-        out[1:] = w.scale * (vals[1:] - w.a * vals[0])
-        if K > 1:
-            # the memory sum_{j<k} d_j vals[k-j] of step k is entry k-1 of d * vals[1:]
-            out[2:] -= w.scale * np.convolve(w.diffs, vals[1:])[:K - 1]
-        return out
-
-    dcf = l1_derivative(f)
-    dcg_rev = l1_derivative(g[::-1])[::-1]   # right Caputo via time reversal
+    dcf = caputo(f)
+    dcg_rev = caputo(g[::-1])[::-1]   # right Caputo via time reversal
 
     lhs = float(np.trapezoid(dcf * g, dx=tau))
     lhs += f[0] * _frac_integral_right_at_0(g, 1.0 - gamma, times)

@@ -415,12 +415,9 @@ def sparse_state_march(system, trace0, loads):
     fields = np.zeros((K + 1, system.mesh.n_free))
     w = system.march.weights
     for k in range(K):
-        if w is None:
-            acc = traces[k]
-        else:
-            acc = w.a[k] * traces[0]
-            if k >= 1:
-                acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
+        acc = w.a[k] * traces[0]
+        if k >= 1:
+            acc = acc + np.tensordot(w.diffs[:k], traces[k:0:-1], axes=(0, 0))
         fields[k + 1] = solve(system.march.c_new * (mass @ acc) + loads[k])
         traces[k + 1] = fields[k + 1][tpos]
     return traces, fields
@@ -435,10 +432,7 @@ def sparse_adjoint_march(system, loads):
     traces = np.zeros((K + 1, system.n_interior))
     w = system.march.weights
     for j in range(K - 1, -1, -1):
-        if w is None:
-            acc = traces[j + 1]
-        else:
-            acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
+        acc = np.tensordot(w.diffs[:K - 1 - j], traces[j + 1:K], axes=(0, 0))
         traces[j] = solve(system.march.c_new * (mass @ acc) + loads[j])[tpos]
     return traces
 

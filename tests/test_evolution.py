@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracopt import (ControlBounds, CylinderSystem, ProblemData, ReducedProblem, TimeGrid,
-                     apply_discrete_caputo, caputo_weights, lambda_diagnostic, solve_state)
+                     caputo_weights, lambda_diagnostic, solve_state)
 from fracopt import assembly, control, evolution
 from fracopt.assembly import assemble_stiffness
 from fracopt.control import l2_project, solve_control_problem
@@ -57,18 +57,24 @@ def test_caputo_weights_invariants_large_K():
     check_telescoping(0.7, 10_000)
 
 
-def test_caputo_weights_gamma_one_raises():
-    with pytest.raises(ParameterError, match="delta"):
-        caputo_weights(1.0, 4, 0.1)
-    with pytest.raises(ParameterError, match="delta"):
-        caputo_weights(0.0, 4, 0.1)
+def test_caputo_weights_gamma_one_is_backward_euler():
+    tau = 0.1
+    w = caputo_weights(1.0, 4, tau)
+    assert w.a.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert w.scale == 1.0 / tau
+    rng = np.random.default_rng(3)
+    hist = rng.standard_normal((5, 3))
+    got = w(hist)
+    assert not got[0].any()
+    np.testing.assert_allclose(got[1:], np.diff(hist, axis=0) / tau, rtol=1e-14, atol=1e-14)
+    for gamma in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ParameterError, match="outside"):
+            caputo_weights(gamma, 4, 0.1)
 
 
 def test_discrete_caputo_constant_history():
     w = caputo_weights(0.35, 10, 0.2)
-    hist = np.full(6, 3.7)
-    c_new, h_known = apply_discrete_caputo(w, hist)
-    assert abs(c_new * 3.7 - h_known) <= 1e-12
+    assert np.abs(w(np.full(7, 3.7))).max() <= 1e-12
 
 
 def test_discrete_caputo_exact_on_linear():
@@ -79,28 +85,26 @@ def test_discrete_caputo_exact_on_linear():
         tau = float(rng.uniform(0.01, 0.5))
         k = int(rng.integers(0, K - 1))
         w = caputo_weights(gamma, K, tau)
-        hist = tau * np.arange(k + 1, dtype=float)
-        c_new, h_known = apply_discrete_caputo(w, hist)
-        got = c_new * (tau * (k + 1)) - h_known
+        got = w(tau * np.arange(k + 2, dtype=float))[-1]
         expected = (tau * (k + 1)) ** (1.0 - gamma) / math.gamma(2.0 - gamma)
         assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_discrete_caputo_near_one_matches_delta1():
     w = caputo_weights(0.999, 16, 1.0 / 16)
-    t = np.arange(9) / 16.0
-    hist = np.sin(t)
-    c_new, h_known = apply_discrete_caputo(w, hist)
-    new_value = math.sin(9 / 16.0)
-    frac = c_new * new_value - h_known
-    classical = (new_value - hist[-1]) * 16.0
+    hist = np.sin(np.arange(10) / 16.0)
+    frac = w(hist)[-1]
+    classical = (hist[-1] - hist[-2]) * 16.0
     assert abs(frac - classical) <= 0.01 * abs(classical)
 
 
 def test_discrete_caputo_empty_history():
     w = caputo_weights(0.5, 4, 0.1)
-    with pytest.raises(ParameterError):
-        apply_discrete_caputo(w, np.empty((0,)))
+    for history in (np.empty((0,)), np.empty((0, 3)), np.zeros(6), np.float64(1.0)):
+        with pytest.raises(ParameterError, match="history"):
+            w(history)
+    # a history of no modes, as on a lattice without interior nodes
+    assert w(np.zeros((5, 0))).shape == (5, 0)
 
 
 def full_initial_field(u0, mesh, params):

@@ -183,9 +183,9 @@ def test_config_unknown_keys_raise(tmp_path):
     # every key of the shipped configs is known, in any case
     for cfg in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
         load_config(cfg)
-    path.write_text("[experiment]\nk = 4, 8\nFIT_LAST = 4\n")
+    path.write_text("[experiment]\nkind = conv-time\nk = 4, 8, 16\nFIT_LAST = 4\n")
     cfg = load_config(path)
-    assert cfg.K_list == (4, 8)
+    assert cfg.K_list == (4, 8, 16)
     assert cfg.fit_last == 4
     # nor does the command line take an abbreviation of a flag
     with pytest.raises(SystemExit):
@@ -250,7 +250,15 @@ REFUSED = {"fit_last = 2": ("conv-space", "a slope needs >= 3 levels"),
            "gamma = 2.0": ("solve-control", "temporal order gamma"),
            "n = 0": ("solve-state", "dimension n"),
            "mu = -1.0": ("truncation", "regularization weight"),
-           "zeta = 0.5": ("solve-state", "grading exponent")}
+           "zeta = 0.5": ("solve-state", "grading exponent"),
+           "s = 0.01": ("conv-space", "axis underflows at s = 0.01, M = 12"),
+           # a list for a setting that the kind reads once
+           "Y = 2, 3": ("solve-control", "'Y' = '2, ?3' is a list of 2, but solve-control"),
+           "K = 8, 16, 32": ("solve-control", "'K' = '8, ?16, ?32' is a list of 3"),
+           "K = 8, 32": ("conv-space", "'K' = .* but conv-space reads one value"),
+           "M = 4, 8": ("conv-time", "'M' = .* read only by conv-space"),
+           "s = 0.2, 0.4": ("solve-state", "'s' = .* but solve-state reads one value"),
+           "s = 0.3, 0.5": ("truncation", "'s' = .* but truncation reads one value")}
 
 
 @pytest.mark.parametrize("entry", list(REFUSED))
@@ -315,9 +323,11 @@ def test_config_is_frozen():
 
 # one value per setting, lists for K, M, Y and s; none is the default
 SETTING_VALUES = {"kind": "conv-time", "out": "study%1", "s": "0.3, 0.5", "gamma": "0.5",
-                  "K": "8, 16", "M": "4, 6", "T": "0.5", "mu": "0.1", "zeta": "2.5",
+                  "K": "8, 16, 32", "M": "4, 6, 8", "T": "0.5", "mu": "0.1", "zeta": "2.5",
                   "Y": "1, 1.5, 2, 3", "tol": "1e-8", "n": "1", "max_iter": "50",
                   "fit_last": "4"}
+# a kind that reads every entry of the list; every other setting is given to solve-state
+LIST_KIND = {"s": "conv-space", "K": "conv-time", "M": "conv-space", "Y": "truncation"}
 
 
 @pytest.mark.parametrize("key", list(SETTINGS))
@@ -328,16 +338,17 @@ def test_setting_means_the_same_in_a_file_and_on_the_command_line(tmp_path, monk
     monkeypatch.setattr(cli, "run_experiment",
                         lambda config: seen.append(config) or ConvergenceReport(config.kind))
     path = tmp_path / "one.cfg"
+    kind = LIST_KIND.get(key, "solve-state")
     if key == "kind":
         path.write_text(f"[experiment]\nkind = {value}\n")
         argv = [value]
     else:
-        path.write_text(f"[experiment]\nkind = solve-state\n{key} = {value}\n")
-        argv = ["solve-state", "--" + key.replace("_", "-"), value.replace(" ", "")]
+        path.write_text(f"[experiment]\nkind = {kind}\n{key} = {value}\n")
+        argv = [kind, "--" + key.replace("_", "-"), value.replace(" ", "")]
     assert cli_main(argv) == 0
     from_file = load_config(path)
     assert seen == [from_file]
-    assert from_file != ExperimentConfig(kind="solve-state")
+    assert from_file != ExperimentConfig(kind=kind)
 
 
 def test_conv_time_step_counts_checked_up_front():
@@ -584,6 +595,68 @@ def test_config_refuses_every_bad_value_at_construction(kwargs, fault):
 def test_config_rejects_unreachable_stopping_rule(name, value):
     with pytest.raises(ParameterError, match=name):
         ExperimentConfig(**{name: float(value) if name == "tol" else int(value)})
+
+
+# at the default grading zeta = 1.05 * 3/(2 s), (1/M)^(2 zeta) underflows exactly
+# where zeta log2(M) > 511: the M at which each s fails
+UNDERFLOWS = {0.03: (), 0.02: (128,), 0.015: (64, 128), 0.01: (16, 64, 128),
+              0.005: (4, 16, 64, 128)}
+
+
+@pytest.mark.parametrize("s", list(UNDERFLOWS))
+@pytest.mark.parametrize("M", [4, 16, 64, 128])
+def test_config_refuses_a_default_grading_that_underflows(s, M):
+    refused = M in UNDERFLOWS[s]
+    if refused:
+        with pytest.raises(ParameterError, match=f"s = {s}, M = {M}, zeta = .*--zeta"):
+            ExperimentConfig(s_list=(s,), M=M, M_list=(M,))
+    else:
+        ExperimentConfig(s_list=(s,), M=M, M_list=(M,))
+    # the refused cases are exactly those whose system cannot be built
+    try:
+        with np.errstate(all="ignore"):
+            evolution.CylinderSystem(*build_setup(1, M, s, 1.0, 1.0, 1, Y=1.0))
+    except ParameterError:
+        assert refused
+    else:
+        assert not refused
+    # an explicit zeta replaces the default one: 2 log2(M) <= 14 is accepted
+    ExperimentConfig(s_list=(s,), M=M, M_list=(M,), zeta=2.0)
+
+
+def test_a_list_given_to_a_setting_read_once_is_refused_before_any_solve(tmp_path, monkeypatch):
+    solves = []
+    monkeypatch.setattr(harness, "_control_solve", lambda *args: solves.append(args))
+    path = tmp_path / "lists.cfg"
+    path.write_text("[experiment]\nK = 8, 16, 32\n")
+    # the kind from the command line decides whether the file's list is read
+    with pytest.raises(ParameterError, match=f"'K' = '8, 16, 32' is a list .* in {path}$"):
+        cli_main(["solve-control", "--config", str(path), "--out", str(tmp_path / "a")])
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: seen.append(config) or ConvergenceReport(config.kind))
+    assert cli_main(["conv-time", "--config", str(path)]) == 0
+    # a single value on the command line overrides the file's list
+    assert cli_main(["solve-control", "--config", str(path), "--K", "16"]) == 0
+    assert [c.K for c in seen] == [8, 16] and solves == []
+
+
+def test_truncation_without_interior_nodes_refuses_its_fit(tmp_path):
+    out = tmp_path / "trunc"
+    with pytest.raises(ParameterError, match="strictly positive"):
+        cli_main(["truncation", "--M", "1", "--K", "4", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_solve_without_interior_nodes_runs_at_every_gamma(tmp_path):
+    rows = []
+    for gamma in ("1", "0.5"):
+        out = tmp_path / gamma
+        assert cli_main(["solve-state", "--M", "1", "--K", "8", "--gamma", gamma,
+                         "--out", str(out)]) == 0
+        rows.append(read_report_csv(out / "report.csv")[0])
+    # no mode to march: the error is the exact state's norm, whatever gamma
+    assert rows[0]["err_state"] == rows[1]["err_state"] > 0.0
 
 
 def test_cli_oracle_check(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracopt import CylinderSystem, ParameterError, TimeGrid, apply_discrete_caputo
+from fracopt import CylinderSystem, ParameterError, TimeGrid
 from fracopt.evolution import (ModalMarch, adjoint_march, impulse_responses, point_factors,
                                state_march)
 from fracopt.problem import FractionalParams
@@ -97,11 +97,9 @@ def test_modal_march_matches_step_recurrence(gamma, K):
     loads = rng.standard_normal((K, rates.size))
     hist = [x0]
     for k in range(K):
-        if march.weights is None:
-            c_new, known = march.c_new, march.c_new * hist[-1]
-        else:
-            c_new, known = apply_discrete_caputo(march.weights, np.array(hist))
-        hist.append((known + loads[k]) / (c_new + rates))
+        # delta^gamma x^{k+1} = c_new x^{k+1} - known: the operator at x^{k+1} = 0 gives -known
+        known = -march.weights(np.array(hist + [np.zeros(rates.size)]))[-1]
+        hist.append((known + loads[k]) / (march.weights.scale + rates))
     ref = np.array(hist[1:])
     got = march.solve(loads, x0)
     assert rel_gap(got, ref) <= 1e-13
@@ -227,6 +225,25 @@ def test_modal_march_rejects_bad_rates(bad, gamma):
     value = {"nan": np.nan, "inf": np.inf, "minus_c_new": -c_new}[bad]
     with pytest.raises(ParameterError, match="rates"):
         ModalMarch(np.array([0.0, 1.0, value]), gamma, K, tau)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_march_holds_its_weights_and_reads_c_new_from_them(gamma):
+    tau = 0.3 / 7
+    march = ModalMarch(np.array([0.0, 2.0]), gamma, 7, tau)
+    assert march.c_new == march.weights.scale
+    if gamma == 1.0:
+        assert march.c_new == 1.0 / tau and march.weights.a.tolist() == [1.0] + [0.0] * 6
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+@pytest.mark.parametrize("K", [1, 64, 2 ** 15])
+def test_march_of_no_modes_returns_an_empty_solution(gamma, K):
+    # a lattice without interior nodes (M = 1) has no modes to march
+    march = ModalMarch(np.zeros(0), gamma, K, 1.0 / K)
+    for x in (march.solve(None, np.zeros(0)), march.solve(np.zeros((K, 0))),
+              march.solve_transposed(np.zeros((K, 0)))):
+        assert x.shape == (K, 0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])

@@ -173,6 +173,13 @@ def test_fractional_ibp_identities():
     assert res <= 1e-6
 
 
+def test_fractional_ibp_check_refuses_gamma_outside_open_interval():
+    times = np.linspace(0.0, 1.0, 9)
+    for gamma in (1.0, 0.0, 1.5):
+        with pytest.raises(ParameterError, match="gamma in \\(0, 1\\)"):
+            fractional_ibp_check(times, times, gamma, times)
+
+
 def test_fractional_ibp_smooth_refinement():
     # quadrature error drops at least first order under refinement
     gamma = 0.5

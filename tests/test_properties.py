@@ -11,6 +11,11 @@ loads of random point values match the assembled rule's.
 The closed-form Caputo profiles of the manufactured optimum against
 ``mpmath.hyp1f1`` at 40 digits, at drawn orders and times, and against
 their defining integrals at a few fixed points.
+
+The per-mode time march against the discrete Caputo operator of its own
+weights: at drawn orders (gamma = 1, backward Euler, included), step
+counts, rates, initial values and loads, its solution and its transposed
+solve satisfy the scheme they solve.
 """
 import math
 
@@ -22,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from fracopt import ControlBounds, CylinderSystem, ProblemData, TimeGrid, l2Q_error
 from fracopt.assembly import kron_apply
 from fracopt.control import ReducedProblem
-from fracopt.evolution import point_factors
+from fracopt.evolution import ModalMarch, point_factors
 from fracopt.harness import build_setup
 from fracopt.oracle import caputo_adjoint_profile, caputo_state_profile
 
@@ -143,3 +148,26 @@ def test_closed_form_caputo_profiles_match_their_integrals(gamma, T, t):
         <= 1e-14 * max(abs(state), scale)
     assert abs(float(caputo_adjoint_profile(float(t), gamma, float(T))) - adjoint) \
         <= 1e-14 * max(abs(adjoint), scale)
+
+
+def scheme_residual(march, rates, x0, x, g):
+    """max over modes of |weights(x0, x) + rate x - g|, relative to the mode's largest term."""
+    hist = np.vstack([x0, x])
+    resid = march.weights(hist)[1:] + rates * x - g
+    size = np.maximum.reduce([np.abs(march.c_new * hist[1:]), np.abs(rates * x), np.abs(g)])
+    return float((np.abs(resid).max(axis=0) / size.max(axis=0)).max())
+
+
+@settings(deadline=None, max_examples=100, derandomize=True, database=None)
+@given(gamma=st.one_of(st.just(1.0), st.floats(0.05, 1.0)), K=st.integers(1, 300),
+       n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_march_solves_the_scheme_of_its_weights(gamma, K, n, seed):
+    rng = np.random.default_rng(seed)
+    # rates over eight decades, and some exactly zero
+    rates = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-3.0, 5.0, n))
+    march = ModalMarch(rates, gamma, K, rng.uniform(0.1, 10.0) / K)
+    x0, g = rng.standard_normal(n), rng.standard_normal((K, n))
+    assert scheme_residual(march, rates, x0, march.solve(g, x0), g) <= 1e-12
+    # the transposed solve, reversed in time, solves the scheme for reversed loads from zero
+    y = march.solve_transposed(g)[::-1]
+    assert scheme_residual(march, rates, np.zeros(n), y, g[::-1]) <= 1e-12
