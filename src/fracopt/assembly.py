@@ -23,7 +23,11 @@ block of time steps (:func:`step_blocks`, :func:`time_average`). A
 separable datum (:class:`~fracopt.problem.Separable`) has each spatial
 factor evaluated once per use (:func:`at_points`, :func:`factor_values`)
 and its time profiles once per step block or once per grid
-(:func:`step_means`). Only this module and :mod:`fracopt.evolution` read its terms.
+(:func:`step_means`). Its step loads and cell means are formed from its
+terms (:func:`separable_loads`): a linear term in O(N + K), and a clipped
+term from its constant and linear pieces, with one apply of two point
+vectors per block of 16 steps and point values only where a block crosses
+a bound. Only this module and :mod:`fracopt.evolution` read its terms.
 """
 from __future__ import annotations
 
@@ -270,7 +274,7 @@ def at_points(f, points: np.ndarray, what: str):
     A plain callable is called as f(points, t) on every call; errors it
     raises propagate unchanged. A separable f
     (:func:`~fracopt.problem.separable`) has each spatial factor phi_j
-    evaluated here, once; a call then writes sum_j psi_j(g_j(t) phi_j) into
+    evaluated here, once; a call then writes sum_j clip_j(g_j(t) phi_j) into
     one buffer that every later call reuses, and returns a view of it (a
     second term takes a temporary per call). The values are checked
     (ParameterError naming ``what`` for a wrong shape or a non-finite value).
@@ -289,13 +293,172 @@ def at_points(f, points: np.ndarray, what: str):
         for j, (term, phi) in enumerate(zip(sep.terms, factors)):
             part = np.multiply(_checked(term.time(t), t.shape, what), phi,
                                out=vals if j == 0 else None)
-            if term.psi is not None:
-                term.psi(part)
+            if term.clip is not None:
+                np.clip(part, *term.clip, out=part)
             if j > 0:
                 vals += part
         return vals
 
     return values
+
+
+# A clipped term is sorted into its pieces over blocks of this many steps
+# (:func:`separable_loads`): longer blocks leave more points crossing a bound,
+# shorter ones take more applies.
+_CLIP_STEPS = 16
+
+
+def separable_loads(sep, grid: TimeGrid, points: np.ndarray, factor: np.ndarray,
+                    what: str) -> np.ndarray:
+    """(K, rows**n): the step averages of a :class:`~fracopt.problem.Separable` through a factor's power.
+
+    ``points`` (c**n, n) are a Gauss rule's, listed in row-major tensor
+    order, and ``factor`` (rows, c) is the 1D factor whose n-fold Kronecker
+    power takes their values to the result (:func:`kron_apply`). Row k
+    holds that map of the 2-point Gauss average over step k of sum_j
+    clip_j(g_j(t) phi_j(x)). ``what`` names the datum in errors.
+
+    A linear term adds the step means of g times one load of phi. A
+    clipped term is loaded from its pieces. While g stays in [g_min, g_max],
+    a point's values stay between g_min phi and g_max phi (a rounded product
+    is monotone in g). So a point whose range stays at or below lo, or at or
+    above hi, adds the constant lo or hi, and one inside (lo, hi) adds the
+    step means of g times phi: pointwise clipping gives the same up to
+    rounding. The points are sorted once over the whole grid, and these
+    pieces join the linear terms in one apply and one product. The points
+    left over are sorted again per block of 16 steps, and one apply of two
+    point vectors per block loads their pieces. Only a point whose range
+    crosses a bound inside a block is evaluated at the block's Gauss times.
+    Its averages reach the result through its own column of the power (a
+    product of one column of ``factor`` per axis), or through a dense apply
+    when most points cross. Temporaries stay near the budget of
+    :func:`step_blocks`.
+    """
+    K, n = grid.K, points.shape[1]
+    k = np.arange(K)
+    g = time_profiles(sep.terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
+    means = g[:K] + g[K:]
+    means *= 0.5
+    phi = factor_values(sep.terms, points, what)
+    out, left = _grid_pieces(sep.terms, g, means, phi, factor, n)
+    for j, idx in left:
+        _add_block_pieces(out, np.stack([g[:K, j], g[K:, j]], axis=1), means[:, j], phi[j],
+                          idx, sep.terms[j].clip, factor, n)
+    return out
+
+
+def _grid_pieces(terms, g, means, phi, factor, n: int):
+    """The loads of the linear terms and of the clipped terms' whole-grid pieces, in one product.
+
+    Returns them with the list of (j, points left over) of the clipped terms
+    whose values cross a bound somewhere on the grid.
+    """
+    profiles, vectors, left = [], [], []
+    for j, term in enumerate(terms):
+        if term.clip is None:
+            profiles.append(means[:, j])
+            vectors.append(phi[j])
+            continue
+        const, linear, cross = _pieces(g[:, j].min(), g[:, j].max(), phi[j], *term.clip)
+        profiles += [np.ones(means.shape[0]), means[:, j]]
+        vectors += [const, linear * phi[j]]
+        if cross.any():
+            left.append((j, np.flatnonzero(cross)))
+    return np.matmul(np.stack(profiles, axis=1), kron_apply(factor, np.stack(vectors), n)), left
+
+
+def _pieces(g_min, g_max, phi, lo: float, hi: float):
+    """Sort the values g phi, g in [g_min, g_max] (broadcast against phi), into their pieces.
+
+    Returns the constant piece (lo, hi or 0), the mask of the linear piece
+    and the mask of the values that cross a bound; the three cases exclude
+    each other.
+    """
+    a, b = g_min * phi, g_max * phi
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    below, above = high <= lo, low >= hi
+    linear = (low > lo) & (high < hi)
+    const = np.where(below, lo, np.where(above, hi, 0.0))
+    return const, linear, ~(below | above | linear)
+
+
+def _add_block_pieces(out, g2, means, phi, left, bounds, factor, n: int) -> None:
+    """Add into ``out`` one clipped term's loads at the points ``left``, per block of steps.
+
+    ``g2`` (K, 2) holds g at each step's two Gauss times, ``means`` their
+    averages. Blocks are sorted and applied a chunk at a time, within the
+    budget of :func:`step_blocks`.
+    """
+    K, P, S = out.shape[0], phi.size, _CLIP_STEPS
+    starts = np.arange(0, K, S)
+    g_min = np.minimum.reduceat(g2.min(axis=1), starts)
+    g_max = np.maximum.reduceat(g2.max(axis=1), starts)
+    phi_left = phi[left]
+    # a block holds its two point vectors and the sorting of its points left over
+    chunk = max(1, _BLOCK_VALUES // (2 * P + 8 * left.size))
+    for b0 in range(0, starts.size, chunk):
+        const, linear, cross = _pieces(g_min[b0:b0 + chunk, None], g_max[b0:b0 + chunk, None],
+                                       phi_left, *bounds)
+        vecs = np.zeros((const.shape[0], 2, P))
+        vecs[:, 0, left] = const
+        vecs[:, 1, left] = linear * phi_left
+        piece = kron_apply(factor, vecs, n)
+        del vecs
+        # every step of block i adds piece[i, 0] + means * piece[i, 1]; the last block may be short
+        rows = out[b0 * S:(b0 + chunk) * S]
+        weights = np.zeros((piece.shape[0] * S, 2))
+        weights[:rows.shape[0], 0] = 1.0
+        weights[:rows.shape[0], 1] = means[b0 * S:(b0 + chunk) * S]
+        rows += np.matmul(weights.reshape(-1, S, 2), piece).reshape(
+            weights.shape[0], rows.shape[1])[:rows.shape[0]]
+        for i in np.flatnonzero(cross.any(axis=1)):
+            steps = slice((b0 + i) * S, (b0 + i + 1) * S)
+            _add_crossing(out[steps], g2[steps], phi, left[cross[i]], bounds, factor, n)
+
+
+def _add_crossing(rows, g2, phi, idx, bounds, factor, n) -> None:
+    """Add into a block's ``rows`` the loads of the points ``idx``, evaluated at its Gauss times ``g2``.
+
+    The points' columns of the factor's power carry their averages when
+    they cost no more than a dense apply; else every point is evaluated,
+    the others masked to zero, and applied densely a few steps at a time.
+    """
+    lo, hi = bounds
+    P, (r, c) = phi.size, factor.shape
+
+    def averages(g, values):
+        vals = g[:, :, None] * values
+        np.clip(vals, lo, hi, out=vals)
+        avg = vals[:, 0] + vals[:, 1]
+        avg *= 0.5
+        return avg
+
+    if idx.size * r ** (n - 1) <= P:
+        # column (i_1, rest) is factor[:, i_1] (x) rest's: built a few first-axis modes at a time
+        first, rest = np.divmod(idx, c ** (n - 1))
+        rest = _columns(factor, rest, n - 1)
+        vals = averages(g2, phi[idx])
+        per = max(1, _BLOCK_VALUES // (2 * rest.size))
+        for a in range(0, r, per):
+            cols = (factor[a:a + per, first].T[:, :, None] * rest[:, None, :]).reshape(idx.size, -1)
+            rows[:, a * rest.shape[1]:(a + per) * rest.shape[1]] += vals @ cols
+        return
+    mask = np.zeros(P)
+    mask[idx] = 1.0
+    # a step's two Gauss rows and their average
+    per = max(1, _BLOCK_VALUES // (3 * P))
+    for s in range(0, rows.shape[0], per):
+        vals = averages(g2[s:s + per], phi)
+        vals *= mask
+        rows[s:s + per] += kron_apply(factor, vals, n)
+
+
+def _columns(factor, pts, n: int) -> np.ndarray:
+    """(len(pts), rows**n): the columns at flat point indices ``pts`` of the n-fold power of ``factor``."""
+    cols = np.ones((pts.size, 1))
+    for i in np.unravel_index(pts, (factor.shape[1],) * n) if n else ():
+        cols = (cols[:, :, None] * factor.T[i][:, None, :]).reshape(pts.size, -1)
+    return cols
 
 
 def time_average(values, t0, t1, out: np.ndarray | None = None) -> np.ndarray:

@@ -5,9 +5,20 @@ reads an optional config file (flat key=value entries under [section]
 headers), and every other flag is a setting of
 :data:`~fracopt.harness.SETTINGS` that overrides the file's value for the
 same key. The file's entries and the flags are checked once, together, so
-a flag may complete a file that alone would be refused. The exit status is
-1 when a control solve did not converge (its rows are still written and
-named on stderr), else 0.
+a flag may complete a file that alone would be refused.
+
+The ``fracopt`` console script is :func:`console`. Its exit status is
+
+- 0 when every row was written and every control solve converged;
+- 1 when a control solve did not converge (its rows are still written and
+  named on stderr);
+- 2 when the run is refused: a :class:`~fracopt.problem.ParameterError` (a
+  setting out of range, refused before any solve, or a rate fit through
+  errors that are not positive) ends it with the one line
+  ``fracopt: error: ...`` on stderr, and a malformed command line with
+  argparse's usage message.
+
+:func:`main` raises the ParameterError instead, for callers that handle it.
 """
 from __future__ import annotations
 
@@ -16,6 +27,7 @@ import sys
 
 from .harness import (RUNNERS, SETTINGS, ExperimentConfig, apply_settings, read_config,
                       run_experiment)
+from .problem import ParameterError
 
 
 def main(argv=None) -> int:
@@ -53,5 +65,14 @@ def main(argv=None) -> int:
     return 1 if failed else 0
 
 
+def console(argv=None) -> int:
+    """:func:`main` for the console script: a ParameterError becomes one line on stderr and status 2."""
+    try:
+        return main(argv)
+    except ParameterError as err:
+        print(f"fracopt: error: {err}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

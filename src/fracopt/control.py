@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import at_points, kron_apply, omega_quadrature, step_blocks, time_average
+from .assembly import (at_points, kron_apply, omega_quadrature, separable_loads, step_blocks,
+                       time_average)
 from .evolution import (CylinderSystem, Trajectory, adjoint_march, adjoint_trajectory,
                         forcing_loads, modal_projection, state_march, state_trajectory)
 from .mesh import OmegaMesh, CylinderMesh
-from .problem import ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid
+from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData, TimeGrid,
+                      separable)
 
 
 @dataclass
@@ -72,11 +74,15 @@ def l2_project(r, grid: TimeGrid, omega: OmegaMesh) -> np.ndarray:
 
     Values are the exact means over each space-time cell, computed with the
     lattice's 3-point tensor Gauss rule per cell and the 2-point rule per
-    step, in one per-axis apply (``OmegaQuadrature.means1``); r is evaluated
-    once per block of steps, a separable r's spatial factors once
-    (:func:`~fracopt.assembly.at_points`).
+    step, in one per-axis apply (``OmegaQuadrature.means1``). A separable r
+    is read from its terms (:func:`~fracopt.assembly.separable_loads`, a
+    clipped term from its pieces); any other r is evaluated once per block
+    of steps (:func:`~fracopt.assembly.at_points`).
     """
     quad = omega_quadrature(omega)
+    sep = separable(r)
+    if sep is not None:
+        return separable_loads(sep, grid, quad.points, quad.means1, "exact solution")
     values = at_points(r, quad.points, "exact solution")
     out = np.empty((grid.K, omega.n_cells))
     avg = None

@@ -58,12 +58,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (assemble_stiffness, at_points, factor_values,
-                       kron_apply, omega_quadrature, step_blocks, step_means,
+from .assembly import (assemble_stiffness, at_points, factor_values, kron_apply,
+                       omega_quadrature, separable_loads, step_blocks, step_means,
                        time_average, time_profiles, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
-from .problem import (FractionalParams, ParameterError, ProblemData, Separable, TimeGrid,
-                      separable)
+from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid, separable
 
 
 @dataclass(frozen=True)
@@ -529,33 +528,28 @@ def forcing_loads(f, system: CylinderSystem, what: str = "forcing") -> np.ndarra
 
     b^{k+1} are the interior-node loads in ``system.quad``, the lattice's
     Gauss rule; point values reach the modes in one apply (:class:`PointFactors`).
-    The linear terms g(t) phi(x) of a separable f (:func:`~fracopt.problem.separable`)
-    fill the result: one modal load of phi times the step averages of g.
-    Every other term, and a plain callable f, is evaluated at the Gauss
-    points once per block of steps (:func:`step_blocks`), each spatial factor
-    once per call (:func:`~fracopt.assembly.at_points`), and added into the
-    block's rows. For f = None, the zero datum, the loads are zero and
-    nothing is evaluated. ``what`` names f in errors.
+    A separable f (:func:`~fracopt.problem.separable`) is loaded from its
+    terms (:func:`~fracopt.assembly.separable_loads`): a linear term
+    g(t) phi(x) as one modal load of phi times the step averages of g, a
+    clipped one from its constant and linear pieces, with point values
+    only where a block of steps crosses a bound. A plain callable f is
+    evaluated at the Gauss points once per block of steps
+    (:func:`step_blocks`) and each block's averages applied into its rows.
+    For f = None, the zero datum, the loads are zero and nothing is
+    evaluated. ``what`` names f in errors.
     """
     grid, omega = system.grid, system.mesh.omega
-    out = np.zeros((grid.K, system.n_interior))
     if f is None:
-        return out
+        return np.zeros((grid.K, system.n_interior))
     quad, loads = system.quad, omega.kept(point_factors).loads
     sep = separable(f)
-    linear, rest = (), f
     if sep is not None:
-        linear = tuple(term for term in sep.terms if term.psi is None)
-        others = tuple(term for term in sep.terms if term.psi is not None)
-        rest = Separable(others) if others else None
-    if linear:
-        b_phi = kron_apply(loads, factor_values(linear, quad.points, what), system.n)
-        np.matmul(step_means(linear, grid, what), b_phi, out=out)
-    if rest is not None:
-        values, avg = at_points(rest, quad.points, what), None
-        for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
-            avg = time_average(values, t0, t1, out=avg)
-            out[steps] += kron_apply(loads, avg, system.n)
+        return separable_loads(sep, grid, quad.points, loads, what)
+    out = np.empty((grid.K, system.n_interior))
+    values, avg = at_points(f, quad.points, what), None
+    for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):
+        avg = time_average(values, t0, t1, out=avg)
+        kron_apply(loads, avg, system.n, out=out[steps])
     return out
 
 

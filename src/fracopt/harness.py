@@ -77,11 +77,13 @@ class ExperimentConfig:
             alpha = FractionalParams(s, self.gamma).alpha
             zeta = default_zeta(alpha) if self.zeta is None else self.zeta    # build_setup's
             for M in (self.M, *self.M_list):
-                GradedAxis(M, heights, zeta)
+                # GradedAxis refuses this too; checked first, this message can name s and --zeta
+                check_count(M, "axis intervals M")
                 if zeta * math.log2(M) > 511:
                     raise ParameterError(f"the graded axis underflows at s = {s}, M = {M}, zeta = "
                                          f"{zeta:.6g}: (1/M)^(2 zeta) is below the smallest "
                                          f"normal double; set a smaller grading exponent (--zeta)")
+                GradedAxis(M, heights, zeta)
         check_stopping(self.tol, self.max_iter)
         if self.fit_last < 3:
             raise ParameterError(f"a slope needs >= 3 levels, got fit_last = {self.fit_last}")

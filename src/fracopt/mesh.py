@@ -85,6 +85,8 @@ class GradedAxis:
 
     A sequence of heights makes a family of partitions, one per height. M >= 1
     must be an integer, every Y and zeta >= 1 (1: uniform) finite; ``unit`` is (m/M)^zeta.
+    A grading whose first interval underflows, (1/M)^(2 zeta) below the smallest
+    normal double (zeta log2 M > 511), is refused too, naming M and zeta.
     """
 
     M: int
@@ -103,6 +105,10 @@ class GradedAxis:
             raise ParameterError(f"truncation height must be finite, got {heights.max()}")
         if not (math.isfinite(self.zeta) and self.zeta >= 1.0):
             raise ParameterError(f"grading exponent must be finite and >= 1, got {self.zeta}")
+        if self.zeta * math.log2(self.M) > 511:
+            raise ParameterError(f"the graded axis underflows at M = {self.M}, zeta = "
+                                 f"{self.zeta:.6g}: (1/M)^(2 zeta) is below the smallest "
+                                 f"normal double")
         unit = (np.arange(self.M + 1, dtype=float) / self.M) ** self.zeta
         nodes = np.multiply.outer(heights, unit)
         unit.flags.writeable = nodes.flags.writeable = False

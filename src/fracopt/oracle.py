@@ -167,10 +167,10 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
 
     State, adjoint, control, forcing and desired state are
     :class:`~fracopt.problem.Separable`: each term is a time profile times
-    the spatial factor sin(2 pi x_1)[sin(2 pi x_2)], and the control and
-    the forcing's control part pass it through the clip to [a, b]. So the
-    solver evaluates that factor once per lattice and use, and loads the
-    linear terms in O(N + K). The state, adjoint and desired state are one
+    the spatial factor sin(2 pi x_1)[sin(2 pi x_2)]; the control clips it
+    to [a, b], and the forcing's control part, its negative, to [-b, -a].
+    So the solver evaluates that factor once per lattice and use, loads the
+    linear terms in O(N + K) and the clip terms from their pieces. The state, adjoint and desired state are one
     linear term each, the control one clip term, and the forcing the sum of
     a linear term and a clip term. Called with (points, t), each evaluates
     its factor anew. mu and T must be finite and positive and n an integer
@@ -189,12 +189,6 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
     def control_time(t):              # -p/mu over the sine product
         return (T - t) * np.exp(t)
 
-    def clip(v):
-        return np.clip(v, a, b, out=v)
-
-    def minus_clip(v):
-        return np.negative(clip(v), out=v)
-
     def forcing_time(t):              # f = d^gamma u + L^s u - z
         return caputo_state_profile(t, gamma) + lam_s * np.exp(t)
 
@@ -206,8 +200,10 @@ def manufactured_problem(s: float, mu: float, T: float, gamma: float = 1.0,
         mu=mu, T=T, lam=md.lam, a=a, b=b,
         state=Separable((Term(np.exp, shape),)),
         adjoint=Separable((Term(lambda t: -mu * (T - t) * np.exp(t), shape),)),
-        control=Separable((Term(control_time, shape, clip),)),
-        forcing=Separable((Term(forcing_time, shape), Term(control_time, shape, minus_clip))),
+        control=Separable((Term(control_time, shape, clip=(a, b)),)),
+        # -clip(v, a, b) written exactly as clip(-v, -b, -a)
+        forcing=Separable((Term(forcing_time, shape),
+                           Term(lambda t: -control_time(t), shape, clip=(-b, -a)))),
         desired_state=Separable((Term(desired_time, shape),)),
         initial=shape)
 

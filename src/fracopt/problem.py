@@ -124,28 +124,41 @@ Evaluable = Callable[..., np.ndarray]
 
 @dataclass(frozen=True)
 class Term:
-    """One term psi(g(t) phi(x)) of a :class:`Separable` datum.
+    """One term clip(g(t) phi(x), lo, hi) of a :class:`Separable` datum.
 
     ``time`` is g: it maps an array of times to an array of their shape.
-    ``space`` is phi: it maps (m, n) points to m values. ``psi`` is None
-    for a linear term; otherwise it is a pointwise map that overwrites the
-    array of products g(t) phi(x) it is given and returns it, such as
-    ``lambda v: np.clip(v, a, b, out=v)``.
+    ``space`` is phi: it maps (m, n) points to m values. ``clip`` is None
+    for a linear term g phi; otherwise it is the pair (lo, hi) of bounds,
+    lo <= hi, one of which may be infinite (lo < inf, hi > -inf). A clip is
+    the only pointwise map a term takes; -clip(v, a, b) is clip(-v, -b, -a).
+    Bounds that are not such a pair raise ParameterError.
     """
 
     time: Callable
     space: Callable
-    psi: Callable | None = None
+    clip: tuple | None = None
+
+    def __post_init__(self):
+        if self.clip is None:
+            return
+        try:
+            lo, hi = map(float, self.clip)
+        except (TypeError, ValueError):
+            raise ParameterError(f"clip must be a pair (lo, hi), got {self.clip!r}") from None
+        if not (lo <= hi and lo < math.inf and hi > -math.inf):
+            raise ParameterError(f"clip needs lo <= hi, lo < inf and hi > -inf, got ({lo}, {hi})")
+        object.__setattr__(self, "clip", (lo, hi))
 
 
 @dataclass(frozen=True)
 class Separable:
-    """A datum sum_j psi_j(g_j(t) phi_j(x)) of :class:`Term`s, callable as f(points, t).
+    """A datum sum_j clip_j(g_j(t) phi_j(x)) of :class:`Term`s, callable as f(points, t).
 
     The solver reads the terms: a linear term costs one Gauss-rule load of
-    phi times the step averages of g, and every other term has phi
-    evaluated once at the Gauss points, then psi(g phi) formed per block of
-    steps. Called, it evaluates every factor anew.
+    phi times the step averages of g; a clipped term is loaded from its
+    pieces, pointwise only where a block of steps crosses a bound
+    (:func:`~fracopt.assembly.separable_loads`). Called, it evaluates every
+    factor anew.
     """
 
     terms: tuple
@@ -158,14 +171,14 @@ class Separable:
         total = None
         for term in self.terms:
             vals = term.time(t) * term.space(points)
-            if term.psi is not None:
-                vals = term.psi(vals)
+            if term.clip is not None:
+                vals = np.clip(vals, *term.clip)
             total = vals if total is None else total + vals
         return total
 
     @property
     def linear(self) -> bool:
-        return all(term.psi is None for term in self.terms)
+        return all(term.clip is None for term in self.terms)
 
 
 def separable(f) -> Separable | None:
@@ -189,8 +202,7 @@ class ProblemData:
     a ``functools.wraps`` wrapper of one. The solver then reads its terms
     instead of calling it: each time profile g gets arrays of step times,
     and each spatial factor phi the lattice's Gauss points, once per load
-    or error norm; their values must be finite, and psi must map finite
-    values to finite values. ``initial`` takes
+    or error norm; their values must be finite. ``initial`` takes
     only the points. The reaction c of the operator is the system's,
     ``FractionalParams.reaction``.
     """

@@ -203,7 +203,7 @@ _unit = lambda x: np.ones(np.atleast_2d(x).shape[0])
 _nan_profile = Separable((Term(lambda t: t * np.nan, _unit),))
 _long_factor = Separable((Term(np.exp, lambda x: np.ones(np.atleast_2d(x).shape[0] + 1)),))
 _inf_clip = Separable((Term(np.exp, lambda x: np.full(np.atleast_2d(x).shape[0], np.inf),
-                            lambda v: np.clip(v, 0.0, 1.0, out=v)),))
+                            clip=(0.0, 1.0)),))
 
 
 @pytest.mark.parametrize("bad", [_wrong_shape, _non_finite, _nan_profile, _long_factor,

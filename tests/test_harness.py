@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +541,22 @@ def test_cli_fails_when_a_solve_did_not_converge(tmp_path, capsys):
     assert [r["iters"] for r in rows] == [1, 1]
 
 
+@pytest.mark.parametrize("argv", [["solve-control", "--K", "8,16,32"],
+                                  ["truncation", "--M", "1", "--K", "4"]],
+                         ids=["refused-setting", "refused-fit"])
+def test_console_script_ends_a_refusal_with_one_line_and_status_two(tmp_path, argv):
+    """Run as a script, a refusal ends with one stderr line and status 2, not a traceback."""
+    root = Path(__file__).resolve().parents[1]
+    assert 'fracopt = "fracopt.cli:console"' in (root / "pyproject.toml").read_text()
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-m", "fracopt.cli", *argv, "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("fracopt: error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr and not out.exists()
+
+
 # stopping rules that can never be met, and a slope fit over fewer than 3 levels
 UNREACHABLE_STOPS = [("tol", "nan"), ("tol", "-1"), ("max_iter", "0"), ("fit_last", "2")]
 
@@ -612,14 +631,12 @@ def test_config_refuses_a_default_grading_that_underflows(s, M):
             ExperimentConfig(s_list=(s,), M=M, M_list=(M,))
     else:
         ExperimentConfig(s_list=(s,), M=M, M_list=(M,))
-    # the refused cases are exactly those whose system cannot be built
-    try:
-        with np.errstate(all="ignore"):
-            evolution.CylinderSystem(*build_setup(1, M, s, 1.0, 1.0, 1, Y=1.0))
-    except ParameterError:
-        assert refused
+    # the refused cases are exactly those whose axis is refused when it is built
+    if refused:
+        with pytest.raises(ParameterError, match=f"underflows at M = {M}, zeta = "):
+            build_setup(1, M, s, 1.0, 1.0, 1, Y=1.0)
     else:
-        assert not refused
+        evolution.CylinderSystem(*build_setup(1, M, s, 1.0, 1.0, 1, Y=1.0))
     # an explicit zeta replaces the default one: 2 log2(M) <= 14 is accepted
     ExperimentConfig(s_list=(s,), M=M, M_list=(M,), zeta=2.0)
 

@@ -71,6 +71,11 @@ def test_graded_axis_errors():
                          ((1.5, -1.0), "-1.0"), ((), "nan")]:
         with pytest.raises(ParameterError, match=f"Y >= 1, got {low}$"):
             graded_axis(8, heights, 2.0)
+    # (1/M)^(2 zeta) below the smallest normal double, zeta log2(M) > 511
+    with pytest.raises(ParameterError, match="underflows at M = 16, zeta = 128.5"):
+        graded_axis(16, 1.0, 128.5)
+    graded_axis(16, 1.0, 127.75)
+    graded_axis(1, 1.0, 1e6)      # one interval: nothing to grade
 
 
 def test_default_zeta_values():

@@ -6,6 +6,7 @@ import pytest
 
 from fracopt import (ControlBounds, FractionalParams, GradedAxis, OmegaMesh, ParameterError,
                      ProblemData, TimeGrid, default_zeta, graded_axis, select_truncation)
+from fracopt.problem import Term
 
 NAN, INF = float("nan"), float("inf")
 
@@ -180,3 +181,16 @@ def test_problem_data_validation():
     # the reaction is the operator's, given once, in FractionalParams
     with pytest.raises(TypeError):
         ProblemData(forcing=f, desired_state=f, initial=u0, bounds=b, reaction=0.0)
+
+
+@pytest.mark.parametrize("clip", [(1.0, 0.0), (INF, INF), (-INF, -INF), (NAN, 1.0), (0.0,),
+                                  (0.0, 1.0, 2.0), "ab", 3.0, (None, 1.0)])
+def test_term_refuses_clip_bounds_that_are_not_an_ordered_pair(clip):
+    with pytest.raises(ParameterError, match="clip"):
+        Term(np.exp, np.ones_like, clip=clip)
+
+
+def test_term_keeps_its_clip_bounds_as_floats():
+    assert Term(np.exp, np.ones_like).clip is None
+    for clip in [(0, 1), (-INF, 0.5), (0.5, INF), (0.25, 0.25)]:
+        assert Term(np.exp, np.ones_like, clip=clip).clip == tuple(map(float, clip))

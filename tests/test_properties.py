@@ -16,6 +16,13 @@ The per-mode time march against the discrete Caputo operator of its own
 weights: at drawn orders (gamma = 1, backward Euler, included), step
 counts, rates, initial values and loads, its solution and its transposed
 solve satisfy the scheme they solve.
+
+The loads of a separable datum with a clipped term, which are formed from
+its pieces, against the per-step loops of ``helpers``, which clip every
+point value: at drawn bounds (one of them possibly infinite), time profiles
+that change sign inside the grid, lattices and step counts that are not a
+multiple of the block, and at the two extremes of every point crossing a
+bound in every block and of none doing so.
 """
 import math
 
@@ -25,14 +32,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracopt import ControlBounds, CylinderSystem, ProblemData, TimeGrid, l2Q_error
-from fracopt.assembly import kron_apply
-from fracopt.control import ReducedProblem
-from fracopt.evolution import ModalMarch, point_factors
+from fracopt.assembly import kron_apply, omega_quadrature
+from fracopt.control import ReducedProblem, l2_project
+from fracopt.evolution import ModalMarch, forcing_loads, point_factors
 from fracopt.harness import build_setup
 from fracopt.oracle import caputo_adjoint_profile, caputo_state_profile
+from fracopt.problem import Separable, Term
 
-from helpers import (assembled_quadrature, build_test_mesh, loop_l2Q_error,
-                     loop_residual_constant, matches, to_modal)
+from helpers import (assembled_quadrature, build_test_mesh, loop_forcing_loads,
+                     loop_l2_project, loop_l2Q_error, loop_residual_constant, matches,
+                     to_modal)
 
 
 def coupled_datum(rng, n):
@@ -171,3 +180,54 @@ def test_march_solves_the_scheme_of_its_weights(gamma, K, n, seed):
     # the transposed solve, reversed in time, solves the scheme for reversed loads from zero
     y = march.solve_transposed(g)[::-1]
     assert scheme_residual(march, rates, np.zeros(n), y, g[::-1]) <= 1e-12
+
+
+def loads_match_pointwise(f, mesh, params, grid):
+    """The forcing loads and cell means of f against the per-step loops, at 1e-13."""
+    system = CylinderSystem(mesh, params, grid)
+    omega = mesh.omega
+    matches(forcing_loads(f, system), to_modal(system, loop_forcing_loads(f, grid, omega)), 1e-13)
+    matches(l2_project(f, grid, omega), loop_l2_project(f, grid, omega), 1e-13)
+
+
+def wave(rng, n):
+    """A random a cos(k.x) + b over (m, n) points."""
+    k, a, b = rng.uniform(-6.0, 6.0, n), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    return lambda x: a * np.cos(x @ k) + b
+
+
+finite_or_not = st.one_of(
+    st.tuples(st.floats(-2.0, 1.0), st.floats(0.0, 2.0)).map(lambda p: (p[0], p[0] + p[1])),
+    st.floats(-2.0, 2.0).map(lambda hi: (-math.inf, hi)),
+    st.floats(-2.0, 2.0).map(lambda lo: (lo, math.inf)))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True, database=None)
+@given(lattice=st.sampled_from([(1, 2), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]),
+       K=st.integers(1, 75).filter(lambda K: K % 16), bounds=finite_or_not,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_clipped_terms_load_as_their_point_values(lattice, K, bounds, seed):
+    n, M = lattice
+    rng = np.random.default_rng(seed)
+    mesh, params, grid = build_setup(n, M, 0.5, 1.0, rng.uniform(0.2, 2.0), K)
+    # the clipped profile changes sign at t_c, inside the grid
+    t_c, w = rng.uniform(0.1, 0.9) * grid.T, rng.uniform(0.5, 30.0)
+    f = Separable((Term(lambda t: np.exp(-t), wave(rng, n)),
+                   Term(lambda t: 2.0 * np.sin(w * (t - t_c)), wave(rng, n), clip=bounds)))
+    loads_match_pointwise(f, mesh, params, grid)
+
+
+@pytest.mark.parametrize("case", ["every point crosses", "no point crosses"])
+@pytest.mark.parametrize("n, M, K", [(1, 9, 37), (2, 4, 50), (3, 2, 20)])
+def test_clipped_terms_load_as_their_point_values_at_the_extremes(case, n, M, K):
+    mesh, params, grid = build_setup(n, M, 0.5, 1.0, 1.0, K)
+    space = lambda x: 1.5 + np.prod(np.cos(3.0 * x), axis=1)        # in [0.5, 2.5]
+    if case == "every point crosses":
+        # g has both signs at the two Gauss times of every step: every value crosses 0
+        time, bounds = (lambda t: np.cos(np.pi * t / grid.tau)), (0.0, 1.0)
+        gauss = (np.arange(K)[:, None] + 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)) * grid.tau
+        assert np.all(np.prod(time(gauss), axis=1) < 0.0)
+    else:
+        time, bounds = (lambda t: 1.0 + np.sin(5.0 * t)), (-1.0, 6.0)
+    assert np.all(space(omega_quadrature(mesh.omega).points) > 0.0)
+    loads_match_pointwise(Separable((Term(time, space, clip=bounds),)), mesh, params, grid)
