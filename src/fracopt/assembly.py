@@ -26,8 +26,9 @@ and its time profiles once per step block or once per grid
 (:func:`step_means`). Its step loads and cell means are formed from its
 terms (:func:`separable_loads`): a linear term in O(N + K), and a clipped
 term from its constant and linear pieces, with one apply of two point
-vectors per block of 16 steps and point values only where a block crosses
-a bound. Only this module and :mod:`fracopt.evolution` read its terms.
+vectors per block of 16 or more steps and point values only where a block
+crosses a bound (a block where most points cross is loaded from point values
+alone). Only this module and :mod:`fracopt.evolution` read its terms.
 """
 from __future__ import annotations
 
@@ -302,9 +303,10 @@ def at_points(f, points: np.ndarray, what: str):
     return values
 
 
-# A clipped term is sorted into its pieces over blocks of this many steps
+# A clipped term is sorted into its pieces over blocks of this many steps, or
+# of a :func:`step_blocks` block where that is longer (few points)
 # (:func:`separable_loads`): longer blocks leave more points crossing a bound,
-# shorter ones take more applies.
+# shorter ones take more applies and more calls.
 _CLIP_STEPS = 16
 
 
@@ -326,24 +328,28 @@ def separable_loads(sep, grid: TimeGrid, points: np.ndarray, factor: np.ndarray,
     step means of g times phi: pointwise clipping gives the same up to
     rounding. The points are sorted once over the whole grid, and these
     pieces join the linear terms in one apply and one product. The points
-    left over are sorted again per block of 16 steps, and one apply of two
+    left over are sorted again per block of 16 steps (or of a
+    :func:`step_blocks` block, when that is longer), and one apply of two
     point vectors per block loads their pieces. Only a point whose range
-    crosses a bound inside a block is evaluated at the block's Gauss times.
-    Its averages reach the result through its own column of the power (a
-    product of one column of ``factor`` per axis), or through a dense apply
-    when most points cross. Temporaries stay near the budget of
-    :func:`step_blocks`.
+    crosses a bound inside a block is evaluated at the block's Gauss times,
+    and its averages reach the result through its own column of the power
+    (a product of one column of ``factor`` per axis). A block where so
+    many points cross that their columns would cost more than applying its
+    steps (:func:`_add_block_pieces`) loads all its points left over from
+    their values instead, as a plain datum's are. Temporaries stay near
+    the budget of :func:`step_blocks`.
     """
     K, n = grid.K, points.shape[1]
     k = np.arange(K)
     g = time_profiles(sep.terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
-    means = g[:K] + g[K:]
-    means *= 0.5
     phi = factor_values(sep.terms, points, what)
+    if factor.shape[0] == 0:
+        return np.zeros((K, 0))     # a lattice without interior nodes: no row to load into
+    means = _gauss_mean(g)
     out, left = _grid_pieces(sep.terms, g, means, phi, factor, n)
     for j, idx in left:
-        _add_block_pieces(out, np.stack([g[:K, j], g[K:, j]], axis=1), means[:, j], phi[j],
-                          idx, sep.terms[j].clip, factor, n)
+        _add_block_pieces(out, g[:, j].reshape(2, K), means[:, j], phi[j], idx,
+                          sep.terms[j].clip, factor, n)
     return out
 
 
@@ -382,75 +388,114 @@ def _pieces(g_min, g_max, phi, lo: float, hi: float):
     return const, linear, ~(below | above | linear)
 
 
-def _add_block_pieces(out, g2, means, phi, left, bounds, factor, n: int) -> None:
+def _add_block_pieces(out, g, means, phi, left, bounds, factor, n: int) -> None:
     """Add into ``out`` one clipped term's loads at the points ``left``, per block of steps.
 
-    ``g2`` (K, 2) holds g at each step's two Gauss times, ``means`` their
+    ``g`` (2, K) holds g at each step's two Gauss times, ``means`` their
     averages. Blocks are sorted and applied a chunk at a time, within the
-    budget of :func:`step_blocks`.
+    budget of :func:`step_blocks`. A block loads its n_cross crossing
+    points by their columns while n_cross rows**(n-1) <= (n - 1/2) c**n,
+    else all its points left over pointwise, with no pieces. Timed per
+    block on one thread, the columns were the faster way below 0.5 to
+    0.8 c**n at n = 1, 0.9 to 1.8 c**n at n = 2 (M = 40 to 12) and 3 to
+    5.6 c**n at n = 3; on no block timed was the rule's choice more than
+    1.7 times slower than the other way.
     """
-    K, P, S = out.shape[0], phi.size, _CLIP_STEPS
+    K, P = out.shape[0], phi.size
+    S = max(_CLIP_STEPS, _BLOCK_VALUES // (2 * P))
     starts = np.arange(0, K, S)
-    g_min = np.minimum.reduceat(g2.min(axis=1), starts)
-    g_max = np.maximum.reduceat(g2.max(axis=1), starts)
+    g_min = np.minimum.reduceat(g.min(axis=0), starts)
+    g_max = np.maximum.reduceat(g.max(axis=0), starts)
     phi_left = phi[left]
+    keep = None
+    if left.size < P:
+        keep = np.zeros(P)
+        keep[left] = 1.0
     # a block holds its two point vectors and the sorting of its points left over
     chunk = max(1, _BLOCK_VALUES // (2 * P + 8 * left.size))
     for b0 in range(0, starts.size, chunk):
         const, linear, cross = _pieces(g_min[b0:b0 + chunk, None], g_max[b0:b0 + chunk, None],
                                        phi_left, *bounds)
-        vecs = np.zeros((const.shape[0], 2, P))
-        vecs[:, 0, left] = const
-        vecs[:, 1, left] = linear * phi_left
-        piece = kron_apply(factor, vecs, n)
-        del vecs
-        # every step of block i adds piece[i, 0] + means * piece[i, 1]; the last block may be short
-        rows = out[b0 * S:(b0 + chunk) * S]
-        weights = np.zeros((piece.shape[0] * S, 2))
-        weights[:rows.shape[0], 0] = 1.0
-        weights[:rows.shape[0], 1] = means[b0 * S:(b0 + chunk) * S]
-        rows += np.matmul(weights.reshape(-1, S, 2), piece).reshape(
-            weights.shape[0], rows.shape[1])[:rows.shape[0]]
-        for i in np.flatnonzero(cross.any(axis=1)):
+        n_cross = np.count_nonzero(cross, axis=1)
+        pointwise = 2 * n_cross * factor.shape[0] ** (n - 1) > (2 * n - 1) * P
+        if not pointwise.all():
+            const[pointwise], linear[pointwise] = 0.0, False
+            _add_chunk_pieces(out[b0 * S:(b0 + chunk) * S], means[b0 * S:(b0 + chunk) * S],
+                              const, linear * phi_left, left, S, factor, n)
+        del const, linear       # the blocks' point values below share the budget
+        for i in np.flatnonzero(n_cross):
             steps = slice((b0 + i) * S, (b0 + i + 1) * S)
-            _add_crossing(out[steps], g2[steps], phi, left[cross[i]], bounds, factor, n)
+            if pointwise[i]:
+                _add_points(out[steps], g[:, steps], phi, keep, bounds, factor, n)
+            else:
+                _add_columns(out[steps], g[:, steps], phi, left[cross[i]], bounds, factor, n)
 
 
-def _add_crossing(rows, g2, phi, idx, bounds, factor, n) -> None:
-    """Add into a block's ``rows`` the loads of the points ``idx``, evaluated at its Gauss times ``g2``.
+def _add_chunk_pieces(rows, means, const, linear, left, S: int, factor, n: int) -> None:
+    """Add into the ``rows`` of a chunk of blocks the loads of their pieces at the points ``left``.
 
-    The points' columns of the factor's power carry their averages when
-    they cost no more than a dense apply; else every point is evaluated,
-    the others masked to zero, and applied densely a few steps at a time.
+    ``const`` and ``linear`` (blocks, len(left)) are each block's constant
+    piece and the phi of its linear piece; every step of block i adds
+    const_i's load plus its mean of g times linear_i's.
     """
-    lo, hi = bounds
-    P, (r, c) = phi.size, factor.shape
+    vecs = np.zeros((const.shape[0], 2, factor.shape[1] ** n))
+    vecs[:, 0, left] = const
+    vecs[:, 1, left] = linear
+    piece = kron_apply(factor, vecs, n)
+    del vecs
+    # the last block may be short
+    weights = np.zeros((piece.shape[0] * S, 2))
+    weights[:rows.shape[0], 0] = 1.0
+    weights[:rows.shape[0], 1] = means
+    rows += np.matmul(weights.reshape(-1, S, 2), piece).reshape(
+        weights.shape[0], rows.shape[1])[:rows.shape[0]]
 
-    def averages(g, values):
-        vals = g[:, :, None] * values
-        np.clip(vals, lo, hi, out=vals)
-        avg = vals[:, 0] + vals[:, 1]
-        avg *= 0.5
-        return avg
 
-    if idx.size * r ** (n - 1) <= P:
-        # column (i_1, rest) is factor[:, i_1] (x) rest's: built a few first-axis modes at a time
-        first, rest = np.divmod(idx, c ** (n - 1))
-        rest = _columns(factor, rest, n - 1)
-        vals = averages(g2, phi[idx])
-        per = max(1, _BLOCK_VALUES // (2 * rest.size))
-        for a in range(0, r, per):
-            cols = (factor[a:a + per, first].T[:, :, None] * rest[:, None, :]).reshape(idx.size, -1)
-            rows[:, a * rest.shape[1]:(a + per) * rest.shape[1]] += vals @ cols
-        return
-    mask = np.zeros(P)
-    mask[idx] = 1.0
-    # a step's two Gauss rows and their average
-    per = max(1, _BLOCK_VALUES // (3 * P))
-    for s in range(0, rows.shape[0], per):
-        vals = averages(g2[s:s + per], phi)
-        vals *= mask
-        rows[s:s + per] += kron_apply(factor, vals, n)
+def _clipped_means(g, phi, bounds) -> np.ndarray:
+    """(s, len(phi)): the step averages of clip(g phi) from g (2, s) at the steps' Gauss times."""
+    vals = np.multiply.outer(g, phi)
+    np.clip(vals, *bounds, out=vals)
+    return _gauss_mean(vals.reshape(-1, phi.size))
+
+
+def _add_points(rows, g, phi, keep, bounds, factor, n: int) -> None:
+    """Add into a block's ``rows`` the loads of the points ``keep`` masks to one, from their point values.
+
+    ``g`` (2, steps) is the term's time profile at the block's Gauss times
+    and ``phi`` its factor at all c**n points; ``keep`` None keeps them all.
+    Every point is evaluated and the others masked to zero after averaging,
+    a few steps at a time in one pair of buffers, as a plain datum's blocks
+    are (:func:`step_blocks`).
+    """
+    P = phi.size
+    per = min(g.shape[1], max(1, _BLOCK_VALUES // (2 * P)))
+    vals, avg = np.empty((2 * per, P)), np.empty((per, P))
+    for s in range(0, g.shape[1], per):
+        m = min(per, g.shape[1] - s)
+        v = vals[:2 * m]
+        np.multiply(g[:, s:s + m, None], phi, out=v.reshape(2, m, P))
+        np.clip(v, *bounds, out=v)
+        a = _gauss_mean(v, out=avg[:m])
+        if keep is not None:
+            a *= keep
+        rows[s:s + m] += kron_apply(factor, a, n)
+
+
+def _add_columns(rows, g, phi, idx, bounds, factor, n: int) -> None:
+    """Add into a block's ``rows`` the loads of the points ``idx``, through their columns of the power.
+
+    ``g`` (2, steps) is the term's time profile at the block's Gauss times.
+    Column (i_1, rest) is factor[:, i_1] (x) rest's: built a few first-axis
+    modes at a time.
+    """
+    r, c = factor.shape
+    first, rest = np.divmod(idx, c ** (n - 1))
+    rest = _columns(factor, rest, n - 1)
+    vals = _clipped_means(g, phi[idx], bounds)
+    per = max(1, _BLOCK_VALUES // (2 * rest.size))
+    for a in range(0, r, per):
+        cols = (factor[a:a + per, first].T[:, :, None] * rest[:, None, :]).reshape(idx.size, -1)
+        rows[:, a * rest.shape[1]:(a + per) * rest.shape[1]] += vals @ cols
 
 
 def _columns(factor, pts, n: int) -> np.ndarray:
@@ -459,6 +504,18 @@ def _columns(factor, pts, n: int) -> np.ndarray:
     for i in np.unravel_index(pts, (factor.shape[1],) * n) if n else ():
         cols = (cols[:, :, None] * factor.T[i][:, None, :]).reshape(pts.size, -1)
     return cols
+
+
+def _gauss_mean(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(m, ...): the 2-point Gauss averages of values at the 2m Gauss times of m steps.
+
+    ``vals`` lists first every step's left Gauss time, then its right one
+    (:func:`_gauss_times`); the result is fresh, or written into ``out``.
+    """
+    m = vals.shape[0] // 2
+    avg = np.add(vals[:m], vals[m:], out=out)
+    avg *= 0.5
+    return avg
 
 
 def time_average(values, t0, t1, out: np.ndarray | None = None) -> np.ndarray:
@@ -471,7 +528,4 @@ def time_average(values, t0, t1, out: np.ndarray | None = None) -> np.ndarray:
     previous block's averages back, so all its blocks share one buffer.
     """
     vals = values(_gauss_times(t0, t1)[:, None])
-    m = t0.size
-    avg = np.add(vals[:m], vals[m:], out=None if out is None else out[:m])
-    avg *= 0.5
-    return avg
+    return _gauss_mean(vals, None if out is None else out[:t0.size])

@@ -22,7 +22,7 @@ from .control import (ReducedProblem, check_stopping, control_norm, l2_project,
 from .evolution import (CylinderSystem, lattice_factors, modal_projection, solve_state,
                         state_trajectory)
 from .mesh import (GradedAxis, OmegaMesh, build_cylinder, build_omega, default_zeta,
-                   graded_axis)
+                   graded_axis, grading_underflows)
 from .oracle import (caputo_adjoint_profile, caputo_state_profile, fractional_ibp_check,
                      manufactured_problem, mode, spectral_solve_state)
 from .problem import (ControlBounds, FractionalParams, ParameterError, ProblemData,
@@ -77,9 +77,9 @@ class ExperimentConfig:
             alpha = FractionalParams(s, self.gamma).alpha
             zeta = default_zeta(alpha) if self.zeta is None else self.zeta    # build_setup's
             for M in (self.M, *self.M_list):
-                # GradedAxis refuses this too; checked first, this message can name s and --zeta
+                # GradedAxis refuses this too, by the same test; here the message names s and --zeta
                 check_count(M, "axis intervals M")
-                if zeta * math.log2(M) > 511:
+                if grading_underflows(M, zeta):
                     raise ParameterError(f"the graded axis underflows at s = {s}, M = {M}, zeta = "
                                          f"{zeta:.6g}: (1/M)^(2 zeta) is below the smallest "
                                          f"normal double; set a smaller grading exponent (--zeta)")

@@ -86,7 +86,7 @@ class GradedAxis:
     A sequence of heights makes a family of partitions, one per height. M >= 1
     must be an integer, every Y and zeta >= 1 (1: uniform) finite; ``unit`` is (m/M)^zeta.
     A grading whose first interval underflows, (1/M)^(2 zeta) below the smallest
-    normal double (zeta log2 M > 511), is refused too, naming M and zeta.
+    normal double (:func:`grading_underflows`), is refused too, naming M and zeta.
     """
 
     M: int
@@ -105,7 +105,7 @@ class GradedAxis:
             raise ParameterError(f"truncation height must be finite, got {heights.max()}")
         if not (math.isfinite(self.zeta) and self.zeta >= 1.0):
             raise ParameterError(f"grading exponent must be finite and >= 1, got {self.zeta}")
-        if self.zeta * math.log2(self.M) > 511:
+        if grading_underflows(self.M, self.zeta):
             raise ParameterError(f"the graded axis underflows at M = {self.M}, zeta = "
                                  f"{self.zeta:.6g}: (1/M)^(2 zeta) is below the smallest "
                                  f"normal double")
@@ -114,6 +114,11 @@ class GradedAxis:
         unit.flags.writeable = nodes.flags.writeable = False
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "nodes", nodes)
+
+
+def grading_underflows(M: int, zeta: float) -> bool:
+    """Whether the first interval of M graded by zeta underflows: (1/M)^(2 zeta) below the smallest normal double."""
+    return zeta * math.log2(M) > 511
 
 
 def default_zeta(alpha: float) -> float:

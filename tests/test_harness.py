@@ -674,6 +674,10 @@ def test_solve_without_interior_nodes_runs_at_every_gamma(tmp_path):
         rows.append(read_report_csv(out / "report.csv")[0])
     # no mode to march: the error is the exact state's norm, whatever gamma
     assert rows[0]["err_state"] == rows[1]["err_state"] > 0.0
+    # at T = 2 the forcing's clipped term crosses its bound inside a block of steps
+    out = tmp_path / "long"
+    assert cli_main(["solve-state", "--M", "1", "--T", "2", "--K", "40", "--out", str(out)]) == 0
+    assert read_report_csv(out / "report.csv")[0]["err_state"] > 0.0
 
 
 def test_cli_oracle_check(tmp_path):

@@ -25,13 +25,14 @@ multiple of the block, and at the two extremes of every point crossing a
 bound in every block and of none doing so.
 """
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracopt import ControlBounds, CylinderSystem, ProblemData, TimeGrid, l2Q_error
+from fracopt import ControlBounds, CylinderSystem, ProblemData, TimeGrid, assembly, l2Q_error
 from fracopt.assembly import kron_apply, omega_quadrature
 from fracopt.control import ReducedProblem, l2_project
 from fracopt.evolution import ModalMarch, forcing_loads, point_factors
@@ -183,11 +184,21 @@ def test_march_solves_the_scheme_of_its_weights(gamma, K, n, seed):
 
 
 def loads_match_pointwise(f, mesh, params, grid):
-    """The forcing loads and cell means of f against the per-step loops, at 1e-13."""
+    """The forcing loads and cell means of f against the per-step loops, at 1e-13.
+
+    Checked at the default block budget; at 24 values per Gauss point,
+    where a clipped term's blocks are 16 steps and its chunks two blocks or
+    more; and at 1, where each chunk is one block and each apply one step
+    or one mode.
+    """
     system = CylinderSystem(mesh, params, grid)
     omega = mesh.omega
-    matches(forcing_loads(f, system), to_modal(system, loop_forcing_loads(f, grid, omega)), 1e-13)
-    matches(l2_project(f, grid, omega), loop_l2_project(f, grid, omega), 1e-13)
+    loads = to_modal(system, loop_forcing_loads(f, grid, omega))
+    means = loop_l2_project(f, grid, omega)
+    for budget in (assembly._BLOCK_VALUES, 24 * system.quad.points.shape[0], 1):
+        with mock.patch.object(assembly, "_BLOCK_VALUES", budget):
+            matches(forcing_loads(f, system), loads, 1e-13)
+            matches(l2_project(f, grid, omega), means, 1e-13)
 
 
 def wave(rng, n):
@@ -203,7 +214,8 @@ finite_or_not = st.one_of(
 
 
 @settings(deadline=None, max_examples=60, derandomize=True, database=None)
-@given(lattice=st.sampled_from([(1, 2), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]),
+@given(lattice=st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 1), (2, 2), (2, 3), (2, 5),
+                                (3, 1), (3, 2), (3, 3)]),
        K=st.integers(1, 75).filter(lambda K: K % 16), bounds=finite_or_not,
        seed=st.integers(0, 2 ** 32 - 1))
 def test_clipped_terms_load_as_their_point_values(lattice, K, bounds, seed):
@@ -217,7 +229,8 @@ def test_clipped_terms_load_as_their_point_values(lattice, K, bounds, seed):
     loads_match_pointwise(f, mesh, params, grid)
 
 
-@pytest.mark.parametrize("case", ["every point crosses", "no point crosses"])
+@pytest.mark.parametrize("case", ["every point crosses", "no point crosses",
+                                  "most points cross beside linear ones"])
 @pytest.mark.parametrize("n, M, K", [(1, 9, 37), (2, 4, 50), (3, 2, 20)])
 def test_clipped_terms_load_as_their_point_values_at_the_extremes(case, n, M, K):
     mesh, params, grid = build_setup(n, M, 0.5, 1.0, 1.0, K)
@@ -227,7 +240,12 @@ def test_clipped_terms_load_as_their_point_values_at_the_extremes(case, n, M, K)
         time, bounds = (lambda t: np.cos(np.pi * t / grid.tau)), (0.0, 1.0)
         gauss = (np.arange(K)[:, None] + 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)) * grid.tau
         assert np.all(np.prod(time(gauss), axis=1) < 0.0)
-    else:
+    elif case == "no point crosses":
         time, bounds = (lambda t: 1.0 + np.sin(5.0 * t)), (-1.0, 6.0)
+    else:
+        # in blocks of 16 steps at n = 2 the first two blocks are loaded from
+        # point values, and their points inside (-1, 1) must not add their
+        # linear piece too
+        time, bounds = (lambda t: 2.0 * t), (-1.0, 1.0)
     assert np.all(space(omega_quadrature(mesh.omega).points) > 0.0)
     loads_match_pointwise(Separable((Term(time, space, clip=bounds),)), mesh, params, grid)
