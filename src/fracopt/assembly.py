@@ -451,13 +451,6 @@ def _add_chunk_pieces(rows, means, const, linear, left, S: int, factor, n: int) 
         weights.shape[0], rows.shape[1])[:rows.shape[0]]
 
 
-def _clipped_means(g, phi, bounds) -> np.ndarray:
-    """(s, len(phi)): the step averages of clip(g phi) from g (2, s) at the steps' Gauss times."""
-    vals = np.multiply.outer(g, phi)
-    np.clip(vals, *bounds, out=vals)
-    return _gauss_mean(vals.reshape(-1, phi.size))
-
-
 def _add_points(rows, g, phi, keep, bounds, factor, n: int) -> None:
     """Add into a block's ``rows`` the loads of the points ``keep`` masks to one, from their point values.
 
@@ -491,7 +484,9 @@ def _add_columns(rows, g, phi, idx, bounds, factor, n: int) -> None:
     r, c = factor.shape
     first, rest = np.divmod(idx, c ** (n - 1))
     rest = _columns(factor, rest, n - 1)
-    vals = _clipped_means(g, phi[idx], bounds)
+    vals = np.multiply.outer(g, phi[idx])
+    np.clip(vals, *bounds, out=vals)
+    vals = _gauss_mean(vals.reshape(-1, idx.size))
     per = max(1, _BLOCK_VALUES // (2 * rest.size))
     for a in range(0, r, per):
         cols = (factor[a:a + per, first].T[:, :, None] * rest[:, None, :]).reshape(idx.size, -1)
