@@ -11,10 +11,11 @@ exact down to the y = 0 interval where the weight is singular but
 integrable. Data terms use the 3-point Gauss rule (degree-5 exact) on
 Omega, the tensor power of the 1D rule applied one axis at a time
 (:func:`kron_apply`); mass and stiffness factors are assembled exactly.
-The solve path needs only numpy. The assembled sparse operators
+The library needs only numpy. The assembled sparse operators
 (:func:`axis_matrices`, :func:`omega_matrices`, :func:`assemble_stiffness`)
 serve the test oracles and ``CylinderSystem.A_free``; each imports
-``scipy.sparse`` when called, and the cylinder's free nodes are those of
+``scipy.sparse`` when called, so it needs the ``test`` extra (without scipy
+it raises ModuleNotFoundError), and the cylinder's free nodes are those of
 :func:`free_nodes`.
 The lattice keeps its rule (:func:`omega_quadrature`), so every system on
 one lattice evaluates its space-time data at the one read-only
@@ -23,7 +24,7 @@ block of time steps (:func:`step_blocks`, :func:`time_average`). A
 separable datum (:class:`~fracopt.problem.Separable`) has each spatial
 factor evaluated once per use (:func:`at_points`, :func:`factor_values`)
 and its time profiles once per step block or once per grid
-(:func:`step_means`). Its step loads and cell means are formed from its
+(:func:`step_profiles`). Its step loads and cell means are formed from its
 terms (:func:`separable_loads`): a linear term in O(N + K), and a clipped
 term from its constant and linear pieces, with one apply of two point
 vectors per block of 16 or more steps and point values only where a block
@@ -72,7 +73,7 @@ def weight_integrals(y0, y1, alpha: float):
 
 
 def axis_matrices(axis: GradedAxis, alpha: float):
-    """Weighted mass and stiffness factors on the graded axis, size (M+1)^2."""
+    """Weighted sparse mass and stiffness factors on the graded axis, size (M+1)^2; needs scipy."""
     import scipy.sparse as sp
     mll, mlr, mrr, s = weight_integrals(axis.nodes[:-1], axis.nodes[1:], alpha)
     # node j collects the left end of interval j and the right end of interval j-1
@@ -97,7 +98,7 @@ def _factor_matrices_1d(m: int):
 
 
 def omega_matrices(omega: OmegaMesh):
-    """Mass and stiffness on the Omega lattice (all vertices, Q1 elements)."""
+    """Sparse mass and stiffness on the Omega lattice (all vertices, Q1 elements); needs scipy."""
     import scipy.sparse as sp
     m1, s1 = _factor_matrices_1d(omega.cells_per_dim)
     mass, stiff = m1, s1
@@ -118,7 +119,7 @@ def assemble_stiffness(mesh: CylinderMesh, params: FractionalParams):
 
     Tensor form: (1/d_s) [ S_Omega x M_y + M_Omega x (S_y + c M_y) ] with
     c = ``params.reaction``, where the axis factors carry the y^alpha weight
-    in closed form.
+    in closed form. Needs scipy, as the other sparse builders do.
     """
     import scipy.sparse as sp
     m_w, s_w = omega_matrices(mesh.omega)
@@ -165,12 +166,13 @@ class OmegaQuadrature(NamedTuple):
     points in row-major tensor order, the last axis fastest, as the lattice
     numbers its vertices and cells, and each map of point values is the
     Kronecker power of a 1D factor, applied per axis (:func:`kron_apply`).
+    That order carries the cell map: point values reshaped to (m, 3) per
+    axis hold cell (c_1, ..., c_n) at index (c_1, :, ..., c_n, :).
     """
 
     n: int
     points: np.ndarray      # (nq, n)
     weights: np.ndarray     # (nq,)
-    cell_of: np.ndarray     # (nq,) cell index of each point
     weights1: np.ndarray    # (3m,)
     hats: np.ndarray        # (3m, m-1)
     means1: np.ndarray      # (m, 3m)
@@ -203,7 +205,6 @@ def _gauss_rule(omega: OmegaMesh) -> OmegaQuadrature:
     return OmegaQuadrature(
         n=n, points=np.stack([x.ravel() for x in tensor(points1)], axis=1),
         weights=np.prod(tensor(weights1), axis=0).ravel(),
-        cell_of=np.ravel_multi_index(tuple(tensor(cell1)), (m,) * n).ravel(),
         weights1=weights1, hats=hats[:, 1:-1],
         means1=np.repeat(np.eye(m), 3, axis=1) * np.tile(_GAUSS3_W, m))
 
@@ -229,7 +230,7 @@ def step_blocks(grid: TimeGrid, n_points: int):
         yield slice(start, stop), k * grid.tau, (k + 1) * grid.tau
 
 
-def _checked(vals, shape, what: str) -> np.ndarray:
+def checked_values(vals, shape, what: str) -> np.ndarray:
     """vals as a float array broadcast to ``shape``.
 
     Raises ParameterError naming ``what`` when vals does not broadcast to
@@ -237,7 +238,7 @@ def _checked(vals, shape, what: str) -> np.ndarray:
     """
     vals = np.asarray(vals, dtype=float)
     try:
-        vals = np.broadcast_to(vals, shape)
+        vals = vals if vals.shape == shape else np.broadcast_to(vals, shape)
     except ValueError:
         raise ParameterError(f"{what} returned shape {vals.shape}, which does not "
                              f"broadcast to {shape}") from None
@@ -248,12 +249,12 @@ def _checked(vals, shape, what: str) -> np.ndarray:
 
 def time_profiles(terms, t: np.ndarray, what: str) -> np.ndarray:
     """(len(t), J): the time profiles g_j of J separable terms at a 1D array of times, checked."""
-    return np.stack([_checked(term.time(t), t.shape, what) for term in terms], axis=1)
+    return np.stack([checked_values(term.time(t), t.shape, what) for term in terms], axis=1)
 
 
 def factor_values(terms, points: np.ndarray, what: str) -> np.ndarray:
     """(J, n_points): the spatial factors phi_j of J separable terms at the points, checked."""
-    return np.stack([_checked(term.space(points), points.shape[:1], what) for term in terms])
+    return np.stack([checked_values(term.space(points), points.shape[:1], what) for term in terms])
 
 
 def _gauss_times(t0, t1) -> np.ndarray:
@@ -262,11 +263,11 @@ def _gauss_times(t0, t1) -> np.ndarray:
     return np.concatenate([t0 + span * _GAUSS2_P[0], t0 + span * _GAUSS2_P[1]])
 
 
-def step_means(terms, grid: TimeGrid, what: str) -> np.ndarray:
-    """(K, J): the 2-point Gauss averages over every step of the terms' time profiles."""
+def step_profiles(terms, grid: TimeGrid, what: str):
+    """(g, means): the terms' profiles at the grid's 2K Gauss times (:func:`_gauss_times`), and their step means."""
     k = np.arange(grid.K)
-    return time_average(lambda t: time_profiles(terms, t[:, 0], what),
-                        k * grid.tau, (k + 1) * grid.tau)
+    g = time_profiles(terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
+    return g, _gauss_mean(g)
 
 
 def at_points(f, points: np.ndarray, what: str):
@@ -282,7 +283,7 @@ def at_points(f, points: np.ndarray, what: str):
     """
     sep = separable(f)
     if sep is None:
-        return lambda t: _checked(f(points, t), (t.shape[0], points.shape[0]), what)
+        return lambda t: checked_values(f(points, t), (t.shape[0], points.shape[0]), what)
     factors = factor_values(sep.terms, points, what)
     buf = np.empty((0, points.shape[0]))
 
@@ -292,7 +293,7 @@ def at_points(f, points: np.ndarray, what: str):
             buf = np.empty((t.shape[0], points.shape[0]))
         vals = buf[:t.shape[0]]
         for j, (term, phi) in enumerate(zip(sep.terms, factors)):
-            part = np.multiply(_checked(term.time(t), t.shape, what), phi,
+            part = np.multiply(checked_values(term.time(t), t.shape, what), phi,
                                out=vals if j == 0 else None)
             if term.clip is not None:
                 np.clip(part, *term.clip, out=part)
@@ -340,12 +341,10 @@ def separable_loads(sep, grid: TimeGrid, points: np.ndarray, factor: np.ndarray,
     the budget of :func:`step_blocks`.
     """
     K, n = grid.K, points.shape[1]
-    k = np.arange(K)
-    g = time_profiles(sep.terms, _gauss_times(k * grid.tau, (k + 1) * grid.tau), what)
+    g, means = step_profiles(sep.terms, grid, what)
     phi = factor_values(sep.terms, points, what)
     if factor.shape[0] == 0:
         return np.zeros((K, 0))     # a lattice without interior nodes: no row to load into
-    means = _gauss_mean(g)
     out, left = _grid_pieces(sep.terms, g, means, phi, factor, n)
     for j, idx in left:
         _add_block_pieces(out, g[:, j].reshape(2, K), means[:, j], phi[j], idx,

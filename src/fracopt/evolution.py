@@ -58,8 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (assemble_stiffness, at_points, factor_values, kron_apply,
-                       omega_quadrature, separable_loads, step_blocks, step_means,
+from .assembly import (assemble_stiffness, at_points, checked_values, factor_values,
+                       kron_apply, omega_quadrature, separable_loads, step_blocks, step_profiles,
                        time_average, time_profiles, weight_integrals)
 from .mesh import CylinderMesh, GradedAxis, OmegaMesh
 from .problem import FractionalParams, ParameterError, ProblemData, TimeGrid, separable
@@ -103,8 +103,7 @@ class CaputoWeights:
 def caputo_weights(gamma: float, K: int, tau: float) -> CaputoWeights:
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"gamma = {gamma} is outside (0, 1]")
-    if K < 1 or tau <= 0.0:
-        raise ParameterError(f"invalid time grid: K = {K}, tau = {tau}")
+    TimeGrid(K * tau, K)    # K an integer >= 1, K tau finite and > 0
     a = np.diff(np.arange(K + 1.0) ** (1.0 - gamma))
     a[0] = 1.0      # 1^0 - 0^0 would be 0 at gamma = 1
     scale = 1.0 / (math.gamma(2.0 - gamma) * tau ** gamma)
@@ -450,9 +449,12 @@ class CylinderSystem:
 
         It is also the trace of the discrete weighted-harmonic extension of
         u0: per mode the extension is an axis profile equal to 1 at y = 0,
-        and the lattice modes are a complete M_Omega-orthonormal basis.
+        and the lattice modes are a complete M_Omega-orthonormal basis. Values
+        that do not broadcast to (n_interior,), or are not finite, raise
+        ParameterError naming the initial datum.
         """
-        return np.asarray(u0(self.mesh.omega.vertices[self.interior]), dtype=float)
+        return checked_values(u0(self.mesh.omega.vertices[self.interior]),
+                              (self.n_interior,), "initial datum")
 
 
 @dataclass
@@ -535,12 +537,10 @@ def forcing_loads(f, system: CylinderSystem, what: str = "forcing") -> np.ndarra
     only where a block of steps crosses a bound. A plain callable f is
     evaluated at the Gauss points once per block of steps
     (:func:`step_blocks`) and each block's averages applied into its rows.
-    For f = None, the zero datum, the loads are zero and nothing is
-    evaluated. ``what`` names f in errors.
+    f may not be None: a caller skips the loads of the zero datum. ``what``
+    names f in errors.
     """
     grid, omega = system.grid, system.mesh.omega
-    if f is None:
-        return np.zeros((grid.K, system.n_interior))
     quad, loads = system.quad, omega.kept(point_factors).loads
     sep = separable(f)
     if sep is not None:
@@ -590,7 +590,7 @@ def modal_projection(f, grid: TimeGrid, omega: OmegaMesh, what: str, ends: bool 
     if sep is not None and sep.linear:
         b_phi, resid = project(factor_values(sep.terms, quad.points, what))
         g = (time_profiles(sep.terms, np.arange(1, grid.K + 1) * grid.tau, what) if ends
-             else step_means(sep.terms, grid, what))
+             else step_profiles(sep.terms, grid, what)[1])
         return g @ b_phi, float(np.sum((g @ ((resid * quad.weights) @ resid.T)) * g))
     values, b_hat, c, avg = at_points(f, quad.points, what), np.empty(shape), 0.0, None
     for steps, t0, t1 in step_blocks(grid, quad.points.shape[0]):

@@ -112,6 +112,7 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     (:class:`fracopt.evolution.ModalMarch`) as the finite element marches.
     """
     check_count(K_fine, "fine time steps K_fine")
+    grid = TimeGrid(T, K_fine)
     lam_s = np.array([m.lam ** s for m in modes])
     nm = lam_s.size
     u0 = np.asarray(u0_coeffs, dtype=float)
@@ -121,14 +122,14 @@ def spectral_solve_state(modes: Sequence[SpectralMode], u0_coeffs, forcing,
     if amps.shape != (nm,):
         raise ParameterError(f"need one forcing amplitude per mode, got {amps.shape}")
 
-    times = np.linspace(0.0, T, K_fine + 1)
+    times = grid.nodes
 
     if gamma >= 1.0:
         part = amps / (1.0 + lam_s)
         t = times[:, None]
         return (u0 - part) * np.exp(-lam_s * t) + part * np.exp(t)
 
-    march = ModalMarch(lam_s, gamma, K_fine, T / K_fine)
+    march = ModalMarch(lam_s, gamma, K_fine, grid.tau)
     coeffs = np.empty((K_fine + 1, nm))
     coeffs[0] = u0
     march.solve(amps[None, :] * np.exp(times[1:])[:, None], u0, out=coeffs[1:])
@@ -232,15 +233,24 @@ def fractional_ibp_check(f_samples, g_samples, gamma: float, times) -> float:
     are evaluated from uniform samples: L1 differences for the Caputo
     derivatives (:class:`~fracopt.evolution.CaputoWeights`), trapezoid for the
     products, and exact kernel integration of the piecewise-linear
-    interpolants for the fractional integrals. gamma must lie in (0, 1).
+    interpolants for the fractional integrals. gamma must lie in (0, 1),
+    ``times`` must be a uniform grid's nodes 0..T (to 1e-12 T), and the
+    samples one value per time, else ParameterError.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"the integration-by-parts check needs gamma in (0, 1), got {gamma}")
     f = np.asarray(f_samples, dtype=float)
     g = np.asarray(g_samples, dtype=float)
     times = np.asarray(times, dtype=float)
-    tau = times[1] - times[0]
-    caputo = caputo_weights(gamma, times.size - 1, tau)
+    grid = TimeGrid(times[-1], times.size - 1) if times.ndim == 1 and times.size > 1 else None
+    if grid is None or np.abs(times - grid.nodes).max() > 1e-12 * grid.T:
+        raise ParameterError("the integration-by-parts check needs a 1D array of uniform times "
+                             "from 0 to T")
+    if f.shape != times.shape or g.shape != times.shape:
+        raise ParameterError(f"need one sample per time: {times.size} times, got f of shape "
+                             f"{f.shape} and g of shape {g.shape}")
+    tau = grid.tau
+    caputo = caputo_weights(gamma, grid.K, tau)
 
     dcf = caputo(f)
     dcg_rev = caputo(g[::-1])[::-1]   # right Caputo via time reversal

@@ -75,8 +75,7 @@ def select_truncation(N: int, s: float, n: int) -> float:
         raise ParameterError(f"need at least N = 8 unknowns, got {N}")
     if not 0.0 < s < 1.0:
         raise ParameterError(f"spatial order s must lie in (0, 1), got {s}")
-    if n < 1:
-        raise ParameterError(f"dimension must be >= 1, got {n}")
+    check_count(n, "dimension n")
     lam1 = n * math.pi ** 2
     return max(1.0, 2.0 * (1.0 + s) * math.log(N) / (math.sqrt(lam1) * (n + 1)))
 
@@ -203,8 +202,9 @@ class ProblemData:
     instead of calling it: each time profile g gets arrays of step times,
     and each spatial factor phi the lattice's Gauss points, once per load
     or error norm; their values must be finite. ``initial`` takes
-    only the points. The reaction c of the operator is the system's,
-    ``FractionalParams.reaction``.
+    only the points and returns finite values that broadcast to (m,), else
+    ParameterError naming the initial datum. The reaction c of the
+    operator is the system's, ``FractionalParams.reaction``.
     """
 
     forcing: Evaluable | Separable | None

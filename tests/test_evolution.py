@@ -72,6 +72,15 @@ def test_caputo_weights_gamma_one_is_backward_euler():
             caputo_weights(gamma, 4, 0.1)
 
 
+@pytest.mark.parametrize("K, tau, fault", [(4, math.nan, "final time"),
+                                           (4, math.inf, "final time"),
+                                           (4, 0.0, "final time"), (4, -0.1, "final time"),
+                                           (2.5, 0.1, "time steps K"), (0, 0.1, "time steps K")])
+def test_caputo_weights_refuse_a_grid_that_is_not_one(K, tau, fault):
+    with pytest.raises(ParameterError, match=fault):
+        caputo_weights(0.5, K, tau)
+
+
 def test_discrete_caputo_constant_history():
     w = caputo_weights(0.35, 10, 0.2)
     assert np.abs(w(np.full(7, 3.7))).max() <= 1e-12
@@ -406,7 +415,8 @@ def test_solve_state_rejects_non_finite_initial_datum_and_control():
 
     data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=nan_u0, bounds=WIDE)
-    with pytest.raises(ParameterError, match="state march"):
+    # refused where the values enter, before any march
+    with pytest.raises(ParameterError, match="initial datum returned non-finite"):
         solve_state(CylinderSystem(mesh, params, grid), data)
     data = ProblemData(forcing=zero_f, desired_state=zero_f,
                        initial=zero_u0, bounds=WIDE)
@@ -414,6 +424,17 @@ def test_solve_state_rejects_non_finite_initial_datum_and_control():
     control[3, 0] = np.nan
     with pytest.raises(ParameterError, match="state march"):
         solve_state(CylinderSystem(mesh, params, grid), data, control=control)
+
+
+def test_initial_field_checks_the_datum_where_it_enters():
+    mesh, params = build_test_mesh(n=2, M=6, s=0.5)
+    system = CylinderSystem(mesh, params, TimeGrid(T=1.0, K=3))
+    two_columns = lambda x: np.zeros((np.atleast_2d(x).shape[0], 2))
+    with pytest.raises(ParameterError, match=r"initial datum returned shape \(25, 2\)"):
+        system.initial_field(two_columns)
+    with pytest.raises(ParameterError, match="initial datum returned non-finite"):
+        system.initial_field(lambda x: np.full(np.atleast_2d(x).shape[0], np.inf))
+    assert np.array_equal(system.initial_field(lambda x: 0.5), np.full(25, 0.5))
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])

@@ -504,6 +504,16 @@ def test_reports_deterministic(monkeypatch):
         assert a["cost"] == b["cost"]
 
 
+def test_conv_time_fits_every_level_whatever_fit_last(monkeypatch):
+    monkeypatch.setattr(harness, "REF_FACTOR", 2)
+    cfg = ExperimentConfig(kind="conv-time", s_list=(0.5,), K_list=(2, 4, 8, 16),
+                           M=3, T=0.5, tol=1e-8, out="unused")
+    slopes = [run_convergence_time(dataclasses.replace(cfg, fit_last=last)).slopes
+              for last in (3, 4, 9)]
+    assert slopes[0] == slopes[1] == slopes[2]
+    assert slopes[0][0]["levels_used"] == 4
+
+
 def test_truncation_rows_exclude_reference_and_decrease():
     cfg = ExperimentConfig(kind="truncation", s_list=(0.5,), n=1, M=24, K=4,
                            Y_list=(1.0, 1.5, 2.0, 2.5), T=0.5)

@@ -6,8 +6,8 @@ must be read somewhere in the module. Every parameter of every ``def`` in
 ``src/fracopt`` must be read in the function's body. No module compares the
 dimension ``n`` (a name or an attribute ``.n``) for (in)equality or
 membership with a constant: one tensor code path serves every n. No
-module imports scipy when it is itself imported, and a control solve and a
-truncation study run in a fresh interpreter without loading any of scipy.
+module imports scipy when it is itself imported, and every CLI kind runs in
+a fresh interpreter where scipy cannot be imported, as on a runtime install.
 No module but ``assembly.py``, whose sparse oracles number the cylinder's
 nodes, reads an attribute of that numbering: the solve path is the trace.
 Every member of a library module (a top-level def or class, a method or a
@@ -249,18 +249,34 @@ def test_src_keeps_no_member_that_only_tests_read():
     assert unread_members(defining, readers) == sorted(TEST_ONLY_MEMBERS)
 
 
+# Every CLI kind at small sizes with scipy unimportable, as on a runtime
+# install without the test extra; then the sparse oracle refuses by name.
 SOLVE_WITHOUT_SCIPY = """
-import json, sys
+import importlib.abc, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
 from fracopt.cli import main
-codes = [main(["solve-control", "--s", "0.4", "--M", "4", "--K", "8", "--gamma", "0.5",
-               "--out", "control"]),
-         main(["truncation", "--M", "4", "--K", "4", "--out", "truncation"])]
+runs = {"solve-control": ["--gamma", "0.5", "--M", "4", "--K", "8"],
+        "solve-state": ["--gamma", "0.5", "--M", "4", "--K", "8"],
+        "truncation": ["--M", "4", "--K", "4"],
+        "oracle-check": ["--gamma", "0.5"],
+        "conv-time": ["--M", "3", "--K", "2,4,8", "--T", "0.5"],
+        "conv-space": ["--M", "2,3,4", "--K", "4"]}
+codes = {kind: main([kind, *args, "--out", kind]) for kind, args in runs.items()}
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import fracopt
 mesh = fracopt.build_cylinder(fracopt.build_omega(2, 3), fracopt.graded_axis(3, 1.5, 1.2))
-stiff = fracopt.assemble_stiffness(mesh, fracopt.FractionalParams(0.4, 1.0))
-print(json.dumps({"codes": codes, "loaded": loaded, "format": stiff.format,
-                  "shape": list(stiff.shape), "free": int(mesh.n_free)}))
+try:
+    fracopt.assemble_stiffness(mesh, fracopt.FractionalParams(0.4, 1.0))
+    refused = None
+except ModuleNotFoundError as exc:
+    refused = str(exc)
+print(json.dumps({"codes": codes, "loaded": loaded, "refused": refused}))
 """
 
 
@@ -271,9 +287,9 @@ def test_solve_path_loads_no_scipy(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr[-4000:]
     got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["codes"] == [0, 0]
+    assert got["codes"] == dict.fromkeys(got["codes"], 0) and len(got["codes"]) == 6
     assert got["loaded"] == []
-    for case in ("control", "truncation"):
-        assert (tmp_path / case / "report.csv").is_file()
-    # the assembled sparse oracles still work, importing scipy.sparse on demand
-    assert got["format"] == "csr" and got["shape"] == [got["free"]] * 2
+    for kind in got["codes"]:
+        assert (tmp_path / kind / "report.csv").is_file()
+    # the assembled sparse oracle needs the test extra, and says so
+    assert got["refused"] is not None and "scipy" in got["refused"]

@@ -180,6 +180,20 @@ def test_fractional_ibp_check_refuses_gamma_outside_open_interval():
             fractional_ibp_check(times, times, gamma, times)
 
 
+def test_fractional_ibp_check_refuses_times_and_samples_it_cannot_use():
+    t = np.linspace(0.0, 1.0, 11)
+    for times in (t ** 2, t + 0.1, t[::-1]):
+        with pytest.raises(ParameterError, match="uniform times from 0 to T|final time"):
+            fractional_ibp_check(np.ones_like(t), t, 0.5, times)
+    for times in (t[:1], t.reshape(1, -1)):
+        with pytest.raises(ParameterError, match="1D array of uniform times"):
+            fractional_ibp_check(times, times, 0.5, times)
+    with pytest.raises(ParameterError, match="one sample per time: 11 times"):
+        fractional_ibp_check(t[:5], t[:5], 0.5, t)
+    with pytest.raises(ParameterError, match="one sample per time"):
+        fractional_ibp_check(t, t[:5], 0.5, t)
+
+
 def test_fractional_ibp_smooth_refinement():
     # quadrature error drops at least first order under refinement
     gamma = 0.5
@@ -202,7 +216,7 @@ def test_spectral_solve_state_shape_errors():
                              1.0, 0.5, 1.0)
 
 
-# counts the oracle cannot use, and the fault the error names
+# counts and final times the oracle cannot use, and the fault the error names
 BAD_COUNTS = {"n = 0": (lambda: manufactured_problem(0.4, 1.0, 1.0, n=0), "dimension n"),
               "n = 2.5": (lambda: manufactured_problem(0.4, 1.0, 1.0, n=2.5), "dimension n"),
               "no mode index": (lambda: mode(), "one or more positive indices"),
@@ -211,7 +225,14 @@ BAD_COUNTS = {"n = 0": (lambda: manufactured_problem(0.4, 1.0, 1.0, n=0), "dimen
                                                           1.0, K_fine=0), "K_fine"),
               "K_fine = 0, gamma = 1": (lambda: spectral_solve_state([mode(1)], [1.0], None,
                                                                      1.0, 0.5, 1.0, K_fine=0),
-                                        "K_fine")}
+                                        "K_fine"),
+              "K_fine = 0, T = -1": (lambda: spectral_solve_state([mode(1)], [1.0], None,
+                                                                  1.0, 0.5, -1.0, K_fine=0),
+                                     "K_fine"),
+              "T = -1, gamma = 1": (lambda: spectral_solve_state([mode(1)], [1.0], None,
+                                                                 1.0, 0.5, -1.0), "final time"),
+              "T = nan": (lambda: spectral_solve_state([mode(1)], [1.0], None,
+                                                       0.5, 0.5, math.nan), "final time")}
 
 
 @pytest.mark.parametrize("case", list(BAD_COUNTS))

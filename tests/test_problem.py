@@ -144,6 +144,9 @@ def test_select_truncation_monotone():
 def test_select_truncation_errors():
     with pytest.raises(ParameterError):
         select_truncation(4, 0.5, 1)
+    for n in (0, 1.5, NAN):
+        with pytest.raises(ParameterError, match="dimension n"):
+            select_truncation(100, 0.5, n)
 
 
 def test_time_grid():
